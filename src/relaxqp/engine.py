@@ -2,9 +2,8 @@
 
 One iteration, starting from (x_k, z_k, y_k):
 
-    solve  [[P + sigma*I, A'], [A, -diag(1/rho)]] [xt; nu] = [sigma*x_k - q;
-                                                              z_k - y_k/rho]
-    zt      = z_k + (nu - y_k) / rho
+    solve  (P + sigma*I + A' diag(rho) A) xt = sigma*x_k - q + A'(rho*z_k - y_k)
+    zt      = A xt
     x_{k+1} = ax * xt + (1 - ax) * x_k
     w       = g * zt + (1 - g) * z_k          (per-constraint relaxation g)
     z_{k+1} = clip(w + y_k/rho, l, u)
@@ -14,7 +13,11 @@ where rho is the per-constraint penalty vector (entries rho for inequality
 rows, 1e3*rho for equality rows) and g the per-constraint relaxation vector.
 The penalty changes only through the residual-balancing heuristic, which
 triggers a refactorization; the relaxation vector can change freely at stage
-boundaries without touching the factorization.
+boundaries without touching the factorization.  The first line is OSQP's
+reduced form of the quasi-definite KKT system
+[[P + sigma*I, A'], [A, -diag(1/rho)]] [xt; nu] = [sigma*x_k - q; z_k - y_k/rho]
+(see :mod:`relaxqp.linalg`); its matrix is positive definite and is cached as
+a Cholesky factor.
 """
 
 import json
@@ -209,17 +212,14 @@ def refactor(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> None:
 
 def iterate_once(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> SolverState:
     """Advance the iterate tuple by one step (mutates and returns state)."""
-    n = prob.n
     r = state.R.values
     g = state.Gamma.values
     x_k, z_k, y_k = state.x, state.z, state.y
 
     with np.errstate(invalid="ignore", over="ignore"):
-        rhs = np.concatenate((cfg.sigma * x_k - prob.q, z_k - y_k / r))
-        sol = ldlt_solve(state.kkt, rhs)
-        x_tilde = sol[:n]
-        nu = sol[n:]
-        z_tilde = z_k + (nu - y_k) / r
+        rhs = cfg.sigma * x_k - prob.q + prob.A.T @ (r * z_k - y_k)
+        x_tilde = ldlt_solve(state.kkt, rhs)
+        z_tilde = prob.A @ x_tilde
 
         x_next = state.alpha_x * x_tilde + (1.0 - state.alpha_x) * x_k
         if cfg.fault_hook == "flip_relaxation_sign":

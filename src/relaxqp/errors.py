@@ -14,7 +14,8 @@ class InfeasibleBoundsError(InputError):
 
 
 class SingularKktError(SolverError):
-    """KKT factorization hit a pivot below the admissible threshold."""
+    """KKT factorization hit a non-positive pivot: the matrix is singular or
+    indefinite."""
 
     def __init__(self, step: int, index: int, pivot: float):
         self.step = step

@@ -1,24 +1,31 @@
-"""Dense symmetric quasi-definite factorization for the ADMM KKT system.
+"""Dense reduced KKT system of the ADMM x-step and its Cholesky factorization.
 
-The KKT matrix [[P + sigma*I, A^T], [A, -R^{-1}]] is symmetric quasi-definite:
-its LDL^T factorization exists for any symmetric permutation and carries
-exactly (n positive, m negative) pivots.  We factor with greedy 1x1 diagonal
-pivoting (largest remaining |diagonal|) and a blocked right-looking update so
-that the trailing work runs through BLAS; quasi-definite inputs never require
-2x2 pivots.
+The x-step solves the quasi-definite KKT system
+
+    [[P + sigma*I, A'], [A, -diag(1/r)]] [xt; nu] = [sigma*x - q; z - y/r].
+
+Its second row gives nu = r*(A xt - z) + y; eliminating nu leaves OSQP's
+reduced form (Stellato et al., Math. Prog. Comp. 2020)
+
+    (P + sigma*I + A' diag(r) A) xt = sigma*x - q + A'(r*z - y),   zt = A xt,
+
+whose matrix is symmetric positive definite for sigma > 0 and r > 0 and is
+factored by one LAPACK Cholesky call (dpotrf).  The names ``assemble_kkt``,
+``ldlt_factor``, ``ldlt_solve`` and ``LdltFactor`` predate the reduced form;
+they now denote this n x n matrix and its Cholesky factor, and are kept for
+API stability and for tools that wrap these bindings.
+
+Known limit: when null(P) and null(A) share a nonzero vector (the QP is then
+dual infeasible), the reduced matrix at the largest penalties has condition
+number of order r*||A||^2 / sigma.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InputError, SingularKktError
-
-PIVOT_THRESHOLD = 1e-12
-
-# Panel width for the blocked trailing update.
-_BLOCK = 64
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -32,33 +39,26 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LdltFactor:
-    """Permuted unit-lower LDL^T factorization of a symmetric matrix.
+    """Cholesky factor of a symmetric positive definite matrix:
+    ``matrix == lower @ lower.T`` with ``lower`` lower triangular.
 
-    ``matrix[perm][:, perm] == unit_lower @ diag(diag) @ unit_lower.T``.
     The source matrix is kept to allow one step of iterative refinement
     inside :func:`ldlt_solve`.
     """
 
-    permutation: np.ndarray
-    unit_lower: np.ndarray
-    diag: np.ndarray
+    lower: np.ndarray
     dim: int
     source: np.ndarray = field(repr=False)
 
-    @property
-    def inertia(self) -> tuple[int, int]:
-        """(number of positive pivots, number of negative pivots)."""
-        return int(np.sum(self.diag > 0)), int(np.sum(self.diag < 0))
-
 
 def assemble_kkt(P: np.ndarray, A: np.ndarray, sigma: float, r_values: np.ndarray) -> np.ndarray:
-    """Build the quasi-definite KKT matrix [[P + sigma*I, A^T], [A, -diag(1/r)]].
+    """Build the reduced KKT matrix P + sigma*I + A' diag(r) A.
 
     Parameters
     ----------
     P : (n, n) symmetric positive semidefinite cost matrix.
     A : (m, n) constraint matrix.
-    sigma : positive regularization added to the (1,1) block.
+    sigma : positive regularization added to the diagonal.
     r_values : (m,) positive per-constraint penalty entries.
     """
     P = _as_matrix(P, "P")
@@ -77,76 +77,28 @@ def assemble_kkt(P: np.ndarray, A: np.ndarray, sigma: float, r_values: np.ndarra
     if np.any(r <= 0):
         raise InputError("penalty entries must be positive")
 
-    K = np.empty((n + m, n + m), dtype=np.float64)
-    K[:n, :n] = P
-    K[:n, :n].flat[:: n + 1] += sigma
-    K[:n, n:] = A.T
-    K[n:, :n] = A
-    K[n:, n:] = 0.0
-    K[n:, n:].flat[:: m + 1] = -1.0 / r
-    return K
+    B = np.sqrt(r)[:, None] * A
+    H = B.T @ B  # numpy runs this transpose product as one syrk call
+    H += P
+    H.flat[:: n + 1] += sigma
+    return H
 
 
-def ldlt_factor(M: np.ndarray, threshold: float = PIVOT_THRESHOLD) -> LdltFactor:
-    """Factor a symmetric quasi-definite matrix as P M P^T = L D L^T.
+def ldlt_factor(M: np.ndarray) -> LdltFactor:
+    """Cholesky-factor a symmetric positive definite matrix (lower triangle read).
 
-    Greedy symmetric pivoting on the largest remaining |diagonal| entry;
-    raises :class:`SingularKktError` when every remaining pivot candidate is
-    below ``threshold`` in magnitude.
+    Raises :class:`SingularKktError` at the first column whose pivot is not
+    positive, i.e. when M is singular or indefinite.
     """
     M = _as_matrix(M, "M")
     d = M.shape[0]
     if M.shape[1] != d:
         raise InputError(f"matrix must be square, got {M.shape}")
-    if d and not np.allclose(M, M.T, rtol=1e-12, atol=1e-12):
-        raise InputError("matrix must be symmetric")
-
-    A = np.array(M, dtype=np.float64, copy=True)
-    L = np.zeros((d, d), dtype=np.float64)
-    D = np.zeros(d, dtype=np.float64)
-    perm = np.arange(d, dtype=np.int64)
-    # Diagonal of the trailing submatrix, kept current within each panel.
-    dloc = A.diagonal().copy()
-
-    for s in range(0, d, _BLOCK):
-        e = min(s + _BLOCK, d)
-        for j in range(s, e):
-            p = j + int(np.argmax(np.abs(dloc[j:])))
-            pivot_estimate = dloc[p]
-            if abs(pivot_estimate) < threshold:
-                raise SingularKktError(step=j, index=int(perm[p]), pivot=float(pivot_estimate))
-            if p != j:
-                A[[j, p], :] = A[[p, j], :]
-                A[:, [j, p]] = A[:, [p, j]]
-                L[[j, p], :j] = L[[p, j], :j]
-                dloc[[j, p]] = dloc[[p, j]]
-                perm[[j, p]] = perm[[p, j]]
-            # Column j updated by the panel columns finalized so far.
-            col = A[j:, j] - L[j:, s:j] @ (D[s:j] * L[j, s:j])
-            piv = col[0]
-            if abs(piv) < threshold:
-                raise SingularKktError(step=j, index=int(perm[j]), pivot=float(piv))
-            D[j] = piv
-            L[j, j] = 1.0
-            L[j + 1 :, j] = col[1:] / piv
-            dloc[j + 1 :] -= piv * L[j + 1 :, j] ** 2
-        if e < d:
-            W = L[e:, s:e]
-            A[e:, e:] -= (W * D[s:e]) @ W.T
-
-    return LdltFactor(permutation=perm, unit_lower=L, diag=D, dim=d, source=M)
-
-
-def _solve_factored(F: LdltFactor, b: np.ndarray) -> np.ndarray:
-    u = b[F.permutation]
-    c = solve_triangular(F.unit_lower, u, lower=True, unit_diagonal=True, check_finite=False)
-    c /= F.diag
-    w = solve_triangular(
-        F.unit_lower, c, lower=True, unit_diagonal=True, trans="T", check_finite=False
-    )
-    v = np.empty_like(w)
-    v[F.permutation] = w
-    return v
+    L, info = dpotrf(M, lower=1, clean=1)
+    if info > 0:
+        index = info - 1
+        raise SingularKktError(step=index, index=index, pivot=float(L[index, index]))
+    return LdltFactor(lower=L, dim=d, source=M)
 
 
 def ldlt_solve(F: LdltFactor, b: np.ndarray) -> np.ndarray:
@@ -157,17 +109,9 @@ def ldlt_solve(F: LdltFactor, b: np.ndarray) -> np.ndarray:
         raise InputError(f"right-hand side has shape {b.shape}, expected ({F.dim},)")
     if F.dim == 0:
         return np.zeros(0)
-    v = _solve_factored(F, b)
+    v = dpotrs(F.lower, b, lower=1)[0]
     r = b - F.source @ v
     scale = 1.0 + float(np.max(np.abs(b)))
     if float(np.max(np.abs(r))) > 1e-13 * scale:
-        v = v + _solve_factored(F, r)
+        v = v + dpotrs(F.lower, r, lower=1)[0]
     return v
-
-
-def reconstruct(F: LdltFactor) -> np.ndarray:
-    """Undo the factorization: returns the matrix the factor represents."""
-    S = (F.unit_lower * F.diag) @ F.unit_lower.T
-    out = np.empty_like(S)
-    out[np.ix_(F.permutation, F.permutation)] = S
-    return out

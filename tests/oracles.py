@@ -130,21 +130,6 @@ def mlp_forward_loops(ckpt, x_norm: np.ndarray) -> float:
     return ckpt.alpha_min + (ckpt.alpha_max - ckpt.alpha_min) * sig
 
 
-def random_quasi_definite(rng: np.random.Generator, n: int, m: int):
-    """Random symmetric quasi-definite matrix in block form."""
-    B = rng.standard_normal((n, n))
-    upper = B @ B.T + 0.1 * np.eye(n)
-    C = rng.standard_normal((m, m))
-    lower = C @ C.T + 0.1 * np.eye(m)
-    off = rng.standard_normal((m, n))
-    M = np.zeros((n + m, n + m))
-    M[:n, :n] = upper
-    M[n:, :n] = off
-    M[:n, n:] = off.T
-    M[n:, n:] = -lower
-    return M
-
-
 def random_box_qp(rng: np.random.Generator, n: int, m: int, name: str = "") -> QpProblem:
     """Small well-scaled box-constrained QP for direct engine tests."""
     B = rng.standard_normal((n, n))

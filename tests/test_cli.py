@@ -51,6 +51,23 @@ class TestSolveCommand:
     def test_missing_file_exit_one(self):
         assert main(["solve", "--problem", "/nonexistent/problem.json"]) == 1
 
+    def test_indefinite_kkt_exit_one(self, tmp_path, capsys):
+        # P passes the PSD probe (it tolerates eigenvalues down to -1e-9), but
+        # with sigma = 1e-12 the KKT matrix P + sigma*I + A'RA is indefinite
+        # in its second column, which no constraint row touches.
+        prob = QpProblem(P=np.diag([1.0, -5e-10]), q=np.zeros(2), A=np.array([[1.0, 0.0]]),
+                         l=-np.ones(1), u=np.ones(1), name="indefinite")
+        path = tmp_path / "indefinite.json"
+        save_problem(prob, path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": 1e-12}))
+        rc = main(["solve", "--problem", str(path), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("relaxqp: error: singular KKT system")
+        assert "matrix index 1" in err
+        assert "Traceback" not in err
+
     def test_deterministic_report_modulo_runtime(self, random_problem_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["solve", "--problem", str(random_problem_file), "--out", str(out1)]) == 0
