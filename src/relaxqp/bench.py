@@ -330,9 +330,7 @@ def reference_solution(prob: QpProblem, cfg: SolverConfig | None = None) -> Refe
     providing the primal-dual optimum used for training and verification."""
     if cfg is None:
         cfg = SolverConfig()
-    cfg = replace(
-        cfg, eps_abs=1e-9, eps_rel=1e-9, adaptive_rho=True, max_iter=200000, fault_hook=""
-    )
+    cfg = replace(cfg, eps_abs=1e-9, eps_rel=1e-9, adaptive_rho=True, max_iter=200000)
     final_z = [None]
 
     def observer(state, res):

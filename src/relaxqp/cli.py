@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .engine import SolverConfig, load_config, report_to_dict, solve
-from .errors import SolverError, TheoryViolationError
+from .engine import SolverConfig, config_to_dict, load_config, report_to_dict, solve
+from .errors import InputError, SolverError, TheoryViolationError
 from .policy import init_checkpoint, load_checkpoint, policy_from_checkpoint, save_checkpoint
 from .problem import load_problem
 from .training import TrainConfig, collect_norm_stats, train
@@ -41,6 +41,14 @@ def _load_cfg(args) -> SolverConfig:
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
+
+
+def _map(fn, tasks, jobs: int) -> list:
+    """fn over tasks, in order; in a pool of ``jobs`` processes when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def _policy_for(args, cfg):
@@ -122,19 +130,13 @@ def cmd_bench(args) -> int:
         runs.append((Path(ck).stem, ck))
 
     tasks = []
-    from .engine import config_to_dict
-
     for spec in specs:
         for policy_label, ckpt_path in runs:
             for adaptive in (False, True):
                 cfg_doc = config_to_dict(replace(cfg, adaptive_rho=adaptive))
                 tasks.append((str(store), bench_mod.spec_to_dict(spec), cfg_doc, policy_label, ckpt_path))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_one, tasks))
-    else:
-        rows = [_bench_one(t) for t in tasks]
+    rows = _map(_bench_one, tasks, args.jobs)
 
     fieldnames = [
         "family", "size", "seed", "policy", "rho_mode",
@@ -182,7 +184,13 @@ def cmd_bench(args) -> int:
 
 def cmd_train(args) -> int:
     with open(args.manifest) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"invalid training manifest {args.manifest}: {exc}") from exc
+    missing = [k for k in ("family", "train_instances", "val_instances") if k not in doc]
+    if missing:
+        raise InputError(f"training manifest {args.manifest} lacks fields {missing}")
     cfg = _load_cfg(args)
     family = doc["family"]
     variant = doc.get("variant", "scalar")
@@ -254,8 +262,6 @@ def _verify_one(task):
 
 
 def cmd_verify(args) -> int:
-    from .engine import config_to_dict
-
     cfg = _load_cfg(args)
     specs = bench_mod.load_manifest(args.manifest)
     store = args.store or "instances"
@@ -263,11 +269,7 @@ def cmd_verify(args) -> int:
         (str(store), bench_mod.spec_to_dict(s), config_to_dict(cfg), args.steps, args.drift_iters)
         for s in specs
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_one, tasks))
-    else:
-        results = [_verify_one(t) for t in tasks]
+    results = _map(_verify_one, tasks, args.jobs)
     failed = any("violation" in r or not r.get("drift_converged", False) for r in results)
     payload = json.dumps(results, indent=1, sort_keys=True)
     if args.out:

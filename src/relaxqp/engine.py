@@ -18,11 +18,16 @@ reduced form of the quasi-definite KKT system
 [[P + sigma*I, A'], [A, -diag(1/rho)]] [xt; nu] = [sigma*x_k - q; z_k - y_k/rho]
 (see :mod:`relaxqp.linalg`); its matrix is positive definite and is cached as
 a Cholesky factor.
+
+Apart from the x-step, an iteration forms A x, P x and A'y once, in
+:func:`relaxqp.problem.osqp_residuals`, which also returns the stopping
+scales; the stopping rule and the penalty update read those scales.
 """
 
 import json
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,15 +56,18 @@ class SolverConfig:
     rho_check_interval: int = 25
     sigma: float = 1e-6
     seed: int = 0
-    # Test-only hook: set to "flip_relaxation_sign" to corrupt the relaxation
-    # step so the verifier's fault-detection path can be exercised.
-    fault_hook: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Integral if f.type in (bool, int) else numbers.Real):
+                raise InputError(f"config field {f.name!r} must be {f.type.__name__}, got {value!r}")
         if self.max_iter < 1:
             raise InputError("max_iter must be at least 1")
         if not (0.0 < self.alpha_min <= self.alpha_max < 2.0):
             raise InputError("relaxation bounds must satisfy 0 < alpha_min <= alpha_max < 2")
+        if not (self.alpha_min <= self.alpha0 <= self.alpha_max):
+            raise InputError("alpha0 must lie in [alpha_min, alpha_max]")
         if self.rho0 <= 0 or self.sigma <= 0:
             raise InputError("rho0 and sigma must be positive")
         if self.stage_length < 1 or self.rho_check_interval < 1:
@@ -67,24 +75,7 @@ class SolverConfig:
 
 
 def config_to_dict(cfg: SolverConfig) -> dict:
-    doc = {
-        "rho0": cfg.rho0,
-        "adaptive_rho": cfg.adaptive_rho,
-        "alpha0": cfg.alpha0,
-        "alpha_min": cfg.alpha_min,
-        "alpha_max": cfg.alpha_max,
-        "eps_abs": cfg.eps_abs,
-        "eps_rel": cfg.eps_rel,
-        "max_iter": cfg.max_iter,
-        "stage_length": cfg.stage_length,
-        "freeze_iter": cfg.freeze_iter,
-        "rho_check_interval": cfg.rho_check_interval,
-        "sigma": cfg.sigma,
-        "seed": cfg.seed,
-    }
-    if cfg.fault_hook:
-        doc["fault_hook"] = cfg.fault_hook
-    return doc
+    return asdict(cfg)
 
 
 def config_from_dict(doc: dict) -> SolverConfig:
@@ -104,27 +95,6 @@ def load_config(path) -> SolverConfig:
     return config_from_dict(doc)
 
 
-@dataclass
-class DiagParams:
-    """Positive diagonal matrix stored as a vector, with box invariants."""
-
-    values: np.ndarray
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.lo <= 0:
-            raise InputError("diagonal lower bound must be positive")
-        if self.lo > self.hi:
-            raise InputError("diagonal bounds must satisfy lo <= hi")
-        if np.any(self.values < self.lo) or np.any(self.values > self.hi):
-            raise InputError("diagonal entries violate their bounds")
-
-    def copy(self) -> "DiagParams":
-        return DiagParams(self.values.copy(), self.lo, self.hi)
-
-
 def rho_pattern(kinds: np.ndarray, rho: float) -> np.ndarray:
     """Per-constraint penalty: rho on inequality/loose rows, 1e3*rho on
     equality rows, all clamped to [RHO_MIN, RHO_MAX]."""
@@ -139,8 +109,8 @@ class SolverState:
     z: np.ndarray
     y: np.ndarray
     iter: int
-    R: DiagParams
-    Gamma: DiagParams
+    R: np.ndarray  # per-constraint penalty, in [RHO_MIN, RHO_MAX]
+    Gamma: np.ndarray  # per-constraint relaxation, in [alpha_min, alpha_max]
     alpha_x: float
     kkt: LdltFactor
     rho_scalar: float
@@ -196,8 +166,8 @@ def init_state(prob: QpProblem, cfg: SolverConfig) -> SolverState:
         z=np.zeros(prob.m),
         y=np.zeros(prob.m),
         iter=0,
-        R=DiagParams(r_vals, RHO_MIN, RHO_MAX),
-        Gamma=DiagParams(gamma, cfg.alpha_min, cfg.alpha_max),
+        R=r_vals,
+        Gamma=gamma,
         alpha_x=cfg.alpha0,
         kkt=kkt,
         rho_scalar=float(np.clip(cfg.rho0, RHO_MIN, RHO_MAX)),
@@ -206,14 +176,14 @@ def init_state(prob: QpProblem, cfg: SolverConfig) -> SolverState:
 
 def refactor(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> None:
     """Rebuild and refactor the KKT system for the current penalty vector."""
-    state.kkt = ldlt_factor(assemble_kkt(prob.P, prob.A, cfg.sigma, state.R.values))
+    state.kkt = ldlt_factor(assemble_kkt(prob.P, prob.A, cfg.sigma, state.R))
     state.n_factorizations += 1
 
 
 def iterate_once(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> SolverState:
     """Advance the iterate tuple by one step (mutates and returns state)."""
-    r = state.R.values
-    g = state.Gamma.values
+    r = state.R
+    g = state.Gamma
     x_k, z_k, y_k = state.x, state.z, state.y
 
     with np.errstate(invalid="ignore", over="ignore"):
@@ -222,10 +192,7 @@ def iterate_once(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> Solv
         z_tilde = prob.A @ x_tilde
 
         x_next = state.alpha_x * x_tilde + (1.0 - state.alpha_x) * x_k
-        if cfg.fault_hook == "flip_relaxation_sign":
-            w = g * z_tilde - (1.0 - g) * z_k
-        else:
-            w = g * z_tilde + (1.0 - g) * z_k
+        w = g * z_tilde + (1.0 - g) * z_k
         z_next = np.clip(w + y_k / r, prob.l, prob.u)
         y_next = y_k + r * (w - z_next)
 
@@ -266,20 +233,11 @@ def maybe_update_rho(
     state: SolverState, res: Residuals, prob: QpProblem, cfg: SolverConfig
 ) -> tuple[SolverState, bool]:
     """Residual-balancing penalty update; refactors the KKT system when the
-    candidate differs from the current value by the trigger factor."""
-    prim_scale = max(
-        float(np.max(np.abs(prob.A @ state.x), initial=0.0)),
-        float(np.max(np.abs(state.z), initial=0.0)),
-        1e-10,
-    )
-    dual_scale = max(
-        float(np.max(np.abs(prob.P @ state.x), initial=0.0)),
-        float(np.max(np.abs(prob.A.T @ state.y), initial=0.0)),
-        float(np.max(np.abs(prob.q), initial=0.0)),
-        1e-10,
-    )
-    rp = res.r_prim_inf / prim_scale
-    rd = res.r_dual_inf / dual_scale
+    candidate differs from the current value by the trigger factor.  ``res``
+    must be the residuals of the current iterate; their scales normalize the
+    residuals."""
+    rp = res.r_prim_inf / max(res.prim_scale, 1e-10)
+    rd = res.r_dual_inf / max(res.dual_scale, 1e-10)
     if rp <= 0.0 and rd <= 0.0:
         return state, False
     rp = max(rp, 1e-16)
@@ -288,7 +246,7 @@ def maybe_update_rho(
     ratio = candidate / state.rho_scalar
     if ratio >= RHO_TRIGGER_FACTOR or 1.0 / ratio >= RHO_TRIGGER_FACTOR:
         state.rho_scalar = candidate
-        state.R = DiagParams(rho_pattern(prob.kinds, candidate), RHO_MIN, RHO_MAX)
+        state.R = rho_pattern(prob.kinds, candidate)
         refactor(state, prob, cfg)
         state.rho_updates += 1
         return state, True
@@ -311,7 +269,7 @@ def apply_policy(state: SolverState, policy, ctx, cfg: SolverConfig) -> SolverSt
         raise PolicyError(f"policy produced non-finite relaxation at iteration {state.iter}")
     gamma = np.clip(gamma, cfg.alpha_min, cfg.alpha_max)
     alpha_x = float(np.clip(alpha_x, cfg.alpha_min, cfg.alpha_max))
-    state.Gamma = DiagParams(gamma, cfg.alpha_min, cfg.alpha_max)
+    state.Gamma = gamma
     state.alpha_x = alpha_x
     return state
 
@@ -378,8 +336,8 @@ class TrajectoryRecorder:
                 z_next=state.z.copy(),
                 y_next=state.y.copy(),
                 r_values=state.R_prev_values.copy(),
-                r_next_values=state.R.values.copy(),
-                gamma_values=state.Gamma.values.copy(),
+                r_next_values=state.R.copy(),
+                gamma_values=state.Gamma.copy(),
                 alpha_x=state.alpha_x,
                 sigma=cfg.sigma,
             )
@@ -389,7 +347,7 @@ class TrajectoryRecorder:
         # R may change after the step (penalty update); the metric used by the
         # *next* step is what the perturbation identity needs.
         if self.steps:
-            self.steps[-1].r_next_values = state.R.values.copy()
+            self.steps[-1].r_next_values = state.R.copy()
 
 
 def solve(
@@ -425,7 +383,7 @@ def solve(
         history.append((state.iter, res.r_prim_inf, res.r_dual_inf))
         if observer is not None:
             observer(state, res)
-        if terminated(res, prob, state.x, state.z, state.y, cfg.eps_abs, cfg.eps_rel):
+        if terminated(res, cfg.eps_abs, cfg.eps_rel):
             status = "solved"
             if recorder is not None:
                 recorder.finalize_step_params(state)
@@ -438,7 +396,7 @@ def solve(
                 res=res,
                 res_prev=stage_res,
                 rho_scalar=state.rho_scalar,
-                rho_values=state.R.values,
+                rho_values=state.R,
                 z=state.z,
                 y=state.y,
                 r_prim_prev=stage_r_prim,

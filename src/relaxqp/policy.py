@@ -217,6 +217,25 @@ def mlp_forward(ckpt: PolicyCheckpoint, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def vector_inputs(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Vector-variant MLP input: the solver-level features repeated on every
+    row, followed by that row's own features."""
+    rows = np.atleast_2d(rows)
+    return np.hstack((np.broadcast_to(phi, (rows.shape[0], phi.size)), rows))
+
+
+def policy_inputs(ctx: PolicyContext, variant: str, a_row_norms: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized MLP input at a stage boundary: the (6,) solver-level
+    features of the scalar variant or the (m, 13) rows of the vector one."""
+    phi = extract_global(ctx.res, ctx.res_prev, ctx.rho_scalar, variant)
+    if variant == "scalar":
+        return phi
+    rows = extract_rows(
+        ctx.prob, ctx.z, ctx.res.r_prim, ctx.y, ctx.r_prim_prev, ctx.rho_values, a_row_norms
+    )
+    return vector_inputs(phi, rows)
+
+
 def policy_step_scalar(ckpt: PolicyCheckpoint, phi: np.ndarray, m: int):
     """One scalar prediction broadcast over all m constraint rows."""
     if ckpt.variant != "scalar":
@@ -227,10 +246,12 @@ def policy_step_scalar(ckpt: PolicyCheckpoint, phi: np.ndarray, m: int):
 
 def policy_step_vector(ckpt: PolicyCheckpoint, phi: np.ndarray, rows: np.ndarray):
     """Row-wise predictions; the decision-space relaxation is their mean."""
+    return _predict_rows(ckpt, vector_inputs(phi, rows))
+
+
+def _predict_rows(ckpt: PolicyCheckpoint, inputs: np.ndarray):
     if ckpt.variant != "vector":
         raise InputError("vector step requires a vector-variant checkpoint")
-    rows = np.atleast_2d(rows)
-    inputs = np.hstack((np.broadcast_to(phi, (rows.shape[0], phi.size)), rows))
     gamma = mlp_forward(ckpt, ckpt.norm_stats.normalize(inputs))
     return gamma, float(np.mean(gamma))
 
@@ -244,8 +265,7 @@ class ScalarPolicy:
         self.ckpt = ckpt
 
     def propose(self, ctx: PolicyContext):
-        phi = extract_global(ctx.res, ctx.res_prev, ctx.rho_scalar, "scalar")
-        return policy_step_scalar(self.ckpt, phi, ctx.prob.m)
+        return policy_step_scalar(self.ckpt, policy_inputs(ctx, "scalar"), ctx.prob.m)
 
 
 class VectorPolicy:
@@ -262,12 +282,7 @@ class VectorPolicy:
         if self._norms_for != id(ctx.prob):
             self._row_norms = row_inf_norms(ctx.prob.A)
             self._norms_for = id(ctx.prob)
-        phi = extract_global(ctx.res, ctx.res_prev, ctx.rho_scalar, "vector")
-        rows = extract_rows(
-            ctx.prob, ctx.z, ctx.res.r_prim, ctx.y, ctx.r_prim_prev, ctx.rho_values,
-            self._row_norms,
-        )
-        return policy_step_vector(self.ckpt, phi, rows)
+        return _predict_rows(self.ckpt, policy_inputs(ctx, "vector", self._row_norms))
 
 
 def policy_from_checkpoint(ckpt: PolicyCheckpoint):

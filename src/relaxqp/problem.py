@@ -3,6 +3,11 @@
 A problem is  minimize 0.5 x'Px + q'x  subject to  l <= Ax <= u,  with
 entries of l, u allowed to be -inf/+inf.  File storage encodes infinities
 with the +-1e30 sentinel common to QP solver interfaces.
+
+:func:`osqp_residuals` is the one place that forms A x, P x and A'y for an
+iterate: it returns the residuals together with OSQP's stopping scales, which
+the stopping rule and the solver's penalty update read instead of forming the
+products again.
 """
 
 import json
@@ -121,12 +126,16 @@ def _psd_probe(P: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Residuals:
-    """OSQP-form stopping residuals at a given (x, z, y) triple."""
+    """OSQP-form stopping residuals at a given (x, z, y) triple, with the
+    scales the relative tolerance multiplies: prim_scale = max(|Ax|, |z|) and
+    dual_scale = max(|Px|, |A'y|, |q|), all infinity norms."""
 
     r_prim: np.ndarray
     r_dual: np.ndarray
     r_prim_inf: float
     r_dual_inf: float
+    prim_scale: float
+    dual_scale: float
 
 
 def _inf_norm(v: np.ndarray) -> float:
@@ -142,33 +151,28 @@ def objective(prob: QpProblem, x: np.ndarray) -> float:
 
 
 def osqp_residuals(prob: QpProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray) -> Residuals:
-    """Primal residual Ax - z and dual residual Px + q + A'y."""
+    """Primal residual Ax - z, dual residual Px + q + A'y and their scales."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != (prob.n,) or z.shape != (prob.m,) or y.shape != (prob.m,):
         raise InputError("residual inputs have inconsistent dimensions")
-    r_prim = prob.A @ x - z
-    r_dual = prob.P @ x + prob.q + prob.A.T @ y
-    return Residuals(r_prim, r_dual, _inf_norm(r_prim), _inf_norm(r_dual))
+    Ax, Px, ATy = prob.A @ x, prob.P @ x, prob.A.T @ y
+    r_prim = Ax - z
+    r_dual = Px + prob.q + ATy
+    return Residuals(
+        r_prim, r_dual, _inf_norm(r_prim), _inf_norm(r_dual),
+        prim_scale=max(_inf_norm(Ax), _inf_norm(z)),
+        dual_scale=max(_inf_norm(Px), _inf_norm(ATy), _inf_norm(prob.q)),
+    )
 
 
-def terminated(
-    res: Residuals,
-    prob: QpProblem,
-    x: np.ndarray,
-    z: np.ndarray,
-    y: np.ndarray,
-    eps_abs: float,
-    eps_rel: float,
-) -> bool:
+def terminated(res: Residuals, eps_abs: float, eps_rel: float) -> bool:
     """OSQP stopping rule; boundary hits count as terminated (<=, not <)."""
     if eps_abs <= 0 or eps_rel <= 0:
         raise InputError("tolerances must be positive")
-    prim_scale = max(_inf_norm(prob.A @ x), _inf_norm(z))
-    dual_scale = max(_inf_norm(prob.P @ x), _inf_norm(prob.A.T @ y), _inf_norm(prob.q))
-    return res.r_prim_inf <= eps_abs + eps_rel * prim_scale and res.r_dual_inf <= (
-        eps_abs + eps_rel * dual_scale
+    return res.r_prim_inf <= eps_abs + eps_rel * res.prim_scale and res.r_dual_inf <= (
+        eps_abs + eps_rel * res.dual_scale
     )
 
 
@@ -200,21 +204,29 @@ def problem_to_dict(prob: QpProblem) -> dict:
     }
 
 
+def _matrix(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:
+    flat = np.asarray(doc[key], dtype=np.float64)
+    if flat.size != rows * cols:
+        raise InputError(f"field {key!r} has {flat.size} entries, expected {rows}x{cols}")
+    return flat.reshape(rows, cols)
+
+
 def problem_from_dict(doc: dict) -> QpProblem:
     try:
         n = int(doc["n"])
         m = int(doc["m"])
-        return QpProblem(
-            P=np.asarray(doc["P"], dtype=np.float64).reshape(n, n),
+        fields = dict(
+            P=_matrix(doc, "P", n, n),
             q=np.asarray(doc["q"], dtype=np.float64),
-            A=np.asarray(doc["A"], dtype=np.float64).reshape(m, n),
+            A=_matrix(doc, "A", m, n),
             l=_decode_bounds(doc["l"]),
             u=_decode_bounds(doc["u"]),
             name=str(doc.get("name", "")),
             seed=int(doc.get("seed", 0)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
+    return QpProblem(**fields)
 
 
 def save_problem(prob: QpProblem, path) -> None:

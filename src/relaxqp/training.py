@@ -18,15 +18,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import FixedPolicy, SolverConfig, solve
+from .engine import FixedPolicy, PolicyContext, SolverConfig, solve
 from .errors import DivergenceError, InputError
 from .policy import (
     PolicyCheckpoint,
-    extract_global,
-    extract_rows,
     fit_norm_stats,
     flatten_params,
     policy_from_checkpoint,
+    policy_inputs,
     row_inf_norms,
     with_params,
 )
@@ -142,29 +141,32 @@ def collect_norm_stats(
     horizon: int = 200,
     alpha: float = 1.6,
 ):
-    """Feature batches from short baseline rollouts with the default
+    """Policy inputs from short baseline rollouts with the default
     relaxation, used once to freeze the normalization statistics."""
     batches = []
     for prob in instances:
         feats = []
         stage: dict = {}
+        norms = row_inf_norms(prob.A)
 
-        def observer(state, res, prob=prob, feats=feats, stage=stage):
+        def observer(state, res, prob=prob, feats=feats, stage=stage, norms=norms):
             if state.iter % cfg.stage_length != 0:
                 return
             if stage:
-                phi = extract_global(res, stage["res"], state.rho_scalar, variant)
-                if variant == "scalar":
-                    feats.append(phi)
-                else:
-                    rows = extract_rows(
-                        prob, state.z, res.r_prim, state.y, stage["r_prim"],
-                        state.R.values, stage["norms"],
-                    )
-                    feats.append(np.hstack((np.broadcast_to(phi, (rows.shape[0], phi.size)), rows)))
+                ctx = PolicyContext(
+                    prob=prob,
+                    res=res,
+                    res_prev=stage["res"],
+                    rho_scalar=state.rho_scalar,
+                    rho_values=state.R,
+                    z=state.z,
+                    y=state.y,
+                    r_prim_prev=stage["r_prim"],
+                    iteration=state.iter,
+                )
+                feats.append(policy_inputs(ctx, variant, norms))
             stage["res"] = res
             stage["r_prim"] = res.r_prim.copy()
-            stage.setdefault("norms", row_inf_norms(prob.A))
 
         run_cfg = replace(cfg, max_iter=horizon)
         solve(prob, run_cfg, policy=FixedPolicy(alpha), observer=observer)

@@ -233,13 +233,11 @@ def run_drift_experiment(
         th_g = schedule.theta_gamma[k]
         if th_r > 0.0:
             signs = rng.choice((-1.0, 1.0), size=prob.m)
-            state.R.values = np.clip(state.R.values * (1.0 + signs * th_r), RHO_MIN, RHO_MAX)
+            state.R = np.clip(state.R * (1.0 + signs * th_r), RHO_MIN, RHO_MAX)
             refactor(state, prob, cfg)
         if th_g > 0.0:
             signs = rng.choice((-1.0, 1.0), size=prob.m)
-            state.Gamma.values = np.clip(
-                state.Gamma.values * (1.0 + signs * th_g), cfg.alpha_min, cfg.alpha_max
-            )
+            state.Gamma = np.clip(state.Gamma * (1.0 + signs * th_g), cfg.alpha_min, cfg.alpha_max)
             ax_sign = float(rng.choice((-1.0, 1.0)))
             state.alpha_x = float(
                 np.clip(state.alpha_x * (1.0 + ax_sign * th_g), cfg.alpha_min, cfg.alpha_max)

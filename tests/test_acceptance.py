@@ -278,10 +278,10 @@ def test_criterion_8_freeze_safeguard():
 
     def observer(state, res):
         if prev[0] is not None:
-            drift.append((state.iter, float(np.sum(np.abs(state.Gamma.values - prev[0])))))
-        prev[0] = state.Gamma.values.copy()
+            drift.append((state.iter, float(np.sum(np.abs(state.Gamma - prev[0])))))
+        prev[0] = state.Gamma.copy()
         if state.iter >= 500:
-            gammas[state.iter] = state.Gamma.values.copy()
+            gammas[state.iter] = state.Gamma.copy()
 
     rep = solve(prob, cfg, policy=Wobble(), observer=observer)
     assert rep.iterations > 500, "instance must exceed the freeze point"

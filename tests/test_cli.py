@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from relaxqp.bench import FamilySpec, generate, save_manifest
+from relaxqp.bench import FamilySpec, ensure_instance, generate, save_manifest
 from relaxqp.cli import main
 from relaxqp.policy import init_checkpoint, save_checkpoint
 from relaxqp.problem import QpProblem, save_problem
@@ -163,6 +163,46 @@ class TestBenchCommand:
         assert keyed_s == keyed_p
 
 
+class TestInputErrors:
+    """Malformed inputs end as one error line and exit 1, never a traceback."""
+
+    def _expect_error(self, argv, field, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "relaxqp: error:" in err and field in err
+        assert "Traceback" not in err
+
+    def test_mistyped_config_value(self, tiny_problem_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho0": "abc"}))
+        self._expect_error(
+            ["solve", "--problem", str(tiny_problem_file), "--config", str(cfg)], "'rho0'", capsys
+        )
+
+    def test_problem_matrix_size_mismatch(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "n": 2, "m": 1, "P": [1.0, 0.0, 1.0], "q": [0.0, 0.0], "A": [1.0, 1.0],
+            "l": [-1.0], "u": [1.0],
+        }))
+        self._expect_error(["solve", "--problem", str(bad)], "'P'", capsys)
+
+    @pytest.mark.parametrize("text,named", [
+        (json.dumps({"family": "random_qp", "val_instances": []}), "train_instances"),
+        ("{not json", "invalid training manifest"),
+    ], ids=["missing_train_instances", "not_json"])
+    def test_malformed_train_manifest(self, tmp_path, capsys, text, named):
+        man_path = tmp_path / "train.json"
+        man_path.write_text(text)
+        self._expect_error(
+            ["train", "--manifest", str(man_path), "--store", str(tmp_path / "store"),
+             "--out", str(tmp_path / "run")],
+            named,
+            capsys,
+        )
+
+
 class TestTrainCommand:
     def test_zero_epochs_writes_initial_checkpoints(self, tmp_path):
         manifest = {
@@ -224,16 +264,16 @@ class TestVerifyCommand:
         assert doc[0]["min_descent_slack"] >= -1e-8
         assert doc[0]["drift_converged"] is True
 
-    def test_fault_injection_nonzero_exit(self, tmp_path):
+    def test_fault_injection_nonzero_exit(self, tmp_path, inject_relaxation_fault):
+        spec = FamilySpec("random_qp", 10, 5)
         manifest = tmp_path / "m.json"
-        save_manifest([FamilySpec("random_qp", 10, 5)], manifest)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"fault_hook": "flip_relaxation_sign"}))
+        save_manifest([spec], manifest)
+        ensure_instance(tmp_path / "store", spec, with_reference=True)  # unfaulted reference
+        inject_relaxation_fault()
         out = tmp_path / "verify.json"
         rc = main([
             "verify", "--manifest", str(manifest), "--store", str(tmp_path / "store"),
-            "--config", str(cfg), "--steps", "50", "--drift-iters", "500",
-            "--out", str(out),
+            "--steps", "50", "--drift-iters", "500", "--jobs", "1", "--out", str(out),
         ])
         assert rc != 0
         doc = json.loads(out.read_text())

@@ -31,7 +31,7 @@ INF = np.inf
 
 
 def res_of(rp_inf, rd_inf):
-    return Residuals(np.zeros(1), np.zeros(1), rp_inf, rd_inf)
+    return Residuals(np.zeros(1), np.zeros(1), rp_inf, rd_inf, prim_scale=1.0, dual_scale=1.0)
 
 
 class TestGlobalFeatures:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,26 @@ class TestResiduals:
         assert res.r_prim_inf == np.abs(rp).max()
         assert res.r_dual_inf == np.abs(rd).max()
 
+    def test_scales_match_formula_with_infinite_bounds(self):
+        rng = np.random.default_rng(7)
+        n, m = 6, 9
+        B = rng.standard_normal((n, n))
+        l = -rng.uniform(0.5, 2.0, size=m)
+        u = rng.uniform(0.5, 2.0, size=m)
+        l[:3] = -INF
+        u[3:6] = INF
+        l[6], u[6] = -INF, INF
+        prob = QpProblem(P=B.T @ B, q=rng.standard_normal(n), A=rng.standard_normal((m, n)), l=l, u=u)
+        x = rng.standard_normal(n)
+        z = np.clip(rng.standard_normal(m), prob.l, prob.u)
+        y = rng.standard_normal(m)
+        res = osqp_residuals(prob, x, z, y)
+        assert np.isfinite(res.prim_scale) and np.isfinite(res.dual_scale)
+        assert res.prim_scale == max(np.abs(prob.A @ x).max(), np.abs(z).max())
+        assert res.dual_scale == max(
+            np.abs(prob.P @ x).max(), np.abs(prob.A.T @ y).max(), np.abs(prob.q).max()
+        )
+
 
 class TestTerminated:
     def test_zero_residuals_pass(self):
@@ -167,7 +188,7 @@ class TestTerminated:
                          l=-np.ones(2), u=np.ones(2))
         res = osqp_residuals(prob, np.zeros(2), np.zeros(2), np.zeros(2))
         assert res.r_prim_inf == 0.0 and res.r_dual_inf == 0.0
-        assert terminated(res, prob, np.zeros(2), np.zeros(2), np.zeros(2), 1e-9, 1e-9)
+        assert terminated(res, 1e-9, 1e-9)
 
     def test_above_threshold_fails(self):
         prob = QpProblem(P=np.eye(1), q=np.zeros(1), A=np.eye(1),
@@ -177,18 +198,16 @@ class TestTerminated:
         y = np.array([-0.5])
         res = osqp_residuals(prob, x, z, y)
         assert res.r_prim_inf == pytest.approx(2e-3)
-        assert not terminated(res, prob, x, z, y, 1e-3, 1e-3)
+        assert not terminated(res, 1e-3, 1e-3)
 
     def test_boundary_is_inclusive(self):
         prob = QpProblem(P=np.eye(1), q=np.zeros(1), A=np.eye(1),
                          l=-np.ones(1), u=np.ones(1))
         # residuals exactly at eps_abs with zero scale terms
-        x = np.zeros(1)
-        z = np.zeros(1)
-        y = np.zeros(1)
-        res = osqp_residuals(prob, x, z, y)
-        res = type(res)(res.r_prim, res.r_dual, 1e-3, 0.0)
-        assert terminated(res, prob, x, z, y, 1e-3, 1e-3)
+        res = osqp_residuals(prob, np.zeros(1), np.zeros(1), np.zeros(1))
+        assert res.prim_scale == 0.0 and res.dual_scale == 0.0
+        res = replace(res, r_prim_inf=1e-3, r_dual_inf=0.0)
+        assert terminated(res, 1e-3, 1e-3)
 
 
 class TestFileFormat:

@@ -59,9 +59,10 @@ class TestReconstructDrs:
         assert chk.max_transition_violation <= 1e-9
         assert chk.max_perturbation_violation <= 1e-9
 
-    def test_fault_injection_detected(self):
+    def test_fault_injection_detected(self, inject_relaxation_fault):
         prob = generate(FamilySpec("random_qp", 10, 22))
-        cfg = SolverConfig(adaptive_rho=False, fault_hook="flip_relaxation_sign")
+        cfg = SolverConfig(adaptive_rho=False)
+        inject_relaxation_fault()
         steps = record_trajectory(prob, cfg, 20)
         with pytest.raises(TheoryViolationError):
             reconstruct_drs(steps, prob)
@@ -92,11 +93,12 @@ class TestCheckDescent:
         # the 1.95 margin: kappa = 2/1.95 - 1
         assert 2.0 / 1.95 - 1.0 == pytest.approx(0.02564, abs=1e-5)
 
-    def test_violation_raises(self):
+    def test_violation_raises(self, inject_relaxation_fault):
         prob = generate(FamilySpec("random_qp", 10, 23))
-        cfg = SolverConfig(adaptive_rho=False, fault_hook="flip_relaxation_sign")
-        steps = record_trajectory(prob, cfg, 30)
+        cfg = SolverConfig(adaptive_rho=False)
         x_s, z_s, lam_s, _ = reference_triple(prob)
+        inject_relaxation_fault()
+        steps = record_trajectory(prob, cfg, 30)
         with pytest.raises(TheoryViolationError):
             check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
 
