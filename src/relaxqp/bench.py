@@ -363,12 +363,15 @@ def reference_to_dict(ref: ReferenceSolution) -> dict:
 
 
 def reference_from_dict(doc: dict) -> ReferenceSolution:
-    return ReferenceSolution(
-        x_star=np.asarray(doc["x_star"], dtype=np.float64),
-        lambda_star=np.asarray(doc["lambda_star"], dtype=np.float64),
-        objective=float(doc["objective"]),
-        kkt_error=float(doc["kkt_error"]),
-    )
+    try:
+        return ReferenceSolution(
+            x_star=np.asarray(doc["x_star"], dtype=np.float64),
+            lambda_star=np.asarray(doc["lambda_star"], dtype=np.float64),
+            objective=float(doc["objective"]),
+            kkt_error=float(doc["kkt_error"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed reference solution: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +384,11 @@ def spec_to_dict(spec: FamilySpec) -> dict:
 
 def spec_from_dict(doc: dict) -> FamilySpec:
     try:
-        return FamilySpec(
-            family=doc["family"], size=int(doc["size"]), seed=int(doc["seed"]),
-            split=doc.get("split", "test"),
-        )
-    except (KeyError, TypeError) as exc:
+        fields = dict(family=doc["family"], size=int(doc["size"]), seed=int(doc["seed"]),
+                      split=doc.get("split", "test"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed family spec: {exc}") from exc
+    return FamilySpec(**fields)
 
 
 def load_manifest(path) -> list:
@@ -445,7 +447,11 @@ def ensure_instance(root, spec: FamilySpec, with_reference: bool = False):
     if with_reference:
         if ref_path.exists():
             with open(ref_path) as fh:
-                ref = reference_from_dict(json.load(fh))
+                try:
+                    doc = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"invalid reference file {ref_path}: {exc}") from exc
+            ref = reference_from_dict(doc)
         else:
             ref = reference_solution(prob)
             with open(ref_path, "w") as fh:

@@ -51,13 +51,13 @@ def _map(fn, tasks, jobs: int) -> list:
     return [fn(t) for t in tasks]
 
 
-def _policy_for(args, cfg):
-    mode = getattr(args, "policy", "fixed")
+def _policy_for(args):
+    mode = args.policy
     if mode == "fixed":
         return None
-    if not getattr(args, "checkpoint", None):
+    if not args.checkpoint:
         raise SolverError(f"--policy {mode} requires --checkpoint")
-    ckpt = load_checkpoint(args.checkpoint[0] if isinstance(args.checkpoint, list) else args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint)
     if ckpt.variant != mode:
         raise SolverError(f"checkpoint variant {ckpt.variant!r} does not match --policy {mode}")
     return policy_from_checkpoint(ckpt)
@@ -66,7 +66,7 @@ def _policy_for(args, cfg):
 def cmd_solve(args) -> int:
     cfg = _load_cfg(args)
     prob = load_problem(args.problem)
-    policy = _policy_for(args, cfg)
+    policy = _policy_for(args)
     report = solve(prob, cfg, policy=policy)
     doc = report_to_dict(report)
     if args.out:
@@ -92,32 +92,21 @@ def _bench_one(task):
     prob, _ = bench_mod.ensure_instance(store, spec)
     policy = policy_from_checkpoint(load_checkpoint(ckpt_path)) if ckpt_path else None
     rho_mode = "adaptive" if cfg.adaptive_rho else "fixed"
+    row = {
+        "family": spec.family,
+        "size": spec.size,
+        "seed": spec.seed,
+        "policy": policy_label,
+        "rho_mode": rho_mode,
+    }
     try:
         report = solve(prob, cfg, policy=policy)
-        return {
-            "family": spec.family,
-            "size": spec.size,
-            "seed": spec.seed,
-            "policy": policy_label,
-            "rho_mode": rho_mode,
-            "iterations": report.iterations,
-            "runtime_s": report.runtime_seconds,
-            "rho_updates": report.rho_updates,
-            "status": report.status,
-        }
+        row.update(iterations=report.iterations, runtime_s=report.runtime_seconds,
+                   rho_updates=report.rho_updates, status=report.status)
     except SolverError as exc:
         print(f"bench: {spec.name} [{policy_label}/{rho_mode}] failed: {exc}", file=sys.stderr)
-        return {
-            "family": spec.family,
-            "size": spec.size,
-            "seed": spec.seed,
-            "policy": policy_label,
-            "rho_mode": rho_mode,
-            "iterations": "",
-            "runtime_s": "",
-            "rho_updates": "",
-            "status": "failed",
-        }
+        row.update(iterations="", runtime_s="", rho_updates="", status="failed")
+    return row
 
 
 def cmd_bench(args) -> int:

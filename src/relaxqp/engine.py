@@ -123,6 +123,7 @@ class SolverState:
     z_tilde: np.ndarray | None = None
     x_prev: np.ndarray | None = None
     z_prev: np.ndarray | None = None
+    y_prev: np.ndarray | None = None
     R_prev_values: np.ndarray | None = None
 
 
@@ -201,8 +202,8 @@ def iterate_once(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> Solv
     ):
         raise DivergenceError(state.iter + 1)
 
-    state.x_prev, state.z_prev = x_k, z_k
-    state.R_prev_values = r.copy()
+    state.x_prev, state.z_prev, state.y_prev = x_k, z_k, y_k
+    state.R_prev_values = r
     state.x_tilde, state.z_tilde = x_tilde, z_tilde
     state.x, state.z, state.y = x_next, z_next, y_next
     state.iter += 1
@@ -276,7 +277,8 @@ def apply_policy(state: SolverState, policy, ctx, cfg: SolverConfig) -> SolverSt
 
 @dataclass
 class PolicyContext:
-    """Solver-state snapshot handed to relaxation policies at stage boundaries."""
+    """Solver-state snapshot handed to relaxation policies at stage boundaries;
+    ``res_prev`` holds the residuals of the previous stage boundary."""
 
     prob: QpProblem
     res: Residuals
@@ -285,8 +287,23 @@ class PolicyContext:
     rho_values: np.ndarray
     z: np.ndarray
     y: np.ndarray
-    r_prim_prev: np.ndarray
     iteration: int
+
+
+def policy_context(
+    prob: QpProblem, state: SolverState, res: Residuals, res_prev: Residuals
+) -> PolicyContext:
+    """The policy's view of ``state`` at a stage boundary."""
+    return PolicyContext(
+        prob=prob,
+        res=res,
+        res_prev=res_prev,
+        rho_scalar=state.rho_scalar,
+        rho_values=state.R,
+        z=state.z,
+        y=state.y,
+        iteration=state.iter,
+    )
 
 
 class FixedPolicy:
@@ -324,12 +341,12 @@ class TrajectoryRecorder:
     def __init__(self):
         self.steps: list[TrajectoryStep] = []
 
-    def on_step(self, state: SolverState, cfg: SolverConfig, y_prev: np.ndarray) -> None:
+    def on_step(self, state: SolverState, cfg: SolverConfig) -> None:
         self.steps.append(
             TrajectoryStep(
                 x=state.x_prev.copy(),
                 z=state.z_prev.copy(),
-                y=y_prev.copy(),
+                y=state.y_prev.copy(),
                 x_tilde=state.x_tilde.copy(),
                 z_tilde=state.z_tilde.copy(),
                 x_next=state.x.copy(),
@@ -368,17 +385,14 @@ def solve(
     res = osqp_residuals(prob, state.x, state.z, state.y)
     history = [(0, res.r_prim_inf, res.r_dual_inf)]
     stage_res = res
-    stage_r_prim = res.r_prim.copy()
     if observer is not None:
         observer(state, res)
 
     status = "max_iter"
-    y_prev = state.y.copy()
     while state.iter < cfg.max_iter:
-        y_prev[:] = state.y
         iterate_once(state, prob, cfg)
         if recorder is not None:
-            recorder.on_step(state, cfg, y_prev)
+            recorder.on_step(state, cfg)
         res = osqp_residuals(prob, state.x, state.z, state.y)
         history.append((state.iter, res.r_prim_inf, res.r_dual_inf))
         if observer is not None:
@@ -391,20 +405,8 @@ def solve(
         if cfg.adaptive_rho and state.iter % cfg.rho_check_interval == 0:
             maybe_update_rho(state, res, prob, cfg)
         if policy is not None and state.iter % cfg.stage_length == 0:
-            ctx = PolicyContext(
-                prob=prob,
-                res=res,
-                res_prev=stage_res,
-                rho_scalar=state.rho_scalar,
-                rho_values=state.R,
-                z=state.z,
-                y=state.y,
-                r_prim_prev=stage_r_prim,
-                iteration=state.iter,
-            )
-            apply_policy(state, policy, ctx, cfg)
+            apply_policy(state, policy, policy_context(prob, state, res, stage_res), cfg)
             stage_res = res
-            stage_r_prim = res.r_prim.copy()
         if recorder is not None:
             recorder.finalize_step_params(state)
 

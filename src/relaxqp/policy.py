@@ -12,9 +12,15 @@ in [alpha_min, alpha_max]):
 
 The solver-level feature with the penalty scalar is dropped in the vector
 variant because the per-row features already carry the per-row penalty.
+
+:data:`INPUT_DIMS` and :func:`param_shapes` are the one statement of each
+variant's layout: checkpoint validation, initialization, SPSA flattening and
+the JSON format all follow them.  :class:`MlpPolicy` is the engine-facing
+policy of either variant; :func:`policy_from_checkpoint` builds it.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,15 +28,30 @@ from scipy.special import expit
 
 from .engine import PolicyContext
 from .errors import InputError, PolicyError
-from .problem import QpProblem, Residuals
+from .problem import QpProblem, Residuals, array_field
 
 FEATURE_EPS = 1e-8
 FEATURE_CLAMP = 6.0
 LAYERNORM_EPS = 1e-5
 HIDDEN_WIDTH = 64
-SCALAR_INPUT_DIM = 6
-VECTOR_INPUT_DIM = 13  # 5 solver-level + 8 per-row
+INPUT_DIMS = {"scalar": 6, "vector": 13}  # vector: 5 solver-level + 8 per-row
 STD_FLOOR = 1e-6
+
+
+def param_shapes(variant: str) -> dict:
+    """Shapes of a variant's MLP parameters, in the order used for SPSA
+    flattening and for the checkpoint's JSON keys (``b_out`` follows)."""
+    if variant not in INPUT_DIMS:
+        raise InputError(f"unknown policy variant {variant!r}")
+    h = HIDDEN_WIDTH
+    return {
+        "W1": (h, INPUT_DIMS[variant]), "b1": (h,), "ln1_gain": (h,), "ln1_offset": (h,),
+        "W2": (h, h), "b2": (h,), "ln2_gain": (h,), "ln2_offset": (h,),
+        "w_out": (h,),
+    }
+
+
+_PARAM_FIELDS = tuple(param_shapes("scalar"))
 
 
 def _clamped_log(v):
@@ -56,10 +77,6 @@ def extract_global(res_now: Residuals, res_prev: Residuals, rho: float, variant:
     return _clamped_log(np.asarray(vals, dtype=np.float64))
 
 
-def row_inf_norms(A: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(A), axis=1) if A.size else np.zeros(A.shape[0])
-
-
 def extract_rows(
     prob: QpProblem,
     z: np.ndarray,
@@ -67,7 +84,6 @@ def extract_rows(
     y: np.ndarray,
     r_prim_prev: np.ndarray,
     rho_values: np.ndarray,
-    a_row_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-constraint feature matrix of shape (m, 8).
 
@@ -75,8 +91,6 @@ def extract_rows(
     finite bounds; the row norm of the constraint matrix is the one entry
     that is not log-scaled.
     """
-    if a_row_norms is None:
-        a_row_norms = row_inf_norms(prob.A)
     feats = np.empty((prob.m, 8), dtype=np.float64)
     feats[:, 0] = _clamped_log(z - prob.l)
     feats[:, 1] = _clamped_log(prob.u - z)
@@ -85,7 +99,7 @@ def extract_rows(
     feats[:, 4] = _clamped_log(np.abs(y))
     feats[:, 5] = _clamped_log(np.abs(r_prim) / (np.abs(r_prim_prev) + FEATURE_EPS))
     feats[:, 6] = _clamped_log(rho_values)
-    feats[:, 7] = a_row_norms
+    feats[:, 7] = prob.row_norms
     return feats
 
 
@@ -138,18 +152,17 @@ class PolicyCheckpoint:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        d_in = SCALAR_INPUT_DIM if self.variant == "scalar" else VECTOR_INPUT_DIM
-        if self.variant not in ("scalar", "vector"):
-            raise InputError(f"unknown policy variant {self.variant!r}")
-        if self.W1.shape != (HIDDEN_WIDTH, d_in) or self.W2.shape != (HIDDEN_WIDTH, HIDDEN_WIDTH):
-            raise InputError("hidden layer shapes must be (64, d_in) and (64, 64)")
-        if self.w_out.shape != (HIDDEN_WIDTH,):
-            raise InputError("output layer must map 64 -> 1")
+        checks = [(f, getattr(self, f), shape) for f, shape in param_shapes(self.variant).items()]
+        d_in = (INPUT_DIMS[self.variant],)
+        checks += [("norm_mean", self.norm_stats.mean, d_in), ("norm_std", self.norm_stats.std, d_in)]
+        for name, value, shape in checks:
+            if np.shape(value) != shape:
+                raise InputError(
+                    f"checkpoint field {name!r} has shape {np.shape(value)}, expected {shape}"
+                )
         mid = 0.5 * (self.alpha_min + self.alpha_max)
         if abs(mid - 1.6) > 1e-12:
             raise InputError(f"relaxation box must be centered at 1.6, got midpoint {mid}")
-        if self.norm_stats.mean.shape != (d_in,):
-            raise InputError("normalization statistics do not match the input dimension")
 
     @property
     def input_dim(self) -> int:
@@ -164,30 +177,27 @@ def init_checkpoint(
     norm_stats: NormStats | None = None,
     metadata: dict | None = None,
 ) -> PolicyCheckpoint:
-    """Fresh checkpoint: fan-in-scaled uniform hidden weights, zero output
+    """Fresh checkpoint: fan-in-scaled uniform hidden weights (drawn in
+    layout order), unit layer-norm gains, zero biases, offsets and output
     layer, so the first prediction is exactly the box midpoint 1.6."""
-    d_in = SCALAR_INPUT_DIM if variant == "scalar" else VECTOR_INPUT_DIM
     rng = np.random.default_rng(seed)
-    s1 = 1.0 / np.sqrt(d_in)
-    s2 = 1.0 / np.sqrt(HIDDEN_WIDTH)
+    params = {}
+    for name, shape in param_shapes(variant).items():
+        if len(shape) == 2:
+            s = 1.0 / np.sqrt(shape[1])
+            params[name] = rng.uniform(-s, s, size=shape)
+        else:
+            params[name] = np.ones(shape) if name.endswith("_gain") else np.zeros(shape)
     meta = {"init_seed": seed}
     if metadata:
         meta.update(metadata)
     return PolicyCheckpoint(
         variant=variant,
-        W1=rng.uniform(-s1, s1, size=(HIDDEN_WIDTH, d_in)),
-        b1=np.zeros(HIDDEN_WIDTH),
-        ln1_gain=np.ones(HIDDEN_WIDTH),
-        ln1_offset=np.zeros(HIDDEN_WIDTH),
-        W2=rng.uniform(-s2, s2, size=(HIDDEN_WIDTH, HIDDEN_WIDTH)),
-        b2=np.zeros(HIDDEN_WIDTH),
-        ln2_gain=np.ones(HIDDEN_WIDTH),
-        ln2_offset=np.zeros(HIDDEN_WIDTH),
-        w_out=np.zeros(HIDDEN_WIDTH),
+        **params,
         b_out=0.0,
         alpha_min=alpha_min,
         alpha_max=alpha_max,
-        norm_stats=norm_stats if norm_stats is not None else NormStats.identity(d_in),
+        norm_stats=norm_stats if norm_stats is not None else NormStats.identity(INPUT_DIMS[variant]),
         metadata=meta,
     )
 
@@ -224,74 +234,40 @@ def vector_inputs(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.hstack((np.broadcast_to(phi, (rows.shape[0], phi.size)), rows))
 
 
-def policy_inputs(ctx: PolicyContext, variant: str, a_row_norms: np.ndarray | None = None) -> np.ndarray:
+def policy_inputs(ctx: PolicyContext, variant: str) -> np.ndarray:
     """Unnormalized MLP input at a stage boundary: the (6,) solver-level
     features of the scalar variant or the (m, 13) rows of the vector one."""
     phi = extract_global(ctx.res, ctx.res_prev, ctx.rho_scalar, variant)
     if variant == "scalar":
         return phi
     rows = extract_rows(
-        ctx.prob, ctx.z, ctx.res.r_prim, ctx.y, ctx.r_prim_prev, ctx.rho_values, a_row_norms
+        ctx.prob, ctx.z, ctx.res.r_prim, ctx.y, ctx.res_prev.r_prim, ctx.rho_values
     )
     return vector_inputs(phi, rows)
 
 
-def policy_step_scalar(ckpt: PolicyCheckpoint, phi: np.ndarray, m: int):
-    """One scalar prediction broadcast over all m constraint rows."""
-    if ckpt.variant != "scalar":
-        raise InputError("scalar step requires a scalar-variant checkpoint")
-    alpha = float(mlp_forward(ckpt, ckpt.norm_stats.normalize(phi)))
-    return np.full(m, alpha), alpha
-
-
-def policy_step_vector(ckpt: PolicyCheckpoint, phi: np.ndarray, rows: np.ndarray):
-    """Row-wise predictions; the decision-space relaxation is their mean."""
-    return _predict_rows(ckpt, vector_inputs(phi, rows))
-
-
-def _predict_rows(ckpt: PolicyCheckpoint, inputs: np.ndarray):
-    if ckpt.variant != "vector":
-        raise InputError("vector step requires a vector-variant checkpoint")
-    gamma = mlp_forward(ckpt, ckpt.norm_stats.normalize(inputs))
-    return gamma, float(np.mean(gamma))
-
-
-class ScalarPolicy:
-    """Engine adapter for the scalar variant."""
+class MlpPolicy:
+    """The relaxation policy of a checkpoint of either variant."""
 
     def __init__(self, ckpt: PolicyCheckpoint):
-        if ckpt.variant != "scalar":
-            raise InputError("ScalarPolicy needs a scalar-variant checkpoint")
         self.ckpt = ckpt
 
     def propose(self, ctx: PolicyContext):
-        return policy_step_scalar(self.ckpt, policy_inputs(ctx, "scalar"), ctx.prob.m)
+        return self.predict(policy_inputs(ctx, self.ckpt.variant), ctx.prob.m)
+
+    def predict(self, inputs: np.ndarray, m: int):
+        """(per-row relaxation, decision-space relaxation) from unnormalized
+        inputs: the scalar variant's one output broadcast over m rows, or the
+        vector variant's row outputs and their mean."""
+        out = mlp_forward(self.ckpt, self.ckpt.norm_stats.normalize(inputs))
+        if self.ckpt.variant == "scalar":
+            alpha = float(out)
+            return np.full(m, alpha), alpha
+        return out, float(np.mean(out))
 
 
-class VectorPolicy:
-    """Engine adapter for the vector variant; caches constraint row norms."""
-
-    def __init__(self, ckpt: PolicyCheckpoint):
-        if ckpt.variant != "vector":
-            raise InputError("VectorPolicy needs a vector-variant checkpoint")
-        self.ckpt = ckpt
-        self._norms_for: int | None = None
-        self._row_norms: np.ndarray | None = None
-
-    def propose(self, ctx: PolicyContext):
-        if self._norms_for != id(ctx.prob):
-            self._row_norms = row_inf_norms(ctx.prob.A)
-            self._norms_for = id(ctx.prob)
-        return _predict_rows(self.ckpt, policy_inputs(ctx, "vector", self._row_norms))
-
-
-def policy_from_checkpoint(ckpt: PolicyCheckpoint):
-    return ScalarPolicy(ckpt) if ckpt.variant == "scalar" else VectorPolicy(ckpt)
-
-
-# Checkpoint parameters in a fixed flattening order, for gradient-free search.
-_PARAM_FIELDS = ("W1", "b1", "ln1_gain", "ln1_offset", "W2", "b2", "ln2_gain", "ln2_offset",
-                 "w_out")
+def policy_from_checkpoint(ckpt: PolicyCheckpoint) -> MlpPolicy:
+    return MlpPolicy(ckpt)
 
 
 def flatten_params(ckpt: PolicyCheckpoint) -> np.ndarray:
@@ -304,10 +280,10 @@ def with_params(ckpt: PolicyCheckpoint, theta: np.ndarray) -> PolicyCheckpoint:
     """New checkpoint with the flattened parameter vector written back."""
     out = {}
     pos = 0
-    for f in _PARAM_FIELDS:
-        ref = np.asarray(getattr(ckpt, f))
-        out[f] = theta[pos : pos + ref.size].reshape(ref.shape).copy()
-        pos += ref.size
+    for f, shape in param_shapes(ckpt.variant).items():
+        size = math.prod(shape)
+        out[f] = theta[pos : pos + size].reshape(shape).copy()
+        pos += size
     b_out = float(theta[pos])
     pos += 1
     if pos != theta.size:
@@ -327,15 +303,7 @@ def checkpoint_to_dict(ckpt: PolicyCheckpoint) -> dict:
     return {
         "variant": ckpt.variant,
         "dims": [ckpt.input_dim, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
-        "W1": ckpt.W1.ravel().tolist(),
-        "b1": ckpt.b1.tolist(),
-        "ln1_gain": ckpt.ln1_gain.tolist(),
-        "ln1_offset": ckpt.ln1_offset.tolist(),
-        "W2": ckpt.W2.ravel().tolist(),
-        "b2": ckpt.b2.tolist(),
-        "ln2_gain": ckpt.ln2_gain.tolist(),
-        "ln2_offset": ckpt.ln2_offset.tolist(),
-        "w_out": ckpt.w_out.tolist(),
+        **{f: getattr(ckpt, f).ravel().tolist() for f in _PARAM_FIELDS},
         "b_out": ckpt.b_out,
         "alpha_min": ckpt.alpha_min,
         "alpha_max": ckpt.alpha_max,
@@ -349,30 +317,22 @@ def checkpoint_to_dict(ckpt: PolicyCheckpoint) -> dict:
 def checkpoint_from_dict(doc: dict) -> PolicyCheckpoint:
     try:
         variant = doc["variant"]
-        d_in = SCALAR_INPUT_DIM if variant == "scalar" else VECTOR_INPUT_DIM
-        return PolicyCheckpoint(
-            variant=variant,
-            W1=np.asarray(doc["W1"], dtype=np.float64).reshape(HIDDEN_WIDTH, d_in),
-            b1=np.asarray(doc["b1"], dtype=np.float64),
-            ln1_gain=np.asarray(doc["ln1_gain"], dtype=np.float64),
-            ln1_offset=np.asarray(doc["ln1_offset"], dtype=np.float64),
-            W2=np.asarray(doc["W2"], dtype=np.float64).reshape(HIDDEN_WIDTH, HIDDEN_WIDTH),
-            b2=np.asarray(doc["b2"], dtype=np.float64),
-            ln2_gain=np.asarray(doc["ln2_gain"], dtype=np.float64),
-            ln2_offset=np.asarray(doc["ln2_offset"], dtype=np.float64),
-            w_out=np.asarray(doc["w_out"], dtype=np.float64),
+        params = {f: array_field(doc, f, shape) for f, shape in param_shapes(variant).items()}
+        d_in = (INPUT_DIMS[variant],)
+        fields = dict(
             b_out=float(doc["b_out"]),
             alpha_min=float(doc["alpha_min"]),
             alpha_max=float(doc["alpha_max"]),
             norm_stats=NormStats(
-                mean=np.asarray(doc["norm_mean"], dtype=np.float64),
-                std=np.asarray(doc["norm_std"], dtype=np.float64),
+                mean=array_field(doc, "norm_mean", d_in),
+                std=array_field(doc, "norm_std", d_in),
                 source=str(doc.get("norm_source", "")),
             ),
             metadata=dict(doc.get("metadata", {})),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed checkpoint document: {exc}") from exc
+    return PolicyCheckpoint(variant=variant, **params, **fields)
 
 
 def save_checkpoint(ckpt: PolicyCheckpoint, path) -> None:

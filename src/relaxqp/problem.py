@@ -11,8 +11,10 @@ products again.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +112,11 @@ class QpProblem:
     def m(self) -> int:
         return self.A.shape[0]
 
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """Infinity norm of each row of A (a per-row policy feature)."""
+        return np.max(np.abs(self.A), axis=1) if self.A.size else np.zeros(self.m)
+
 
 def _psd_probe(P: np.ndarray) -> bool:
     # Cheap check: P + 1e-9*I must admit a Cholesky factorization.  The shift
@@ -204,11 +211,15 @@ def problem_to_dict(prob: QpProblem) -> dict:
     }
 
 
-def _matrix(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:
+def array_field(doc: dict, key: str, shape: tuple) -> np.ndarray:
+    """``doc[key]`` as a float array of ``shape``; an entry count that does
+    not fit the shape is an InputError naming the field."""
     flat = np.asarray(doc[key], dtype=np.float64)
-    if flat.size != rows * cols:
-        raise InputError(f"field {key!r} has {flat.size} entries, expected {rows}x{cols}")
-    return flat.reshape(rows, cols)
+    if flat.size != math.prod(shape):
+        raise InputError(
+            f"field {key!r} has {flat.size} entries, expected {'x'.join(map(str, shape))}"
+        )
+    return flat.reshape(shape)
 
 
 def problem_from_dict(doc: dict) -> QpProblem:
@@ -216,9 +227,9 @@ def problem_from_dict(doc: dict) -> QpProblem:
         n = int(doc["n"])
         m = int(doc["m"])
         fields = dict(
-            P=_matrix(doc, "P", n, n),
+            P=array_field(doc, "P", (n, n)),
             q=np.asarray(doc["q"], dtype=np.float64),
-            A=_matrix(doc, "A", m, n),
+            A=array_field(doc, "A", (m, n)),
             l=_decode_bounds(doc["l"]),
             u=_decode_bounds(doc["u"]),
             name=str(doc.get("name", "")),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import FixedPolicy, PolicyContext, SolverConfig, solve
+from .engine import FixedPolicy, SolverConfig, policy_context, solve
 from .errors import DivergenceError, InputError
 from .policy import (
     PolicyCheckpoint,
@@ -26,7 +26,6 @@ from .policy import (
     flatten_params,
     policy_from_checkpoint,
     policy_inputs,
-    row_inf_norms,
     with_params,
 )
 from .problem import QpProblem
@@ -147,26 +146,13 @@ def collect_norm_stats(
     for prob in instances:
         feats = []
         stage: dict = {}
-        norms = row_inf_norms(prob.A)
 
-        def observer(state, res, prob=prob, feats=feats, stage=stage, norms=norms):
+        def observer(state, res, prob=prob, feats=feats, stage=stage):
             if state.iter % cfg.stage_length != 0:
                 return
             if stage:
-                ctx = PolicyContext(
-                    prob=prob,
-                    res=res,
-                    res_prev=stage["res"],
-                    rho_scalar=state.rho_scalar,
-                    rho_values=state.R,
-                    z=state.z,
-                    y=state.y,
-                    r_prim_prev=stage["r_prim"],
-                    iteration=state.iter,
-                )
-                feats.append(policy_inputs(ctx, variant, norms))
+                feats.append(policy_inputs(policy_context(prob, state, res, stage["res"]), variant))
             stage["res"] = res
-            stage["r_prim"] = res.r_prim.copy()
 
         run_cfg = replace(cfg, max_iter=horizon)
         solve(prob, run_cfg, policy=FixedPolicy(alpha), observer=observer)

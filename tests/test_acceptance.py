@@ -19,10 +19,10 @@ from relaxqp.policy import (
     flatten_params,
     init_checkpoint,
     mlp_forward,
-    policy_step_vector,
+    policy_from_checkpoint,
+    vector_inputs,
     with_params,
 )
-from relaxqp.policy import ScalarPolicy
 from relaxqp.training import TrainConfig, collect_norm_stats, train
 from relaxqp.verify import (
     DriftSchedule,
@@ -99,9 +99,8 @@ def trained_scalar():
     baseline = np.mean(
         [solve(p, cfg, policy=FixedPolicy(1.6)).iterations for p, _ in heldout]
     )
-    trained_mean = np.mean(
-        [solve(p, cfg, policy=ScalarPolicy(result.ckpt_iter)).iterations for p, _ in heldout]
-    )
+    trained = policy_from_checkpoint(result.ckpt_iter)
+    trained_mean = np.mean([solve(p, cfg, policy=trained).iterations for p, _ in heldout])
     return result.ckpt_iter, float(baseline), float(trained_mean)
 
 
@@ -213,7 +212,7 @@ def test_criterion_6_policy_contract(trained_scalar):
     assert float(mlp_forward(ck_s, np.random.default_rng(0).normal(size=6))) == 1.6
     ck_v = init_checkpoint("vector", seed=0)
     rows = np.random.default_rng(1).normal(size=(4, 8))
-    g, ax = policy_step_vector(ck_v, np.zeros(5), rows)
+    g, ax = policy_from_checkpoint(ck_v).predict(vector_inputs(np.zeros(5), rows), 4)
     assert np.all(g == 1.6) and ax == 1.6
 
     # saturation bounds
@@ -227,14 +226,15 @@ def test_criterion_6_policy_contract(trained_scalar):
     phi = rng.normal(size=5)
     rows = rng.normal(size=(9, 8))
     perm = rng.permutation(9)
-    g1, _ = policy_step_vector(ck_wild, phi, rows)
-    g2, _ = policy_step_vector(ck_wild, phi, rows[perm])
+    wild = policy_from_checkpoint(ck_wild)
+    g1, _ = wild.predict(vector_inputs(phi, rows), 9)
+    g2, _ = wild.predict(vector_inputs(phi, rows[perm]), 9)
     np.testing.assert_allclose(g2, g1[perm], rtol=1e-13)
 
     # size transfer: the checkpoint trained at n=50 drives an n=500 solve
     trained_ckpt, _, _ = trained_scalar
     big = generate(FamilySpec("random_qp", 500, 900))
-    rep = solve(big, SolverConfig(adaptive_rho=True), policy=ScalarPolicy(trained_ckpt))
+    rep = solve(big, SolverConfig(adaptive_rho=True), policy=policy_from_checkpoint(trained_ckpt))
     assert rep.status == "solved"
     report(6, f"contract holds; n=50-trained checkpoint solved n=500 in {rep.iterations} iters")
 

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from relaxqp.bench import FamilySpec, ensure_instance, generate, save_manifest
+from relaxqp.bench import FamilySpec, ensure_instance, generate, instance_dir, save_manifest
 from relaxqp.cli import main
-from relaxqp.policy import init_checkpoint, save_checkpoint
+from relaxqp.policy import checkpoint_to_dict, init_checkpoint, save_checkpoint
 from relaxqp.problem import QpProblem, save_problem
 
 
@@ -198,6 +198,46 @@ class TestInputErrors:
         self._expect_error(
             ["train", "--manifest", str(man_path), "--store", str(tmp_path / "store"),
              "--out", str(tmp_path / "run")],
+            named,
+            capsys,
+        )
+
+
+    @pytest.mark.parametrize("field", ["W1", "b1", "ln2_gain", "norm_std"])
+    def test_checkpoint_field_one_entry_short(self, random_problem_file, tmp_path, capsys, field):
+        doc = checkpoint_to_dict(init_checkpoint("scalar", seed=0))
+        doc[field] = doc[field][:-1]
+        ck_path = tmp_path / "ck.json"
+        ck_path.write_text(json.dumps(doc))
+        self._expect_error(
+            ["solve", "--problem", str(random_problem_file), "--policy", "scalar",
+             "--checkpoint", str(ck_path)],
+            f"'{field}'",
+            capsys,
+        )
+
+    def test_bench_manifest_non_integer_size(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"specs": [{"family": "random_qp", "size": "x", "seed": 1}]}))
+        self._expect_error(
+            ["bench", "--manifest", str(manifest), "--store", str(tmp_path / "store")],
+            "malformed family spec",
+            capsys,
+        )
+
+    @pytest.mark.parametrize("text,named", [
+        (json.dumps({"x_star": [1.0]}), "lambda_star"),
+        ("{not json", "invalid reference file"),
+    ], ids=["missing_field", "not_json"])
+    def test_verify_malformed_reference(self, tmp_path, capsys, text, named):
+        spec = FamilySpec("random_qp", 10, 5)
+        manifest = tmp_path / "m.json"
+        save_manifest([spec], manifest)
+        ensure_instance(tmp_path / "store", spec)
+        (instance_dir(tmp_path / "store", spec) / "reference.json").write_text(text)
+        self._expect_error(
+            ["verify", "--manifest", str(manifest), "--store", str(tmp_path / "store"),
+             "--steps", "10", "--drift-iters", "100", "--jobs", "1"],
             named,
             capsys,
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from relaxqp.bench import FamilySpec, generate
 from relaxqp.engine import FixedPolicy, SolverConfig, solve
 from relaxqp.errors import InputError
 from relaxqp.policy import (
-    VectorPolicy,
+    INPUT_DIMS,
+    NormStats,
     checkpoint_from_dict,
     checkpoint_to_dict,
     extract_global,
@@ -18,9 +20,10 @@ from relaxqp.policy import (
     init_checkpoint,
     load_checkpoint,
     mlp_forward,
-    policy_step_scalar,
-    policy_step_vector,
+    param_shapes,
+    policy_from_checkpoint,
     save_checkpoint,
+    vector_inputs,
     with_params,
 )
 from relaxqp.problem import QpProblem, Residuals
@@ -32,6 +35,18 @@ INF = np.inf
 
 def res_of(rp_inf, rd_inf):
     return Residuals(np.zeros(1), np.zeros(1), rp_inf, rd_inf, prim_scale=1.0, dual_scale=1.0)
+
+
+def predict_rows(ck, phi, rows):
+    """Vector-policy output for solver-level features phi and per-row features."""
+    return policy_from_checkpoint(ck).predict(vector_inputs(phi, rows), len(rows))
+
+
+def perturbed_vector_checkpoint(seed):
+    """An untrained checkpoint outputs exactly 1.6 whatever its inputs; small
+    output weights make the relaxation depend on the features."""
+    ck = init_checkpoint("vector", seed=seed)
+    return dataclasses.replace(ck, w_out=np.random.default_rng(seed).normal(scale=0.1, size=64))
 
 
 class TestGlobalFeatures:
@@ -171,14 +186,14 @@ class TestMlpForward:
 class TestPolicySteps:
     def test_scalar_broadcast(self):
         ck = init_checkpoint("scalar", seed=0)
-        gamma, ax = policy_step_scalar(ck, np.zeros(6), m=7)
+        gamma, ax = policy_from_checkpoint(ck).predict(np.zeros(6), 7)
         assert gamma.shape == (7,)
         assert np.all(gamma == ax)
 
     def test_vector_zero_init_outputs_midpoint(self):
         ck = init_checkpoint("vector", seed=0)
         rows = np.random.default_rng(0).standard_normal((4, 8))
-        gamma, ax = policy_step_vector(ck, np.zeros(5), rows)
+        gamma, ax = predict_rows(ck, np.zeros(5), rows)
         assert np.all(gamma == 1.6)
         assert ax == 1.6
 
@@ -189,15 +204,15 @@ class TestPolicySteps:
         ck = with_params(ck, theta + 0.05 * rng.standard_normal(theta.size))
         rows = rng.standard_normal((6, 8))
         phi = rng.standard_normal(5)
-        gamma, _ = policy_step_vector(ck, phi, rows)
+        gamma, _ = predict_rows(ck, phi, rows)
         perm = rng.permutation(6)
-        gamma_p, _ = policy_step_vector(ck, phi, rows[perm])
+        gamma_p, _ = predict_rows(ck, phi, rows[perm])
         assert_allclose(gamma_p, gamma[perm], rtol=1e-13)
 
     def test_identical_rows_identical_outputs(self):
         ck = init_checkpoint("vector", seed=4)
         rows = np.tile(np.arange(8.0), (3, 1))
-        gamma, _ = policy_step_vector(ck, np.ones(5), rows)
+        gamma, _ = predict_rows(ck, np.ones(5), rows)
         assert gamma[0] == gamma[1] == gamma[2]
 
     def test_mean_for_decision_block(self):
@@ -206,14 +221,8 @@ class TestPolicySteps:
         theta = flatten_params(ck)
         ck = with_params(ck, theta + 0.05 * rng.standard_normal(theta.size))
         rows = rng.standard_normal((5, 8))
-        gamma, ax = policy_step_vector(ck, rng.standard_normal(5), rows)
+        gamma, ax = predict_rows(ck, rng.standard_normal(5), rows)
         assert ax == pytest.approx(np.mean(gamma))
-
-    def test_variant_mismatch(self):
-        with pytest.raises(InputError):
-            policy_step_scalar(init_checkpoint("vector", seed=0), np.zeros(5), 3)
-        with pytest.raises(InputError):
-            policy_step_vector(init_checkpoint("scalar", seed=0), np.zeros(5), np.zeros((1, 8)))
 
 
 class TestSizeTransfer:
@@ -222,7 +231,7 @@ class TestSizeTransfer:
         ck = init_checkpoint("vector", seed=6)
         theta = flatten_params(ck)
         ck = with_params(ck, theta + 0.05 * rng.standard_normal(theta.size))
-        policy = VectorPolicy(ck)
+        policy = policy_from_checkpoint(ck)
         cfg = SolverConfig(adaptive_rho=False)
         for size in (10, 50):
             prob = generate(FamilySpec("random_qp", size, 30))
@@ -236,8 +245,8 @@ class TestSizeTransfer:
         ck = with_params(ck, theta + 0.05 * rng.standard_normal(theta.size))
         rows = rng.standard_normal((4, 8))
         phi = rng.standard_normal(5)
-        g1, a1 = policy_step_vector(ck, phi, rows)
-        g2, a2 = policy_step_vector(ck, phi, rows)
+        g1, a1 = predict_rows(ck, phi, rows)
+        g2, a2 = predict_rows(ck, phi, rows)
         assert np.array_equal(g1, g2)
         assert a1 == a2
 
@@ -280,12 +289,73 @@ class TestCheckpointFormat:
 
 class TestEnginePolicyIntegration:
     def test_untrained_scalar_policy_behaves_like_default(self):
-        from relaxqp.policy import ScalarPolicy
-
         prob = generate(FamilySpec("random_qp", 20, 31))
         cfg = SolverConfig(adaptive_rho=False)
         ck = init_checkpoint("scalar", seed=0)
-        rep_policy = solve(prob, cfg, policy=ScalarPolicy(ck))
+        rep_policy = solve(prob, cfg, policy=policy_from_checkpoint(ck))
         rep_fixed = solve(prob, cfg, policy=FixedPolicy(1.6))
         assert rep_policy.iterations == rep_fixed.iterations
         assert_allclose(rep_policy.x, rep_fixed.x, rtol=0, atol=0)
+
+    def test_shared_vector_policy_matches_fresh_policy(self):
+        # Row norms belong to the problem: one policy object reused across
+        # problems of the same shape must act exactly like a fresh one on each.
+        ck = perturbed_vector_checkpoint(12)
+        shared = policy_from_checkpoint(ck)
+        cfg = SolverConfig(adaptive_rho=False)
+        for s in range(1, 20):
+            got = solve(generate(FamilySpec("portfolio", 20, s)), cfg, policy=shared).x
+            fresh = policy_from_checkpoint(ck)
+            want = solve(generate(FamilySpec("portfolio", 20, s)), cfg, policy=fresh).x
+            assert np.array_equal(got, want), f"portfolio_n20_s{s}"
+
+
+class TestRowNorms:
+    def test_row_infinity_norms_of_a(self):
+        prob = QpProblem(P=np.eye(2), q=np.zeros(2), A=np.array([[3.0, -4.0], [0.0, 0.5]]),
+                         l=-np.ones(2), u=np.ones(2))
+        assert_allclose(prob.row_norms, [4.0, 0.5], rtol=0)
+        assert prob.row_norms is prob.row_norms  # computed once per problem
+
+    def test_no_columns(self):
+        prob = QpProblem(P=np.zeros((0, 0)), q=np.zeros(0), A=np.zeros((2, 0)),
+                         l=-np.ones(2), u=np.ones(2))
+        assert np.array_equal(prob.row_norms, np.zeros(2))
+
+
+class TestLayout:
+    @pytest.mark.parametrize("variant", sorted(INPUT_DIMS))
+    def test_flattening_and_json_follow_the_layout(self, variant):
+        shapes = param_shapes(variant)
+        ck = init_checkpoint(variant, seed=1)
+        assert shapes["W1"] == (64, INPUT_DIMS[variant])
+        assert flatten_params(ck).size == sum(math.prod(sh) for sh in shapes.values()) + 1
+        doc = checkpoint_to_dict(ck)
+        keys = list(doc)
+        assert keys[keys.index("W1") : keys.index("b_out")] == list(shapes)
+        for name, shape in shapes.items():
+            assert getattr(ck, name).shape == shape
+            assert len(doc[name]) == math.prod(shape)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(InputError, match="unknown policy variant"):
+            init_checkpoint("matrix")
+
+    @pytest.mark.parametrize("name", ["W1", "b1", "ln1_offset", "W2", "ln2_gain", "w_out",
+                                      "norm_mean", "norm_std"])
+    def test_every_field_shape_checked(self, name):
+        ck = init_checkpoint("scalar", seed=0)
+        if name.startswith("norm_"):
+            ns = ck.norm_stats
+            mean, std = (ns.mean[:-1], ns.std) if name == "norm_mean" else (ns.mean, ns.std[:-1])
+            changes = {"norm_stats": NormStats(mean, std)}
+        else:
+            changes = {name: getattr(ck, name)[:-1]}
+        with pytest.raises(InputError, match=f"'{name}'"):
+            dataclasses.replace(ck, **changes)
+
+    def test_non_numeric_field_rejected(self):
+        doc = checkpoint_to_dict(init_checkpoint("scalar", seed=0))
+        doc["b2"] = ["x"] * 64
+        with pytest.raises(InputError):
+            checkpoint_from_dict(doc)
