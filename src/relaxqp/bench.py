@@ -26,7 +26,14 @@ import numpy as np
 
 from .engine import SolverConfig, solve
 from .errors import InputError, ReferenceFailureError
-from .problem import QpProblem, load_problem, osqp_residuals, save_problem
+from .problem import (
+    QpProblem,
+    array_field,
+    load_problem,
+    osqp_residuals,
+    save_problem,
+    write_text_atomic,
+)
 
 FAMILIES = ("random_qp", "portfolio", "lasso", "svm", "control", "mpc")
 
@@ -362,11 +369,15 @@ def reference_to_dict(ref: ReferenceSolution) -> dict:
     }
 
 
-def reference_from_dict(doc: dict) -> ReferenceSolution:
+def reference_from_dict(doc: dict, n: int, m: int) -> ReferenceSolution:
+    """The reference solution of a problem with n variables and m rows."""
     try:
+        # Every field is looked up before any is decoded, so a missing field
+        # is reported as missing rather than as a length mismatch of another.
+        doc = {k: doc[k] for k in ("x_star", "lambda_star", "objective", "kkt_error")}
         return ReferenceSolution(
-            x_star=np.asarray(doc["x_star"], dtype=np.float64),
-            lambda_star=np.asarray(doc["lambda_star"], dtype=np.float64),
+            x_star=array_field(doc, "x_star", (n,)),
+            lambda_star=array_field(doc, "lambda_star", (m,)),
             objective=float(doc["objective"]),
             kkt_error=float(doc["kkt_error"]),
         )
@@ -428,8 +439,7 @@ def store_instance(root, spec: FamilySpec, prob: QpProblem, ref: ReferenceSoluti
     d.mkdir(parents=True, exist_ok=True)
     save_problem(prob, d / "problem.json")
     if ref is not None:
-        with open(d / "reference.json", "w") as fh:
-            json.dump(reference_to_dict(ref), fh)
+        write_text_atomic(d / "reference.json", json.dumps(reference_to_dict(ref)))
     return d
 
 
@@ -451,11 +461,10 @@ def ensure_instance(root, spec: FamilySpec, with_reference: bool = False):
                     doc = json.load(fh)
                 except json.JSONDecodeError as exc:
                     raise InputError(f"invalid reference file {ref_path}: {exc}") from exc
-            ref = reference_from_dict(doc)
+            ref = reference_from_dict(doc, prob.n, prob.m)
         else:
             ref = reference_solution(prob)
-            with open(ref_path, "w") as fh:
-                json.dump(reference_to_dict(ref), fh)
+            write_text_atomic(ref_path, json.dumps(reference_to_dict(ref)))
     return prob, ref
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .engine import SolverConfig, config_to_dict, load_config, report_to_dict, solve
+from .engine import SolverConfig, config_from_dict, config_to_dict, load_config, report_to_dict, solve
 from .errors import InputError, SolverError, TheoryViolationError
 from .policy import init_checkpoint, load_checkpoint, policy_from_checkpoint, save_checkpoint
 from .problem import load_problem
@@ -183,9 +183,11 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     family = doc["family"]
     variant = doc.get("variant", "scalar")
+    if not isinstance(doc.get("config", {}), dict):
+        raise InputError(f"training manifest {args.manifest}: field 'config' must be an object")
     tcfg_doc = dict(doc.get("config", {}))
     tcfg_doc.setdefault("seed", doc.get("seed", 0))
-    tcfg = TrainConfig(**tcfg_doc)
+    tcfg = config_from_dict(tcfg_doc, TrainConfig)
     store = args.store or "instances"
 
     def build(split_specs, split):

@@ -58,10 +58,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, numbers.Integral if f.type in (bool, int) else numbers.Real):
-                raise InputError(f"config field {f.name!r} must be {f.type.__name__}, got {value!r}")
+        check_field_types(self)
         if self.max_iter < 1:
             raise InputError("max_iter must be at least 1")
         if not (0.0 < self.alpha_min <= self.alpha_max < 2.0):
@@ -74,16 +71,26 @@ class SolverConfig:
             raise InputError("intervals must be positive")
 
 
+def check_field_types(cfg) -> None:
+    """InputError naming the first field of the dataclass ``cfg`` whose value
+    is not a number of its declared type (an int field takes integers)."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not isinstance(value, numbers.Integral if f.type in (bool, int) else numbers.Real):
+            raise InputError(f"config field {f.name!r} must be {f.type.__name__}, got {value!r}")
+
+
 def config_to_dict(cfg: SolverConfig) -> dict:
     return asdict(cfg)
 
 
-def config_from_dict(doc: dict) -> SolverConfig:
-    known = {f for f in SolverConfig.__dataclass_fields__}
-    unknown = set(doc) - known
+def config_from_dict(doc: dict, cls=SolverConfig):
+    """``cls(**doc)`` for a config dataclass (``SolverConfig`` or
+    ``TrainConfig``); an unknown key is an InputError naming it."""
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise InputError(f"unknown config fields: {sorted(unknown)}")
-    return SolverConfig(**doc)
+    return cls(**doc)
 
 
 def load_config(path) -> SolverConfig:

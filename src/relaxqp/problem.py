@@ -1,8 +1,15 @@
 """Problem data model: box-constrained QPs, residuals and termination.
 
 A problem is  minimize 0.5 x'Px + q'x  subject to  l <= Ax <= u,  with
-entries of l, u allowed to be -inf/+inf.  File storage encodes infinities
-with the +-1e30 sentinel common to QP solver interfaces.
+entries of l, u allowed to be -inf/+inf.
+
+A problem file is one JSON document ``{name, n, m, P, q, A, l, u, seed}``.
+:func:`save_problem` writes each array field as ``{"f8le_zlib_b64": s}``: s is
+the base64 of the zlib-compressed little-endian float64 bytes of the array in
+row-major order, so every value, +-inf included, round-trips bit-exactly.
+:func:`array_field` also reads the hand-written form, a dense row-major list
+of numbers, where bounds at or beyond the +-1e30 sentinel common to QP solver
+interfaces mean +-inf.
 
 :func:`osqp_residuals` is the one place that forms A x, P x and A'y for an
 iterate: it returns the residuals together with OSQP's stopping scales, which
@@ -10,8 +17,12 @@ the stopping rule and the solver's penalty update read instead of forming the
 products again.
 """
 
+import base64
 import json
 import math
+import os
+import uuid
+import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -21,6 +32,7 @@ import numpy as np
 from .errors import InfeasibleBoundsError, InputError
 
 INFINITY_SENTINEL = 1e30
+BINARY_KEY = "f8le_zlib_b64"
 
 
 class ConstraintKind(IntEnum):
@@ -183,18 +195,52 @@ def terminated(res: Residuals, eps_abs: float, eps_rel: float) -> bool:
     )
 
 
-def _encode_bounds(v: np.ndarray) -> list:
-    out = v.copy()
-    out[np.isposinf(out)] = INFINITY_SENTINEL
-    out[np.isneginf(out)] = -INFINITY_SENTINEL
-    return out.tolist()
+def encode_array(a: np.ndarray) -> dict:
+    """The binary array object of a problem file (see the module docstring)."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {BINARY_KEY: base64.b64encode(zlib.compress(raw, 1)).decode("ascii")}
 
 
-def _decode_bounds(v) -> np.ndarray:
-    out = np.asarray(v, dtype=np.float64).copy()
-    out[out >= INFINITY_SENTINEL] = np.inf
-    out[out <= -INFINITY_SENTINEL] = -np.inf
-    return out
+def _decode_binary(obj: dict, key: str, size: int) -> np.ndarray:
+    # Inflate at most one byte past the expected size, so a small payload
+    # cannot expand without bound before its length is checked.
+    nbytes = 8 * size
+    try:
+        data = base64.b64decode(obj[BINARY_KEY], validate=True)
+        inflater = zlib.decompressobj()
+        raw = inflater.decompress(data, nbytes + 1)
+    except (KeyError, TypeError, ValueError, zlib.error) as exc:
+        raise InputError(f"field {key!r} is not a valid binary array: {exc}") from exc
+    if len(raw) > nbytes:
+        raise InputError(f"field {key!r} decodes to more than the expected {nbytes} bytes")
+    if not inflater.eof:
+        raise InputError(f"field {key!r} holds a truncated zlib stream")
+    if inflater.unused_data:
+        raise InputError(f"field {key!r} has bytes after the end of its zlib stream")
+    if len(raw) < nbytes:
+        raise InputError(f"field {key!r} decodes to {len(raw)} bytes, expected {nbytes}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
+def array_field(doc: dict, key: str, shape: tuple, bounds: bool = False) -> np.ndarray:
+    """``doc[key]`` as a float array of ``shape``, from a binary array object
+    or a dense list; in a list of ``bounds``, the +-1e30 sentinel means +-inf.
+    A field that does not decode to the shape is an InputError naming it."""
+    value = doc[key]
+    size = math.prod(shape)
+    if isinstance(value, dict):
+        flat = _decode_binary(value, key, size)
+    else:
+        flat = np.asarray(value, dtype=np.float64)
+        if bounds:
+            flat = flat.copy()
+            flat[flat >= INFINITY_SENTINEL] = np.inf
+            flat[flat <= -INFINITY_SENTINEL] = -np.inf
+    if flat.size != size:
+        raise InputError(
+            f"field {key!r} has {flat.size} entries, expected {'x'.join(map(str, shape))}"
+        )
+    return flat.reshape(shape)
 
 
 def problem_to_dict(prob: QpProblem) -> dict:
@@ -202,24 +248,9 @@ def problem_to_dict(prob: QpProblem) -> dict:
         "name": prob.name,
         "n": prob.n,
         "m": prob.m,
-        "P": prob.P.ravel().tolist(),
-        "q": prob.q.tolist(),
-        "A": prob.A.ravel().tolist(),
-        "l": _encode_bounds(prob.l),
-        "u": _encode_bounds(prob.u),
+        **{key: encode_array(getattr(prob, key)) for key in ("P", "q", "A", "l", "u")},
         "seed": prob.seed,
     }
-
-
-def array_field(doc: dict, key: str, shape: tuple) -> np.ndarray:
-    """``doc[key]`` as a float array of ``shape``; an entry count that does
-    not fit the shape is an InputError naming the field."""
-    flat = np.asarray(doc[key], dtype=np.float64)
-    if flat.size != math.prod(shape):
-        raise InputError(
-            f"field {key!r} has {flat.size} entries, expected {'x'.join(map(str, shape))}"
-        )
-    return flat.reshape(shape)
 
 
 def problem_from_dict(doc: dict) -> QpProblem:
@@ -228,10 +259,10 @@ def problem_from_dict(doc: dict) -> QpProblem:
         m = int(doc["m"])
         fields = dict(
             P=array_field(doc, "P", (n, n)),
-            q=np.asarray(doc["q"], dtype=np.float64),
+            q=array_field(doc, "q", (n,)),
             A=array_field(doc, "A", (m, n)),
-            l=_decode_bounds(doc["l"]),
-            u=_decode_bounds(doc["u"]),
+            l=array_field(doc, "l", (m,), bounds=True),
+            u=array_field(doc, "u", (m,), bounds=True),
             name=str(doc.get("name", "")),
             seed=int(doc.get("seed", 0)),
         )
@@ -240,9 +271,25 @@ def problem_from_dict(doc: dict) -> QpProblem:
     return QpProblem(**fields)
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and one ``os.replace``: a reader sees the old file (or none) or
+    the whole new one, never a part, even while another process writes the
+    same path."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_problem(prob: QpProblem, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(problem_to_dict(prob), fh)
+    write_text_atomic(path, json.dumps(problem_to_dict(prob)))
 
 
 def load_problem(path) -> QpProblem:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import FixedPolicy, SolverConfig, policy_context, solve
+from .engine import FixedPolicy, SolverConfig, check_field_types, policy_context, solve
 from .errors import DivergenceError, InputError
 from .policy import (
     PolicyCheckpoint,
@@ -68,6 +68,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.stage_length < 1:
             raise InputError("stage length must be at least 1")
         if self.batch_size < 1:

@@ -1,5 +1,7 @@
+import base64
 import csv
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from relaxqp.bench import FamilySpec, ensure_instance, generate, instance_dir, save_manifest
 from relaxqp.cli import main
 from relaxqp.policy import checkpoint_to_dict, init_checkpoint, save_checkpoint
-from relaxqp.problem import QpProblem, save_problem
+from relaxqp.problem import QpProblem, problem_to_dict, save_problem
 
 
 @pytest.fixture()
@@ -191,7 +193,11 @@ class TestInputErrors:
     @pytest.mark.parametrize("text,named", [
         (json.dumps({"family": "random_qp", "val_instances": []}), "train_instances"),
         ("{not json", "invalid training manifest"),
-    ], ids=["missing_train_instances", "not_json"])
+        (json.dumps({"family": "random_qp", "train_instances": [], "val_instances": [],
+                     "config": {"epoch": 1}}), "'epoch'"),
+        (json.dumps({"family": "random_qp", "train_instances": [], "val_instances": [],
+                     "config": {"epochs": "many"}}), "'epochs'"),
+    ], ids=["missing_train_instances", "not_json", "unknown_config_key", "mistyped_config_value"])
     def test_malformed_train_manifest(self, tmp_path, capsys, text, named):
         man_path = tmp_path / "train.json"
         man_path.write_text(text)
@@ -216,6 +222,17 @@ class TestInputErrors:
             capsys,
         )
 
+    @pytest.mark.parametrize("payload", [
+        {"f8le_zlib_b64": "not base64!"},
+        {"f8le_zlib_b64": base64.b64encode(zlib.compress(bytes(10_000_000))).decode("ascii")},
+    ], ids=["bad_base64", "inflation_bomb"])
+    def test_malformed_binary_problem_field(self, tmp_path, capsys, payload):
+        doc = problem_to_dict(generate(FamilySpec("random_qp", 5, 1)))
+        doc["A"] = payload
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        self._expect_error(["solve", "--problem", str(bad)], "'A'", capsys)
+
     def test_bench_manifest_non_integer_size(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"specs": [{"family": "random_qp", "size": "x", "seed": 1}]}))
@@ -228,7 +245,11 @@ class TestInputErrors:
     @pytest.mark.parametrize("text,named", [
         (json.dumps({"x_star": [1.0]}), "lambda_star"),
         ("{not json", "invalid reference file"),
-    ], ids=["missing_field", "not_json"])
+        (json.dumps({"x_star": [1.0], "lambda_star": [0.0] * 5, "objective": 0, "kkt_error": 0}),
+         "'x_star'"),
+        (json.dumps({"x_star": [0.0] * 10, "lambda_star": [1.0], "objective": 0, "kkt_error": 0}),
+         "'lambda_star'"),
+    ], ids=["missing_field", "not_json", "x_star_wrong_length", "lambda_star_wrong_length"])
     def test_verify_malformed_reference(self, tmp_path, capsys, text, named):
         spec = FamilySpec("random_qp", 10, 5)
         manifest = tmp_path / "m.json"

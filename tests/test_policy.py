@@ -26,7 +26,7 @@ from relaxqp.policy import (
     vector_inputs,
     with_params,
 )
-from relaxqp.problem import QpProblem, Residuals
+from relaxqp.problem import QpProblem, Residuals, encode_array
 
 from oracles import mlp_forward_loops
 
@@ -285,6 +285,17 @@ class TestCheckpointFormat:
     def test_malformed_rejected(self):
         with pytest.raises(InputError):
             checkpoint_from_dict({"variant": "scalar"})
+
+    def test_binary_array_fields_accepted(self):
+        ck = init_checkpoint("vector", seed=3)
+        doc = checkpoint_to_dict(ck)
+        doc["W1"], doc["norm_std"] = encode_array(ck.W1), encode_array(ck.norm_stats.std)
+        again = checkpoint_from_dict(doc)
+        assert again.W1.tobytes() == ck.W1.tobytes()
+        assert again.norm_stats.std.tobytes() == ck.norm_stats.std.tobytes()
+        doc["W1"] = encode_array(ck.W1[:-1])
+        with pytest.raises(InputError, match="'W1'"):
+            checkpoint_from_dict(doc)
 
 
 class TestEnginePolicyIntegration:

@@ -1,13 +1,22 @@
+import base64
 import json
+import os
+import tempfile
+import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from relaxqp.bench import FamilySpec, generate, reference_solution
 from relaxqp.errors import InfeasibleBoundsError, InputError
 from relaxqp.problem import (
+    BINARY_KEY,
     ConstraintKind,
     QpProblem,
     classify,
@@ -18,6 +27,7 @@ from relaxqp.problem import (
     problem_to_dict,
     save_problem,
     terminated,
+    write_text_atomic,
 )
 
 INF = np.inf
@@ -228,12 +238,21 @@ class TestFileFormat:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_sentinel_encodes_infinity(self, tmp_path):
-        prob = tiny_problem()
+        # The hand-written list form marks infinite bounds with the +-1e30
+        # sentinel; the binary form that save_problem writes carries +-inf.
+        doc = {"n": 2, "m": 3, "P": [1.0, 0.0, 0.0, 1.0], "q": [1.0, -1.0],
+               "A": [1.0, 0.0, 0.0, 1.0, 1.0, 1.0], "l": [-1.0, -1e30, -2e30],
+               "u": [1.0, 2.0, 1e30]}
+        listed = problem_from_dict(doc)
+        assert listed.l.tolist() == [-1.0, -INF, -INF]
+        assert listed.u.tolist() == [1.0, 2.0, INF]
         path = tmp_path / "prob.json"
-        save_problem(prob, path)
-        doc = json.loads(path.read_text())
-        assert doc["l"][1] == -1e30
-        assert np.isneginf(load_problem(path).l[1])
+        save_problem(listed, path)
+        written = json.loads(path.read_text())
+        assert all(set(written[k]) == {BINARY_KEY} for k in ("P", "q", "A", "l", "u"))
+        loaded = load_problem(path)
+        assert loaded.l.tobytes() == listed.l.tobytes()
+        assert loaded.u.tobytes() == listed.u.tobytes()
 
     def test_malformed_document(self):
         with pytest.raises(InputError):
@@ -243,3 +262,122 @@ class TestFileFormat:
         prob = tiny_problem()
         again = problem_from_dict(problem_to_dict(prob))
         assert np.array_equal(again.u, prob.u)
+
+
+def old_writer_dict(prob: QpProblem) -> dict:
+    """A problem document in the dense list form, as hand-written files and
+    earlier versions of save_problem spell it."""
+    def bounds(v):
+        out = v.copy()
+        out[np.isposinf(out)] = 1e30
+        out[np.isneginf(out)] = -1e30
+        return out.tolist()
+
+    return {"name": prob.name, "n": prob.n, "m": prob.m, "P": prob.P.ravel().tolist(),
+            "q": prob.q.tolist(), "A": prob.A.ravel().tolist(), "l": bounds(prob.l),
+            "u": bounds(prob.u), "seed": prob.seed}
+
+
+SPECIAL_BOUNDS = [-INF, INF, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e30, -1e30,
+                  float(np.nextafter(1e30, 0)), float(np.nextafter(1e30, INF)),
+                  float(np.nextafter(-1e30, 0)), float(np.nextafter(-1e30, -INF))]
+bound_values = st.one_of(st.sampled_from(SPECIAL_BOUNDS), st.floats(allow_nan=False))
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 4))
+    M = draw(arrays(np.float64, (n, n), elements=st.floats(-10, 10)))
+    d = draw(arrays(np.float64, n, elements=st.floats(0, 10)))
+    q = draw(arrays(np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    A = draw(arrays(np.float64, (m, n), elements=st.floats(-1e300, 1e300)))
+    a = draw(arrays(np.float64, m, elements=bound_values))
+    b = draw(arrays(np.float64, m, elements=bound_values))
+    l, u = np.minimum(a, b), np.maximum(a, b)
+    zero_rows = np.all(A == 0.0, axis=1)
+    l[zero_rows], u[zero_rows] = -INF, INF
+    return QpProblem(P=M @ M.T + np.diag(d), q=q, A=A, l=l, u=u,
+                     name=draw(st.text(max_size=5)), seed=draw(st.integers(0, 2**31)))
+
+
+def same_bits(a: QpProblem, b: QpProblem) -> bool:
+    return all(getattr(a, k).shape == getattr(b, k).shape
+               and getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in "PqAlu")
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestFileProperties:
+    @PROPERTY_SETTINGS
+    @given(problems())
+    def test_save_load_bit_exact_and_stable_bytes(self, prob):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            save_problem(prob, first)
+            loaded = load_problem(first)
+            save_problem(loaded, second)
+            assert same_bits(loaded, prob)
+            assert (loaded.name, loaded.seed) == (prob.name, prob.seed)
+            assert first.read_bytes() == second.read_bytes()
+
+    @PROPERTY_SETTINGS
+    @given(problems())
+    def test_list_form_loads_to_same_arrays(self, prob):
+        loaded = problem_from_dict(json.loads(json.dumps(old_writer_dict(prob))))
+        def sentinel(v):
+            return np.where(v >= 1e30, INF, np.where(v <= -1e30, -INF, v))
+
+        assert same_bits(loaded, replace(prob, l=sentinel(prob.l), u=sentinel(prob.u)))
+
+
+def binary(raw: bytes) -> dict:
+    return {BINARY_KEY: base64.b64encode(raw).decode("ascii")}
+
+
+# Payloads for the field "P" of a 2x2 problem, which must inflate to 32 bytes.
+MALFORMED_P = {
+    "bad_base64": {BINARY_KEY: "not base64!"},
+    "not_zlib": binary(b"plain bytes, no zlib header"),
+    "too_short": binary(zlib.compress(np.eye(2).tobytes()[:-8])),
+    "too_long": binary(zlib.compress(np.eye(3).tobytes())),
+    "inflation_bomb": binary(zlib.compress(bytes(10_000_000), 9)),
+    "truncated_stream": binary(zlib.compress(np.eye(2).tobytes())[:-3]),
+    "trailing_bytes": binary(zlib.compress(np.eye(2).tobytes()) + b"extra"),
+    "wrong_key": {"f4_raw": ""},
+    "not_text": {BINARY_KEY: 12},
+}
+
+
+class TestMalformedBinary:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_P))
+    def test_input_error_names_field(self, case):
+        doc = problem_to_dict(QpProblem(P=np.eye(2), q=np.zeros(2), A=np.ones((1, 2)),
+                                        l=-np.ones(1), u=np.ones(1)))
+        doc["P"] = MALFORMED_P[case]
+        with pytest.raises(InputError, match="'P'"):
+            problem_from_dict(json.loads(json.dumps(doc)))
+
+
+class TestAtomicWrite:
+    def test_failure_mid_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(path, "{" + "0" * 100_000 + "\ud800")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "prob.json"
+        save_problem(tiny_problem(), path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            save_problem(replace(tiny_problem(), name="other"), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
