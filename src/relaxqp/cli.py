@@ -102,10 +102,11 @@ def _bench_one(task):
     try:
         report = solve(prob, cfg, policy=policy)
         row.update(iterations=report.iterations, runtime_s=report.runtime_seconds,
-                   rho_updates=report.rho_updates, status=report.status)
+                   rho_updates=report.rho_updates, status=report.status,
+                   kkt_backend=report.kkt_backend)
     except SolverError as exc:
         print(f"bench: {spec.name} [{policy_label}/{rho_mode}] failed: {exc}", file=sys.stderr)
-        row.update(iterations="", runtime_s="", rho_updates="", status="failed")
+        row.update(iterations="", runtime_s="", rho_updates="", status="failed", kkt_backend="")
     return row
 
 
@@ -129,7 +130,7 @@ def cmd_bench(args) -> int:
 
     fieldnames = [
         "family", "size", "seed", "policy", "rho_mode",
-        "iterations", "runtime_s", "rho_updates", "status",
+        "iterations", "runtime_s", "rho_updates", "status", "kkt_backend",
     ]
     groups: dict = {}
     for row in rows:
@@ -149,6 +150,7 @@ def cmd_bench(args) -> int:
                 "runtime_s": f"{np.mean([r['runtime_s'] for r in grp]):.3f}",
                 "rho_updates": f"{np.mean([r['rho_updates'] for r in grp]):.2f}",
                 "status": "summary",
+                "kkt_backend": "",
             }
         )
 
@@ -237,7 +239,8 @@ def _verify_one(task):
         entry["max_perturbation_violation"] = chk.max_perturbation_violation
         z_star = np.clip(prob.A @ ref.x_star, prob.l, prob.u)
         slacks = check_descent(steps, ref.x_star, z_star, ref.lambda_star, cfg.alpha_max)
-        entry["min_descent_slack"] = float(np.min(slacks))
+        applied = slacks[~np.isnan(slacks)]  # NaN before the first consistent state
+        entry["min_descent_slack"] = float(applied.min()) if applied.size else None
         drift = run_drift_experiment(
             prob,
             DriftSchedule.inverse_square(drift_iters),

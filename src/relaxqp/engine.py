@@ -16,8 +16,10 @@ triggers a refactorization; the relaxation vector can change freely at stage
 boundaries without touching the factorization.  The first line is OSQP's
 reduced form of the quasi-definite KKT system
 [[P + sigma*I, A'], [A, -diag(1/rho)]] [xt; nu] = [sigma*x_k - q; z_k - y_k/rho]
-(see :mod:`relaxqp.linalg`); its matrix is positive definite and is cached as
-a Cholesky factor.
+(see :mod:`relaxqp.linalg`); its matrix is positive definite and its factor
+is cached.  The products with A, A' and P go through the problem's
+:attr:`~relaxqp.problem.QpProblem.operators`, dense arrays or CSR copies
+depending on the problem's :attr:`~relaxqp.problem.QpProblem.kkt_backend`.
 
 Apart from the x-step, an iteration forms A x, P x and A'y once, in
 :func:`relaxqp.problem.osqp_residuals`, which also returns the stopping
@@ -137,6 +139,7 @@ class SolverState:
 @dataclass(frozen=True)
 class SolveReport:
     status: str  # "solved" | "max_iter"
+    kkt_backend: str  # "dense" | "sparse"
     iterations: int
     rho_updates: int
     factorizations: int
@@ -150,6 +153,7 @@ class SolveReport:
 def report_to_dict(rep: SolveReport) -> dict:
     return {
         "status": rep.status,
+        "kkt_backend": rep.kkt_backend,
         "iterations": rep.iterations,
         "rho_updates": rep.rho_updates,
         "factorizations": rep.factorizations,
@@ -167,7 +171,8 @@ def init_state(prob: QpProblem, cfg: SolverConfig) -> SolverState:
     A singular KKT system surfaces as a setup-time SingularKktError.
     """
     r_vals = rho_pattern(prob.kinds, cfg.rho0)
-    kkt = ldlt_factor(assemble_kkt(prob.P, prob.A, cfg.sigma, r_vals))
+    A, _, P = prob.operators
+    kkt = ldlt_factor(assemble_kkt(P, A, cfg.sigma, r_vals))
     gamma = np.full(prob.m, cfg.alpha0, dtype=np.float64)
     return SolverState(
         x=np.zeros(prob.n),
@@ -184,7 +189,8 @@ def init_state(prob: QpProblem, cfg: SolverConfig) -> SolverState:
 
 def refactor(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> None:
     """Rebuild and refactor the KKT system for the current penalty vector."""
-    state.kkt = ldlt_factor(assemble_kkt(prob.P, prob.A, cfg.sigma, state.R))
+    A, _, P = prob.operators
+    state.kkt = ldlt_factor(assemble_kkt(P, A, cfg.sigma, state.R))
     state.n_factorizations += 1
 
 
@@ -193,11 +199,12 @@ def iterate_once(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> Solv
     r = state.R
     g = state.Gamma
     x_k, z_k, y_k = state.x, state.z, state.y
+    A, AT, _ = prob.operators
 
     with np.errstate(invalid="ignore", over="ignore"):
-        rhs = cfg.sigma * x_k - prob.q + prob.A.T @ (r * z_k - y_k)
+        rhs = cfg.sigma * x_k - prob.q + AT @ (r * z_k - y_k)
         x_tilde = ldlt_solve(state.kkt, rhs)
-        z_tilde = prob.A @ x_tilde
+        z_tilde = A @ x_tilde
 
         x_next = state.alpha_x * x_tilde + (1.0 - state.alpha_x) * x_k
         w = g * z_tilde + (1.0 - g) * z_k
@@ -340,6 +347,11 @@ class TrajectoryStep:
     gamma_values: np.ndarray
     alpha_x: float
     sigma: float
+    # |z - clip(z + y/r, l, u)|_inf of the input state: zero (to roundoff)
+    # when z and y are consistent, i.e. y lies in the normal cone of [l, u]
+    # at z.  Every state the iteration produces is; the cold start z = y = 0
+    # is not when 0 lies outside [l, u].
+    input_gap: float
 
 
 class TrajectoryRecorder:
@@ -348,7 +360,8 @@ class TrajectoryRecorder:
     def __init__(self):
         self.steps: list[TrajectoryStep] = []
 
-    def on_step(self, state: SolverState, cfg: SolverConfig) -> None:
+    def on_step(self, state: SolverState, prob: QpProblem, cfg: SolverConfig) -> None:
+        z, y, r = state.z_prev, state.y_prev, state.R_prev_values
         self.steps.append(
             TrajectoryStep(
                 x=state.x_prev.copy(),
@@ -364,6 +377,7 @@ class TrajectoryRecorder:
                 gamma_values=state.Gamma.copy(),
                 alpha_x=state.alpha_x,
                 sigma=cfg.sigma,
+                input_gap=float(np.max(np.abs(z - np.clip(z + y / r, prob.l, prob.u)), initial=0.0)),
             )
         )
 
@@ -399,7 +413,7 @@ def solve(
     while state.iter < cfg.max_iter:
         iterate_once(state, prob, cfg)
         if recorder is not None:
-            recorder.on_step(state, cfg)
+            recorder.on_step(state, prob, cfg)
         res = osqp_residuals(prob, state.x, state.z, state.y)
         history.append((state.iter, res.r_prim_inf, res.r_dual_inf))
         if observer is not None:
@@ -420,6 +434,7 @@ def solve(
     runtime = time.perf_counter() - t0
     return SolveReport(
         status=status,
+        kkt_backend=prob.kkt_backend,
         iterations=state.iter,
         rho_updates=state.rho_updates,
         factorizations=state.n_factorizations,

@@ -1,4 +1,4 @@
-"""Dense reduced KKT system of the ADMM x-step and its Cholesky factorization.
+"""Reduced KKT system of the ADMM x-step and its factorization, dense or sparse.
 
 The x-step solves the quasi-definite KKT system
 
@@ -9,23 +9,65 @@ reduced form (Stellato et al., Math. Prog. Comp. 2020)
 
     (P + sigma*I + A' diag(r) A) xt = sigma*x - q + A'(r*z - y),   zt = A xt,
 
-whose matrix is symmetric positive definite for sigma > 0 and r > 0 and is
-factored by one LAPACK Cholesky call (dpotrf).  The names ``assemble_kkt``,
-``ldlt_factor``, ``ldlt_solve`` and ``LdltFactor`` predate the reduced form;
-they now denote this n x n matrix and its Cholesky factor, and are kept for
-API stability and for tools that wrap these bindings.
+whose matrix H is symmetric positive definite for sigma > 0 and r > 0.
+
+Two backends factor H; each problem uses one, picked once by
+:func:`pick_backend` from its size and nonzero count
+(:attr:`relaxqp.problem.QpProblem.kkt_backend`):
+
+* dense: H is an ndarray, factored by one LAPACK Cholesky call (dpotrf) and
+  solved by dpotrs;
+* sparse: P and A are CSR matrices, H is assembled as a CSC matrix and
+  factored by SuperLU (``scipy.sparse.linalg.splu``) with a fill-reducing
+  column ordering applied symmetrically and no pivoting, i.e. an LDL'-like
+  factor of the permuted H, whose pivots are checked to be positive.
+
+:func:`assemble_kkt`, :func:`ldlt_factor` and :func:`ldlt_solve` dispatch on
+the type of their input.  These names and ``LdltFactor`` predate the reduced
+form; they are kept for API stability and for tools that wrap these bindings.
 
 Known limit: when null(P) and null(A) share a nonzero vector (the QP is then
 dual infeasible), the reduced matrix at the largest penalties has condition
 number of order r*||A||^2 / sigma.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import InputError, SingularKktError
+
+SPARSE_MIN_SIZE = 60_000
+SPARSE_MAX_DENSITY = 0.06
+
+
+def pick_backend(n: int, m: int, nnz: int) -> str:
+    """``"sparse"`` or ``"dense"`` for a problem with n variables, m
+    constraints and nnz nonzeros in P and A together.
+
+    The sparse backend is picked when the data has at least SPARSE_MIN_SIZE
+    entries (m*n + n*n) and at most SPARSE_MAX_DENSITY of them are nonzero.
+    Both constants come from a scan of solve times, sparse over dense, on
+    29 instances of all six families at the default config (iteration
+    counts, penalty updates and statuses were equal on every instance; the
+    table is in the README):
+
+    * from 65k entries up at 2.3-4.0% nonzero (mpc_n100, lasso n = 180 to
+      1788) the sparse backend won every time, at 0.18-0.59 of the dense
+      time;
+    * up to 54k entries it lost by 1.1-1.9x on portfolio (n = 11 to 164,
+      2.9-15% nonzero) and won only on lasso_n10 (29k entries, 0.8): a
+      scipy.sparse product costs ~5 us of call overhead where the dense
+      product of a small matrix takes ~2 us;
+    * at 7.6-9.3% nonzero (svm) the ratio ranged over 0.4-1.8 with no
+      trend in size;
+    * at 52-100% nonzero (control, random_qp) it lost by 2-9x.
+    """
+    size = m * n + n * n
+    return "sparse" if size >= SPARSE_MIN_SIZE and nnz <= SPARSE_MAX_DENSITY * size else "dense"
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -37,22 +79,29 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
+def _as_sparse(a, name: str):
+    if not np.all(np.isfinite(a.data)):
+        raise InputError(f"{name} contains non-finite entries")
+    return a
+
+
 @dataclass(frozen=True)
 class LdltFactor:
-    """Cholesky factor of a symmetric positive definite matrix:
-    ``matrix == lower @ lower.T`` with ``lower`` lower triangular.
+    """Factor of a symmetric positive definite matrix of size ``dim``.
 
-    The source matrix is kept to allow one step of iterative refinement
-    inside :func:`ldlt_solve`.
+    Dense backend: ``lower`` is the Cholesky factor, ``matrix == lower @
+    lower.T``, and ``lu`` is None.  Sparse backend: ``lu`` is the SuperLU
+    factor and ``lower`` is None.
     """
 
-    lower: np.ndarray
     dim: int
-    source: np.ndarray = field(repr=False)
+    lower: np.ndarray | None = None
+    lu: SuperLU | None = None
 
 
-def assemble_kkt(P: np.ndarray, A: np.ndarray, sigma: float, r_values: np.ndarray) -> np.ndarray:
-    """Build the reduced KKT matrix P + sigma*I + A' diag(r) A.
+def assemble_kkt(P, A, sigma: float, r_values: np.ndarray):
+    """Build the reduced KKT matrix P + sigma*I + A' diag(r) A: an ndarray
+    for dense P and A, a CSC matrix for sparse ones.
 
     Parameters
     ----------
@@ -61,8 +110,11 @@ def assemble_kkt(P: np.ndarray, A: np.ndarray, sigma: float, r_values: np.ndarra
     sigma : positive regularization added to the diagonal.
     r_values : (m,) positive per-constraint penalty entries.
     """
-    P = _as_matrix(P, "P")
-    A = _as_matrix(A, "A")
+    is_sparse = sparse.issparse(A)
+    if is_sparse:
+        P, A = _as_sparse(P, "P"), _as_sparse(A, "A")
+    else:
+        P, A = _as_matrix(P, "P"), _as_matrix(A, "A")
     r = np.asarray(r_values, dtype=np.float64)
     n = P.shape[0]
     m = A.shape[0]
@@ -77,6 +129,10 @@ def assemble_kkt(P: np.ndarray, A: np.ndarray, sigma: float, r_values: np.ndarra
     if np.any(r <= 0):
         raise InputError("penalty entries must be positive")
 
+    if is_sparse:
+        B = sparse.diags_array(np.sqrt(r)) @ A
+        H = B.T @ B + P + sparse.diags_array(np.full(n, float(sigma)))
+        return H.tocsc()
     B = np.sqrt(r)[:, None] * A
     H = B.T @ B  # numpy runs this transpose product as one syrk call
     H += P
@@ -84,12 +140,16 @@ def assemble_kkt(P: np.ndarray, A: np.ndarray, sigma: float, r_values: np.ndarra
     return H
 
 
-def ldlt_factor(M: np.ndarray) -> LdltFactor:
-    """Cholesky-factor a symmetric positive definite matrix (lower triangle read).
+def ldlt_factor(M) -> LdltFactor:
+    """Factor a symmetric positive definite matrix: Cholesky (lower triangle
+    read) for an ndarray, SuperLU for a sparse matrix.
 
-    Raises :class:`SingularKktError` at the first column whose pivot is not
-    positive, i.e. when M is singular or indefinite.
+    Raises :class:`SingularKktError` at the first elimination step whose
+    pivot is not positive, i.e. when M is singular or indefinite; ``index``
+    is the row and column of M that step eliminates.
     """
+    if sparse.issparse(M):
+        return _sparse_factor(M)
     M = _as_matrix(M, "M")
     d = M.shape[0]
     if M.shape[1] != d:
@@ -98,20 +158,38 @@ def ldlt_factor(M: np.ndarray) -> LdltFactor:
     if info > 0:
         index = info - 1
         raise SingularKktError(step=index, index=index, pivot=float(L[index, index]))
-    return LdltFactor(lower=L, dim=d, source=M)
+    return LdltFactor(dim=d, lower=L)
+
+
+def _sparse_factor(M) -> LdltFactor:
+    d = M.shape[0]
+    if M.shape[1] != d:
+        raise InputError(f"matrix must be square, got {M.shape}")
+    M = sparse.csc_array(_as_sparse(M, "M"))
+    try:
+        lu = splu(M, permc_spec="COLAMD", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:
+        # SuperLU met a step with no nonzero pivot candidate; the dense
+        # factorization names the failing column.
+        return ldlt_factor(M.toarray())
+    # A step that took an off-diagonal pivot met a zero diagonal pivot.
+    order = np.argsort(lu.perm_c)
+    pivots = lu.U.diagonal()
+    bad = np.nonzero((lu.perm_r[order] != np.arange(d)) | ~(pivots > 0.0))[0]
+    if bad.size:
+        step = int(bad[0])
+        pivot = float(pivots[step]) if lu.perm_r[order[step]] == step else 0.0
+        raise SingularKktError(step=step, index=int(order[step]), pivot=pivot)
+    return LdltFactor(dim=d, lu=lu)
 
 
 def ldlt_solve(F: LdltFactor, b: np.ndarray) -> np.ndarray:
-    """Solve M v = b for the factored M, with at most one step of iterative
-    refinement (skipped when the raw solve is already at roundoff level)."""
+    """Solve M v = b for the factored M."""
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (F.dim,):
         raise InputError(f"right-hand side has shape {b.shape}, expected ({F.dim},)")
     if F.dim == 0:
         return np.zeros(0)
-    v = dpotrs(F.lower, b, lower=1)[0]
-    r = b - F.source @ v
-    scale = 1.0 + float(np.max(np.abs(b)))
-    if float(np.max(np.abs(r))) > 1e-13 * scale:
-        v = v + dpotrs(F.lower, r, lower=1)[0]
-    return v
+    if F.lu is not None:
+        return F.lu.solve(b)
+    return dpotrs(F.lower, b, lower=1)[0]

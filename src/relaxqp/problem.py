@@ -14,7 +14,10 @@ interfaces mean +-inf.
 :func:`osqp_residuals` is the one place that forms A x, P x and A'y for an
 iterate: it returns the residuals together with OSQP's stopping scales, which
 the stopping rule and the solver's penalty update read instead of forming the
-products again.
+products again.  It forms them, like the solver's iteration, through
+:attr:`QpProblem.operators`: CSR copies of A, A' and P on problems that
+:func:`relaxqp.linalg.pick_backend` puts on the sparse backend, the dense
+arrays themselves otherwise.
 """
 
 import base64
@@ -28,8 +31,10 @@ from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InfeasibleBoundsError, InputError
+from .linalg import pick_backend
 
 INFINITY_SENTINEL = 1e30
 BINARY_KEY = "f8le_zlib_b64"
@@ -129,6 +134,23 @@ class QpProblem:
         """Infinity norm of each row of A (a per-row policy feature)."""
         return np.max(np.abs(self.A), axis=1) if self.A.size else np.zeros(self.m)
 
+    @cached_property
+    def kkt_backend(self) -> str:
+        """``"dense"`` or ``"sparse"``: the linear-algebra backend of every
+        solve of this problem (see :func:`relaxqp.linalg.pick_backend`)."""
+        nnz = np.count_nonzero(self.A) + np.count_nonzero(self.P)
+        return pick_backend(self.n, self.m, int(nnz))
+
+    @cached_property
+    def operators(self) -> tuple:
+        """(A, A', P) in the storage of :attr:`kkt_backend`: CSR matrices on
+        the sparse backend (A' the transpose of the CSR copy of A), the dense
+        arrays on the dense one."""
+        if self.kkt_backend == "sparse":
+            A = sparse.csr_array(self.A)
+            return A, A.T.tocsr(), sparse.csr_array(self.P)
+        return self.A, self.A.T, self.P
+
 
 def _psd_probe(P: np.ndarray) -> bool:
     # Cheap check: P + 1e-9*I must admit a Cholesky factorization.  The shift
@@ -176,7 +198,8 @@ def osqp_residuals(prob: QpProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != (prob.n,) or z.shape != (prob.m,) or y.shape != (prob.m,):
         raise InputError("residual inputs have inconsistent dimensions")
-    Ax, Px, ATy = prob.A @ x, prob.P @ x, prob.A.T @ y
+    A, AT, P = prob.operators
+    Ax, Px, ATy = A @ x, P @ x, AT @ y
     r_prim = Ax - z
     r_dual = Px + prob.q + ATy
     return Residuals(

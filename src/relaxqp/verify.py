@@ -36,6 +36,7 @@ from .problem import QpProblem, objective
 
 IDENTITY_RTOL = 1e-9
 DESCENT_RTOL = 1e-8
+CONSISTENCY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,28 @@ def check_descent(
 
     where y*_k is the fixed point induced by the reference saddle point in
     the step-k metric.  Nonnegative up to roundoff when every relaxation
-    entry stays at or below alpha_max.
+    entry stays at or below alpha_max and the step starts from a
+    Douglas-Rachford state, i.e. z_k = clip(z_k + y_k/r_k, l, u).
+
+    Every state the iteration produces is one, but a cold start z = y = 0
+    is not when 0 lies outside [l, u] (the svm and portfolio families).  The
+    inequality is therefore applied from the first step whose input state
+    is consistent to CONSISTENCY_RTOL; the slacks of the steps before it
+    are NaN.
     """
     kappa = 2.0 / alpha_max - 1.0
     if kappa <= 0:
         raise InputError("alpha_max must be below 2 for a positive descent margin")
     n = x_star.size
-    slacks = np.empty(len(steps))
+    slacks = np.full(len(steps), np.nan)
+    consistent = False
     for k, st in enumerate(steps):
+        if not consistent:
+            scale = 1.0 + float(np.max(np.abs(st.z), initial=0.0))
+            scale += float(np.max(np.abs(st.y / st.r_values), initial=0.0))
+            consistent = st.input_gap <= CONSISTENCY_RTOL * scale
+            if not consistent:
+                continue
         r_k, _, gamma = _stacked(st)
         h = 1.0 / (gamma * r_k)
         lam_full = np.concatenate((np.zeros(n), lam_star))

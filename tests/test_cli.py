@@ -36,8 +36,14 @@ class TestSolveCommand:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "solved"
+        assert report["kkt_backend"] == "dense"
         assert report["iterations"] >= 1
         assert (out / "residuals.csv").exists()
+
+    def test_stdout_report_names_the_backend(self, tiny_problem_file, capsys):
+        assert main(["solve", "--problem", str(tiny_problem_file)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["kkt_backend"] == "dense"
 
     def test_max_iter_exit_two(self, random_problem_file):
         rc = main(["solve", "--problem", str(random_problem_file), "--max-iter", "1"])
@@ -110,6 +116,7 @@ class TestBenchCommand:
         # 2 instances x baseline x {fixed, adaptive}
         assert len(data) == 4
         assert {r["rho_mode"] for r in data} == {"fixed", "adaptive"}
+        assert {r["kkt_backend"] for r in data} == {"dense"}
         assert len(summaries) == 2
 
     def test_policy_column_present_with_checkpoint(self, tmp_path):

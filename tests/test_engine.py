@@ -19,6 +19,7 @@ from relaxqp.engine import (
     solve,
     splitting_residuals,
 )
+from relaxqp import problem as problem_mod
 from relaxqp.errors import DivergenceError, InputError, PolicyError
 from relaxqp.problem import ConstraintKind, QpProblem, osqp_residuals
 
@@ -362,6 +363,40 @@ class TestSolve:
 
         rep = solve(prob, cfg, policy=SinDrift())
         assert rep.status == "solved"
+
+
+class TestKktBackend:
+    @pytest.mark.parametrize("family,size", [("lasso", 20), ("svm", 50), ("portfolio", 149)])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_backends_give_identical_counts(self, monkeypatch, family, size, adaptive):
+        # The rule is read once per problem, so a fresh instance per backend
+        # picks up the forced choice.
+        cfg = SolverConfig(adaptive_rho=adaptive)
+        reports = {}
+        for backend in ("dense", "sparse"):
+            monkeypatch.setattr(problem_mod, "pick_backend", lambda n, m, nnz, b=backend: b)
+            prob = generate(FamilySpec(family, size, seed=1))
+            reports[backend] = solve(prob, cfg)
+            assert reports[backend].kkt_backend == backend
+        dense, sp = reports["dense"], reports["sparse"]
+        assert dense.status == sp.status == "solved"
+        assert (sp.iterations, sp.rho_updates, sp.factorizations) == (
+            dense.iterations, dense.rho_updates, dense.factorizations
+        )
+        assert_allclose(sp.x, dense.x, rtol=1e-6, atol=1e-8)
+
+    def test_operators_follow_the_backend(self, monkeypatch):
+        prob = generate(FamilySpec("lasso", 10, seed=1))
+        assert prob.kkt_backend == "dense"
+        A, AT, P = prob.operators
+        assert A is prob.A and P is prob.P and AT.base is prob.A
+        monkeypatch.setattr(problem_mod, "pick_backend", lambda n, m, nnz: "sparse")
+        prob = generate(FamilySpec("lasso", 10, seed=1))
+        A, AT, P = prob.operators
+        assert (A.format, AT.format, P.format) == ("csr", "csr", "csr")
+        assert np.array_equal(A.toarray(), prob.A) and np.array_equal(AT.toarray(), prob.A.T)
+        assert np.array_equal(P.toarray(), prob.P)
+        assert prob.operators is prob.operators  # converted once
 
 
 class TestConfigFile:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 
 from relaxqp.bench import FamilySpec, generate
 from relaxqp.engine import RHO_MAX, RHO_MIN, rho_pattern
 from relaxqp.errors import InputError, SingularKktError
-from relaxqp.linalg import assemble_kkt, ldlt_factor, ldlt_solve
+from relaxqp.linalg import assemble_kkt, ldlt_factor, ldlt_solve, pick_backend
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -156,9 +157,10 @@ DESK_SIZES = {"random_qp": 50, "portfolio": 10, "lasso": 10, "svm": 10, "control
 
 @pytest.mark.parametrize("family", sorted(DESK_SIZES))
 def test_reduced_solve_matches_full_quasi_definite_system(family):
-    """x_tilde from the reduced Cholesky solve equals the x-block of a dense
-    solve of [[P + sigma*I, A'], [A, -diag(1/r)]] [xt; nu] = [sigma*x - q;
-    z - y/r] across the whole penalty range, equality rows at 1e3*rho."""
+    """x_tilde from the reduced solve, on both backends, equals the x-block
+    of a dense solve of [[P + sigma*I, A'], [A, -diag(1/r)]] [xt; nu] =
+    [sigma*x - q; z - y/r] across the whole penalty range, equality rows at
+    1e3*rho."""
     prob = generate(FamilySpec(family, DESK_SIZES[family], seed=1))
     n, m = prob.n, prob.m
     sigma = 1e-6
@@ -166,16 +168,110 @@ def test_reduced_solve_matches_full_quasi_definite_system(family):
     x = rng.standard_normal(n)
     z = np.clip(rng.standard_normal(m), prob.l, prob.u)
     y = rng.standard_normal(m)
+    backends = {"dense": (prob.P, prob.A), "sparse": (sparse.csr_array(prob.P), sparse.csr_array(prob.A))}
     for rho in (RHO_MIN, 1e-2, 10.0, 1e3, RHO_MAX):
         r = rho_pattern(prob.kinds, rho)
-        F = ldlt_factor(assemble_kkt(prob.P, prob.A, sigma, r))
-        x_tilde = ldlt_solve(F, sigma * x - prob.q + prob.A.T @ (r * z - y))
-
         K = np.zeros((n + m, n + m))
         K[:n, :n] = prob.P + sigma * np.eye(n)
         K[:n, n:] = prob.A.T
         K[n:, :n] = prob.A
         K[n:, n:] = np.diag(-1.0 / r)
         full = np.linalg.solve(K, np.concatenate((sigma * x - prob.q, z - y / r)))
-        err = np.linalg.norm(x_tilde - full[:n]) / np.linalg.norm(full[:n])
+        for backend, (P, A) in backends.items():
+            F = ldlt_factor(assemble_kkt(P, A, sigma, r))
+            assert (F.lu is not None) == (backend == "sparse")
+            x_tilde = ldlt_solve(F, sigma * x - prob.q + A.T @ (r * z - y))
+            err = np.linalg.norm(x_tilde - full[:n]) / np.linalg.norm(full[:n])
+            assert err <= 1e-8, (family, backend, rho, err)
+
+
+@pytest.mark.parametrize("family", sorted(DESK_SIZES))
+def test_sparse_and_dense_backends_agree(family):
+    """Both backends assemble the same H and return the same x_tilde to 1e-8
+    relative, over the whole penalty range with equality rows."""
+    prob = generate(FamilySpec(family, DESK_SIZES[family], seed=2))
+    Ps, As = sparse.csr_array(prob.P), sparse.csr_array(prob.A)
+    b = np.random.default_rng(3).standard_normal(prob.n)
+    for rho in (RHO_MIN, 1e-4, 1e-2, 1.0, 1e2, 1e4, RHO_MAX):
+        r = rho_pattern(prob.kinds, rho)
+        H_dense = assemble_kkt(prob.P, prob.A, 1e-6, r)
+        H_sparse = assemble_kkt(Ps, As, 1e-6, r)
+        assert H_sparse.format == "csc"
+        assert_allclose(H_sparse.toarray(), H_dense, rtol=1e-14, atol=1e-14 * np.abs(H_dense).max())
+        v_dense = ldlt_solve(ldlt_factor(H_dense), b)
+        v_sparse = ldlt_solve(ldlt_factor(H_sparse), b)
+        err = np.linalg.norm(v_sparse - v_dense) / np.linalg.norm(v_dense)
         assert err <= 1e-8, (family, rho, err)
+
+
+class TestSparseFactor:
+    def test_solve_matches_dense_solve(self):
+        rng = np.random.default_rng(4)
+        M = random_spd(rng, 30)
+        M[np.abs(M) < 1.0] = 0.0  # a sparse pattern; the diagonal stays dominant
+        M += 30.0 * np.eye(30)
+        b = rng.standard_normal(30)
+        F = ldlt_factor(sparse.csc_array(M))
+        assert F.lu is not None and F.lower is None and F.dim == 30
+        assert_allclose(ldlt_solve(F, b), np.linalg.solve(M, b), rtol=1e-12, atol=1e-14)
+
+    def test_indefinite_matrix_raises_with_index(self):
+        # Same matrix as the dense test: eliminating index 0 first leaves the
+        # pivot 1 - 2*2 = -3 at index 1, whatever the ordering.
+        M = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 5.0]])
+        with pytest.raises(SingularKktError) as exc:
+            ldlt_factor(sparse.csc_array(M))
+        assert exc.value.pivot == pytest.approx(-3.0)
+        assert exc.value.index == 1
+        assert "matrix index 1" in str(exc.value)
+
+    def test_negative_leading_pivot_names_its_index(self):
+        M = np.diag([4.0, 3.0, -2.0, 1.0])
+        with pytest.raises(SingularKktError) as exc:
+            ldlt_factor(sparse.csr_array(M))
+        assert exc.value.index == 2
+        assert exc.value.pivot == -2.0
+
+    def test_zero_diagonal_pivot_raises(self):
+        # SuperLU can only factor this by an off-diagonal pivot.
+        with pytest.raises(SingularKktError) as exc:
+            ldlt_factor(sparse.csc_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert exc.value.pivot == 0.0
+
+    def test_singular_matrix_raises_with_index(self):
+        M = np.zeros((3, 3))
+        M[0, 0] = 1.0
+        M[1, 1] = 1.0
+        with pytest.raises(SingularKktError) as exc:
+            ldlt_factor(sparse.csc_array(M))
+        assert exc.value.index == 2
+        assert exc.value.pivot == 0.0
+
+    def test_non_finite_entries_rejected(self):
+        A = sparse.csr_array(np.array([[1.0, np.nan]]))
+        with pytest.raises(InputError):
+            assemble_kkt(sparse.csr_array(np.eye(2)), A, 1.0, np.ones(1))
+
+
+class TestPickBackend:
+    @pytest.mark.parametrize("family,size", [("mpc", 100), ("lasso", 50), ("lasso", 20)])
+    def test_sparse(self, family, size):
+        assert generate(FamilySpec(family, size, seed=1)).kkt_backend == "sparse"
+
+    @pytest.mark.parametrize(
+        "family,size", [("control", 200), ("random_qp", 500), ("svm", 149), ("portfolio", 149)]
+    )
+    def test_dense_families(self, family, size):
+        assert generate(FamilySpec(family, size, seed=1)).kkt_backend == "dense"
+
+    @pytest.mark.parametrize("family", sorted(DESK_SIZES))
+    def test_small_sizes_stay_dense(self, family):
+        # below the size floor the per-call overhead of scipy.sparse dominates
+        for size in (10,) if family == "lasso" else (10, 20, 30):
+            assert generate(FamilySpec(family, size, seed=1)).kkt_backend == "dense"
+
+    def test_thresholds(self):
+        assert pick_backend(100, 500, 100) == "sparse"  # 60000 entries, 0.2% nonzero
+        assert pick_backend(100, 499, 100) == "dense"  # below the size floor
+        assert pick_backend(100, 500, 3600) == "sparse"
+        assert pick_backend(100, 500, 3601) == "dense"  # above 6% nonzero

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,44 @@ class TestCheckDescent:
         steps = record_trajectory(prob, cfg, 30)
         with pytest.raises(TheoryViolationError):
             check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
+
+
+class TestDescentStart:
+    """The descent inequality holds from a Douglas-Rachford state on, i.e.
+    from the first step whose input satisfies z = clip(z + y/r, l, u)."""
+
+    def test_consistent_cold_start_checked_from_step_zero(self):
+        # 0 lies inside every [l, u], so the cold start z = y = 0 is consistent
+        prob = random_box_qp(np.random.default_rng(41), 12, 8)
+        steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 60)
+        assert steps[0].input_gap == 0.0
+        x_s, z_s, lam_s, _ = reference_triple(prob)
+        slacks = check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
+        assert np.all(np.isfinite(slacks))
+        assert slacks[0] >= 0.0
+
+    def test_inconsistent_cold_start_is_skipped(self):
+        # svm margin rows have l = 1, so z_0 = 0 is not a projection of
+        # z_0 + y_0/r; every later input state is
+        prob = generate(FamilySpec("svm", 10, 1))
+        steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 200)
+        assert steps[0].input_gap == 1.0
+        assert max(st.input_gap for st in steps[1:]) <= 1e-12
+        x_s, z_s, lam_s, _ = reference_triple(prob)
+        slacks = check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
+        assert slacks.shape == (200,)
+        assert np.isnan(slacks[0])
+        assert np.all(np.isfinite(slacks[1:]))  # checked, and none raised
+
+    def test_skipped_step_would_violate(self):
+        # the skip is what keeps step 0 of this trajectory from failing
+        prob = generate(FamilySpec("svm", 10, 1))
+        steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 5)
+        steps[0] = replace(steps[0], input_gap=0.0)
+        x_s, z_s, lam_s, _ = reference_triple(prob)
+        with pytest.raises(TheoryViolationError) as exc:
+            check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
+        assert exc.value.iteration == 0
 
 
 class TestDriftSchedules:
