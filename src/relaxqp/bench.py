@@ -31,6 +31,7 @@ from .problem import (
     array_field,
     load_problem,
     osqp_residuals,
+    read_json_object,
     save_problem,
     write_text_atomic,
 )
@@ -404,12 +405,10 @@ def spec_from_dict(doc: dict) -> FamilySpec:
 
 def load_manifest(path) -> list:
     """Read a manifest file and enforce split seed disjointness per family."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid manifest {path}: {exc}") from exc
-    specs = [spec_from_dict(d) for d in doc.get("specs", [])]
+    entries = read_json_object(path, "manifest").get("specs", [])
+    if not isinstance(entries, list):
+        raise InputError(f"manifest {path}: field 'specs' must be a list")
+    specs = [spec_from_dict(d) for d in entries]
     seeds: dict = {}
     for s in specs:
         seeds.setdefault((s.family, s.split), set()).add(s.seed)
@@ -456,12 +455,7 @@ def ensure_instance(root, spec: FamilySpec, with_reference: bool = False):
     ref = None
     if with_reference:
         if ref_path.exists():
-            with open(ref_path) as fh:
-                try:
-                    doc = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"invalid reference file {ref_path}: {exc}") from exc
-            ref = reference_from_dict(doc, prob.n, prob.m)
+            ref = reference_from_dict(read_json_object(ref_path, "reference file"), prob.n, prob.m)
         else:
             ref = reference_solution(prob)
             write_text_atomic(ref_path, json.dumps(reference_to_dict(ref)))

@@ -23,7 +23,7 @@ from . import bench as bench_mod
 from .engine import SolverConfig, config_from_dict, config_to_dict, load_config, report_to_dict, solve
 from .errors import InputError, SolverError, TheoryViolationError
 from .policy import init_checkpoint, load_checkpoint, policy_from_checkpoint, save_checkpoint
-from .problem import load_problem
+from .problem import load_problem, read_json_object
 from .training import TrainConfig, collect_norm_stats, train
 from .verify import DriftSchedule, check_descent, reconstruct_drs, record_trajectory, run_drift_experiment
 
@@ -174,11 +174,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
-    with open(args.manifest) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid training manifest {args.manifest}: {exc}") from exc
+    doc = read_json_object(args.manifest, "training manifest")
     missing = [k for k in ("family", "train_instances", "val_instances") if k not in doc]
     if missing:
         raise InputError(f"training manifest {args.manifest} lacks fields {missing}")

@@ -26,7 +26,6 @@ Apart from the x-step, an iteration forms A x, P x and A'y once, in
 scales; the stopping rule and the penalty update read those scales.
 """
 
-import json
 import numbers
 import time
 from dataclasses import asdict, dataclass, fields
@@ -35,7 +34,15 @@ import numpy as np
 
 from .errors import DivergenceError, InputError, PolicyError
 from .linalg import LdltFactor, assemble_kkt, ldlt_factor, ldlt_solve
-from .problem import ConstraintKind, QpProblem, Residuals, objective, osqp_residuals, terminated
+from .problem import (
+    ConstraintKind,
+    QpProblem,
+    Residuals,
+    objective,
+    osqp_residuals,
+    read_json_object,
+    terminated,
+)
 
 RHO_MIN = 1e-6
 RHO_MAX = 1e6
@@ -96,12 +103,7 @@ def config_from_dict(doc: dict, cls=SolverConfig):
 
 
 def load_config(path) -> SolverConfig:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid config file {path}: {exc}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(read_json_object(path, "config file"))
 
 
 def rho_pattern(kinds: np.ndarray, rho: float) -> np.ndarray:

@@ -167,11 +167,23 @@ def _sparse_factor(M) -> LdltFactor:
         raise InputError(f"matrix must be square, got {M.shape}")
     M = sparse.csc_array(_as_sparse(M, "M"))
     try:
-        lu = splu(M, permc_spec="COLAMD", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        return LdltFactor(dim=d, lu=positive_splu(M))
     except RuntimeError:
         # SuperLU met a step with no nonzero pivot candidate; the dense
         # factorization names the failing column.
         return ldlt_factor(M.toarray())
+
+
+def positive_splu(M) -> SuperLU:
+    """SuperLU factor of the square CSC matrix M, with the COLAMD ordering
+    applied symmetrically and no pivoting, whose pivots are all positive.
+
+    Raises :class:`SingularKktError` at the first step whose pivot is not
+    positive, and RuntimeError (from SuperLU) when a step has no nonzero
+    pivot candidate at all.
+    """
+    d = M.shape[0]
+    lu = splu(M, permc_spec="COLAMD", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     # A step that took an off-diagonal pivot met a zero diagonal pivot.
     order = np.argsort(lu.perm_c)
     pivots = lu.U.diagonal()
@@ -180,7 +192,7 @@ def _sparse_factor(M) -> LdltFactor:
         step = int(bad[0])
         pivot = float(pivots[step]) if lu.perm_r[order[step]] == step else 0.0
         raise SingularKktError(step=step, index=int(order[step]), pivot=pivot)
-    return LdltFactor(dim=d, lu=lu)
+    return lu
 
 
 def ldlt_solve(F: LdltFactor, b: np.ndarray) -> np.ndarray:

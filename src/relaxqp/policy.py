@@ -28,7 +28,7 @@ from scipy.special import expit
 
 from .engine import PolicyContext
 from .errors import InputError, PolicyError
-from .problem import QpProblem, Residuals, array_field
+from .problem import QpProblem, Residuals, array_field, read_json_object
 
 FEATURE_EPS = 1e-8
 FEATURE_CLAMP = 6.0
@@ -341,9 +341,4 @@ def save_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
 
 
 def load_checkpoint(path) -> PolicyCheckpoint:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid checkpoint file {path}: {exc}") from exc
-    return checkpoint_from_dict(doc)
+    return checkpoint_from_dict(read_json_object(path, "checkpoint file"))

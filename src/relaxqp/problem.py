@@ -3,21 +3,34 @@
 A problem is  minimize 0.5 x'Px + q'x  subject to  l <= Ax <= u,  with
 entries of l, u allowed to be -inf/+inf.
 
+:class:`QpProblem` takes P and A as ndarrays or scipy.sparse matrices and
+keeps them as dense ndarrays, its public model.  It picks the problem's
+linear-algebra backend once, with :func:`relaxqp.linalg.pick_backend`, from
+the nonzero count of its input, and validates P and A in that backend's
+storage: the dense arrays, or CSR copies of their nonzeros.  What validation
+built is the problem's :attr:`QpProblem.operators`, the storage every
+product with A, A' and P goes through: the dense arrays, or CSR matrices
+equal to ``scipy.sparse.csr_array`` of them.
+
 A problem file is one JSON document ``{name, n, m, P, q, A, l, u, seed}``.
-:func:`save_problem` writes each array field as ``{"f8le_zlib_b64": s}``: s is
-the base64 of the zlib-compressed little-endian float64 bytes of the array in
-row-major order, so every value, +-inf included, round-trips bit-exactly.
+:func:`save_problem` writes q, l, u, and P and A of a dense-backend problem,
+as ``{"f8le_zlib_b64": s}``: s is the base64 of the zlib-compressed
+little-endian float64 bytes of the array in row-major order, so every value,
++-inf included, round-trips bit-exactly.  It writes P and A of a
+sparse-backend problem as ``{"csr": {"indptr": i, "indices": i, "data": f}}``:
+each i is ``{"i4le_zlib_b64": s}``, the same framing of int32 little-endian
+row pointers and column indices (sorted and unique within each row), and f
+the binary float64 values.  The CSR form stores every entry whose bit pattern
+is not zero, -0.0 included, so it round-trips bit-exactly too.
 :func:`array_field` also reads the hand-written form, a dense row-major list
 of numbers, where bounds at or beyond the +-1e30 sentinel common to QP solver
-interfaces mean +-inf.
+interfaces mean +-inf.  Every JSON input file of the package is read by
+:func:`read_json_object`.
 
 :func:`osqp_residuals` is the one place that forms A x, P x and A'y for an
 iterate: it returns the residuals together with OSQP's stopping scales, which
 the stopping rule and the solver's penalty update read instead of forming the
-products again.  It forms them, like the solver's iteration, through
-:attr:`QpProblem.operators`: CSR copies of A, A' and P on problems that
-:func:`relaxqp.linalg.pick_backend` puts on the sparse backend, the dense
-arrays themselves otherwise.
+products again.
 """
 
 import base64
@@ -33,11 +46,15 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .errors import InfeasibleBoundsError, InputError
-from .linalg import pick_backend
+from .errors import InfeasibleBoundsError, InputError, SingularKktError
+from .linalg import pick_backend, positive_splu
 
 INFINITY_SENTINEL = 1e30
 BINARY_KEY = "f8le_zlib_b64"
+BINARY_KEYS = {"<f8": BINARY_KEY, "<i4": "i4le_zlib_b64"}
+CSR_KEY = "csr"
+SYMMETRY_TOL = 1e-10  # rtol and atol of the symmetry test
+PSD_SHIFT = 1e-9
 
 
 class ConstraintKind(IntEnum):
@@ -68,6 +85,9 @@ def classify(l: np.ndarray, u: np.ndarray) -> np.ndarray:
 class QpProblem:
     """Immutable QP instance.
 
+    P and A may be given as ndarrays or scipy.sparse matrices; the fields
+    hold them as dense float64 ndarrays.
+
     Attributes
     ----------
     P : (n, n) symmetric PSD cost matrix.
@@ -76,6 +96,11 @@ class QpProblem:
     l, u : (m,) lower/upper bounds, possibly infinite.
     name : human-readable identifier.
     seed : generator seed the instance was built from (0 for hand-made data).
+    kkt_backend : ``"dense"`` or ``"sparse"``, the linear-algebra backend of
+        every solve of this problem (see :func:`relaxqp.linalg.pick_backend`).
+    operators : (A, A', P) in the storage of ``kkt_backend``: CSR matrices
+        without stored zeros on the sparse backend, the dense arrays on the
+        dense one.
     """
 
     P: np.ndarray
@@ -87,9 +112,9 @@ class QpProblem:
     seed: int = 0
 
     def __post_init__(self):
-        P = np.ascontiguousarray(np.asarray(self.P, dtype=np.float64))
+        P = _matrix_input(self.P)
+        A = _matrix_input(self.A)
         q = np.ascontiguousarray(np.asarray(self.q, dtype=np.float64))
-        A = np.ascontiguousarray(np.asarray(self.A, dtype=np.float64))
         l = np.asarray(self.l, dtype=np.float64).copy()
         u = np.asarray(self.u, dtype=np.float64).copy()
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -102,17 +127,30 @@ class QpProblem:
         m = A.shape[0]
         if l.shape != (m,) or u.shape != (m,):
             raise InputError("bound vectors must have one entry per constraint row")
-        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(q)) and np.all(np.isfinite(A))):
+        backend = pick_backend(n, m, _count_nonzero(P) + _count_nonzero(A))
+        if backend == "sparse":
+            A_op, P_op = _csr_nonzeros(A), _csr_nonzeros(P)
+            P, A = _dense(P), _dense(A)
+            operators = A_op, A_op.T.tocsr(), P_op
+            values = P_op.data, q, A_op.data
+            zero_row = np.diff(A_op.indptr) == 0
+            psd_probe = _psd_probe_csr
+        else:
+            P, A = _dense(P), _dense(A)
+            operators = A, A.T, P
+            values = P, q, A
+            zero_row = np.all(A == 0.0, axis=1)
+            psd_probe = _psd_probe
+        if not all(np.all(np.isfinite(v)) for v in values):
             raise InputError("P, q, A must be finite")
         if np.any(np.isnan(l)) or np.any(np.isnan(u)):
             raise InputError("bounds must not contain NaN")
         kinds = classify(l, u)  # also rejects l > u
         # A zero row can only carry bounds that admit Ax = 0.
-        zero_rows = np.nonzero(np.all(A == 0.0, axis=1))[0]
-        for i in zero_rows:
+        for i in np.nonzero(zero_row)[0]:
             if l[i] > 0.0 or u[i] < 0.0:
                 raise InputError(f"all-zero constraint row {i} excludes 0 and is infeasible")
-        if n and not _psd_probe(P):
+        if n and not psd_probe(operators[2]):
             raise InputError("P is not positive semidefinite (factorization probe failed)")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "q", q)
@@ -120,6 +158,8 @@ class QpProblem:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "kkt_backend", backend)
+        object.__setattr__(self, "operators", operators)
 
     @property
     def n(self) -> int:
@@ -134,35 +174,89 @@ class QpProblem:
         """Infinity norm of each row of A (a per-row policy feature)."""
         return np.max(np.abs(self.A), axis=1) if self.A.size else np.zeros(self.m)
 
-    @cached_property
-    def kkt_backend(self) -> str:
-        """``"dense"`` or ``"sparse"``: the linear-algebra backend of every
-        solve of this problem (see :func:`relaxqp.linalg.pick_backend`)."""
-        nnz = np.count_nonzero(self.A) + np.count_nonzero(self.P)
-        return pick_backend(self.n, self.m, int(nnz))
 
-    @cached_property
-    def operators(self) -> tuple:
-        """(A, A', P) in the storage of :attr:`kkt_backend`: CSR matrices on
-        the sparse backend (A' the transpose of the CSR copy of A), the dense
-        arrays on the dense one."""
-        if self.kkt_backend == "sparse":
-            A = sparse.csr_array(self.A)
-            return A, A.T.tocsr(), sparse.csr_array(self.P)
-        return self.A, self.A.T, self.P
+def _matrix_input(a):
+    # A sparse matrix becomes a CSR copy with sorted, unique indices
+    # (duplicates summed) of the index type csr_array(dense) picks; anything
+    # else a contiguous float64 ndarray.
+    if sparse.issparse(a):
+        a = sparse.csr_array(a, dtype=np.float64, copy=True)
+        a.sum_duplicates()
+        if max(*a.shape, a.nnz) <= np.iinfo(np.int32).max:
+            a.indptr, a.indices = a.indptr.astype(np.int32), a.indices.astype(np.int32)
+        return a
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+
+
+def _count_nonzero(a) -> int:
+    return int(np.count_nonzero(a.data if sparse.issparse(a) else a))
+
+
+def _csr_nonzeros(a):
+    # Equal to csr_array(dense a): the same indptr, indices and data.
+    if not sparse.issparse(a):
+        return sparse.csr_array(a)
+    a = a.copy()
+    a.eliminate_zeros()
+    return a
+
+
+def _dense(a) -> np.ndarray:
+    # Built by assignment, not by toarray(), which adds into a zero buffer and
+    # so turns a stored -0.0 into +0.0.
+    if not sparse.issparse(a):
+        return a
+    try:
+        out = np.zeros(a.shape)
+    except MemoryError as exc:
+        raise InputError(f"a {a.shape[0]}x{a.shape[1]} matrix does not fit in memory") from exc
+    out[np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices] = a.data
+    return out
 
 
 def _psd_probe(P: np.ndarray) -> bool:
     # Cheap check: P + 1e-9*I must admit a Cholesky factorization.  The shift
     # tolerates benign rounding in otherwise-PSD inputs.
-    if not np.allclose(P, P.T, rtol=1e-10, atol=1e-10):
+    if not np.allclose(P, P.T, rtol=SYMMETRY_TOL, atol=SYMMETRY_TOL):
         return False
-    shifted = P + 1e-9 * np.eye(P.shape[0])
+    shifted = P + PSD_SHIFT * np.eye(P.shape[0])
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _psd_probe_csr(P) -> bool:
+    # _psd_probe on the nonzeros of P: the same symmetry test, and P + 1e-9*I
+    # must admit the positive-pivot SuperLU factor of the sparse backend.
+    if not _symmetric_csr(P):
+        return False
+    shifted = P + sparse.diags_array(np.full(P.shape[0], PSD_SHIFT))
+    try:
+        positive_splu(sparse.csc_array(shifted))
+    except (RuntimeError, SingularKktError):
+        return False
+    return True
+
+
+def _symmetric_csr(P) -> bool:
+    # np.allclose(P, P', rtol, atol), i.e. |x - y| <= atol + rtol*|y| with
+    # x = P[i, j] and y = P[j, i], tested at every stored (i, j).  Where
+    # P[j, i] is not stored the test there, |0 - x| <= atol + rtol*|x|,
+    # follows from the one at (i, j), |x| <= atol.  P is a CSR matrix with
+    # sorted, unique indices, so its (row, column) keys ascend.
+    if P.nnz == 0:
+        return True
+    n = P.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(P.indptr))
+    cols = P.indices.astype(np.int64)
+    keys = rows * n + cols
+    mirror = cols * n + rows
+    pos = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    x = P.data
+    y = np.where(keys[pos] == mirror, x[pos], 0.0)
+    return bool(np.all(np.abs(x - y) <= SYMMETRY_TOL + SYMMETRY_TOL * np.abs(y)))
 
 
 @dataclass(frozen=True)
@@ -218,18 +312,32 @@ def terminated(res: Residuals, eps_abs: float, eps_rel: float) -> bool:
     )
 
 
-def encode_array(a: np.ndarray) -> dict:
+def encode_array(a: np.ndarray, dtype: str = "<f8") -> dict:
     """The binary array object of a problem file (see the module docstring)."""
-    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return {BINARY_KEY: base64.b64encode(zlib.compress(raw, 1)).decode("ascii")}
+    raw = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return {BINARY_KEYS[dtype]: base64.b64encode(zlib.compress(raw, 1)).decode("ascii")}
 
 
-def _decode_binary(obj: dict, key: str, size: int) -> np.ndarray:
+def encode_csr(a: np.ndarray) -> dict:
+    """The CSR matrix object of a problem file: every entry of the dense
+    matrix ``a`` whose bit pattern is not zero, -0.0 included."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    stored = a.view(np.uint64) != 0
+    indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    parts = dict(indptr=encode_array(indptr, "<i4"),
+                 indices=encode_array(np.nonzero(stored)[1], "<i4"),
+                 data=encode_array(a[stored]))
+    return {CSR_KEY: parts}
+
+
+def _decode_binary(obj: dict, key: str, size: int, dtype: str = "<f8") -> np.ndarray:
     # Inflate at most one byte past the expected size, so a small payload
     # cannot expand without bound before its length is checked.
-    nbytes = 8 * size
+    itemsize = np.dtype(dtype).itemsize
+    nbytes = itemsize * size
     try:
-        data = base64.b64decode(obj[BINARY_KEY], validate=True)
+        data = base64.b64decode(obj[BINARY_KEYS[dtype]], validate=True)
         inflater = zlib.decompressobj()
         raw = inflater.decompress(data, nbytes + 1)
     except (KeyError, TypeError, ValueError, zlib.error) as exc:
@@ -242,7 +350,33 @@ def _decode_binary(obj: dict, key: str, size: int) -> np.ndarray:
         raise InputError(f"field {key!r} has bytes after the end of its zlib stream")
     if len(raw) < nbytes:
         raise InputError(f"field {key!r} decodes to {len(raw)} bytes, expected {nbytes}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return np.frombuffer(raw, dtype=dtype).astype(np.dtype(dtype).newbyteorder("="))
+
+
+def _decode_csr(obj: dict, key: str, shape: tuple):
+    parts = obj[CSR_KEY]
+    if not isinstance(parts, dict):
+        raise InputError(f"field {key!r} holds a {CSR_KEY!r} entry that is not an object")
+    rows, cols = shape
+    indptr = _decode_binary(parts.get("indptr"), f"{key}.indptr", rows + 1, "<i4")
+    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        raise InputError(f"field '{key}.indptr' must start at 0 and never decrease")
+    nnz = int(indptr[-1])
+    if nnz > rows * cols:
+        raise InputError(
+            f"field '{key}.indptr' counts {nnz} entries, more than a {rows}x{cols} matrix holds"
+        )
+    indices = _decode_binary(parts.get("indices"), f"{key}.indices", nnz, "<i4")
+    data = _decode_binary(parts.get("data"), f"{key}.data", nnz)
+    if nnz and (indices.min() < 0 or indices.max() >= cols):
+        raise InputError(f"field '{key}.indices' holds a column index outside [0, {cols})")
+    # Within a row each index must exceed the one before it; the step into
+    # the first entry of a row is free.
+    row_start = np.zeros(nnz, dtype=bool)
+    row_start[indptr[:-1][np.diff(indptr) > 0]] = True
+    if np.any((np.diff(indices) <= 0) & ~row_start[1:]):
+        raise InputError(f"field '{key}.indices' must be sorted and unique within each row")
+    return sparse.csr_array((data, indices, indptr), shape=shape)
 
 
 def array_field(doc: dict, key: str, shape: tuple, bounds: bool = False) -> np.ndarray:
@@ -266,12 +400,27 @@ def array_field(doc: dict, key: str, shape: tuple, bounds: bool = False) -> np.n
     return flat.reshape(shape)
 
 
+def matrix_field(doc: dict, key: str, shape: tuple):
+    """``doc[key]`` as a CSR matrix of ``shape`` from a CSR matrix object,
+    otherwise as :func:`array_field` reads it."""
+    value = doc[key]
+    if isinstance(value, dict) and CSR_KEY in value:
+        return _decode_csr(value, key, shape)
+    return array_field(doc, key, shape)
+
+
 def problem_to_dict(prob: QpProblem) -> dict:
+    """The problem document; P and A take the CSR form on the sparse backend."""
+    matrix = encode_csr if prob.kkt_backend == "sparse" else encode_array
     return {
         "name": prob.name,
         "n": prob.n,
         "m": prob.m,
-        **{key: encode_array(getattr(prob, key)) for key in ("P", "q", "A", "l", "u")},
+        "P": matrix(prob.P),
+        "q": encode_array(prob.q),
+        "A": matrix(prob.A),
+        "l": encode_array(prob.l),
+        "u": encode_array(prob.u),
         "seed": prob.seed,
     }
 
@@ -280,10 +429,12 @@ def problem_from_dict(doc: dict) -> QpProblem:
     try:
         n = int(doc["n"])
         m = int(doc["m"])
+        if n < 0 or m < 0:
+            raise InputError(f"n and m must not be negative, got n={n}, m={m}")
         fields = dict(
-            P=array_field(doc, "P", (n, n)),
+            P=matrix_field(doc, "P", (n, n)),
             q=array_field(doc, "q", (n,)),
-            A=array_field(doc, "A", (m, n)),
+            A=matrix_field(doc, "A", (m, n)),
             l=array_field(doc, "l", (m,), bounds=True),
             u=array_field(doc, "u", (m,), bounds=True),
             name=str(doc.get("name", "")),
@@ -292,6 +443,21 @@ def problem_from_dict(doc: dict) -> QpProblem:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
     return QpProblem(**fields)
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file ``path``.  Bytes that are not JSON text,
+    and JSON whose top level is not an object, are an InputError naming the
+    file as ``what``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # ValueError covers undecodable bytes
+        raise InputError(f"invalid {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"invalid {what} {path}: top level is a {type(doc).__name__}, not an object")
+    return doc
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -316,9 +482,4 @@ def save_problem(prob: QpProblem, path) -> None:
 
 
 def load_problem(path) -> QpProblem:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid problem file {path}: {exc}") from exc
-    return problem_from_dict(doc)
+    return problem_from_dict(read_json_object(path, "problem file"))

@@ -271,6 +271,80 @@ class TestInputErrors:
         )
 
 
+class TestJsonFiles:
+    """Every JSON input file goes through one reader: undecodable bytes,
+    invalid JSON and a top level that is not an object end as an error line
+    naming the file, never a traceback."""
+
+    BAD = {"undecodable": b"\xff\xfe\xfd{}", "invalid": b"{not json",
+           "not_object": b'[{"a": 1}]'}
+
+    def _expect_error(self, argv, path, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("relaxqp: error: invalid ") and str(path) in err
+        assert "Traceback" not in err
+
+    @pytest.fixture(params=sorted(BAD))
+    def bad_file(self, request, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.BAD[request.param])
+        return path
+
+    def test_problem_file(self, bad_file, capsys):
+        self._expect_error(["solve", "--problem", str(bad_file)], bad_file, capsys)
+
+    def test_config_file(self, bad_file, tiny_problem_file, capsys):
+        self._expect_error(
+            ["solve", "--problem", str(tiny_problem_file), "--config", str(bad_file)], bad_file, capsys
+        )
+
+    def test_checkpoint_file(self, bad_file, tiny_problem_file, capsys):
+        self._expect_error(
+            ["solve", "--problem", str(tiny_problem_file), "--policy", "scalar",
+             "--checkpoint", str(bad_file)],
+            bad_file,
+            capsys,
+        )
+
+    def test_bench_manifest(self, bad_file, tmp_path, capsys):
+        self._expect_error(
+            ["bench", "--manifest", str(bad_file), "--store", str(tmp_path / "store")],
+            bad_file,
+            capsys,
+        )
+
+    def test_training_manifest(self, bad_file, tmp_path, capsys):
+        self._expect_error(
+            ["train", "--manifest", str(bad_file), "--store", str(tmp_path / "store"),
+             "--out", str(tmp_path / "run")],
+            bad_file,
+            capsys,
+        )
+
+    def test_reference_file(self, bad_file, tmp_path, capsys):
+        spec = FamilySpec("random_qp", 10, 5)
+        manifest = tmp_path / "m.json"
+        save_manifest([spec], manifest)
+        ensure_instance(tmp_path / "store", spec)
+        ref_path = instance_dir(tmp_path / "store", spec) / "reference.json"
+        ref_path.write_bytes(bad_file.read_bytes())
+        self._expect_error(
+            ["verify", "--manifest", str(manifest), "--store", str(tmp_path / "store"),
+             "--steps", "10", "--drift-iters", "100", "--jobs", "1"],
+            ref_path,
+            capsys,
+        )
+
+    def test_manifest_specs_not_a_list(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"specs": 5}))
+        rc = main(["bench", "--manifest", str(manifest), "--store", str(tmp_path / "store")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "'specs' must be a list" in err and "Traceback" not in err
+
+
 class TestTrainCommand:
     def test_zero_epochs_writes_initial_checkpoints(self, tmp_path):
         manifest = {

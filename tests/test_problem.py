@@ -3,8 +3,10 @@ import json
 import os
 import tempfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,14 +14,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy import sparse
 
+from relaxqp import linalg
+from relaxqp import problem as problem_mod
 from relaxqp.bench import FamilySpec, generate, reference_solution
 from relaxqp.errors import InfeasibleBoundsError, InputError
 from relaxqp.problem import (
     BINARY_KEY,
+    BINARY_KEYS,
+    CSR_KEY,
     ConstraintKind,
     QpProblem,
     classify,
+    encode_array,
     load_problem,
     objective,
     osqp_residuals,
@@ -381,3 +389,321 @@ class TestAtomicWrite:
             save_problem(replace(tiny_problem(), name="other"), path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+
+# ---------------------------------------------------------------------------
+# Sparse validation and the CSR file form.
+
+
+@contextmanager
+def forced_backend(backend):
+    """Every QpProblem built inside picks ``backend`` (the rule is read once
+    per problem, at construction)."""
+    with mock.patch.object(problem_mod, "pick_backend", lambda n, m, nnz: backend):
+        yield
+
+
+def csr_input(a: np.ndarray, extra: np.ndarray) -> sparse.csr_array:
+    """A CSR matrix of the dense ``a`` storing every entry whose bit pattern
+    is nonzero (-0.0 included) plus explicit zeros where ``extra`` is set."""
+    stored = (a.view(np.uint64) != 0) | extra
+    rows, cols = np.nonzero(stored)
+    return sparse.csr_array((a[stored], (rows, cols)), shape=a.shape)
+
+
+def construct(backend, P, q, A, l, u):
+    """(exception type or None, problem or None) of building on ``backend``."""
+    with forced_backend(backend):
+        try:
+            return None, QpProblem(P=P, q=q, A=A, l=l, u=u)
+        except InputError as exc:
+            return type(exc), None
+
+
+def assert_csr_equal(M, expected):
+    assert M.format == "csr" and M.shape == expected.shape
+    for part in ("indptr", "indices", "data"):
+        got, want = getattr(M, part), getattr(expected, part)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), part
+
+
+def assert_operators_match(prob: QpProblem):
+    """The operators of the problem's backend, as csr_array or the fields."""
+    A, AT, P = prob.operators
+    if prob.kkt_backend == "dense":
+        assert A is prob.A and P is prob.P and np.array_equal(AT, prob.A.T)
+        return
+    assert_csr_equal(A, sparse.csr_array(prob.A))
+    assert_csr_equal(AT, sparse.csr_array(prob.A).T.tocsr())
+    assert_csr_equal(P, sparse.csr_array(prob.P))
+
+
+SPARSE_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10, 10))
+
+
+@st.composite
+def raw_problems(draw):
+    """Problem data that may be rejected: P symmetric PSD, symmetric
+    indefinite or asymmetric, occasionally non-finite; zero rows of A whose
+    bounds may exclude 0; a mask of explicit zeros for the CSR input."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 4))
+    mask = draw(arrays(bool, (n, n)))
+    M = np.where(mask, draw(arrays(np.float64, (n, n), elements=SPARSE_ENTRIES)), 0.0)
+    shape = draw(st.sampled_from(["psd", "symmetric", "asymmetric"]))
+    if shape == "psd":
+        P = M @ M.T + np.diag(draw(arrays(np.float64, n, elements=st.floats(0, 1))))
+    elif shape == "symmetric":
+        P = M + M.T
+    else:
+        P = M
+    P = np.where(draw(arrays(bool, (n, n))), P, -0.0)  # signed zeros off the pattern
+    A = draw(arrays(np.float64, (m, n), elements=SPARSE_ENTRIES))
+    if draw(st.integers(0, 9)) == 0 and A.size:
+        A.flat[draw(st.integers(0, A.size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+    a = draw(arrays(np.float64, m, elements=st.sampled_from([-INF, -1.0, -0.0, 0.5, INF])))
+    b = draw(arrays(np.float64, m, elements=st.sampled_from([-INF, -0.5, 0.0, 1.0, INF])))
+    l, u = np.minimum(a, b), np.maximum(a, b)
+    q = draw(arrays(np.float64, n, elements=SPARSE_ENTRIES))
+    extra_P = draw(arrays(bool, (n, n)))
+    extra_A = draw(arrays(bool, (m, n)))
+    return P, q, A, l, u, extra_P, extra_A
+
+
+def psd_margin(P: np.ndarray) -> float:
+    """Distance of the smallest eigenvalue of P + 1e-9*I from zero."""
+    if not P.size:
+        return INF
+    return abs(np.linalg.eigvalsh(P)[0] + 1e-9)
+
+
+class TestSparseValidation:
+    """On the sparse backend, dense and CSR construction of the same data
+    agree, and agree with the dense backend."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(raw_problems())
+    def test_dense_and_csr_construction_agree(self, data):
+        P, q, A, l, u, extra_P, extra_A = data
+        err_d, from_dense = construct("sparse", P, q, A, l, u)
+        err_c, from_csr = construct("sparse", csr_input(P, extra_P), q, csr_input(A, extra_A), l, u)
+        assert err_d is err_c
+        err_b, on_dense = construct("dense", P, q, A, l, u)
+        if np.all(np.isfinite(P)) and np.allclose(P, P.T, rtol=1e-10, atol=1e-10):
+            # Cholesky and SuperLU round differently right at the boundary.
+            if psd_margin(P) < 1e-12:
+                return
+        assert err_b is err_d
+        if err_d is not None:
+            return
+        for prob in (from_csr, on_dense):
+            assert same_bits(prob, from_dense)
+            assert np.array_equal(prob.kinds, from_dense.kinds)
+        assert from_dense.kkt_backend == from_csr.kkt_backend == "sparse"
+        for prob in (from_dense, from_csr, on_dense):
+            assert_operators_match(prob)
+
+    def test_csr_input_on_the_dense_backend(self):
+        P = np.array([[2.0, -0.0], [-0.0, 1.0]])
+        A = np.array([[1.0, -0.0], [0.0, 0.0]])
+        args = dict(q=np.zeros(2), l=np.array([-1.0, -1.0]), u=np.ones(2))
+        prob = QpProblem(P=csr_input(P, np.ones((2, 2), bool)),
+                         A=csr_input(A, np.eye(2, dtype=bool)), **args)
+        assert prob.kkt_backend == "dense"
+        assert prob.P.tobytes() == P.tobytes() and prob.A.tobytes() == A.tobytes()
+        assert_operators_match(prob)
+
+    def test_duplicate_entries_are_summed(self):
+        A = sparse.coo_array(([1.0, 2.0, 4.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
+        with forced_backend("sparse"):
+            prob = QpProblem(P=sparse.csr_array(np.eye(2)), q=np.zeros(2), A=A, l=-np.ones(2),
+                             u=np.ones(2))
+        assert np.array_equal(prob.A, [[0.0, 3.0], [4.0, 0.0]])
+        assert_operators_match(prob)
+
+
+def rotated(eigenvalues, seed=0) -> np.ndarray:
+    """A dense symmetric matrix with the given eigenvalues."""
+    n = len(eigenvalues)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    P = (Q * eigenvalues) @ Q.T
+    return (P + P.T) / 2
+
+
+def off_diagonal(upper, lower) -> np.ndarray:
+    return np.array([[1.0, upper, 0.0], [lower, 1.0, 0.0], [0.0, 0.0, 2.0]])
+
+
+PSD_GRID = {
+    "eigenvalue_-1e-8": (rotated([-1e-8, 1.0, 2.0, 3.0]), False),
+    "eigenvalue_-1e-10": (rotated([-1e-10, 1.0, 2.0, 3.0]), True),
+    "indefinite": (rotated([-1.0, 1.0, 2.0, 3.0]), False),
+    "indefinite_sparse": (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), False),
+    "all_zero": (np.zeros((3, 3)), True),
+    "negative_diagonal": (np.diag([1.0, -1e-6, 1.0]), False),
+    # |x - y| <= 1e-10 + 1e-10*|y|: 1.5e-10 with y = 0.5 + 1e-10, 1e-10 with y = 0
+    "asymmetry_inside": (off_diagonal(0.5, 0.5 + 1.4e-10), True),
+    "asymmetry_outside": (off_diagonal(0.5, 0.5 + 1.6e-10), False),
+    "lone_asymmetry_inside": (off_diagonal(0.9e-10, 0.0), True),
+    "lone_asymmetry_outside": (off_diagonal(1.1e-10, 0.0), False),
+}
+
+
+class TestPsdProbe:
+    @pytest.mark.parametrize("case", sorted(PSD_GRID))
+    def test_both_probes_decide_alike(self, case):
+        P, accepted = PSD_GRID[case]
+        n = P.shape[0]
+        args = dict(q=np.zeros(n), A=np.eye(n), l=-np.ones(n), u=np.ones(n))
+        for backend, P_in in (("dense", P), ("sparse", P),
+                              ("sparse", csr_input(P, np.zeros(P.shape, bool)))):
+            err, prob = construct(backend, P_in, args["q"], args["A"], args["l"], args["u"])
+            assert (err is None) == accepted, (backend, type(P_in))
+            if not accepted:
+                assert err is InputError
+
+    def test_probe_is_not_a_traced_factorization(self, monkeypatch):
+        # The probe factors through linalg.positive_splu, so a solve's
+        # factorization count (one ldlt_factor call each) stays exact.
+        calls = []
+        monkeypatch.setattr(linalg, "ldlt_factor", lambda M: calls.append(M))
+        with forced_backend("sparse"):
+            QpProblem(P=rotated([1e-3, 1.0, 2.0]), q=np.zeros(3), A=np.eye(3),
+                      l=-np.ones(3), u=np.ones(3))
+        assert calls == []
+
+
+def sparse_problem_with_signed_zeros() -> QpProblem:
+    P = np.array([[2.0, -0.0, 0.0], [-0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    A = np.array([[1.0, -0.0, 0.0], [-0.0, -0.0, 3.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 2.0]])
+    with forced_backend("sparse"):
+        return QpProblem(P=P, q=np.array([1.0, -0.0, 2.0]), A=A,
+                         l=np.array([-1.0, -INF, -0.0, 0.0]), u=np.array([1.0, 2.0, 0.0, INF]),
+                         name="signed_zeros", seed=3)
+
+
+class TestCsrFileForm:
+    @pytest.mark.parametrize("make", [
+        lambda: generate(FamilySpec("lasso", 20, seed=1)), sparse_problem_with_signed_zeros,
+    ], ids=["lasso_n20", "signed_zeros"])
+    def test_roundtrip_bit_exact(self, tmp_path, make):
+        prob = make()
+        assert prob.kkt_backend == "sparse"
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_problem(prob, first)
+        written = json.loads(first.read_text())
+        assert set(written["P"]) == set(written["A"]) == {CSR_KEY}
+        assert set(written["q"]) == {BINARY_KEY}
+        with forced_backend("sparse"):
+            loaded = load_problem(first)
+        assert same_bits(loaded, prob) and (loaded.name, loaded.seed) == (prob.name, prob.seed)
+        assert np.array_equal(loaded.kinds, prob.kinds)
+        assert_operators_match(loaded)
+        save_problem(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_signed_zeros_are_stored(self):
+        prob = sparse_problem_with_signed_zeros()
+        doc = problem_to_dict(prob)
+        data = doc["A"][CSR_KEY]["data"][BINARY_KEY]
+        stored = np.frombuffer(zlib.decompress(base64.b64decode(data)), "<f8")
+        assert stored.tobytes() == np.array([1.0, -0.0, -0.0, -0.0, 3.0, -1.0, 2.0]).tobytes()
+        loaded = problem_from_dict(doc)  # small, so it loads on the dense backend
+        assert loaded.kkt_backend == "dense" and same_bits(loaded, prob)
+
+    def test_dense_backend_keeps_the_binary_form(self):
+        written = problem_to_dict(generate(FamilySpec("control", 10, seed=1)))
+        assert all(set(written[k]) == {BINARY_KEY} for k in "PqAlu")
+
+    @pytest.mark.parametrize("form", ["binary", "list"])
+    def test_older_forms_load_alike(self, form):
+        prob = generate(FamilySpec("lasso", 20, seed=1))
+        if form == "binary":
+            doc = {**problem_to_dict(prob), "P": encode_array(prob.P), "A": encode_array(prob.A)}
+        else:
+            doc = old_writer_dict(prob)
+        loaded = problem_from_dict(json.loads(json.dumps(doc)))
+        assert loaded.kkt_backend == "sparse"
+        assert same_bits(loaded, prob)
+        assert_operators_match(loaded)
+
+
+def i4(values) -> dict:
+    return encode_array(np.asarray(values), "<i4")
+
+
+def i4_raw(raw: bytes) -> dict:
+    return {BINARY_KEYS["<i4"]: base64.b64encode(raw).decode("ascii")}
+
+
+# Parts of the CSR field "A" of a 3x2 matrix [[1, 0], [0, 2], [1, 1]]:
+# indptr [0, 1, 2, 4], indices [0, 1, 0, 1], data [1, 2, 1, 1].
+MALFORMED_CSR = {
+    "indptr_too_short": ("indptr", i4([0, 1, 2]), "'A.indptr'"),
+    "indptr_too_long": ("indptr", i4([0, 1, 2, 4, 4]), "'A.indptr'"),
+    "indptr_not_from_zero": ("indptr", i4([1, 1, 2, 4]), "'A.indptr'"),
+    "indptr_decreasing": ("indptr", i4([0, 2, 1, 4]), "'A.indptr'"),
+    "nnz_above_size": ("indptr", i4([0, 3, 5, 7]), "'A.indptr'"),
+    "column_out_of_range": ("indices", i4([0, 2, 0, 1]), "'A.indices'"),
+    "negative_column": ("indices", i4([0, -1, 0, 1]), "'A.indices'"),
+    "unsorted_indices": ("indices", i4([0, 1, 1, 0]), "'A.indices'"),
+    "duplicate_indices": ("indices", i4([0, 1, 1, 1]), "'A.indices'"),
+    "indices_wrong_length": ("indices", i4([0, 1, 0]), "'A.indices'"),
+    "data_wrong_length": ("data", encode_array(np.ones(5)), "'A.data'"),
+    "data_bad_base64": ("data", {BINARY_KEY: "not base64!"}, "'A.data'"),
+    "indices_not_zlib": ("indices", i4_raw(b"plain bytes, no zlib header"), "'A.indices'"),
+    "indices_inflation_bomb": ("indices", i4_raw(zlib.compress(bytes(10_000_000), 9)),
+                               "'A.indices'"),
+    "data_missing": ("data", None, "'A.data'"),
+}
+
+
+class TestMalformedCsr:
+    @staticmethod
+    def doc() -> dict:
+        with forced_backend("sparse"):
+            prob = QpProblem(P=np.eye(2), q=np.zeros(2), A=np.array([[1.0, 0], [0, 2], [1, 1]]),
+                             l=-np.ones(3), u=np.ones(3))
+        return problem_to_dict(prob)
+
+    def test_base_document_loads(self):
+        assert problem_from_dict(self.doc()).A.tolist() == [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSR))
+    def test_input_error_names_field(self, case):
+        part, payload, named = MALFORMED_CSR[case]
+        doc = self.doc()
+        if payload is None:
+            del doc["A"][CSR_KEY][part]
+        else:
+            doc["A"][CSR_KEY][part] = payload
+        with pytest.raises(InputError, match=named):
+            problem_from_dict(json.loads(json.dumps(doc)))
+
+    def test_csr_entry_not_an_object(self):
+        doc = self.doc()
+        doc["A"] = {CSR_KEY: [1, 2]}
+        with pytest.raises(InputError, match="'A'"):
+            problem_from_dict(doc)
+
+    def test_dimensions_too_large_to_hold(self, monkeypatch):
+        # A few kilobytes of CSR can describe a matrix whose dense field
+        # cannot be allocated; the allocation is faked to fail.
+        n = 100_000
+        real_zeros = np.zeros
+
+        def zeros(shape, *args, **kwargs):
+            if np.prod(shape) > 10**9:
+                raise MemoryError
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        doc = {"n": n, "m": 0, "q": encode_array(np.zeros(n)), "l": [], "u": [], "A": [],
+               "P": {CSR_KEY: {"indptr": i4(np.zeros(n + 1)), "indices": i4([]),
+                               "data": encode_array(np.zeros(0))}}}
+        with pytest.raises(InputError, match="does not fit in memory"):
+            problem_from_dict(json.loads(json.dumps(doc)))
+
+    def test_negative_dimension(self):
+        with pytest.raises(InputError, match="must not be negative"):
+            problem_from_dict({**self.doc(), "m": -1})
