@@ -456,7 +456,8 @@ def read_json_object(path, what: str) -> dict:
     except (ValueError, RecursionError) as exc:  # ValueError covers undecodable bytes
         raise InputError(f"invalid {what} {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InputError(f"invalid {what} {path}: top level is a {type(doc).__name__}, not an object")
+        kind = type(doc).__name__
+        raise InputError(f"invalid {what} {path}: top level is a {kind}, not an object")
     return doc
 
 

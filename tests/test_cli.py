@@ -8,6 +8,7 @@ import pytest
 
 from relaxqp.bench import FamilySpec, ensure_instance, generate, instance_dir, save_manifest
 from relaxqp.cli import main
+from relaxqp.engine import SolverConfig, solve
 from relaxqp.policy import checkpoint_to_dict, init_checkpoint, save_checkpoint
 from relaxqp.problem import QpProblem, problem_to_dict, save_problem
 
@@ -44,6 +45,16 @@ class TestSolveCommand:
         assert main(["solve", "--problem", str(tiny_problem_file)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["kkt_backend"] == "dense"
+
+    def test_csr_problem_file(self, tmp_path, capsys):
+        prob = generate(FamilySpec("lasso", 20, 1))
+        path = tmp_path / "lasso.json"
+        save_problem(prob, path)
+        assert "csr" in json.loads(path.read_text())["A"]
+        assert main(["solve", "--problem", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["status"], report["kkt_backend"]) == ("solved", "sparse")
+        assert report["x"] == solve(prob, SolverConfig()).x.tolist()
 
     def test_max_iter_exit_two(self, random_problem_file):
         rc = main(["solve", "--problem", str(random_problem_file), "--max-iter", "1"])
@@ -297,7 +308,9 @@ class TestJsonFiles:
 
     def test_config_file(self, bad_file, tiny_problem_file, capsys):
         self._expect_error(
-            ["solve", "--problem", str(tiny_problem_file), "--config", str(bad_file)], bad_file, capsys
+            ["solve", "--problem", str(tiny_problem_file), "--config", str(bad_file)],
+            bad_file,
+            capsys,
         )
 
     def test_checkpoint_file(self, bad_file, tiny_problem_file, capsys):

@@ -489,18 +489,18 @@ class TestSparseValidation:
         err_c, from_csr = construct("sparse", csr_input(P, extra_P), q, csr_input(A, extra_A), l, u)
         assert err_d is err_c
         err_b, on_dense = construct("dense", P, q, A, l, u)
-        if np.all(np.isfinite(P)) and np.allclose(P, P.T, rtol=1e-10, atol=1e-10):
-            # Cholesky and SuperLU round differently right at the boundary.
-            if psd_margin(P) < 1e-12:
-                return
-        assert err_b is err_d
+        # Cholesky and SuperLU may round differently right at the PSD boundary.
+        at_boundary = (np.all(np.isfinite(P)) and np.allclose(P, P.T, rtol=1e-10, atol=1e-10)
+                       and psd_margin(P) < 1e-12)
+        if not at_boundary:
+            assert err_b is err_d
         if err_d is not None:
             return
-        for prob in (from_csr, on_dense):
+        assert from_dense.kkt_backend == from_csr.kkt_backend == "sparse"
+        built = [prob for prob in (from_dense, from_csr, on_dense) if prob is not None]
+        for prob in built:
             assert same_bits(prob, from_dense)
             assert np.array_equal(prob.kinds, from_dense.kinds)
-        assert from_dense.kkt_backend == from_csr.kkt_backend == "sparse"
-        for prob in (from_dense, from_csr, on_dense):
             assert_operators_match(prob)
 
     def test_csr_input_on_the_dense_backend(self):
