@@ -167,9 +167,9 @@ def _gen_lasso(size: int, seed: int) -> QpProblem:
     m = md + 2 * n
     A = np.zeros((m, dim))
     A[:md, :n] = Ad
-    A[:md, n : n + md] = -np.eye(md)
+    np.fill_diagonal(A[:md, n : n + md], -1.0)  # -np.eye would store -0.0 off the diagonal
     A[md : md + n, :n] = np.eye(n)
-    A[md : md + n, n + md :] = -np.eye(n)
+    np.fill_diagonal(A[md : md + n, n + md :], -1.0)
     A[md + n :, :n] = np.eye(n)
     A[md + n :, n + md :] = np.eye(n)
     l = np.concatenate((b, np.full(n, -np.inf), np.zeros(n)))

@@ -26,6 +26,7 @@ Apart from the x-step, an iteration forms A x, P x and A'y once, in
 scales; the stopping rule and the penalty update read those scales.
 """
 
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, fields
@@ -210,12 +211,13 @@ def iterate_once(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> Solv
 
         x_next = state.alpha_x * x_tilde + (1.0 - state.alpha_x) * x_k
         w = g * z_tilde + (1.0 - g) * z_k
-        z_next = np.clip(w + y_k / r, prob.l, prob.u)
+        z_next = (w + y_k / r).clip(prob.l, prob.u)
         y_next = y_k + r * (w - z_next)
+        # A finite sum means every entry is finite; a sum that overflows is
+        # settled by the exact test.
+        finite = math.isfinite(x_next.sum() + z_next.sum() + y_next.sum())
 
-    if not (
-        np.all(np.isfinite(x_next)) and np.all(np.isfinite(z_next)) and np.all(np.isfinite(y_next))
-    ):
+    if not (finite or all(np.isfinite(v).all() for v in (x_next, z_next, y_next))):
         raise DivergenceError(state.iter + 1)
 
     state.x_prev, state.z_prev, state.y_prev = x_k, z_k, y_k
@@ -282,9 +284,9 @@ def apply_policy(state: SolverState, policy, ctx, cfg: SolverConfig) -> SolverSt
         return state
     gamma, alpha_x = policy.propose(ctx)
     gamma = np.asarray(gamma, dtype=np.float64)
-    if not (np.all(np.isfinite(gamma)) and np.isfinite(alpha_x)):
+    if not (np.isfinite(gamma).all() and np.isfinite(alpha_x)):
         raise PolicyError(f"policy produced non-finite relaxation at iteration {state.iter}")
-    gamma = np.clip(gamma, cfg.alpha_min, cfg.alpha_max)
+    gamma = gamma.clip(cfg.alpha_min, cfg.alpha_max)
     alpha_x = float(np.clip(alpha_x, cfg.alpha_min, cfg.alpha_max))
     state.Gamma = gamma
     state.alpha_x = alpha_x
@@ -379,7 +381,7 @@ class TrajectoryRecorder:
                 gamma_values=state.Gamma.copy(),
                 alpha_x=state.alpha_x,
                 sigma=cfg.sigma,
-                input_gap=float(np.max(np.abs(z - np.clip(z + y / r, prob.l, prob.u)), initial=0.0)),
+                input_gap=float(np.abs(z - (z + y / r).clip(prob.l, prob.u)).max(initial=0.0)),
             )
         )
 

@@ -56,7 +56,7 @@ _PARAM_FIELDS = tuple(param_shapes("scalar"))
 
 def _clamped_log(v):
     with np.errstate(divide="ignore"):
-        return np.clip(np.log(v), -FEATURE_CLAMP, FEATURE_CLAMP)
+        return np.log(v).clip(-FEATURE_CLAMP, FEATURE_CLAMP)
 
 
 def extract_global(res_now: Residuals, res_prev: Residuals, rho: float, variant: str) -> np.ndarray:
@@ -89,16 +89,21 @@ def extract_rows(
 
     Slack features hit the +clamp on infinite bounds and the -clamp on active
     finite bounds; the row norm of the constraint matrix is the one entry
-    that is not log-scaled.
+    that is not log-scaled.  The residual sign is clamped with the logs, a
+    no-op on values in [-1, 1].
     """
     feats = np.empty((prob.m, 8), dtype=np.float64)
-    feats[:, 0] = _clamped_log(z - prob.l)
-    feats[:, 1] = _clamped_log(prob.u - z)
-    feats[:, 2] = _clamped_log(np.abs(r_prim))
-    feats[:, 3] = np.sign(r_prim)
-    feats[:, 4] = _clamped_log(np.abs(y))
-    feats[:, 5] = _clamped_log(np.abs(r_prim) / (np.abs(r_prim_prev) + FEATURE_EPS))
-    feats[:, 6] = _clamped_log(rho_values)
+    abs_r = np.abs(r_prim)
+    with np.errstate(divide="ignore"):
+        np.log(z - prob.l, out=feats[:, 0])
+        np.log(prob.u - z, out=feats[:, 1])
+        np.log(abs_r, out=feats[:, 2])
+        np.log(np.abs(y), out=feats[:, 4])
+        np.log(abs_r / (np.abs(r_prim_prev) + FEATURE_EPS), out=feats[:, 5])
+        np.log(rho_values, out=feats[:, 6])
+    np.sign(r_prim, out=feats[:, 3])
+    logs = feats[:, :7]
+    logs.clip(-FEATURE_CLAMP, FEATURE_CLAMP, out=logs)
     feats[:, 7] = prob.row_norms
     return feats
 
@@ -204,9 +209,11 @@ def init_checkpoint(
 
 def _layer(x, W, b, gain, offset):
     h = x @ W.T + b
-    mu = h.mean(axis=-1, keepdims=True)
-    var = h.var(axis=-1, keepdims=True)
-    h = (h - mu) / np.sqrt(var + LAYERNORM_EPS) * gain + offset
+    # h.mean and h.var spelled out as the same operations, sharing h - mean.
+    k = h.shape[-1]
+    d = h - h.sum(axis=-1, keepdims=True) / k
+    var = (d * d).sum(axis=-1, keepdims=True) / k
+    h = d / np.sqrt(var + LAYERNORM_EPS) * gain + offset
     return np.where(h > 0, h, np.expm1(h))  # ELU
 
 
@@ -222,7 +229,7 @@ def mlp_forward(ckpt: PolicyCheckpoint, x: np.ndarray) -> np.ndarray:
     h = _layer(h, ckpt.W2, ckpt.b2, ckpt.ln2_gain, ckpt.ln2_offset)
     pre = h @ ckpt.w_out + ckpt.b_out
     out = ckpt.alpha_min + (ckpt.alpha_max - ckpt.alpha_min) * expit(pre)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise PolicyError("relaxation policy produced non-finite output")
     return out
 
@@ -231,7 +238,10 @@ def vector_inputs(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Vector-variant MLP input: the solver-level features repeated on every
     row, followed by that row's own features."""
     rows = np.atleast_2d(rows)
-    return np.hstack((np.broadcast_to(phi, (rows.shape[0], phi.size)), rows))
+    out = np.empty((rows.shape[0], phi.size + rows.shape[1]))
+    out[:, : phi.size] = phi
+    out[:, phi.size :] = rows
+    return out
 
 
 def policy_inputs(ctx: PolicyContext, variant: str) -> np.ndarray:
@@ -263,7 +273,7 @@ class MlpPolicy:
         if self.ckpt.variant == "scalar":
             alpha = float(out)
             return np.full(m, alpha), alpha
-        return out, float(np.mean(out))
+        return out, float(out.mean())
 
 
 def policy_from_checkpoint(ckpt: PolicyCheckpoint) -> MlpPolicy:

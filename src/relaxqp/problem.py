@@ -30,7 +30,8 @@ interfaces mean +-inf.  Every JSON input file of the package is read by
 :func:`osqp_residuals` is the one place that forms A x, P x and A'y for an
 iterate: it returns the residuals together with OSQP's stopping scales, which
 the stopping rule and the solver's penalty update read instead of forming the
-products again.
+products again.  Its six infinity norms are taken in one reduction, and |q|
+once per problem (:attr:`QpProblem.q_norm`).
 """
 
 import base64
@@ -174,6 +175,11 @@ class QpProblem:
         """Infinity norm of each row of A (a per-row policy feature)."""
         return np.max(np.abs(self.A), axis=1) if self.A.size else np.zeros(self.m)
 
+    @cached_property
+    def q_norm(self) -> float:
+        """Infinity norm of q (a term of every dual stopping scale)."""
+        return _inf_norm(self.q)
+
 
 def _matrix_input(a):
     # A sparse matrix becomes a CSR copy with sorted, unique indices
@@ -274,7 +280,7 @@ class Residuals:
 
 
 def _inf_norm(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def objective(prob: QpProblem, x: np.ndarray) -> float:
@@ -290,16 +296,27 @@ def osqp_residuals(prob: QpProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray)
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != (prob.n,) or z.shape != (prob.m,) or y.shape != (prob.m,):
+    m, n = prob.m, prob.n
+    if x.shape != (n,) or z.shape != (m,) or y.shape != (m,):
         raise InputError("residual inputs have inconsistent dimensions")
     A, AT, P = prob.operators
     Ax, Px, ATy = A @ x, P @ x, AT @ y
     r_prim = Ax - z
     r_dual = Px + prob.q + ATy
+    vectors = r_prim, r_dual, Ax, z, Px, ATy
+    if m and n:
+        # One max per segment of one concatenation: the max is exact, so these
+        # are the per-vector norms.  reduceat gives an empty segment the entry
+        # at its offset, not 0, hence the per-vector path when n or m is 0.
+        offsets = (0, m, m + n, 2 * m + n, 3 * m + n, 3 * m + 2 * n)
+        norms = np.maximum.reduceat(np.abs(np.concatenate(vectors)), offsets).tolist()
+    else:
+        norms = [_inf_norm(v) for v in vectors]
+    r_prim_inf, r_dual_inf, Ax_inf, z_inf, Px_inf, ATy_inf = norms
     return Residuals(
-        r_prim, r_dual, _inf_norm(r_prim), _inf_norm(r_dual),
-        prim_scale=max(_inf_norm(Ax), _inf_norm(z)),
-        dual_scale=max(_inf_norm(Px), _inf_norm(ATy), _inf_norm(prob.q)),
+        r_prim, r_dual, r_prim_inf, r_dual_inf,
+        prim_scale=max(Ax_inf, z_inf),
+        dual_scale=max(Px_inf, ATy_inf, prob.q_norm),
     )
 
 

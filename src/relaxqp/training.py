@@ -101,12 +101,10 @@ def rollout(
         return RolloutRecord(prob.name, [], 0.0, 0, 0, False)
     t = cfg.stage_length
     snapshots: list[tuple[np.ndarray, np.ndarray]] = []
-    last: list = [None]
 
     def observer(state, res):
         if state.iter % t == 0:
             snapshots.append((state.x.copy(), state.y.copy()))
-        last[0] = (state.iter, state.x.copy(), state.y.copy())
 
     run_cfg = replace(cfg, max_iter=horizon)
     try:
@@ -117,9 +115,8 @@ def rollout(
         losses = [cap] * n_stages
         return RolloutRecord(prob.name, losses, cap * n_stages, horizon, 0, False)
 
-    final_iter, final_x, final_y = last[0]
-    if final_iter % t != 0:
-        snapshots.append((final_x, final_y))
+    if report.iterations % t != 0:  # the final iterate closes a partial stage
+        snapshots.append((report.x, report.y))
     losses = [
         stage_loss(x0, y0, x1, y1, x_star, lam_star, loss_eps)
         for (x0, y0), (x1, y1) in zip(snapshots[:-1], snapshots[1:])

@@ -37,6 +37,9 @@ from .problem import QpProblem, objective
 IDENTITY_RTOL = 1e-9
 DESCENT_RTOL = 1e-8
 CONSISTENCY_RTOL = 1e-9
+# Drift signs, drawn by index: SIGNS[rng.integers(0, 2, size)] is the stream
+# rng.choice((-1.0, 1.0), size) draws.
+SIGNS = np.array((-1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -237,8 +240,8 @@ def run_drift_experiment(
     for k in range(horizon):
         iterate_once(state, prob, cfg)
         r_vec, s_vec = splitting_residuals(state, cfg.sigma)
-        r_hist[k] = np.max(np.abs(r_vec))
-        s_hist[k] = np.max(np.abs(s_vec))
+        r_hist[k] = np.abs(r_vec).max()
+        s_hist[k] = np.abs(s_vec).max()
         gap_hist[k] = abs(objective(prob, state.x) - p_star)
         if r_hist[k] <= r_tol and s_hist[k] <= s_tol and gap_hist[k] <= gap_tol:
             converged = True
@@ -247,15 +250,15 @@ def run_drift_experiment(
         th_r = schedule.theta_r[k]
         th_g = schedule.theta_gamma[k]
         if th_r > 0.0:
-            signs = rng.choice((-1.0, 1.0), size=prob.m)
-            state.R = np.clip(state.R * (1.0 + signs * th_r), RHO_MIN, RHO_MAX)
+            signs = SIGNS[rng.integers(0, 2, size=prob.m)]
+            state.R = (state.R * (1.0 + signs * th_r)).clip(RHO_MIN, RHO_MAX)
             refactor(state, prob, cfg)
         if th_g > 0.0:
-            signs = rng.choice((-1.0, 1.0), size=prob.m)
-            state.Gamma = np.clip(state.Gamma * (1.0 + signs * th_g), cfg.alpha_min, cfg.alpha_max)
-            ax_sign = float(rng.choice((-1.0, 1.0)))
+            signs = SIGNS[rng.integers(0, 2, size=prob.m)]
+            state.Gamma = (state.Gamma * (1.0 + signs * th_g)).clip(cfg.alpha_min, cfg.alpha_max)
+            ax_sign = SIGNS[rng.integers(0, 2)]
             state.alpha_x = float(
-                np.clip(state.alpha_x * (1.0 + ax_sign * th_g), cfg.alpha_min, cfg.alpha_max)
+                (state.alpha_x * (1.0 + ax_sign * th_g)).clip(cfg.alpha_min, cfg.alpha_max)
             )
     return DriftResult(
         r_inf=r_hist[:iterations],

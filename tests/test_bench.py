@@ -90,6 +90,14 @@ class TestGenerators:
         assert p.n == 10 + 100 + 10
         assert p.m == 100 + 20
 
+    @pytest.mark.parametrize("size", [10, 50])
+    def test_lasso_stores_no_negative_zeros(self, size):
+        # The -1 blocks are diagonals, not negated identities: a -0.0 is a
+        # nonzero bit pattern that a bit-exact CSR problem file must store.
+        p = generate(FamilySpec("lasso", size, 1))
+        assert not np.any(np.signbit(p.A) & (p.A == 0.0))
+        assert np.count_nonzero(p.A == -1.0) == 10 * size + size
+
     def test_svm_structure(self):
         p = generate(FamilySpec("svm", 10, 1))
         assert p.n == 10 + 30

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from relaxqp.bench import FamilySpec, generate
@@ -21,6 +23,7 @@ from relaxqp.engine import (
 )
 from relaxqp import problem as problem_mod
 from relaxqp.errors import DivergenceError, InputError, PolicyError
+from relaxqp.policy import init_checkpoint, policy_from_checkpoint
 from relaxqp.problem import ConstraintKind, QpProblem, osqp_residuals
 
 from oracles import random_box_qp, relaxed_admm_transcription
@@ -129,6 +132,53 @@ class TestIterateOnce:
         with pytest.raises(DivergenceError) as exc:
             iterate_once(st, prob, cfg)
         assert exc.value.iteration == 1
+
+    @pytest.mark.parametrize("value", [INF, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("name", ["x", "z", "y"])
+    def test_divergence_from_one_non_finite_input(self, name, value):
+        prob = one_dim_box()
+        cfg = SolverConfig(adaptive_rho=False)
+        st = init_state(prob, cfg)
+        setattr(st, name, np.array([value]))
+        with pytest.raises(DivergenceError) as exc:
+            iterate_once(st, prob, cfg)
+        assert exc.value.iteration == 1 and st.iter == 0
+
+    @pytest.mark.parametrize("value", [INF, np.nan], ids=["inf", "nan"])
+    def test_divergence_in_x_alone(self, value):
+        # Without constraint rows z and y are empty: only x is non-finite.
+        prob = QpProblem(P=np.eye(2), q=np.zeros(2), A=np.zeros((0, 2)), l=np.zeros(0), u=np.zeros(0))
+        cfg = SolverConfig(adaptive_rho=False)
+        st = init_state(prob, cfg)
+        st.x = np.array([value, 0.0])
+        with pytest.raises(DivergenceError) as exc:
+            iterate_once(st, prob, cfg)
+        assert exc.value.iteration == 1
+
+    def test_divergence_in_y_alone(self):
+        # Without variables x is empty, and the bounded projection keeps z
+        # finite: only y is non-finite.
+        prob = QpProblem(P=np.zeros((0, 0)), q=np.zeros(0), A=np.zeros((2, 0)),
+                         l=-np.ones(2), u=np.ones(2))
+        cfg = SolverConfig(adaptive_rho=False)
+        st = init_state(prob, cfg)
+        st.y = np.array([INF, 0.0])
+        with pytest.raises(DivergenceError) as exc:
+            iterate_once(st, prob, cfg)
+        assert exc.value.iteration == 1
+
+    def test_finite_iterate_whose_sum_overflows_is_not_divergent(self):
+        prob = QpProblem(P=np.eye(2), q=np.zeros(2), A=np.eye(2),
+                         l=np.full(2, -INF), u=np.full(2, INF))
+        cfg = SolverConfig(adaptive_rho=False)
+        st = init_state(prob, cfg)
+        st.x = np.full(2, -1.7e308)
+        iterate_once(st, prob, cfg)
+        assert st.iter == 1
+        assert all(np.isfinite(v).all() for v in (st.x, st.z, st.y))
+        assert np.all(np.abs(st.x) > 1e308)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(st.x.sum() + st.z.sum() + st.y.sum())
 
 
 class TestTheoremResiduals:
@@ -363,6 +413,58 @@ class TestSolve:
 
         rep = solve(prob, cfg, policy=SinDrift())
         assert rep.status == "solved"
+
+
+ROW_KINDS = ("equality", "box", "lower", "upper", "loose")
+
+
+@hst.composite
+def feasible_qps(draw):
+    """Small QP with l <= A x0 <= u at a random x0: P = B B' + diag(d) is PSD
+    and may be singular; each row is an equality, a box, one-sided or loose."""
+    n = draw(hst.integers(1, 6))
+    m = draw(hst.integers(1, 6))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    B = rng.standard_normal((n, draw(hst.integers(0, n))))
+    d = rng.uniform(0.0, 1.0, size=n) * draw(hst.booleans())
+    A = rng.standard_normal((m, n))
+    Ax0 = A @ rng.standard_normal(n)
+    l = Ax0 - rng.uniform(0.0, 2.0, size=m)
+    u = Ax0 + rng.uniform(0.0, 2.0, size=m)
+    for i, kind in enumerate(draw(hst.lists(hst.sampled_from(ROW_KINDS), min_size=m, max_size=m))):
+        if kind == "equality":
+            l[i] = u[i] = Ax0[i]
+        if kind in ("upper", "loose"):
+            l[i] = -INF
+        if kind in ("lower", "loose"):
+            u[i] = INF
+    return QpProblem(P=B @ B.T + np.diag(d), q=rng.standard_normal(n), A=A, l=l, u=u)
+
+
+def vector_policy():
+    ckpt = init_checkpoint("vector", seed=3)
+    return policy_from_checkpoint(
+        replace(ckpt, w_out=np.random.default_rng(3).normal(scale=0.1, size=ckpt.w_out.size))
+    )
+
+
+class TestSolveProperties:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(feasible_qps(), hst.booleans(), hst.sampled_from(["fixed", "vector"]))
+    def test_factorizations_and_feasible_z(self, prob, adaptive, policy):
+        cfg = SolverConfig(adaptive_rho=adaptive, max_iter=300, rho_check_interval=5,
+                           stage_length=3)
+        outside = []
+
+        def observer(state, res):
+            # Only the cold start z = 0 may lie outside [l, u].
+            if state.iter and not np.all((prob.l <= state.z) & (state.z <= prob.u)):
+                outside.append(state.iter)
+
+        rep = solve(prob, cfg, policy=FixedPolicy() if policy == "fixed" else vector_policy(),
+                    observer=observer)
+        assert rep.factorizations == 1 + rep.rho_updates
+        assert outside == []
 
 
 class TestKktBackend:

@@ -8,6 +8,7 @@ from relaxqp.engine import SolverConfig
 from relaxqp.errors import TheoryViolationError
 from relaxqp.problem import QpProblem
 from relaxqp.verify import (
+    SIGNS,
     DriftSchedule,
     check_descent,
     reconstruct_drs,
@@ -179,6 +180,18 @@ class TestDriftExperiment:
         assert res.r_inf[-1] <= 1e-6
         assert res.s_inf[-1] <= 1e-6
         assert res.objective_gap[-1] <= 1e-5
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_drift_signs_are_the_choice_stream(self, seed):
+        # The drift runs draw their signs as SIGNS[rng.integers(0, 2, size)];
+        # these are the draws, and the generator state, of
+        # rng.choice((-1.0, 1.0), size), so seeded drift runs keep their signs.
+        by_index, by_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (1, 5, 23, 100, None):
+            got = SIGNS[by_index.integers(0, 2, size=size)]
+            want = by_choice.choice((-1.0, 1.0), size=size)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert by_index.random() == by_choice.random()
 
     def test_constant_drift_reports_without_asserting(self):
         prob = generate(FamilySpec("random_qp", 10, 25))
