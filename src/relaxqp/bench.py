@@ -129,7 +129,7 @@ def _gen_portfolio(size: int, seed: int) -> QpProblem:
     g = lambda tag: _rng("portfolio", size, seed, tag)
     d_diag = g("D").uniform(0.0, 1.0, size=n) * np.sqrt(k)
     F = g("F").standard_normal((n, k))
-    F *= g("Fmask").uniform(size=(n, k)) < 0.5
+    F[g("Fmask").uniform(size=(n, k)) >= 0.5] = 0.0  # F *= mask would store -0.0
     mu = g("mu").standard_normal(n)
 
     dim = n + k
@@ -141,7 +141,7 @@ def _gen_portfolio(size: int, seed: int) -> QpProblem:
     m = k + 1 + n
     A = np.zeros((m, dim))
     A[:k, :n] = F.T
-    A[:k, n:] = -np.eye(k)
+    np.fill_diagonal(A[:k, n:], -1.0)  # -np.eye would store -0.0 off the diagonal
     A[k, :n] = 1.0
     A[k + 1 :, :n] = np.eye(n)
     l = np.concatenate((np.zeros(k), [1.0], np.zeros(n)))

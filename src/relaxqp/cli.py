@@ -233,10 +233,13 @@ def _verify_one(task):
         chk = reconstruct_drs(steps, prob)
         entry["max_transition_violation"] = chk.max_transition_violation
         entry["max_perturbation_violation"] = chk.max_perturbation_violation
+        entry["worst_transition_step"] = chk.worst_transition_step
+        entry["worst_perturbation_step"] = chk.worst_perturbation_step
         z_star = np.clip(prob.A @ ref.x_star, prob.l, prob.u)
         slacks = check_descent(steps, ref.x_star, z_star, ref.lambda_star, cfg.alpha_max)
         applied = slacks[~np.isnan(slacks)]  # NaN before the first consistent state
         entry["min_descent_slack"] = float(applied.min()) if applied.size else None
+        entry["min_descent_slack_step"] = int(np.nanargmin(slacks)) if applied.size else None
         drift = run_drift_experiment(
             prob,
             DriftSchedule.inverse_square(drift_iters),

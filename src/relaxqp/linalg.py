@@ -74,13 +74,13 @@ def _as_matrix(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise InputError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputError(f"{name} contains non-finite entries")
     return a
 
 
 def _as_sparse(a, name: str):
-    if not np.all(np.isfinite(a.data)):
+    if not np.isfinite(a.data).all():
         raise InputError(f"{name} contains non-finite entries")
     return a
 
@@ -126,7 +126,7 @@ def assemble_kkt(P, A, sigma: float, r_values: np.ndarray):
         raise InputError(f"penalty vector has shape {r.shape}, expected ({m},)")
     if sigma <= 0:
         raise InputError("sigma must be positive")
-    if np.any(r <= 0):
+    if (r <= 0).any():
         raise InputError("penalty entries must be positive")
 
     if is_sparse:
@@ -136,7 +136,7 @@ def assemble_kkt(P, A, sigma: float, r_values: np.ndarray):
     B = np.sqrt(r)[:, None] * A
     H = B.T @ B  # numpy runs this transpose product as one syrk call
     H += P
-    H.flat[:: n + 1] += sigma
+    H.ravel()[:: n + 1] += sigma  # H is C-contiguous: ravel() is a view
     return H
 
 

@@ -2,15 +2,36 @@
 
 Everything here is deliberately written from first principles (normal
 equations, exhaustive enumeration, scalar loops) so that it shares no code
-path with the package implementation.
+path with the package implementation.  The exception is the per-step
+references for ``relaxqp.verify`` at the end: they drive the engine's own
+iteration and differ from the package only in working one step at a time.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from relaxqp.problem import QpProblem
+from relaxqp.engine import (
+    RHO_MAX,
+    RHO_MIN,
+    SolverConfig,
+    init_state,
+    iterate_once,
+    refactor,
+    splitting_residuals,
+)
+from relaxqp.errors import TheoryViolationError
+from relaxqp.problem import QpProblem, objective
+from relaxqp.verify import (
+    CONSISTENCY_RTOL,
+    DESCENT_RTOL,
+    IDENTITY_RTOL,
+    DriftResult,
+    DrsCheck,
+    DrsState,
+)
 
 
 def refine_solve(H: np.ndarray, rhs: np.ndarray, steps: int = 2) -> np.ndarray:
@@ -139,3 +160,151 @@ def random_box_qp(rng: np.random.Generator, n: int, m: int, name: str = "") -> Q
     l = -rng.uniform(0.1, 1.0, size=m)
     u = rng.uniform(0.1, 1.0, size=m)
     return QpProblem(P, q, A, l, u, name=name or f"box_qp_{n}x{m}")
+
+
+# ---------------------------------------------------------------------------
+# Per-step references for relaxqp.verify, which works on blocks of steps.
+# Each processes one step (or one drift iteration) at a time, in the
+# consensus space of dimension n + m, with one random draw per sign vector.
+
+
+def _stacked_step(step):
+    """Consensus-space penalty, next penalty and relaxation of one step."""
+    n = step.x.size
+    r_k = np.concatenate((np.full(n, step.sigma), step.r_values))
+    r_next = np.concatenate((np.full(n, step.sigma), step.r_next_values))
+    gamma = np.concatenate((np.full(n, step.alpha_x), step.gamma_values))
+    return r_k, r_next, gamma
+
+
+def reconstruct_drs_per_step(steps: list, prob: QpProblem, raise_on_violation: bool = True) -> DrsCheck:
+    """relaxqp.verify.reconstruct_drs, one step at a time."""
+    n = prob.n
+    states = []
+    max_trans = max_pert = 0.0
+    worst_trans = worst_pert = 0
+    for k, st in enumerate(steps):
+        r_k, r_next, gamma = _stacked_step(st)
+        lam_k = np.concatenate((np.zeros(n), st.y))
+        lam_next = np.concatenate((np.zeros(n), st.y_next))
+        sig_k = np.concatenate((st.x, st.z))
+        sig_next = np.concatenate((st.x_next, st.z_next))
+
+        y_k = lam_k + r_k * sig_k
+        y_tilde = lam_next + r_k * sig_next
+        y_next = lam_next + r_next * sig_next
+
+        e_next = np.concatenate((st.x_tilde - st.x, st.z_tilde - st.z))
+        lhs_t = y_tilde - y_k
+        rhs_t = gamma * r_k * e_next
+        v_trans = float(np.max(np.abs(lhs_t - rhs_t))) / (1.0 + float(np.max(np.abs(y_k))))
+
+        lhs_p = y_next - y_tilde
+        rhs_p = (r_next - r_k) * sig_next
+        v_pert = float(np.max(np.abs(lhs_p - rhs_p))) / (1.0 + float(np.max(np.abs(y_next))))
+
+        if raise_on_violation and (v_trans > IDENTITY_RTOL or v_pert > IDENTITY_RTOL):
+            raise TheoryViolationError(
+                f"dual-state identity violated: transition={v_trans:.3e} perturbation={v_pert:.3e}",
+                iteration=k,
+            )
+        if v_trans > max_trans:
+            max_trans, worst_trans = v_trans, k
+        if v_pert > max_pert:
+            max_pert, worst_pert = v_pert, k
+        states.append(DrsState(y=y_next, y_tilde=y_tilde, lam=lam_next, sigma=sig_next))
+    return DrsCheck(states, max_trans, max_pert, worst_trans, worst_pert)
+
+
+def check_descent_per_step(
+    steps: list,
+    x_star: np.ndarray,
+    z_star: np.ndarray,
+    lam_star: np.ndarray,
+    alpha_max: float,
+    raise_on_violation: bool = True,
+) -> np.ndarray:
+    """relaxqp.verify.check_descent, one step at a time."""
+    kappa = 2.0 / alpha_max - 1.0
+    n = x_star.size
+    slacks = np.full(len(steps), np.nan)
+    consistent = False
+    for k, st in enumerate(steps):
+        if not consistent:
+            scale = 1.0 + float(np.max(np.abs(st.z), initial=0.0))
+            scale += float(np.max(np.abs(st.y / st.r_values), initial=0.0))
+            consistent = st.input_gap <= CONSISTENCY_RTOL * scale
+            if not consistent:
+                continue
+        r_k, _, gamma = _stacked_step(st)
+        h = 1.0 / (gamma * r_k)
+        lam_full = np.concatenate((np.zeros(n), lam_star))
+        sig_star = np.concatenate((x_star, z_star))
+        y_star = lam_full + r_k * sig_star
+
+        y_k = np.concatenate((np.zeros(n), st.y)) + r_k * np.concatenate((st.x, st.z))
+        y_tilde = np.concatenate((np.zeros(n), st.y_next)) + r_k * np.concatenate(
+            (st.x_next, st.z_next)
+        )
+
+        a = float(np.sum(h * (y_k - y_star) ** 2))
+        b = float(np.sum(h * (y_tilde - y_star) ** 2))
+        c = float(np.sum(h * (y_tilde - y_k) ** 2))
+        slack = a - b - kappa * c
+        slacks[k] = slack
+        if raise_on_violation and slack < -DESCENT_RTOL * (1.0 + a):
+            raise TheoryViolationError(
+                f"descent inequality violated: slack={slack:.3e} vs a={a:.3e}", iteration=k
+            )
+    return slacks
+
+
+def drift_per_step(
+    prob: QpProblem,
+    schedule,
+    horizon: int,
+    cfg: SolverConfig,
+    p_star: float,
+    seed: int = 0,
+    r_tol: float = 1e-6,
+    s_tol: float = 1e-6,
+    gap_tol: float = 1e-5,
+) -> DriftResult:
+    """relaxqp.verify.run_drift_experiment, one draw call per sign vector."""
+    rng = np.random.default_rng(seed)
+    cfg = replace(cfg, adaptive_rho=False, max_iter=max(horizon, 1))
+    state = init_state(prob, cfg)
+    r_hist = np.empty(horizon)
+    s_hist = np.empty(horizon)
+    gap_hist = np.empty(horizon)
+    converged = False
+    iterations = horizon
+    for k in range(horizon):
+        iterate_once(state, prob, cfg)
+        r_vec, s_vec = splitting_residuals(state, cfg.sigma)
+        r_hist[k] = np.abs(r_vec).max()
+        s_hist[k] = np.abs(s_vec).max()
+        gap_hist[k] = abs(objective(prob, state.x) - p_star)
+        if r_hist[k] <= r_tol and s_hist[k] <= s_tol and gap_hist[k] <= gap_tol:
+            converged = True
+            iterations = k + 1
+            break
+        th_r = schedule.theta_r[k]
+        th_g = schedule.theta_gamma[k]
+        if th_r > 0.0:
+            signs = rng.choice((-1.0, 1.0), size=prob.m)
+            state.R = np.clip(state.R * (1.0 + signs * th_r), RHO_MIN, RHO_MAX)
+            refactor(state, prob, cfg)
+        if th_g > 0.0:
+            signs = rng.choice((-1.0, 1.0), size=prob.m)
+            state.Gamma = np.clip(state.Gamma * (1.0 + signs * th_g), cfg.alpha_min, cfg.alpha_max)
+            ax_sign = rng.choice((-1.0, 1.0))
+            alpha_x = state.alpha_x * (1.0 + ax_sign * th_g)
+            state.alpha_x = float(np.clip(alpha_x, cfg.alpha_min, cfg.alpha_max))
+    return DriftResult(
+        r_inf=r_hist[:iterations],
+        s_inf=s_hist[:iterations],
+        objective_gap=gap_hist[:iterations],
+        converged=converged,
+        iterations=iterations,
+    )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -97,6 +99,13 @@ class TestGenerators:
         p = generate(FamilySpec("lasso", size, 1))
         assert not np.any(np.signbit(p.A) & (p.A == 0.0))
         assert np.count_nonzero(p.A == -1.0) == 10 * size + size
+
+    @pytest.mark.parametrize("size", [10, 20, 149])
+    def test_portfolio_stores_no_negative_zeros(self, size):
+        p = generate(FamilySpec("portfolio", size, 3))
+        assert not np.any(np.signbit(p.A) & (p.A == 0.0))
+        k = math.ceil(size / 10)
+        assert np.count_nonzero(p.A[:k, size:] == -1.0) == k
 
     def test_svm_structure(self):
         p = generate(FamilySpec("svm", 10, 1))

@@ -11,6 +11,7 @@ from relaxqp.cli import main
 from relaxqp.engine import SolverConfig, solve
 from relaxqp.policy import checkpoint_to_dict, init_checkpoint, save_checkpoint
 from relaxqp.problem import QpProblem, problem_to_dict, save_problem
+from relaxqp.verify import check_descent, reconstruct_drs, record_trajectory
 
 
 @pytest.fixture()
@@ -418,6 +419,17 @@ class TestVerifyCommand:
         assert doc[0]["max_perturbation_violation"] <= 1e-9
         assert doc[0]["min_descent_slack"] >= -1e-8
         assert doc[0]["drift_converged"] is True
+        for key in ("worst_transition_step", "worst_perturbation_step", "min_descent_slack_step"):
+            assert isinstance(doc[0][key], int) and 0 <= doc[0][key] < 100
+        # the step fields locate the reported extremes
+        prob, ref = ensure_instance(tmp_path / "store", FamilySpec("random_qp", 10, 5), with_reference=True)
+        steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 100)
+        chk = reconstruct_drs(steps, prob)
+        assert (chk.worst_transition_step, chk.worst_perturbation_step) == (
+            doc[0]["worst_transition_step"], doc[0]["worst_perturbation_step"])
+        z_star = np.clip(prob.A @ ref.x_star, prob.l, prob.u)
+        slacks = check_descent(steps, ref.x_star, z_star, ref.lambda_star, SolverConfig().alpha_max)
+        assert slacks[doc[0]["min_descent_slack_step"]] == doc[0]["min_descent_slack"]
 
     def test_fault_injection_nonzero_exit(self, tmp_path, inject_relaxation_fault):
         spec = FamilySpec("random_qp", 10, 5)

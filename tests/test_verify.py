@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from relaxqp import verify
 from relaxqp.bench import FamilySpec, generate, reference_solution
 from relaxqp.engine import SolverConfig
-from relaxqp.errors import TheoryViolationError
-from relaxqp.problem import QpProblem
+from relaxqp.errors import InputError, TheoryViolationError
+from relaxqp.problem import QpProblem, objective
 from relaxqp.verify import (
     SIGNS,
     DriftSchedule,
@@ -16,7 +17,12 @@ from relaxqp.verify import (
     run_drift_experiment,
 )
 
-from oracles import random_box_qp
+from oracles import (
+    check_descent_per_step,
+    drift_per_step,
+    random_box_qp,
+    reconstruct_drs_per_step,
+)
 
 
 def reference_triple(prob):
@@ -224,3 +230,156 @@ class TestDriftExperiment:
         total = np.sum(sq)
         tail = np.sum(sq[5000:])
         assert tail <= 1e-6 * max(total, 1e-30)
+
+
+def no_constraints_problem():
+    B = np.random.default_rng(51).standard_normal((6, 6))
+    return QpProblem(P=B.T @ B / 6 + 0.1 * np.eye(6), q=np.arange(6.0) - 2.5,
+                     A=np.zeros((0, 6)), l=np.zeros(0), u=np.zeros(0))
+
+
+def bits(v) -> bytes:
+    return np.asarray(v).tobytes()
+
+
+def assert_same_check(got, want):
+    assert len(got.states) == len(want.states)
+    for g, w in zip(got.states, want.states):
+        for field in ("y", "y_tilde", "lam", "sigma"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert a.shape == b.shape and bits(a) == bits(b), field
+    assert type(got.max_transition_violation) is float
+    assert bits(got.max_transition_violation) == bits(want.max_transition_violation)
+    assert bits(got.max_perturbation_violation) == bits(want.max_perturbation_violation)
+    assert got.worst_transition_step == want.worst_transition_step
+    assert got.worst_perturbation_step == want.worst_perturbation_step
+
+
+# BLOCK_ENTRIES values: one-step blocks; 7, 28 and 466 steps a block on the
+# three trajectories below (a short last block on the first two); the
+# shipped size.
+BLOCK_SIZES = [1, 2800, verify.BLOCK_ENTRIES]
+
+
+class TestBlocksMatchPerStep:
+    """The block-wise checks return, bit for bit, what a step-by-step
+    evaluation returns, and raise at the same step with the same message."""
+
+    def _trajectory_cases(self):
+        cases = []
+        # 400 consensus entries: 20 steps a block, 10 blocks at the shipped size
+        prob = random_box_qp(np.random.default_rng(50), 150, 250)
+        steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 200)
+        ref = reference_solution(prob)
+        z_s = np.clip(prob.A @ ref.x_star, prob.l, prob.u)
+        cases.append((prob, steps, (ref.x_star, z_s, ref.lambda_star)))
+        # m = 0: the constraint block is empty
+        prob = no_constraints_problem()
+        steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 40)
+        cases.append((prob, steps, (np.linalg.solve(prob.P, -prob.q), np.zeros(0), np.zeros(0))))
+        # 0 is outside [l, u]: the cold start is skipped, its slack is NaN
+        prob = generate(FamilySpec("svm", 10, 1))
+        steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 120)
+        x_s, z_s, lam_s, _ = reference_triple(prob)
+        cases.append((prob, steps, (x_s, z_s, lam_s)))
+        return cases
+
+    @pytest.mark.parametrize("block_entries", BLOCK_SIZES)
+    def test_states_violations_and_slacks(self, monkeypatch, block_entries):
+        cases = self._trajectory_cases()
+        monkeypatch.setattr(verify, "BLOCK_ENTRIES", block_entries)
+        nan_prefixes = []
+        for prob, steps, (x_s, z_s, lam_s) in cases:
+            assert_same_check(reconstruct_drs(steps, prob), reconstruct_drs_per_step(steps, prob))
+            got = check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
+            want = check_descent_per_step(steps, x_s, z_s, lam_s, alpha_max=1.95)
+            assert bits(got) == bits(want)
+            nan_prefixes.append(int(np.isnan(got).sum()))
+        assert nan_prefixes == [0, 0, 1]
+
+    @pytest.mark.parametrize("block_entries", BLOCK_SIZES)
+    def test_fault_raises_at_the_same_step(self, monkeypatch, inject_relaxation_fault, block_entries):
+        prob = generate(FamilySpec("random_qp", 10, 22))
+        x_s, z_s, lam_s, _ = reference_triple(prob)
+        inject_relaxation_fault()
+        steps = record_trajectory(prob, SolverConfig(adaptive_rho=False), 30)
+        monkeypatch.setattr(verify, "BLOCK_ENTRIES", block_entries)
+        for check, reference, args in (
+            (reconstruct_drs, reconstruct_drs_per_step, (steps, prob)),
+            (check_descent, check_descent_per_step, (steps, x_s, z_s, lam_s, 1.95)),
+        ):
+            with pytest.raises(TheoryViolationError) as got:
+                check(*args)
+            with pytest.raises(TheoryViolationError) as want:
+                reference(*args)
+            assert str(got.value) == str(want.value)
+            assert got.value.iteration == want.value.iteration
+        assert_same_check(reconstruct_drs(steps, prob, raise_on_violation=False),
+                          reconstruct_drs_per_step(steps, prob, raise_on_violation=False))
+        got = check_descent(steps, x_s, z_s, lam_s, 1.95, raise_on_violation=False)
+        want = check_descent_per_step(steps, x_s, z_s, lam_s, 1.95, raise_on_violation=False)
+        assert bits(got) == bits(want)
+
+    def test_worst_steps_locate_the_maxima(self):
+        prob = random_box_qp(np.random.default_rng(21), 15, 10)
+        steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 200)
+        chk = reconstruct_drs(steps, prob)
+        assert 0.0 < chk.max_transition_violation
+        assert 0.0 < chk.max_perturbation_violation  # adaptive rho moved the metric
+        assert chk.worst_transition_step != chk.worst_perturbation_step
+        # the states alone do not carry the violations; the per-step
+        # reference, which tracks the first step of each maximum, does
+        want = reconstruct_drs_per_step(steps, prob)
+        assert (chk.worst_transition_step, chk.worst_perturbation_step) == (
+            want.worst_transition_step, want.worst_perturbation_step)
+
+    @pytest.mark.parametrize("block_entries", [50, verify.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("schedule", ["inverse_square", "constant", "zero"])
+    def test_drift_histories(self, monkeypatch, schedule, block_entries):
+        # 1000 iterations are not a whole number of draw blocks: m = 9 draws
+        # 19 signs an iteration, 431 iterations a block at the shipped size,
+        # 2 at 50 entries
+        prob = random_box_qp(np.random.default_rng(30), 12, 9)
+        p_star = objective(prob, reference_solution(prob).x_star)
+        sch = getattr(DriftSchedule, schedule)(1000)
+        monkeypatch.setattr(verify, "BLOCK_ENTRIES", block_entries)
+        got = run_drift_experiment(prob, sch, 1000, SolverConfig(), p_star, seed=3)
+        want = drift_per_step(prob, sch, 1000, SolverConfig(), p_star, seed=3)
+        for field in ("r_inf", "s_inf", "objective_gap"):
+            assert bits(getattr(got, field)) == bits(getattr(want, field)), field
+        assert (got.converged, got.iterations) == (want.converged, want.iterations)
+        if schedule == "constant":
+            assert got.iterations == 1000  # ran past every block boundary
+
+    def test_drift_without_constraints(self):
+        prob = no_constraints_problem()
+        p_star = objective(prob, np.linalg.solve(prob.P, -prob.q))
+        sch = DriftSchedule.inverse_square(500)
+        got = run_drift_experiment(prob, sch, 500, SolverConfig(), p_star, seed=4)
+        want = drift_per_step(prob, sch, 500, SolverConfig(), p_star, seed=4)
+        assert bits(got.r_inf) == bits(want.r_inf) and bits(got.s_inf) == bits(want.s_inf)
+        assert bits(got.objective_gap) == bits(want.objective_gap)
+        assert got.iterations == want.iterations
+
+    def test_short_relaxation_schedule_is_an_input_error(self):
+        prob = random_box_qp(np.random.default_rng(30), 4, 3)
+        sch = DriftSchedule.zero(10)
+        sch = DriftSchedule(sch.theta_r, sch.theta_gamma[:5], sch.description, sch.summable)
+        with pytest.raises(InputError):
+            run_drift_experiment(prob, sch, 10, SolverConfig(), 0.0)
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 23, 150])
+    @pytest.mark.parametrize("iterations", [1, 7])
+    def test_one_bulk_draw_is_the_per_call_draws(self, m, iterations):
+        # A drift run draws a block's signs at once: m for R, m for Gamma
+        # and one for alpha_x per iteration.  They are the draws of one call
+        # per sign vector, and leave the generator in the same state.
+        per_call, bulk = np.random.default_rng(11), np.random.default_rng(11)
+        want = []
+        for _ in range(iterations):
+            want.append(per_call.integers(0, 2, size=m))
+            want.append(per_call.integers(0, 2, size=m))
+            want.append(np.array([per_call.integers(0, 2)]))
+        got = bulk.integers(0, 2, size=iterations * (2 * m + 1))
+        assert got.tobytes() == np.concatenate(want).astype(got.dtype).tobytes()
+        assert per_call.random() == bulk.random()
