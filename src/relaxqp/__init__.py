@@ -1,4 +1,6 @@
-"""relaxqp: dense OSQP-form ADMM solver with adaptive per-constraint relaxation."""
+"""relaxqp: a quadratic-program solver built on the consensus ADMM splitting used by
+OSQP-style solvers, with dense and sparse linear algebra, extended with
+per-constraint, time-varying relaxation parameters."""
 
 from .bench import FamilySpec, ReferenceSolution, generate, reference_solution
 from .engine import (

@@ -339,19 +339,13 @@ def reference_solution(prob: QpProblem, cfg: SolverConfig | None = None) -> Refe
     if cfg is None:
         cfg = SolverConfig()
     cfg = replace(cfg, eps_abs=1e-9, eps_rel=1e-9, adaptive_rho=True, max_iter=200000)
-    final_z = [None]
-
-    def observer(state, res):
-        final_z[0] = state.z
-
-    report = solve(prob, cfg, policy=None, observer=observer)
+    report = solve(prob, cfg, policy=None)
     if report.status != "solved":
         raise ReferenceFailureError(
             f"reference solve hit max_iter={cfg.max_iter} on {prob.name!r}"
         )
-    z = final_z[0]
-    res = osqp_residuals(prob, report.x, z, report.y)
-    kkt_error = max(res.r_prim_inf, res.r_dual_inf, complementarity_inf(prob, z, report.y))
+    res = osqp_residuals(prob, report.x, report.z, report.y)
+    kkt_error = max(res.r_prim_inf, res.r_dual_inf, complementarity_inf(prob, report.z, report.y))
     if kkt_error > REFERENCE_KKT_TOL:
         raise ReferenceFailureError(
             f"reference KKT error {kkt_error:.3e} above {REFERENCE_KKT_TOL} on {prob.name!r}"

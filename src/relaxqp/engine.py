@@ -28,6 +28,7 @@ scales; the stopping rule and the penalty update read those scales.
 
 import math
 import numbers
+import operator
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -130,12 +131,11 @@ class SolverState:
     frozen: bool = False
     n_factorizations: int = 1
     # Unrelaxed KKT-solve outputs of the most recent iteration, kept for the
-    # convergence-theory residuals and the trajectory recorder.
+    # convergence-theory residuals and the recorded trajectories.
     x_tilde: np.ndarray | None = None
     z_tilde: np.ndarray | None = None
     x_prev: np.ndarray | None = None
     z_prev: np.ndarray | None = None
-    y_prev: np.ndarray | None = None
     R_prev_values: np.ndarray | None = None
 
 
@@ -150,6 +150,7 @@ class SolveReport:
     residual_history: list
     objective: float
     x: np.ndarray
+    z: np.ndarray
     y: np.ndarray
 
 
@@ -163,6 +164,7 @@ def report_to_dict(rep: SolveReport) -> dict:
         "runtime_seconds": rep.runtime_seconds,
         "objective": rep.objective,
         "x": rep.x.tolist(),
+        "z": rep.z.tolist(),
         "y": rep.y.tolist(),
         "residual_history": [[int(i), float(rp), float(rd)] for i, rp, rd in rep.residual_history],
     }
@@ -220,7 +222,7 @@ def iterate_once(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> Solv
     if not (finite or all(np.isfinite(v).all() for v in (x_next, z_next, y_next))):
         raise DivergenceError(state.iter + 1)
 
-    state.x_prev, state.z_prev, state.y_prev = x_k, z_k, y_k
+    state.x_prev, state.z_prev = x_k, z_k
     state.R_prev_values = r
     state.x_tilde, state.z_tilde = x_tilde, z_tilde
     state.x, state.z, state.y = x_next, z_next, y_next
@@ -336,7 +338,8 @@ class FixedPolicy:
 
 @dataclass
 class TrajectoryStep:
-    """Everything the theory verifier needs about one iteration."""
+    """Everything the theory verifier needs about one iteration; the arrays
+    are views of the step's rows of a :class:`Trajectory`."""
 
     x: np.ndarray
     z: np.ndarray
@@ -358,53 +361,80 @@ class TrajectoryStep:
     input_gap: float
 
 
-class TrajectoryRecorder:
-    """Collects per-iteration snapshots during a solve."""
+class Trajectory:
+    """Preallocated columns of a solve run under ``cfg``, filled as its observer.
 
-    def __init__(self):
-        self.steps: list[TrajectoryStep] = []
+    Row k of ``x``, ``z``, ``y`` and ``r`` (the penalty) is step k's input and
+    row k + 1 its output, so each iterate is stored once; ``x_tilde``,
+    ``z_tilde``, ``gamma``, ``alpha_x`` and ``input_gap`` have one row per
+    step.  ``steps[k]`` is step k as a :class:`TrajectoryStep`.  Call
+    :meth:`finish` after the solve: a penalty update can follow the last
+    observed iteration, so the last penalty row comes from the final state.
+    """
 
-    def on_step(self, state: SolverState, prob: QpProblem, cfg: SolverConfig) -> None:
-        z, y, r = state.z_prev, state.y_prev, state.R_prev_values
-        self.steps.append(
-            TrajectoryStep(
-                x=state.x_prev.copy(),
-                z=state.z_prev.copy(),
-                y=state.y_prev.copy(),
-                x_tilde=state.x_tilde.copy(),
-                z_tilde=state.z_tilde.copy(),
-                x_next=state.x.copy(),
-                z_next=state.z.copy(),
-                y_next=state.y.copy(),
-                r_values=state.R_prev_values.copy(),
-                r_next_values=state.R.copy(),
-                gamma_values=state.Gamma.copy(),
-                alpha_x=state.alpha_x,
-                sigma=cfg.sigma,
-                input_gap=float(np.abs(z - (z + y / r).clip(prob.l, prob.u)).max(initial=0.0)),
-            )
+    def __init__(self, prob: QpProblem, cfg: SolverConfig):
+        rows, n, m = cfg.max_iter, prob.n, prob.m
+        self.x = np.empty((rows + 1, n))
+        self.z = np.empty((rows + 1, m))
+        self.y = np.empty((rows + 1, m))
+        self.r = np.empty((rows + 1, m))
+        self.x_tilde = np.empty((rows, n))
+        self.z_tilde = np.empty((rows, m))
+        self.gamma = np.empty((rows, m))
+        self.alpha_x = np.empty(rows)
+        self.input_gap = np.empty(rows)
+        self.sigma = cfg.sigma
+        self._bounds = prob.l, prob.u
+        self._state = None
+
+    def __call__(self, state: SolverState, res: Residuals) -> None:
+        k = state.iter
+        self.x[k], self.z[k], self.y[k] = state.x, state.z, state.y
+        if k:
+            i = k - 1
+            self.r[i] = state.R_prev_values
+            self.x_tilde[i], self.z_tilde[i] = state.x_tilde, state.z_tilde
+            self.gamma[i], self.alpha_x[i] = state.Gamma, state.alpha_x
+            z, y = self.z[i], self.y[i]
+            self.input_gap[i] = np.abs(z - (z + y / self.r[i]).clip(*self._bounds)).max(initial=0.0)
+        self._state = state
+
+    def finish(self) -> "Trajectory":
+        """Cut the rows to the iterations the solve ran and read the last
+        penalty row from its final state, which is then let go."""
+        state, self._state = self._state, None
+        k = state.iter
+        self.x, self.z, self.y, self.r = (a[: k + 1] for a in (self.x, self.z, self.y, self.r))
+        self.r[k] = state.R
+        self.x_tilde, self.z_tilde, self.gamma, self.alpha_x, self.input_gap = (
+            a[:k] for a in (self.x_tilde, self.z_tilde, self.gamma, self.alpha_x, self.input_gap)
         )
+        return self
 
-    def finalize_step_params(self, state: SolverState) -> None:
-        # R may change after the step (penalty update); the metric used by the
-        # *next* step is what the perturbation identity needs.
-        if self.steps:
-            self.steps[-1].r_next_values = state.R.copy()
+    def __len__(self) -> int:
+        return self.alpha_x.shape[0]
+
+    def __getitem__(self, k) -> TrajectoryStep:
+        k = range(len(self))[operator.index(k)]  # negative counts from the end
+        return TrajectoryStep(
+            x=self.x[k], z=self.z[k], y=self.y[k], x_tilde=self.x_tilde[k], z_tilde=self.z_tilde[k],
+            x_next=self.x[k + 1], z_next=self.z[k + 1], y_next=self.y[k + 1],
+            r_values=self.r[k], r_next_values=self.r[k + 1], gamma_values=self.gamma[k],
+            alpha_x=float(self.alpha_x[k]), sigma=self.sigma, input_gap=float(self.input_gap[k]),
+        )
 
 
 def solve(
-    prob: QpProblem,
-    cfg: SolverConfig,
-    policy=None,
-    observer=None,
-    recorder: TrajectoryRecorder | None = None,
+    prob: QpProblem, cfg: SolverConfig, policy=None, observer=None, recorder=None
 ) -> SolveReport:
     """Run the ADMM loop to termination or cfg.max_iter.
 
     ``observer(state, residuals)`` is called after every iteration (and once
-    at iteration 0); ``recorder`` captures full per-step snapshots for the
-    theory verifier.
+    at iteration 0); a :class:`Trajectory` observer records every step for
+    the theory verifier.  ``recorder`` is accepted only as None.
     """
+    if recorder is not None:
+        raise InputError("solve takes no recorder; pass a Trajectory as the observer")
     t0 = time.perf_counter()
     state = init_state(prob, cfg)
     res = osqp_residuals(prob, state.x, state.z, state.y)
@@ -416,24 +446,18 @@ def solve(
     status = "max_iter"
     while state.iter < cfg.max_iter:
         iterate_once(state, prob, cfg)
-        if recorder is not None:
-            recorder.on_step(state, prob, cfg)
         res = osqp_residuals(prob, state.x, state.z, state.y)
         history.append((state.iter, res.r_prim_inf, res.r_dual_inf))
         if observer is not None:
             observer(state, res)
         if terminated(res, cfg.eps_abs, cfg.eps_rel):
             status = "solved"
-            if recorder is not None:
-                recorder.finalize_step_params(state)
             break
         if cfg.adaptive_rho and state.iter % cfg.rho_check_interval == 0:
             maybe_update_rho(state, res, prob, cfg)
         if policy is not None and state.iter % cfg.stage_length == 0:
             apply_policy(state, policy, policy_context(prob, state, res, stage_res), cfg)
             stage_res = res
-        if recorder is not None:
-            recorder.finalize_step_params(state)
 
     runtime = time.perf_counter() - t0
     return SolveReport(
@@ -446,5 +470,6 @@ def solve(
         residual_history=history,
         objective=objective(prob, state.x),
         x=state.x.copy(),
+        z=state.z.copy(),
         y=state.y.copy(),
     )

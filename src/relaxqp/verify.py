@@ -23,8 +23,7 @@ from .engine import (
     RHO_MAX,
     RHO_MIN,
     SolverConfig,
-    TrajectoryRecorder,
-    TrajectoryStep,
+    Trajectory,
     init_state,
     iterate_once,
     refactor,
@@ -73,13 +72,6 @@ def _blocks(start: int, stop: int, width: int):
         yield k0, min(k0 + rows, stop)
 
 
-def _rows(block: list, field: str) -> np.ndarray:
-    """One row per step of the named field: (steps, size) for an array
-    field, (steps, 1) for a scalar one."""
-    a = np.array([getattr(st, field) for st in block], dtype=np.float64)
-    return a if a.ndim == 2 else a[:, None]
-
-
 def _consensus(n: int, decision, constraint: np.ndarray) -> np.ndarray:
     """Consensus-space rows: ``decision`` (broadcast) in the first n
     columns, ``constraint`` (steps, m) in the last m."""
@@ -96,7 +88,7 @@ def _worst(violations: np.ndarray) -> tuple[float, int]:
     return max(0.0, float(ranked[k])), k
 
 
-def reconstruct_drs(steps: list, prob: QpProblem, raise_on_violation: bool = True) -> DrsCheck:
+def reconstruct_drs(steps: Trajectory, prob: QpProblem, raise_on_violation: bool = True) -> DrsCheck:
     """Rebuild the dual states of a recorded trajectory and verify the
     transition and perturbation identities at every step.
 
@@ -110,21 +102,20 @@ def reconstruct_drs(steps: list, prob: QpProblem, raise_on_violation: bool = Tru
     v_trans = np.empty(len(steps))
     v_pert = np.empty(len(steps))
     for k0, k1 in _blocks(0, len(steps), n + prob.m):
-        block = steps[k0:k1]
-        sigma = _rows(block, "sigma")
-        r_k = _consensus(n, sigma, _rows(block, "r_values"))
-        r_next = _consensus(n, sigma, _rows(block, "r_next_values"))
-        gamma = _consensus(n, _rows(block, "alpha_x"), _rows(block, "gamma_values"))
-        lam_k = _consensus(n, 0.0, _rows(block, "y"))
-        lam_next = _consensus(n, 0.0, _rows(block, "y_next"))
-        sig_k = _consensus(n, _rows(block, "x"), _rows(block, "z"))
-        sig_next = _consensus(n, _rows(block, "x_next"), _rows(block, "z_next"))
+        # Step k's input is row k of the iterates and penalties, its output row k + 1.
+        r = _consensus(n, steps.sigma, steps.r[k0 : k1 + 1])
+        lam = _consensus(n, 0.0, steps.y[k0 : k1 + 1])
+        sig = _consensus(n, steps.x[k0 : k1 + 1], steps.z[k0 : k1 + 1])
+        r_k, r_next = r[:-1], r[1:]
+        lam_k, lam_next = lam[:-1], lam[1:]
+        sig_k, sig_next = sig[:-1], sig[1:]
+        gamma = _consensus(n, steps.alpha_x[k0:k1, None], steps.gamma[k0:k1])
 
         y_k = lam_k + r_k * sig_k
         y_tilde = lam_next + r_k * sig_next
         y_next = lam_next + r_next * sig_next
 
-        e_next = _consensus(n, _rows(block, "x_tilde"), _rows(block, "z_tilde")) - sig_k
+        e_next = _consensus(n, steps.x_tilde[k0:k1], steps.z_tilde[k0:k1]) - sig_k
         lhs_t = y_tilde - y_k
         rhs_t = gamma * r_k * e_next
         v_trans[k0:k1] = np.abs(lhs_t - rhs_t).max(axis=1) / (1.0 + np.abs(y_k).max(axis=1))
@@ -161,16 +152,8 @@ def reconstruct_drs(steps: list, prob: QpProblem, raise_on_violation: bool = Tru
     )
 
 
-def _consistent(step: TrajectoryStep) -> bool:
-    """Whether the step starts from a Douglas-Rachford state, to
-    CONSISTENCY_RTOL."""
-    scale = 1.0 + float(np.abs(step.z).max(initial=0.0))
-    scale += float(np.abs(step.y / step.r_values).max(initial=0.0))
-    return step.input_gap <= CONSISTENCY_RTOL * scale
-
-
 def check_descent(
-    steps: list,
+    steps: Trajectory,
     x_star: np.ndarray,
     z_star: np.ndarray,
     lam_star: np.ndarray,
@@ -201,22 +184,28 @@ def check_descent(
         raise InputError("alpha_max must be below 2 for a positive descent margin")
     n = x_star.size
     slacks = np.full(len(steps), np.nan)
-    start = next((k for k, st in enumerate(steps) if _consistent(st)), len(steps))
     lam_full = np.concatenate((np.zeros(n), lam_star))
     sig_star = np.concatenate((x_star, z_star))
-    for k0, k1 in _blocks(start, len(steps), sig_star.size):
-        block = steps[k0:k1]
-        r_k = _consensus(n, _rows(block, "sigma"), _rows(block, "r_values"))
-        gamma = _consensus(n, _rows(block, "alpha_x"), _rows(block, "gamma_values"))
+    started = False
+    for k0, k1 in _blocks(0, len(steps), sig_star.size):
+        if not started:
+            # the block's steps that start from a Douglas-Rachford state
+            scale = 1.0 + np.abs(steps.z[k0:k1]).max(axis=1, initial=0.0)
+            scale += np.abs(steps.y[k0:k1] / steps.r[k0:k1]).max(axis=1, initial=0.0)
+            consistent = np.flatnonzero(steps.input_gap[k0:k1] <= CONSISTENCY_RTOL * scale)
+            if not consistent.size:
+                continue
+            k0 += int(consistent[0])
+            started = True
+        r_k = _consensus(n, steps.sigma, steps.r[k0:k1])
+        gamma = _consensus(n, steps.alpha_x[k0:k1, None], steps.gamma[k0:k1])
         h = 1.0 / (gamma * r_k)
         y_star = lam_full + r_k * sig_star
 
-        y_k = _consensus(n, 0.0, _rows(block, "y")) + r_k * _consensus(
-            n, _rows(block, "x"), _rows(block, "z")
-        )
-        y_tilde = _consensus(n, 0.0, _rows(block, "y_next")) + r_k * _consensus(
-            n, _rows(block, "x_next"), _rows(block, "z_next")
-        )
+        lam = _consensus(n, 0.0, steps.y[k0 : k1 + 1])
+        sig = _consensus(n, steps.x[k0 : k1 + 1], steps.z[k0 : k1 + 1])
+        y_k = lam[:-1] + r_k * sig[:-1]
+        y_tilde = lam[1:] + r_k * sig[1:]
 
         a = (h * (y_k - y_star) ** 2).sum(axis=1)
         b = (h * (y_tilde - y_star) ** 2).sum(axis=1)
@@ -234,13 +223,13 @@ def check_descent(
     return slacks
 
 
-def record_trajectory(prob: QpProblem, cfg: SolverConfig, n_steps: int, policy=None):
+def record_trajectory(prob: QpProblem, cfg: SolverConfig, n_steps: int, policy=None) -> Trajectory:
     """Run exactly ``n_steps`` recorded iterations (no early termination) with
     the solver's usual penalty-update and policy cadence."""
     cfg = replace(cfg, max_iter=n_steps, eps_abs=1e-300, eps_rel=1e-300)
-    recorder = TrajectoryRecorder()
-    solve(prob, cfg, policy=policy, recorder=recorder)
-    return recorder.steps
+    steps = Trajectory(prob, cfg)
+    solve(prob, cfg, policy=policy, observer=steps)
+    return steps.finish()
 
 
 @dataclass(frozen=True)

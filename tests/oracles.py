@@ -17,9 +17,11 @@ from relaxqp.engine import (
     RHO_MAX,
     RHO_MIN,
     SolverConfig,
+    TrajectoryStep,
     init_state,
     iterate_once,
     refactor,
+    solve,
     splitting_residuals,
 )
 from relaxqp.errors import TheoryViolationError
@@ -151,6 +153,18 @@ def mlp_forward_loops(ckpt, x_norm: np.ndarray) -> float:
     return ckpt.alpha_min + (ckpt.alpha_max - ckpt.alpha_min) * sig
 
 
+class RandomGammaPolicy:
+    """Per-stage random relaxation within the configured box (seeded)."""
+
+    def __init__(self, lo, hi, seed):
+        self.lo, self.hi = lo, hi
+        self.rng = np.random.default_rng(seed)
+
+    def propose(self, ctx):
+        g = self.rng.uniform(self.lo, self.hi, size=ctx.prob.m)
+        return g, float(self.rng.uniform(self.lo, self.hi))
+
+
 def random_box_qp(rng: np.random.Generator, n: int, m: int, name: str = "") -> QpProblem:
     """Small well-scaled box-constrained QP for direct engine tests."""
     B = rng.standard_normal((n, n))
@@ -166,6 +180,45 @@ def random_box_qp(rng: np.random.Generator, n: int, m: int, name: str = "") -> Q
 # Per-step references for relaxqp.verify, which works on blocks of steps.
 # Each processes one step (or one drift iteration) at a time, in the
 # consensus space of dimension n + m, with one random draw per sign vector.
+
+
+def record_per_step(prob: QpProblem, cfg: SolverConfig, n_steps: int, policy=None) -> list:
+    """relaxqp.verify.record_trajectory as a list of TrajectoryStep objects,
+    each holding copies of its own made as the solve runs.  A step's
+    r_next_values is the penalty the next step uses; the last step's is the
+    final state's, as a penalty update can follow the last iteration."""
+    cfg = replace(cfg, max_iter=n_steps, eps_abs=1e-300, eps_rel=1e-300)
+    steps = []
+    last = {}
+
+    def observer(state, res):
+        if state.iter:
+            z, y, r = last["z"], last["y"], state.R_prev_values.copy()
+            if steps:
+                steps[-1].r_next_values = r.copy()
+            steps.append(
+                TrajectoryStep(
+                    x=last["x"],
+                    z=z,
+                    y=y,
+                    x_tilde=state.x_tilde.copy(),
+                    z_tilde=state.z_tilde.copy(),
+                    x_next=state.x.copy(),
+                    z_next=state.z.copy(),
+                    y_next=state.y.copy(),
+                    r_values=r,
+                    r_next_values=None,
+                    gamma_values=state.Gamma.copy(),
+                    alpha_x=state.alpha_x,
+                    sigma=cfg.sigma,
+                    input_gap=float(np.max(np.abs(z - np.clip(z + y / r, prob.l, prob.u)), initial=0.0)),
+                )
+            )
+        last.update(x=state.x.copy(), z=state.z.copy(), y=state.y.copy(), state=state)
+
+    solve(prob, cfg, policy=policy, observer=observer)
+    steps[-1].r_next_values = last["state"].R.copy()
+    return steps
 
 
 def _stacked_step(step):

@@ -32,23 +32,11 @@ from relaxqp.verify import (
     run_drift_experiment,
 )
 
-from oracles import random_box_qp, relaxed_admm_transcription
+from oracles import RandomGammaPolicy, random_box_qp, relaxed_admm_transcription
 
 
 def report(criterion: int, text: str):
     print(f"ACCEPTANCE {criterion}: PASS - {text}")
-
-
-class RandomGammaPolicy:
-    """Per-stage random relaxation within the configured box (seeded)."""
-
-    def __init__(self, lo, hi, seed):
-        self.lo, self.hi = lo, hi
-        self.rng = np.random.default_rng(seed)
-
-    def propose(self, ctx):
-        g = self.rng.uniform(self.lo, self.hi, size=ctx.prob.m)
-        return g, float(self.rng.uniform(self.lo, self.hi))
 
 
 @pytest.fixture(scope="module")

@@ -55,7 +55,8 @@ class TestSolveCommand:
         assert main(["solve", "--problem", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["status"], report["kkt_backend"]) == ("solved", "sparse")
-        assert report["x"] == solve(prob, SolverConfig()).x.tolist()
+        rep = solve(prob, SolverConfig())
+        assert [report[k] for k in ("x", "z", "y")] == [rep.x.tolist(), rep.z.tolist(), rep.y.tolist()]
 
     def test_max_iter_exit_two(self, random_problem_file):
         rc = main(["solve", "--problem", str(random_problem_file), "--max-iter", "1"])

@@ -394,6 +394,24 @@ class TestSolve:
         rep = solve(prob, SolverConfig(adaptive_rho=True))
         assert rep.factorizations == 1 + rep.rho_updates
 
+    def test_report_copies_the_final_iterate(self):
+        prob = generate(FamilySpec("svm", 10, 1))
+        final = {}
+
+        def observer(state, res):
+            final["state"] = state
+
+        rep = solve(prob, SolverConfig(), observer=observer)
+        st = final["state"]
+        for name in ("x", "z", "y"):
+            got, want = getattr(rep, name), getattr(st, name)
+            assert got is not want and got.tobytes() == want.tobytes(), name
+
+    def test_recorder_is_rejected(self):
+        # solve's one per-iteration hook is the observer
+        with pytest.raises(InputError):
+            solve(one_dim_box(), SolverConfig(), recorder=object())
+
     def test_time_varying_gamma_with_summable_drift_solves(self):
         rng = np.random.default_rng(2)
         prob = random_box_qp(rng, 30, 18)

@@ -1,11 +1,11 @@
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from relaxqp import verify
 from relaxqp.bench import FamilySpec, generate, reference_solution
-from relaxqp.engine import SolverConfig
+from relaxqp.engine import SolverConfig, TrajectoryStep
 from relaxqp.errors import InputError, TheoryViolationError
 from relaxqp.problem import QpProblem, objective
 from relaxqp.verify import (
@@ -18,10 +18,12 @@ from relaxqp.verify import (
 )
 
 from oracles import (
+    RandomGammaPolicy,
     check_descent_per_step,
     drift_per_step,
     random_box_qp,
     reconstruct_drs_per_step,
+    record_per_step,
 )
 
 
@@ -132,7 +134,7 @@ class TestDescentStart:
         prob = generate(FamilySpec("svm", 10, 1))
         steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 200)
         assert steps[0].input_gap == 1.0
-        assert max(st.input_gap for st in steps[1:]) <= 1e-12
+        assert steps.input_gap[1:].max() <= 1e-12
         x_s, z_s, lam_s, _ = reference_triple(prob)
         slacks = check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
         assert slacks.shape == (200,)
@@ -143,7 +145,7 @@ class TestDescentStart:
         # the skip is what keeps step 0 of this trajectory from failing
         prob = generate(FamilySpec("svm", 10, 1))
         steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 5)
-        steps[0] = replace(steps[0], input_gap=0.0)
+        steps.input_gap[0] = 0.0
         x_s, z_s, lam_s, _ = reference_triple(prob)
         with pytest.raises(TheoryViolationError) as exc:
             check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
@@ -383,3 +385,69 @@ class TestBlocksMatchPerStep:
         got = bulk.integers(0, 2, size=iterations * (2 * m + 1))
         assert got.tobytes() == np.concatenate(want).astype(got.dtype).tobytes()
         assert per_call.random() == bulk.random()
+
+
+class TestTrajectory:
+    """record_trajectory's columnar Trajectory, filled by solve's observer,
+    holds bit for bit the steps a per-step copying recorder makes, with each
+    iterate stored once."""
+
+    def test_steps_match_per_step_copies(self):
+        # _trajectory_cases records each case with SolverConfig(adaptive_rho=True)
+        cases = [
+            (prob, SolverConfig(adaptive_rho=True), len(steps), lambda: None)
+            for prob, steps, _ in TestBlocksMatchPerStep()._trajectory_cases()
+        ]
+        # Gamma and alpha_x move at every stage boundary
+        cfg = SolverConfig(adaptive_rho=True, alpha_min=1.0, alpha_max=1.9)
+        cases.append((random_box_qp(np.random.default_rng(60), 12, 9), cfg, 80,
+                      lambda: RandomGammaPolicy(cfg.alpha_min, cfg.alpha_max, seed=7)))
+        assert [prob.m for prob, *_ in cases][1] == 0
+        names = [f.name for f in fields(TrajectoryStep)]
+        assert len(names) == 14
+        for prob, cfg, n_steps, policy in cases:
+            got = record_trajectory(prob, cfg, n_steps, policy=policy())
+            want = record_per_step(prob, cfg, n_steps, policy=policy())
+            assert len(got) == len(want) == n_steps
+            for k, w in enumerate(want):
+                g = got[k]
+                for name in names:
+                    a, b = np.asarray(getattr(g, name)), np.asarray(getattr(w, name))
+                    assert a.shape == b.shape and bits(a) == bits(b), (prob.name, k, name)
+        # the policy case's relaxation changed at stage boundaries
+        assert len(set(got.alpha_x.tolist())) == n_steps // cfg.stage_length
+        assert not np.array_equal(got[9].gamma_values, got[10].gamma_values)
+
+    def test_last_penalty_row_is_read_from_the_final_state(self):
+        # a penalty update that follows the last recorded iteration is the
+        # last step's r_next_values
+        prob = random_box_qp(np.random.default_rng(21), 15, 10)
+        cfg = SolverConfig(adaptive_rho=True)
+        full = record_trajectory(prob, cfg, 200)
+        k = next(k for k in range(len(full)) if not np.array_equal(full[k].r_values, full[k].r_next_values))
+        steps = record_trajectory(prob, cfg, k + 1)
+        assert len(steps) == k + 1
+        assert not np.array_equal(steps[-1].r_next_values, steps[-1].r_values)
+        assert bits(steps[-1].r_next_values) == bits(full[k].r_next_values)
+
+    def test_sequence_behaviour(self):
+        prob = random_box_qp(np.random.default_rng(61), 6, 4)
+        steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 30)
+        assert len(steps) == 30
+        assert [st.input_gap for st in steps] == [steps[k].input_gap for k in range(30)]
+        assert bits(steps[-1].y_next) == bits(steps[29].y_next) == bits(steps.y[30])
+        assert bits(steps[np.int64(7)].x) == bits(steps[7].x)
+        for k in (30, -31):
+            with pytest.raises(IndexError):
+                steps[k]
+        # step k's output is step k + 1's input, one row of one array
+        assert np.shares_memory(steps[3].z_next, steps[4].z)
+
+    def test_early_termination_keeps_the_steps_run(self):
+        # the origin is the optimum: the first iteration stays there and its
+        # zero residuals meet even the recording's 1e-300 tolerances
+        prob = QpProblem(P=np.eye(1), q=np.zeros(1), A=np.eye(1),
+                         l=np.array([-1.0]), u=np.array([1.0]))
+        steps = record_trajectory(prob, SolverConfig(adaptive_rho=False), 3)
+        assert len(steps) == 1 and steps.x.shape == (2, 1) and steps.r.shape == (2, 1)
+        assert bits(steps[0].r_next_values) == bits(steps[0].r_values)
