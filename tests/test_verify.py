@@ -414,7 +414,7 @@ class TestTrajectory:
                 for name in names:
                     a, b = np.asarray(getattr(g, name)), np.asarray(getattr(w, name))
                     assert a.shape == b.shape and bits(a) == bits(b), (prob.name, k, name)
-        # the policy case's relaxation changed at stage boundaries
+        # in the last case, the policy's, the relaxation changed at every stage boundary
         assert len(set(got.alpha_x.tolist())) == n_steps // cfg.stage_length
         assert not np.array_equal(got[9].gamma_values, got[10].gamma_values)
 
