@@ -33,7 +33,7 @@ from .problem import (
     osqp_residuals,
     read_json_object,
     save_problem,
-    write_text_atomic,
+    write_atomic,
 )
 
 FAMILIES = ("random_qp", "portfolio", "lasso", "svm", "control", "mpc")
@@ -432,7 +432,7 @@ def store_instance(root, spec: FamilySpec, prob: QpProblem, ref: ReferenceSoluti
     d.mkdir(parents=True, exist_ok=True)
     save_problem(prob, d / "problem.json")
     if ref is not None:
-        write_text_atomic(d / "reference.json", json.dumps(reference_to_dict(ref)))
+        write_atomic(d / "reference.json", json.dumps(reference_to_dict(ref)))
     return d
 
 
@@ -452,7 +452,7 @@ def ensure_instance(root, spec: FamilySpec, with_reference: bool = False):
             ref = reference_from_dict(read_json_object(ref_path, "reference file"), prob.n, prob.m)
         else:
             ref = reference_solution(prob)
-            write_text_atomic(ref_path, json.dumps(reference_to_dict(ref)))
+            write_atomic(ref_path, json.dumps(reference_to_dict(ref)))
     return prob, ref
 
 

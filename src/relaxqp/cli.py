@@ -230,6 +230,7 @@ def _verify_one(task):
     entry = {"instance": spec.name}
     try:
         steps = record_trajectory(prob, replace(cfg, adaptive_rho=True), steps_n)
+        entry["steps_recorded"] = len(steps)
         chk = reconstruct_drs(steps, prob)
         entry["max_transition_violation"] = chk.max_transition_violation
         entry["max_perturbation_violation"] = chk.max_perturbation_violation

@@ -12,20 +12,34 @@ built is the problem's :attr:`QpProblem.operators`, the storage every
 product with A, A' and P goes through: the dense arrays, or CSR matrices
 equal to ``scipy.sparse.csr_array`` of them.
 
-A problem file is one JSON document ``{name, n, m, P, q, A, l, u, seed}``.
-:func:`save_problem` writes q, l, u, and P and A of a dense-backend problem,
-as ``{"f8le_zlib_b64": s}``: s is the base64 of the zlib-compressed
-little-endian float64 bytes of the array in row-major order, so every value,
-+-inf included, round-trips bit-exactly.  It writes P and A of a
-sparse-backend problem as ``{"csr": {"indptr": i, "indices": i, "data": f}}``:
+A problem file is one JSON document ``{name, n, m, P, q, A, l, u, seed}``,
+written only by :func:`save_problem`.  It writes q, l and u as
+``{"f8le_zlib_b64": s}``: s is the base64 of the zlib-compressed
+little-endian float64 bytes of the array, so every value, +-inf included,
+round-trips bit-exactly.  The form of P and A follows the backend.  On the
+dense backend each is a sidecar file beside the document, named in the field
+as ``{"f8le_file": "<file>.<P|A>.<crc32>.f8"}``: ``<file>`` is the
+document's file name without leading dots and ``<crc32>`` the crc32 of the
+file's bytes in 8 lowercase hex digits, and those bytes are the raw
+little-endian float64 array in row-major order.  The name is the content's
+address, so rewriting a path with the same problem rewrites the same bytes
+under the same names, and a rewrite with other content writes new sidecars
+and leaves the old ones in place for a reader of the old document.  The
+sidecars are written, each through a temporary file and one ``os.replace``,
+before the document.  :func:`load_problem` reads a sidecar only under a bare
+file name of that pattern whose letter is the field's, only when its size is
+exactly the field's, and accepts its bytes only when their crc32 is the
+name's.  On the sparse backend P and A are
+``{"csr": {"indptr": i, "indices": i, "data": f}}`` inside the document:
 each i is ``{"i4le_zlib_b64": s}``, the same framing of int32 little-endian
 row pointers and column indices (sorted and unique within each row), and f
-the binary float64 values.  The CSR form stores every entry whose bit pattern
-is not zero, -0.0 included, so it round-trips bit-exactly too.
-:func:`array_field` also reads the hand-written form, a dense row-major list
-of numbers, where bounds at or beyond the +-1e30 sentinel common to QP solver
-interfaces mean +-inf.  Every JSON input file of the package is read by
-:func:`read_json_object`.
+the binary float64 values.  The CSR form stores every entry whose bit
+pattern is not zero, -0.0 included, so it round-trips bit-exactly too.
+The reader also takes P and A in the binary form, which earlier versions
+wrote for dense problems, and :func:`array_field` reads the hand-written
+form, a dense row-major list of numbers, where bounds at or beyond the
++-1e30 sentinel common to QP solver interfaces mean +-inf.  Every JSON input
+file of the package is read by :func:`read_json_object`.
 
 :func:`osqp_residuals` is the one place that forms A x, P x and A'y for an
 iterate: it returns the residuals together with OSQP's stopping scales, which
@@ -38,6 +52,7 @@ import base64
 import json
 import math
 import os
+import re
 import uuid
 import zlib
 from dataclasses import dataclass
@@ -54,6 +69,10 @@ INFINITY_SENTINEL = 1e30
 BINARY_KEY = "f8le_zlib_b64"
 BINARY_KEYS = {"<f8": BINARY_KEY, "<i4": "i4le_zlib_b64"}
 CSR_KEY = "csr"
+SIDECAR_KEY = "f8le_file"
+# A bare file name without a leading dot: group 1 is the field, group 2 the
+# crc32 of the file's bytes.
+SIDECAR_NAME = re.compile(r"[^./\\\0][^/\\\0]*\.([PA])\.([0-9a-f]{8})\.f8")
 SYMMETRY_TOL = 1e-10  # rtol and atol of the symmetry test
 PSD_SHIFT = 1e-9
 
@@ -417,41 +436,56 @@ def array_field(doc: dict, key: str, shape: tuple, bounds: bool = False) -> np.n
     return flat.reshape(shape)
 
 
-def matrix_field(doc: dict, key: str, shape: tuple):
-    """``doc[key]`` as a CSR matrix of ``shape`` from a CSR matrix object,
-    otherwise as :func:`array_field` reads it."""
+def matrix_field(doc: dict, key: str, shape: tuple, directory):
+    """``doc[key]`` as a CSR matrix of ``shape`` from a CSR matrix object, as
+    an array from the sidecar file in ``directory`` that a sidecar object
+    names, otherwise as :func:`array_field` reads it."""
     value = doc[key]
     if isinstance(value, dict) and CSR_KEY in value:
         return _decode_csr(value, key, shape)
+    if isinstance(value, dict) and SIDECAR_KEY in value:
+        return _read_sidecar(value[SIDECAR_KEY], key, shape, directory)
     return array_field(doc, key, shape)
 
 
-def problem_to_dict(prob: QpProblem) -> dict:
-    """The problem document; P and A take the CSR form on the sparse backend."""
-    matrix = encode_csr if prob.kkt_backend == "sparse" else encode_array
-    return {
-        "name": prob.name,
-        "n": prob.n,
-        "m": prob.m,
-        "P": matrix(prob.P),
-        "q": encode_array(prob.q),
-        "A": matrix(prob.A),
-        "l": encode_array(prob.l),
-        "u": encode_array(prob.u),
-        "seed": prob.seed,
-    }
+def _read_sidecar(name, key: str, shape: tuple, directory) -> np.ndarray:
+    match = SIDECAR_NAME.fullmatch(name) if isinstance(name, str) else None
+    if match is None or match[1] != key:
+        raise InputError(
+            f"field {key!r} names sidecar file {name!r}, not a bare '<file>.{key}.<crc32>.f8'"
+        )
+    path = os.path.join(directory, name)
+    nbytes = 8 * math.prod(shape)
+    try:
+        with open(path, "rb") as fh:
+            # Sized before anything is read, so the document's n and m bound
+            # the memory a sidecar can take.
+            size = os.fstat(fh.fileno()).st_size
+            if size != nbytes:
+                raise InputError(
+                    f"field {key!r}: sidecar file {path} holds {size} bytes, expected {nbytes}"
+                )
+            flat = np.fromfile(fh, dtype="<f8", count=nbytes // 8)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise InputError(f"field {key!r}: cannot read sidecar file {path}: {reason}") from exc
+    if flat.size * 8 != nbytes or f"{zlib.crc32(flat):08x}" != match[2]:
+        raise InputError(f"field {key!r}: sidecar file {path} fails its crc32 check")
+    return flat.astype(np.float64, copy=False).reshape(shape)
 
 
-def problem_from_dict(doc: dict) -> QpProblem:
+def problem_from_dict(doc: dict, directory) -> QpProblem:
+    """The problem a document describes; sidecar files it names are read
+    from ``directory``."""
     try:
         n = int(doc["n"])
         m = int(doc["m"])
         if n < 0 or m < 0:
             raise InputError(f"n and m must not be negative, got n={n}, m={m}")
         fields = dict(
-            P=matrix_field(doc, "P", (n, n)),
+            P=matrix_field(doc, "P", (n, n), directory),
             q=array_field(doc, "q", (n,)),
-            A=matrix_field(doc, "A", (m, n)),
+            A=matrix_field(doc, "A", (m, n), directory),
             l=array_field(doc, "l", (m,), bounds=True),
             u=array_field(doc, "u", (m,), bounds=True),
             name=str(doc.get("name", "")),
@@ -478,16 +512,16 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in the same
-    directory and one ``os.replace``: a reader sees the old file (or none) or
-    the whole new one, never a part, even while another process writes the
-    same path."""
+def write_atomic(path, data) -> None:
+    """Write ``data``, a str or a bytes-like object such as a C-contiguous
+    array, to ``path`` through a temporary file in the same directory and one
+    ``os.replace``: a reader sees the old file (or none) or the whole new
+    one, never a part, even while another process writes the same path."""
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x") as fh:
-            fh.write(text)
+        with open(tmp, "x" if isinstance(data, str) else "xb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -495,9 +529,36 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+def _write_sidecar(path: str, key: str, a: np.ndarray) -> dict:
+    # The name drops the file name's leading dots, which the reader refuses.
+    raw = np.ascontiguousarray(a, dtype="<f8")
+    name = f"{os.path.basename(path).lstrip('.')}.{key}.{zlib.crc32(raw):08x}.f8"
+    write_atomic(os.path.join(os.path.dirname(path), name), raw)
+    return {SIDECAR_KEY: name}
+
+
 def save_problem(prob: QpProblem, path) -> None:
-    write_text_atomic(path, json.dumps(problem_to_dict(prob)))
+    """Write ``prob`` to the problem file ``path``, P and A in the form of its
+    backend (see the module docstring); any sidecar files first."""
+    path = os.fspath(path)
+    if prob.kkt_backend == "sparse":
+        P, A = encode_csr(prob.P), encode_csr(prob.A)
+    else:
+        P, A = _write_sidecar(path, "P", prob.P), _write_sidecar(path, "A", prob.A)
+    doc = {
+        "name": prob.name,
+        "n": prob.n,
+        "m": prob.m,
+        "P": P,
+        "q": encode_array(prob.q),
+        "A": A,
+        "l": encode_array(prob.l),
+        "u": encode_array(prob.u),
+        "seed": prob.seed,
+    }
+    write_atomic(path, json.dumps(doc))
 
 
 def load_problem(path) -> QpProblem:
-    return problem_from_dict(read_json_object(path, "problem file"))
+    path = os.fspath(path)
+    return problem_from_dict(read_json_object(path, "problem file"), os.path.dirname(path))

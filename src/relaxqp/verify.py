@@ -224,8 +224,11 @@ def check_descent(
 
 
 def record_trajectory(prob: QpProblem, cfg: SolverConfig, n_steps: int, policy=None) -> Trajectory:
-    """Run exactly ``n_steps`` recorded iterations (no early termination) with
-    the solver's usual penalty-update and policy cadence."""
+    """Record up to ``n_steps`` iterations with the solver's usual
+    penalty-update and policy cadence.  Both tolerances are set to 1e-300,
+    so the solve stops early only when the stopping rule holds at them, in
+    practice when both residuals reach exactly 0; the trajectory then holds
+    fewer steps, as its ``len`` shows."""
     cfg = replace(cfg, max_iter=n_steps, eps_abs=1e-300, eps_rel=1e-300)
     steps = Trajectory(prob, cfg)
     solve(prob, cfg, policy=policy, observer=steps)

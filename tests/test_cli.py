@@ -10,7 +10,7 @@ from relaxqp.bench import FamilySpec, ensure_instance, generate, instance_dir, s
 from relaxqp.cli import main
 from relaxqp.engine import SolverConfig, solve
 from relaxqp.policy import checkpoint_to_dict, init_checkpoint, save_checkpoint
-from relaxqp.problem import QpProblem, problem_to_dict, save_problem
+from relaxqp.problem import SIDECAR_KEY, QpProblem, save_problem
 from relaxqp.verify import check_descent, reconstruct_drs, record_trajectory
 
 
@@ -247,11 +247,17 @@ class TestInputErrors:
         {"f8le_zlib_b64": base64.b64encode(zlib.compress(bytes(10_000_000))).decode("ascii")},
     ], ids=["bad_base64", "inflation_bomb"])
     def test_malformed_binary_problem_field(self, tmp_path, capsys, payload):
-        doc = problem_to_dict(generate(FamilySpec("random_qp", 5, 1)))
-        doc["A"] = payload
         bad = tmp_path / "bad.json"
+        save_problem(generate(FamilySpec("random_qp", 5, 1)), bad)
+        doc = json.loads(bad.read_text())
+        doc["A"] = payload
         bad.write_text(json.dumps(doc))
         self._expect_error(["solve", "--problem", str(bad)], "'A'", capsys)
+
+    def test_deleted_sidecar_file(self, random_problem_file, capsys):
+        name = json.loads(random_problem_file.read_text())["P"][SIDECAR_KEY]
+        (random_problem_file.parent / name).unlink()
+        self._expect_error(["solve", "--problem", str(random_problem_file)], name, capsys)
 
     def test_bench_manifest_non_integer_size(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
@@ -420,6 +426,7 @@ class TestVerifyCommand:
         assert doc[0]["max_perturbation_violation"] <= 1e-9
         assert doc[0]["min_descent_slack"] >= -1e-8
         assert doc[0]["drift_converged"] is True
+        assert doc[0]["steps_recorded"] == 100
         for key in ("worst_transition_step", "worst_perturbation_step", "min_descent_slack_step"):
             assert isinstance(doc[0][key], int) and 0 <= doc[0][key] < 100
         # the step fields locate the reported extremes

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relaxqp.bench import FamilySpec, generate
@@ -296,6 +298,51 @@ class TestCheckpointFormat:
         doc["W1"] = encode_array(ck.W1[:-1])
         with pytest.raises(InputError, match="'W1'"):
             checkpoint_from_dict(doc)
+
+
+SPECIAL_WEIGHTS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 0.1, 1 / 3]
+weights = st.one_of(st.sampled_from(SPECIAL_WEIGHTS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def checkpoints(draw):
+    variant = draw(st.sampled_from(sorted(INPUT_DIMS)))
+    ck = init_checkpoint(variant, seed=draw(st.integers(0, 2**32 - 1)),
+                         metadata=draw(st.dictionaries(st.text(max_size=4), st.one_of(
+                             st.integers(-2**53, 2**53), st.text(max_size=4), weights), max_size=3)))
+    # Special values at drawn places of the parameter vector, b_out included.
+    theta = flatten_params(ck)
+    places = draw(st.lists(st.integers(0, theta.size - 1), max_size=12))
+    theta[places] = draw(st.lists(weights, min_size=len(places), max_size=len(places)))
+    theta[-1] = draw(weights)
+    d_in = INPUT_DIMS[variant]
+    stats = NormStats(mean=np.array(draw(st.lists(weights, min_size=d_in, max_size=d_in))),
+                      std=np.array(draw(st.lists(weights, min_size=d_in, max_size=d_in))),
+                      source=draw(st.text(max_size=5)))
+    half = draw(st.floats(0.0, 0.6))
+    return dataclasses.replace(with_params(ck, theta), norm_stats=stats,
+                               alpha_min=1.6 - half, alpha_max=1.6 + half)
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(checkpoints())
+    def test_save_load_bit_exact(self, tmp_path_factory, ck):
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+        save_checkpoint(ck, path)
+        again = load_checkpoint(path)
+        assert again.variant == ck.variant
+        assert flatten_params(again).tobytes() == flatten_params(ck).tobytes()
+        for f in param_shapes(ck.variant):
+            assert getattr(again, f).shape == getattr(ck, f).shape
+        assert again.norm_stats.mean.tobytes() == ck.norm_stats.mean.tobytes()
+        assert again.norm_stats.std.tobytes() == ck.norm_stats.std.tobytes()
+        assert again.norm_stats.source == ck.norm_stats.source
+        assert np.array([again.alpha_min, again.alpha_max]).tobytes() == (
+            np.array([ck.alpha_min, ck.alpha_max]).tobytes())
+        assert again.metadata == ck.metadata
 
 
 class TestEnginePolicyIntegration:

@@ -24,6 +24,7 @@ from relaxqp.problem import (
     BINARY_KEY,
     BINARY_KEYS,
     CSR_KEY,
+    SIDECAR_KEY,
     ConstraintKind,
     QpProblem,
     classify,
@@ -32,10 +33,9 @@ from relaxqp.problem import (
     objective,
     osqp_residuals,
     problem_from_dict,
-    problem_to_dict,
     save_problem,
     terminated,
-    write_text_atomic,
+    write_atomic,
 )
 
 INF = np.inf
@@ -50,6 +50,17 @@ def tiny_problem():
         u=np.array([1.0, 2.0, 0.0]),
         name="tiny",
     )
+
+
+def saved_doc(prob: QpProblem, directory) -> dict:
+    """The document save_problem writes for ``prob`` as ``directory``/p.json."""
+    path = Path(directory) / "p.json"
+    save_problem(prob, path)
+    return json.loads(path.read_text())
+
+
+def saved_files(directory) -> dict:
+    return {f.name: f.read_bytes() for f in Path(directory).iterdir()}
 
 
 class TestClassify:
@@ -231,19 +242,20 @@ class TestTerminated:
 class TestFileFormat:
     def test_roundtrip_bit_exact(self, tmp_path):
         prob = tiny_problem()
-        path = tmp_path / "prob.json"
-        save_problem(prob, path)
-        loaded = load_problem(path)
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        save_problem(prob, first / "prob.json")
+        loaded = load_problem(first / "prob.json")
         assert np.array_equal(loaded.P, prob.P)
         assert np.array_equal(loaded.q, prob.q)
         assert np.array_equal(loaded.A, prob.A)
         assert np.array_equal(loaded.l, prob.l)
         assert np.array_equal(loaded.u, prob.u)
         assert loaded.name == prob.name
-        # a second save produces identical bytes
-        path2 = tmp_path / "prob2.json"
-        save_problem(loaded, path2)
-        assert path.read_bytes() == path2.read_bytes()
+        # a second save produces identical bytes under identical names
+        save_problem(loaded, second / "prob.json")
+        assert saved_files(second) == saved_files(first)
 
     def test_sentinel_encodes_infinity(self, tmp_path):
         # The hand-written list form marks infinite bounds with the +-1e30
@@ -251,25 +263,71 @@ class TestFileFormat:
         doc = {"n": 2, "m": 3, "P": [1.0, 0.0, 0.0, 1.0], "q": [1.0, -1.0],
                "A": [1.0, 0.0, 0.0, 1.0, 1.0, 1.0], "l": [-1.0, -1e30, -2e30],
                "u": [1.0, 2.0, 1e30]}
-        listed = problem_from_dict(doc)
+        listed = problem_from_dict(doc, tmp_path)
         assert listed.l.tolist() == [-1.0, -INF, -INF]
         assert listed.u.tolist() == [1.0, 2.0, INF]
         path = tmp_path / "prob.json"
         save_problem(listed, path)
         written = json.loads(path.read_text())
-        assert all(set(written[k]) == {BINARY_KEY} for k in ("P", "q", "A", "l", "u"))
+        assert all(set(written[k]) == {BINARY_KEY} for k in ("q", "l", "u"))
+        assert all(set(written[k]) == {SIDECAR_KEY} for k in ("P", "A"))
         loaded = load_problem(path)
         assert loaded.l.tobytes() == listed.l.tobytes()
         assert loaded.u.tobytes() == listed.u.tobytes()
 
-    def test_malformed_document(self):
+    def test_malformed_document(self, tmp_path):
         with pytest.raises(InputError):
-            problem_from_dict({"n": 1})
+            problem_from_dict({"n": 1}, tmp_path)
 
-    def test_dict_roundtrip(self):
+    def test_dict_roundtrip(self, tmp_path):
         prob = tiny_problem()
-        again = problem_from_dict(problem_to_dict(prob))
-        assert np.array_equal(again.u, prob.u)
+        again = problem_from_dict(saved_doc(prob, tmp_path), tmp_path)
+        assert same_bits(again, prob)
+
+    def test_dense_backend_writes_sidecars(self, tmp_path):
+        prob = generate(FamilySpec("control", 10, seed=1))
+        written = saved_doc(prob, tmp_path)
+        assert all(set(written[k]) == {BINARY_KEY} for k in "qlu")
+        for key in "PA":
+            name = written[key][SIDECAR_KEY]
+            raw = (tmp_path / name).read_bytes()
+            assert name == f"p.json.{key}.{zlib.crc32(raw):08x}.f8"
+            assert raw == getattr(prob, key).astype("<f8").tobytes()
+        assert sorted(saved_files(tmp_path)) == sorted(
+            ["p.json", written["P"][SIDECAR_KEY], written["A"][SIDECAR_KEY]])
+
+    def test_hidden_file_name_drops_leading_dots(self, tmp_path):
+        save_problem(tiny_problem(), tmp_path / ".p.json")
+        written = json.loads((tmp_path / ".p.json").read_text())
+        assert written["A"][SIDECAR_KEY].startswith("p.json.A.")
+        assert same_bits(load_problem(tmp_path / ".p.json"), tiny_problem())
+
+    def test_no_constraint_rows(self, tmp_path):
+        prob = QpProblem(P=np.eye(3), q=-np.ones(3), A=np.zeros((0, 3)), l=np.zeros(0),
+                         u=np.zeros(0))
+        name = saved_doc(prob, tmp_path)["A"][SIDECAR_KEY]
+        assert name == "p.json.A.00000000.f8" and (tmp_path / name).read_bytes() == b""
+        loaded = load_problem(tmp_path / "p.json")
+        assert loaded.A.shape == (0, 3) and same_bits(loaded, prob)
+        (tmp_path / name).write_bytes(bytes(8))
+        with pytest.raises(InputError, match="'A'.*holds 8 bytes, expected 0"):
+            load_problem(tmp_path / "p.json")
+
+    def test_rewrite_keeps_the_old_documents_sidecars(self, tmp_path):
+        path = tmp_path / "p.json"
+        first, second = tiny_problem(), replace(tiny_problem(), A=2 * tiny_problem().A)
+        save_problem(first, path)
+        (tmp_path / "old.json").write_bytes(path.read_bytes())  # what a reader opened
+        save_problem(second, path)
+        assert same_bits(load_problem(tmp_path / "old.json"), first)
+        assert same_bits(load_problem(path), second)
+
+    def test_old_dense_binary_form_loads_bit_exactly(self, tmp_path):
+        prob = generate(FamilySpec("control", 10, seed=1))
+        doc = {**saved_doc(prob, tmp_path), "P": encode_array(prob.P), "A": encode_array(prob.A)}
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        loaded = load_problem(tmp_path / "old.json")
+        assert loaded.kkt_backend == "dense" and same_bits(loaded, prob)
 
 
 def old_writer_dict(prob: QpProblem) -> dict:
@@ -305,7 +363,11 @@ def problems(draw):
     l, u = np.minimum(a, b), np.maximum(a, b)
     zero_rows = np.all(A == 0.0, axis=1)
     l[zero_rows], u[zero_rows] = -INF, INF
-    return QpProblem(P=M @ M.T + np.diag(d), q=q, A=A, l=l, u=u,
+    # -0.0 at a symmetric choice of P's zeros keeps P symmetric and PSD.
+    P = M @ M.T + np.diag(d)
+    signs = draw(arrays(np.bool_, (n, n)))
+    P[(P == 0.0) & (signs | signs.T)] = -0.0
+    return QpProblem(P=P, q=q, A=A, l=l, u=u,
                      name=draw(st.text(max_size=5)), seed=draw(st.integers(0, 2**31)))
 
 
@@ -322,19 +384,20 @@ class TestFileProperties:
     @PROPERTY_SETTINGS
     @given(problems())
     def test_save_load_bit_exact_and_stable_bytes(self, prob):
-        with tempfile.TemporaryDirectory() as tmp:
-            first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
-            save_problem(prob, first)
-            loaded = load_problem(first)
-            save_problem(loaded, second)
+        assert prob.kkt_backend == "dense"
+        with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+            save_problem(prob, Path(first) / "p.json")
+            loaded = load_problem(Path(first) / "p.json")
+            save_problem(loaded, Path(second) / "p.json")
             assert same_bits(loaded, prob)
             assert (loaded.name, loaded.seed) == (prob.name, prob.seed)
-            assert first.read_bytes() == second.read_bytes()
+            assert len(saved_files(first)) == 3
+            assert saved_files(first) == saved_files(second)
 
     @PROPERTY_SETTINGS
     @given(problems())
     def test_list_form_loads_to_same_arrays(self, prob):
-        loaded = problem_from_dict(json.loads(json.dumps(old_writer_dict(prob))))
+        loaded = problem_from_dict(json.loads(json.dumps(old_writer_dict(prob))), ".")
         def sentinel(v):
             return np.where(v >= 1e30, INF, np.where(v <= -1e30, -INF, v))
 
@@ -361,25 +424,90 @@ MALFORMED_P = {
 
 class TestMalformedBinary:
     @pytest.mark.parametrize("case", sorted(MALFORMED_P))
-    def test_input_error_names_field(self, case):
-        doc = problem_to_dict(QpProblem(P=np.eye(2), q=np.zeros(2), A=np.ones((1, 2)),
-                                        l=-np.ones(1), u=np.ones(1)))
+    def test_input_error_names_field(self, tmp_path, case):
+        doc = saved_doc(QpProblem(P=np.eye(2), q=np.zeros(2), A=np.ones((1, 2)),
+                                  l=-np.ones(1), u=np.ones(1)), tmp_path)
         doc["P"] = MALFORMED_P[case]
         with pytest.raises(InputError, match="'P'"):
-            problem_from_dict(json.loads(json.dumps(doc)))
+            problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
+
+
+def _delete(f: Path) -> str:
+    f.unlink()
+    return f.name
+
+
+def _rewrite(f: Path, raw: bytes) -> str:
+    f.write_bytes(raw)
+    return f.name
+
+
+def _replace_by_directory(f: Path) -> str:
+    f.unlink()
+    f.mkdir()
+    return f.name
+
+
+def _copy_as(f: Path, name: str) -> str:
+    (f.parent / name).parent.mkdir(exist_ok=True)
+    (f.parent / name).write_bytes(f.read_bytes())
+    return name
+
+
+# Each case alters the sidecar file f that field "A" names, or that name, and
+# returns the name the document then gives; a case that only renames names a
+# file holding the right bytes.  The sidecar holds 3x2 float64s, 48 bytes.
+MALFORMED_SIDECAR = {
+    "missing": (_delete, "cannot read"),
+    "one_byte_short": (lambda f: _rewrite(f, f.read_bytes()[:-1]), "holds 47 bytes, expected 48"),
+    "one_byte_long": (lambda f: _rewrite(f, f.read_bytes() + b"\0"), "holds 49 bytes, expected 48"),
+    "flipped_byte": (lambda f: _rewrite(f, bytes([f.read_bytes()[0] ^ 1]) + f.read_bytes()[1:]),
+                     "fails its crc32 check"),
+    "directory": (_replace_by_directory, "cannot read"),
+    "parent_path": (lambda f: f"../{f.parent.name}/{f.name}", "not a bare"),
+    "subdirectory": (lambda f: _copy_as(f, f"sub/{f.name}"), "not a bare"),
+    "leading_dot": (lambda f: _copy_as(f, f".{f.name}"), "not a bare"),
+    "field_letter_of_P": (lambda f: _copy_as(f, f.name.replace(".A.", ".P.")), "not a bare"),
+    "not_a_string": (lambda f: 12, "not a bare"),
+}
+
+
+class TestMalformedSidecar:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SIDECAR))
+    def test_input_error_names_field_and_file(self, tmp_path, case):
+        alter, fault = MALFORMED_SIDECAR[case]
+        doc = saved_doc(tiny_problem(), tmp_path)
+        name = alter(tmp_path / doc["A"][SIDECAR_KEY])
+        doc["A"] = {SIDECAR_KEY: name}
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=f"'A'.*{fault}") as info:
+            load_problem(tmp_path / "p.json")
+        assert str(name) in str(info.value)
+
+    def test_sidecar_form_only_for_p_and_a(self, tmp_path):
+        doc = saved_doc(tiny_problem(), tmp_path)
+        doc["q"] = doc["A"]
+        with pytest.raises(InputError, match="'q'"):
+            problem_from_dict(doc, tmp_path)
 
 
 class TestAtomicWrite:
     def test_failure_mid_write_leaves_no_file(self, tmp_path):
         path = tmp_path / "out.json"
         with pytest.raises(UnicodeEncodeError):
-            write_text_atomic(path, "{" + "0" * 100_000 + "\ud800")
+            write_atomic(path, "{" + "0" * 100_000 + "\ud800")
         assert list(tmp_path.iterdir()) == []
+
+    def test_bytes(self, tmp_path):
+        a = np.arange(6.0).reshape(2, 3)
+        write_atomic(tmp_path / "a.f8", a)
+        assert (tmp_path / "a.f8").read_bytes() == a.tobytes()
+        assert [f.name for f in tmp_path.iterdir()] == ["a.f8"]
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "prob.json"
         save_problem(tiny_problem(), path)
-        before = path.read_bytes()
+        before = saved_files(tmp_path)
 
         def failing_replace(src, dst):
             raise OSError("disk full")
@@ -387,8 +515,7 @@ class TestAtomicWrite:
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError):
             save_problem(replace(tiny_problem(), name="other"), path)
-        assert path.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [path]
+        assert saved_files(tmp_path) == before
 
 
 # ---------------------------------------------------------------------------
@@ -602,27 +729,23 @@ class TestCsrFileForm:
         save_problem(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_signed_zeros_are_stored(self):
+    def test_signed_zeros_are_stored(self, tmp_path):
         prob = sparse_problem_with_signed_zeros()
-        doc = problem_to_dict(prob)
+        doc = saved_doc(prob, tmp_path)
         data = doc["A"][CSR_KEY]["data"][BINARY_KEY]
         stored = np.frombuffer(zlib.decompress(base64.b64decode(data)), "<f8")
         assert stored.tobytes() == np.array([1.0, -0.0, -0.0, -0.0, 3.0, -1.0, 2.0]).tobytes()
-        loaded = problem_from_dict(doc)  # small, so it loads on the dense backend
+        loaded = problem_from_dict(doc, tmp_path)  # small, so it loads on the dense backend
         assert loaded.kkt_backend == "dense" and same_bits(loaded, prob)
 
-    def test_dense_backend_keeps_the_binary_form(self):
-        written = problem_to_dict(generate(FamilySpec("control", 10, seed=1)))
-        assert all(set(written[k]) == {BINARY_KEY} for k in "PqAlu")
-
     @pytest.mark.parametrize("form", ["binary", "list"])
-    def test_older_forms_load_alike(self, form):
+    def test_older_forms_load_alike(self, tmp_path, form):
         prob = generate(FamilySpec("lasso", 20, seed=1))
         if form == "binary":
-            doc = {**problem_to_dict(prob), "P": encode_array(prob.P), "A": encode_array(prob.A)}
+            doc = {**saved_doc(prob, tmp_path), "P": encode_array(prob.P), "A": encode_array(prob.A)}
         else:
             doc = old_writer_dict(prob)
-        loaded = problem_from_dict(json.loads(json.dumps(doc)))
+        loaded = problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
         assert loaded.kkt_backend == "sparse"
         assert same_bits(loaded, prob)
         assert_operators_match(loaded)
@@ -660,33 +783,34 @@ MALFORMED_CSR = {
 
 class TestMalformedCsr:
     @staticmethod
-    def doc() -> dict:
+    def doc(tmp_path) -> dict:
         with forced_backend("sparse"):
             prob = QpProblem(P=np.eye(2), q=np.zeros(2), A=np.array([[1.0, 0], [0, 2], [1, 1]]),
                              l=-np.ones(3), u=np.ones(3))
-        return problem_to_dict(prob)
+        return saved_doc(prob, tmp_path)
 
-    def test_base_document_loads(self):
-        assert problem_from_dict(self.doc()).A.tolist() == [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
+    def test_base_document_loads(self, tmp_path):
+        loaded = problem_from_dict(self.doc(tmp_path), tmp_path)
+        assert loaded.A.tolist() == [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CSR))
-    def test_input_error_names_field(self, case):
+    def test_input_error_names_field(self, tmp_path, case):
         part, payload, named = MALFORMED_CSR[case]
-        doc = self.doc()
+        doc = self.doc(tmp_path)
         if payload is None:
             del doc["A"][CSR_KEY][part]
         else:
             doc["A"][CSR_KEY][part] = payload
         with pytest.raises(InputError, match=named):
-            problem_from_dict(json.loads(json.dumps(doc)))
+            problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
 
-    def test_csr_entry_not_an_object(self):
-        doc = self.doc()
+    def test_csr_entry_not_an_object(self, tmp_path):
+        doc = self.doc(tmp_path)
         doc["A"] = {CSR_KEY: [1, 2]}
         with pytest.raises(InputError, match="'A'"):
-            problem_from_dict(doc)
+            problem_from_dict(doc, tmp_path)
 
-    def test_dimensions_too_large_to_hold(self, monkeypatch):
+    def test_dimensions_too_large_to_hold(self, tmp_path, monkeypatch):
         # A few kilobytes of CSR can describe a matrix whose dense field
         # cannot be allocated; the allocation is faked to fail.
         n = 100_000
@@ -702,8 +826,8 @@ class TestMalformedCsr:
                "P": {CSR_KEY: {"indptr": i4(np.zeros(n + 1)), "indices": i4([]),
                                "data": encode_array(np.zeros(0))}}}
         with pytest.raises(InputError, match="does not fit in memory"):
-            problem_from_dict(json.loads(json.dumps(doc)))
+            problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
 
-    def test_negative_dimension(self):
+    def test_negative_dimension(self, tmp_path):
         with pytest.raises(InputError, match="must not be negative"):
-            problem_from_dict({**self.doc(), "m": -1})
+            problem_from_dict({**self.doc(tmp_path), "m": -1}, tmp_path)
