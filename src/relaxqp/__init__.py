@@ -11,7 +11,6 @@ from .engine import (
     init_state,
     iterate_once,
     solve,
-    splitting_residuals,
 )
 from .errors import (
     DivergenceError,
@@ -96,7 +95,6 @@ __all__ = [
     "save_problem",
     "shaping",
     "solve",
-    "splitting_residuals",
     "stage_loss",
     "terminated",
     "train",

@@ -419,8 +419,7 @@ def load_manifest(path) -> list:
 
 
 def save_manifest(specs: list, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"specs": [spec_to_dict(s) for s in specs]}, fh, indent=1)
+    write_atomic(path, json.dumps({"specs": [spec_to_dict(s) for s in specs]}, indent=1))
 
 
 def instance_dir(root, spec: FamilySpec) -> Path:

@@ -24,11 +24,15 @@ depending on the problem's :attr:`~relaxqp.problem.QpProblem.kkt_backend`.
 Apart from the x-step, an iteration forms A x, P x and A'y once, in
 :func:`relaxqp.problem.osqp_residuals`, which also returns the stopping
 scales; the stopping rule and the penalty update read those scales.
+
+This module holds the solver only.  The theory verifier (:mod:`relaxqp.verify`)
+records its trajectories through the observer of :func:`solve`; an observer
+may keep references to the state's arrays (see :class:`SolverState`).
 """
 
 import math
 import numbers
-import operator
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -76,8 +80,10 @@ class SolverConfig:
             raise InputError("relaxation bounds must satisfy 0 < alpha_min <= alpha_max < 2")
         if not (self.alpha_min <= self.alpha0 <= self.alpha_max):
             raise InputError("alpha0 must lie in [alpha_min, alpha_max]")
-        if self.rho0 <= 0 or self.sigma <= 0:
-            raise InputError("rho0 and sigma must be positive")
+        for name in ("rho0", "sigma", "eps_abs", "eps_rel"):
+            value = getattr(self, name)
+            if not 0 < value <= sys.float_info.max:  # NaN and ints too big for a float fail
+                raise InputError(f"config field {name!r} must be finite and > 0, got {value!r}")
         if self.stage_length < 1 or self.rho_check_interval < 1:
             raise InputError("intervals must be positive")
 
@@ -118,6 +124,10 @@ def rho_pattern(kinds: np.ndarray, rho: float) -> np.ndarray:
 
 @dataclass
 class SolverState:
+    """Iterate and parameters of a running solve.  No step, penalty update or
+    policy query writes into an array the state holds; each binds a new one,
+    so an observer may keep references to them rather than copies."""
+
     x: np.ndarray
     z: np.ndarray
     y: np.ndarray
@@ -128,15 +138,11 @@ class SolverState:
     kkt: LdltFactor
     rho_scalar: float
     rho_updates: int = 0
-    frozen: bool = False
     n_factorizations: int = 1
     # Unrelaxed KKT-solve outputs of the most recent iteration, kept for the
     # convergence-theory residuals and the recorded trajectories.
     x_tilde: np.ndarray | None = None
     z_tilde: np.ndarray | None = None
-    x_prev: np.ndarray | None = None
-    z_prev: np.ndarray | None = None
-    R_prev_values: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -222,32 +228,10 @@ def iterate_once(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> Solv
     if not (finite or all(np.isfinite(v).all() for v in (x_next, z_next, y_next))):
         raise DivergenceError(state.iter + 1)
 
-    state.x_prev, state.z_prev = x_k, z_k
-    state.R_prev_values = r
     state.x_tilde, state.z_tilde = x_tilde, z_tilde
     state.x, state.z, state.y = x_next, z_next, y_next
     state.iter += 1
     return state
-
-
-def splitting_residuals(state: SolverState, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Convergence-theory residuals of the last completed step, in the
-    consensus space of dimension n + m.
-
-    r: mismatch between the unrelaxed KKT-solve output and the projected
-       iterate; s: -(penalty) * (change of the projected iterate), which is
-       the dual residual of the splitting.
-    """
-    if state.x_tilde is None:
-        raise InputError("no completed iteration to take residuals from")
-    r_vec = np.concatenate((state.x_tilde - state.x, state.z_tilde - state.z))
-    s_vec = np.concatenate(
-        (
-            -sigma * (state.x - state.x_prev),
-            -state.R_prev_values * (state.z - state.z_prev),
-        )
-    )
-    return r_vec, s_vec
 
 
 def maybe_update_rho(
@@ -282,7 +266,6 @@ def apply_policy(state: SolverState, policy, ctx, cfg: SolverConfig) -> SolverSt
     the state unchanged.
     """
     if state.iter >= cfg.freeze_iter:
-        state.frozen = True
         return state
     gamma, alpha_x = policy.propose(ctx)
     gamma = np.asarray(gamma, dtype=np.float64)
@@ -336,105 +319,18 @@ class FixedPolicy:
         return np.full(ctx.prob.m, self.alpha), self.alpha
 
 
-@dataclass
-class TrajectoryStep:
-    """Everything the theory verifier needs about one iteration; the arrays
-    are views of the step's rows of a :class:`Trajectory`."""
-
-    x: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
-    x_tilde: np.ndarray
-    z_tilde: np.ndarray
-    x_next: np.ndarray
-    z_next: np.ndarray
-    y_next: np.ndarray
-    r_values: np.ndarray
-    r_next_values: np.ndarray
-    gamma_values: np.ndarray
-    alpha_x: float
-    sigma: float
-    # |z - clip(z + y/r, l, u)|_inf of the input state: zero (to roundoff)
-    # when z and y are consistent, i.e. y lies in the normal cone of [l, u]
-    # at z.  Every state the iteration produces is; the cold start z = y = 0
-    # is not when 0 lies outside [l, u].
-    input_gap: float
-
-
-class Trajectory:
-    """Preallocated columns of a solve run under ``cfg``, filled as its observer.
-
-    Row k of ``x``, ``z``, ``y`` and ``r`` (the penalty) is step k's input and
-    row k + 1 its output, so each iterate is stored once; ``x_tilde``,
-    ``z_tilde``, ``gamma``, ``alpha_x`` and ``input_gap`` have one row per
-    step.  ``steps[k]`` is step k as a :class:`TrajectoryStep`.  Call
-    :meth:`finish` after the solve: a penalty update can follow the last
-    observed iteration, so the last penalty row comes from the final state.
-    """
-
-    def __init__(self, prob: QpProblem, cfg: SolverConfig):
-        rows, n, m = cfg.max_iter, prob.n, prob.m
-        self.x = np.empty((rows + 1, n))
-        self.z = np.empty((rows + 1, m))
-        self.y = np.empty((rows + 1, m))
-        self.r = np.empty((rows + 1, m))
-        self.x_tilde = np.empty((rows, n))
-        self.z_tilde = np.empty((rows, m))
-        self.gamma = np.empty((rows, m))
-        self.alpha_x = np.empty(rows)
-        self.input_gap = np.empty(rows)
-        self.sigma = cfg.sigma
-        self._bounds = prob.l, prob.u
-        self._state = None
-
-    def __call__(self, state: SolverState, res: Residuals) -> None:
-        k = state.iter
-        self.x[k], self.z[k], self.y[k] = state.x, state.z, state.y
-        if k:
-            i = k - 1
-            self.r[i] = state.R_prev_values
-            self.x_tilde[i], self.z_tilde[i] = state.x_tilde, state.z_tilde
-            self.gamma[i], self.alpha_x[i] = state.Gamma, state.alpha_x
-            z, y = self.z[i], self.y[i]
-            self.input_gap[i] = np.abs(z - (z + y / self.r[i]).clip(*self._bounds)).max(initial=0.0)
-        self._state = state
-
-    def finish(self) -> "Trajectory":
-        """Cut the rows to the iterations the solve ran and read the last
-        penalty row from its final state, which is then let go."""
-        state, self._state = self._state, None
-        k = state.iter
-        self.x, self.z, self.y, self.r = (a[: k + 1] for a in (self.x, self.z, self.y, self.r))
-        self.r[k] = state.R
-        self.x_tilde, self.z_tilde, self.gamma, self.alpha_x, self.input_gap = (
-            a[:k] for a in (self.x_tilde, self.z_tilde, self.gamma, self.alpha_x, self.input_gap)
-        )
-        return self
-
-    def __len__(self) -> int:
-        return self.alpha_x.shape[0]
-
-    def __getitem__(self, k) -> TrajectoryStep:
-        k = range(len(self))[operator.index(k)]  # negative counts from the end
-        return TrajectoryStep(
-            x=self.x[k], z=self.z[k], y=self.y[k], x_tilde=self.x_tilde[k], z_tilde=self.z_tilde[k],
-            x_next=self.x[k + 1], z_next=self.z[k + 1], y_next=self.y[k + 1],
-            r_values=self.r[k], r_next_values=self.r[k + 1], gamma_values=self.gamma[k],
-            alpha_x=float(self.alpha_x[k]), sigma=self.sigma, input_gap=float(self.input_gap[k]),
-        )
-
-
 def solve(
     prob: QpProblem, cfg: SolverConfig, policy=None, observer=None, recorder=None
 ) -> SolveReport:
     """Run the ADMM loop to termination or cfg.max_iter.
 
     ``observer(state, residuals)`` is called after every iteration (and once
-    at iteration 0); a :class:`Trajectory` observer records every step for
-    the theory verifier.  ``recorder`` is accepted only as None.
+    at iteration 0), before that iteration's penalty update and policy query;
+    a :class:`relaxqp.verify.Trajectory` observer records every step for the
+    theory verifier.  ``recorder`` is accepted only as None.
     """
     if recorder is not None:
-        raise InputError("solve takes no recorder; pass a Trajectory as the observer")
+        raise InputError("solve takes no recorder; pass a verify.Trajectory as the observer")
     t0 = time.perf_counter()
     state = init_state(prob, cfg)
     res = osqp_residuals(prob, state.x, state.z, state.y)

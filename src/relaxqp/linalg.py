@@ -70,21 +70,6 @@ def pick_backend(n: int, m: int, nnz: int) -> str:
     return "sparse" if size >= SPARSE_MIN_SIZE and nnz <= SPARSE_MAX_DENSITY * size else "dense"
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise InputError(f"{name} must be a 2-d matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise InputError(f"{name} contains non-finite entries")
-    return a
-
-
-def _as_sparse(a, name: str):
-    if not np.isfinite(a.data).all():
-        raise InputError(f"{name} contains non-finite entries")
-    return a
-
-
 @dataclass(frozen=True)
 class LdltFactor:
     """Factor of a symmetric positive definite matrix of size ``dim``.
@@ -109,12 +94,16 @@ def assemble_kkt(P, A, sigma: float, r_values: np.ndarray):
     A : (m, n) constraint matrix.
     sigma : positive regularization added to the diagonal.
     r_values : (m,) positive per-constraint penalty entries.
+
+    P and A are not scanned for non-finite entries: every entry of P reaches
+    H through ``+ P`` and every entry of A its diagonal, which
+    :func:`ldlt_factor` checks.
     """
     is_sparse = sparse.issparse(A)
-    if is_sparse:
-        P, A = _as_sparse(P, "P"), _as_sparse(A, "A")
-    else:
-        P, A = _as_matrix(P, "P"), _as_matrix(A, "A")
+    if not is_sparse:
+        P, A = np.asarray(P, dtype=np.float64), np.asarray(A, dtype=np.float64)
+        if P.ndim != 2 or A.ndim != 2:
+            raise InputError(f"P and A must be 2-d matrices, got ndim={P.ndim} and {A.ndim}")
     r = np.asarray(r_values, dtype=np.float64)
     n = P.shape[0]
     m = A.shape[0]
@@ -150,7 +139,11 @@ def ldlt_factor(M) -> LdltFactor:
     """
     if sparse.issparse(M):
         return _sparse_factor(M)
-    M = _as_matrix(M, "M")
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2:
+        raise InputError(f"M must be a 2-d matrix, got ndim={M.ndim}")
+    if not np.isfinite(M).all():
+        raise InputError("M contains non-finite entries")
     d = M.shape[0]
     if M.shape[1] != d:
         raise InputError(f"matrix must be square, got {M.shape}")
@@ -165,7 +158,9 @@ def _sparse_factor(M) -> LdltFactor:
     d = M.shape[0]
     if M.shape[1] != d:
         raise InputError(f"matrix must be square, got {M.shape}")
-    M = sparse.csc_array(_as_sparse(M, "M"))
+    if not np.isfinite(M.data).all():
+        raise InputError("M contains non-finite entries")
+    M = sparse.csc_array(M)
     try:
         return LdltFactor(dim=d, lu=positive_splu(M))
     except RuntimeError:

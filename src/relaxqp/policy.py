@@ -28,7 +28,7 @@ from scipy.special import expit
 
 from .engine import PolicyContext
 from .errors import InputError, PolicyError
-from .problem import QpProblem, Residuals, array_field, read_json_object
+from .problem import QpProblem, Residuals, array_field, read_json_object, write_atomic
 
 FEATURE_EPS = 1e-8
 FEATURE_CLAMP = 6.0
@@ -346,8 +346,8 @@ def checkpoint_from_dict(doc: dict) -> PolicyCheckpoint:
 
 
 def save_checkpoint(ckpt: PolicyCheckpoint, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(checkpoint_to_dict(ckpt), fh)
+    """Write ``ckpt`` to ``path``; a save that fails leaves the old file as it was."""
+    write_atomic(path, json.dumps(checkpoint_to_dict(ckpt)))
 
 
 def load_checkpoint(path) -> PolicyCheckpoint:

@@ -341,7 +341,7 @@ def osqp_residuals(prob: QpProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray)
 
 def terminated(res: Residuals, eps_abs: float, eps_rel: float) -> bool:
     """OSQP stopping rule; boundary hits count as terminated (<=, not <)."""
-    if eps_abs <= 0 or eps_rel <= 0:
+    if not (eps_abs > 0 and eps_rel > 0):  # NaN fails the comparisons
         raise InputError("tolerances must be positive")
     return res.r_prim_inf <= eps_abs + eps_rel * res.prim_scale and res.r_dual_inf <= (
         eps_abs + eps_rel * res.dual_scale

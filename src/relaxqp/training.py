@@ -104,7 +104,7 @@ def rollout(
 
     def observer(state, res):
         if state.iter % t == 0:
-            snapshots.append((state.x.copy(), state.y.copy()))
+            snapshots.append((state.x, state.y))  # a step binds new arrays
 
     run_cfg = replace(cfg, max_iter=horizon)
     try:

@@ -2,8 +2,10 @@
 
 The solver's consensus splitting is equivalent to a relaxed Douglas-Rachford
 iteration on the dual, run in a metric that changes whenever the penalty
-vector changes.  This module reconstructs the dual states from recorded
-trajectories and checks, step by step:
+vector changes.  This module records trajectories of the solver in columns
+(:class:`Trajectory`, passed to :func:`relaxqp.engine.solve` as its
+observer; it is the only module that knows their row layout), reconstructs
+the dual states from them and checks, step by step:
 
   * the state-transition identity  y~_{k+1} - y_k = Gamma_k R_k e_{k+1},
   * the metric-update perturbation y_{k+1} - y~_{k+1} = (R_{k+1}-R_k) s_{k+1},
@@ -15,6 +17,7 @@ first n coordinates carry the (constant) sigma-weighted decision block, the
 last m the constraint block.
 """
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,14 +26,14 @@ from .engine import (
     RHO_MAX,
     RHO_MIN,
     SolverConfig,
-    Trajectory,
+    SolverState,
     init_state,
     iterate_once,
     refactor,
     solve,
 )
 from .errors import InputError, TheoryViolationError
-from .problem import QpProblem, objective
+from .problem import QpProblem, Residuals, objective
 
 IDENTITY_RTOL = 1e-9
 DESCENT_RTOL = 1e-8
@@ -41,6 +44,95 @@ SIGNS = np.array((-1.0, 1.0))
 # Entries per block of a whole-trajectory array operation: steps x (n + m)
 # in the checks, sign draws in the drift runs.  Bounds their temporaries.
 BLOCK_ENTRIES = 8192
+
+
+@dataclass
+class TrajectoryStep:
+    """Everything the theory verifier needs about one iteration; the arrays
+    are views of the step's rows of a :class:`Trajectory`."""
+
+    x: np.ndarray
+    z: np.ndarray
+    y: np.ndarray
+    x_tilde: np.ndarray
+    z_tilde: np.ndarray
+    x_next: np.ndarray
+    z_next: np.ndarray
+    y_next: np.ndarray
+    r_values: np.ndarray
+    r_next_values: np.ndarray
+    gamma_values: np.ndarray
+    alpha_x: float
+    sigma: float
+    # |z - clip(z + y/r, l, u)|_inf of the input state: zero (to roundoff)
+    # when z and y are consistent, i.e. y lies in the normal cone of [l, u]
+    # at z.  Every state the iteration produces is; the cold start z = y = 0
+    # is not when 0 lies outside [l, u].
+    input_gap: float
+
+
+class Trajectory:
+    """Preallocated columns of a solve run under ``cfg``, filled as its observer.
+
+    Row k of ``x``, ``z``, ``y`` and ``r`` (the penalty) is step k's input and
+    row k + 1 its output, so each iterate is stored once; ``x_tilde``,
+    ``z_tilde``, ``gamma``, ``alpha_x`` and ``input_gap`` have one row per
+    step.  ``steps[k]`` is step k as a :class:`TrajectoryStep`.  Call
+    :meth:`finish` after the solve: a penalty update can follow the last
+    observed iteration, so the last penalty row comes from the final state.
+    """
+
+    def __init__(self, prob: QpProblem, cfg: SolverConfig):
+        rows, n, m = cfg.max_iter, prob.n, prob.m
+        self.x = np.empty((rows + 1, n))
+        self.z = np.empty((rows + 1, m))
+        self.y = np.empty((rows + 1, m))
+        self.r = np.empty((rows + 1, m))
+        self.x_tilde = np.empty((rows, n))
+        self.z_tilde = np.empty((rows, m))
+        self.gamma = np.empty((rows, m))
+        self.alpha_x = np.empty(rows)
+        self.input_gap = np.empty(rows)
+        self.sigma = cfg.sigma
+        self._bounds = prob.l, prob.u
+        self._state = None
+
+    def __call__(self, state: SolverState, res: Residuals) -> None:
+        k = state.iter
+        self.x[k], self.z[k], self.y[k] = state.x, state.z, state.y
+        if k:
+            i = k - 1
+            # The observer runs before this iteration's penalty update.
+            self.r[i] = state.R
+            self.x_tilde[i], self.z_tilde[i] = state.x_tilde, state.z_tilde
+            self.gamma[i], self.alpha_x[i] = state.Gamma, state.alpha_x
+            z, y = self.z[i], self.y[i]
+            self.input_gap[i] = np.abs(z - (z + y / self.r[i]).clip(*self._bounds)).max(initial=0.0)
+        self._state = state
+
+    def finish(self) -> "Trajectory":
+        """Cut the rows to the iterations the solve ran and read the last
+        penalty row from its final state, which is then let go."""
+        state, self._state = self._state, None
+        k = state.iter
+        self.x, self.z, self.y, self.r = (a[: k + 1] for a in (self.x, self.z, self.y, self.r))
+        self.r[k] = state.R
+        self.x_tilde, self.z_tilde, self.gamma, self.alpha_x, self.input_gap = (
+            a[:k] for a in (self.x_tilde, self.z_tilde, self.gamma, self.alpha_x, self.input_gap)
+        )
+        return self
+
+    def __len__(self) -> int:
+        return self.alpha_x.shape[0]
+
+    def __getitem__(self, k) -> TrajectoryStep:
+        k = range(len(self))[operator.index(k)]  # negative counts from the end
+        return TrajectoryStep(
+            x=self.x[k], z=self.z[k], y=self.y[k], x_tilde=self.x_tilde[k], z_tilde=self.z_tilde[k],
+            x_next=self.x[k + 1], z_next=self.z[k + 1], y_next=self.y[k + 1],
+            r_values=self.r[k], r_next_values=self.r[k + 1], gamma_values=self.gamma[k],
+            alpha_x=float(self.alpha_x[k]), sigma=self.sigma, input_gap=float(self.input_gap[k]),
+        )
 
 
 @dataclass(frozen=True)
@@ -308,8 +400,10 @@ def run_drift_experiment(
         signs = SIGNS[rng.integers(0, 2, size=n_draws)]
         pos = 0
         for k, th_r, th_g in zip(range(k0, k1), th_rs, th_gs):
+            x_k, z_k = state.x, state.z  # a step binds new arrays
             iterate_once(state, prob, cfg)
-            # The norms of splitting_residuals' r and s, block by block:
+            # The norms of the step's splitting residuals r = (x~ - x, z~ - z)
+            # and s = -(sigma (x - x_k), R (z - z_k)), R not yet perturbed:
             # |-sigma d|_inf = sigma |d|_inf, the initial 0.0 covers an empty
             # block, and Python's max of the two is the max over both as no
             # entry is NaN (iterate_once raises on a non-finite iterate, which
@@ -319,8 +413,8 @@ def run_drift_experiment(
                 np.abs(state.z_tilde - state.z).max(initial=0.0),
             )
             s_hist[k] = max(
-                cfg.sigma * np.abs(state.x - state.x_prev).max(initial=0.0),
-                np.abs(state.R_prev_values * (state.z - state.z_prev)).max(initial=0.0),
+                cfg.sigma * np.abs(state.x - x_k).max(initial=0.0),
+                np.abs(state.R * (state.z - z_k)).max(initial=0.0),
             )
             gap_hist[k] = abs(objective(prob, state.x) - p_star)
             if r_hist[k] <= r_tol and s_hist[k] <= s_tol and gap_hist[k] <= gap_tol:

@@ -15,10 +15,9 @@ def inject_relaxation_fault(monkeypatch):
     iterate_once = engine.iterate_once
 
     def faulty(state, prob, cfg):
-        y_k = state.y
+        z_k, y_k, g, r = state.z, state.y, state.Gamma, state.R
         iterate_once(state, prob, cfg)
-        g, r = state.Gamma, state.R_prev_values
-        w = g * state.z_tilde - (1.0 - g) * state.z_prev
+        w = g * state.z_tilde - (1.0 - g) * z_k
         state.z = np.clip(w + y_k / r, prob.l, prob.u)
         state.y = y_k + r * (w - state.z)
         return state

@@ -17,12 +17,10 @@ from relaxqp.engine import (
     RHO_MAX,
     RHO_MIN,
     SolverConfig,
-    TrajectoryStep,
     init_state,
     iterate_once,
     refactor,
     solve,
-    splitting_residuals,
 )
 from relaxqp.errors import TheoryViolationError
 from relaxqp.problem import QpProblem, objective
@@ -33,6 +31,7 @@ from relaxqp.verify import (
     DriftResult,
     DrsCheck,
     DrsState,
+    TrajectoryStep,
 )
 
 
@@ -176,6 +175,20 @@ def random_box_qp(rng: np.random.Generator, n: int, m: int, name: str = "") -> Q
     return QpProblem(P, q, A, l, u, name=name or f"box_qp_{n}x{m}")
 
 
+def splitting_residuals(state, x_prev: np.ndarray, z_prev: np.ndarray, sigma: float):
+    """Convergence-theory residuals of the step from (x_prev, z_prev) to the
+    state's iterate, in the consensus space of dimension n + m.
+
+    r: mismatch between the unrelaxed KKT-solve output and the projected
+       iterate; s: -(penalty) * (change of the projected iterate), which is
+       the dual residual of the splitting.  The penalty is ``state.R``, the
+       step's own until a penalty update follows the step.
+    """
+    r_vec = np.concatenate((state.x_tilde - state.x, state.z_tilde - state.z))
+    s_vec = np.concatenate((-sigma * (state.x - x_prev), -state.R * (state.z - z_prev)))
+    return r_vec, s_vec
+
+
 # ---------------------------------------------------------------------------
 # Per-step references for relaxqp.verify, which works on blocks of steps.
 # Each processes one step (or one drift iteration) at a time, in the
@@ -193,7 +206,8 @@ def record_per_step(prob: QpProblem, cfg: SolverConfig, n_steps: int, policy=Non
 
     def observer(state, res):
         if state.iter:
-            z, y, r = last["z"], last["y"], state.R_prev_values.copy()
+            # The observer runs before the iteration's penalty update.
+            z, y, r = last["z"], last["y"], state.R.copy()
             if steps:
                 steps[-1].r_next_values = r.copy()
             steps.append(
@@ -333,8 +347,9 @@ def drift_per_step(
     converged = False
     iterations = horizon
     for k in range(horizon):
+        x_k, z_k = state.x.copy(), state.z.copy()
         iterate_once(state, prob, cfg)
-        r_vec, s_vec = splitting_residuals(state, cfg.sigma)
+        r_vec, s_vec = splitting_residuals(state, x_k, z_k, cfg.sigma)
         r_hist[k] = np.abs(r_vec).max()
         s_hist[k] = np.abs(s_vec).max()
         gap_hist[k] = abs(objective(prob, state.x) - p_star)

@@ -210,6 +210,17 @@ class TestManifestAndStore:
         save_manifest(specs, path)
         assert load_manifest(path) == specs
 
+    def test_failed_save_keeps_the_previous_manifest(self, tmp_path):
+        specs = [FamilySpec("random_qp", 10, 1), FamilySpec("svm", 10, 2)]
+        path = tmp_path / "m.json"
+        save_manifest(specs, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_manifest([FamilySpec("random_qp", 10, object())], path)
+        assert path.read_bytes() == before
+        assert load_manifest(path) == specs
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
     def test_store_layout_and_cache(self, tmp_path):
         spec = FamilySpec("random_qp", 10, 9)
         prob, ref = ensure_instance(tmp_path, spec, with_reference=True)

@@ -202,6 +202,24 @@ class TestInputErrors:
             ["solve", "--problem", str(tiny_problem_file), "--config", str(cfg)], "'rho0'", capsys
         )
 
+    @pytest.mark.parametrize("doc,field", [({"eps_abs": 0}, "'eps_abs'"),
+                                           ({"eps_rel": float("nan")}, "'eps_rel'")],
+                             ids=["eps_abs_zero", "eps_rel_nan"])
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_invalid_tolerance_in_config(self, tiny_problem_file, tmp_path, capsys, doc, field,
+                                         command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))  # NaN is written as the literal NaN
+        if command == "solve":
+            argv = ["solve", "--problem", str(tiny_problem_file)]
+        else:
+            manifest = tmp_path / "m.json"
+            save_manifest([FamilySpec("random_qp", 10, 1)], manifest)
+            argv = ["bench", "--manifest", str(manifest), "--store", str(tmp_path / "store"),
+                    "--out", str(tmp_path / "results.csv")]
+        self._expect_error(argv + ["--config", str(cfg)], field, capsys)
+        assert not (tmp_path / "results.csv").exists()
+
     def test_problem_matrix_size_mismatch(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

@@ -19,14 +19,14 @@ from relaxqp.engine import (
     maybe_update_rho,
     rho_pattern,
     solve,
-    splitting_residuals,
 )
 from relaxqp import problem as problem_mod
+from relaxqp import verify
 from relaxqp.errors import DivergenceError, InputError, PolicyError
 from relaxqp.policy import init_checkpoint, policy_from_checkpoint
 from relaxqp.problem import ConstraintKind, QpProblem, osqp_residuals
 
-from oracles import random_box_qp, relaxed_admm_transcription
+from oracles import random_box_qp, relaxed_admm_transcription, splitting_residuals
 
 INF = np.inf
 
@@ -59,7 +59,7 @@ class TestInitState:
         assert st.alpha_x == 1.6
         assert st.n_factorizations == 1
         assert st.iter == 0
-        assert not st.frozen
+        assert st.x_tilde is None and st.z_tilde is None
 
     def test_equality_row_weight(self):
         prob = QpProblem(P=np.eye(1), q=np.zeros(1),
@@ -181,13 +181,29 @@ class TestIterateOnce:
             assert not np.isfinite(st.x.sum() + st.z.sum() + st.y.sum())
 
 
+def solve_last_step_residuals(prob, cfg):
+    """Solve to termination; return the report, the final state and the
+    splitting residuals of the last step.  The observer keeps references to
+    the previous iterate, as a step binds new arrays, and no penalty update
+    follows the step that terminates."""
+    seen = []
+
+    def observer(state, res):
+        seen.append((state.x, state.z, state))
+
+    rep = solve(prob, cfg, observer=observer)
+    (x_prev, z_prev, _), (_, _, st) = seen[-2:]
+    return rep, st, splitting_residuals(st, x_prev, z_prev, cfg.sigma)
+
+
 class TestTheoremResiduals:
     def test_zero_change_gives_zero_dual_part(self):
         prob = one_dim_box()
         cfg = SolverConfig(adaptive_rho=False)
         st = init_state(prob, cfg)
+        x0, z0 = st.x, st.z
         iterate_once(st, prob, cfg)
-        r_vec, s_vec = splitting_residuals(st, cfg.sigma)
+        r_vec, s_vec = splitting_residuals(st, x0, z0, cfg.sigma)
         # the 1-d instance is solved in one step from the origin: no movement
         assert np.max(np.abs(s_vec)) <= 1e-15
         assert np.max(np.abs(r_vec)) <= 1e-15
@@ -199,6 +215,7 @@ class TestTheoremResiduals:
         cfg = SolverConfig(adaptive_rho=False, rho0=1.0, alpha0=1.0,
                            alpha_min=1.0, alpha_max=1.0, sigma=1e-6)
         st = init_state(prob, cfg)
+        x0, z0 = st.x, st.z
         iterate_once(st, prob, cfg)
         s = cfg.sigma
         # KKT: (1 + s) xt - nu = 0; xt - nu = 0  =>  xt = nu = 0
@@ -206,7 +223,7 @@ class TestTheoremResiduals:
         assert st.x[0] == pytest.approx(0.0, abs=1e-12)
         assert st.z[0] == pytest.approx(0.5)
         assert st.y[0] == pytest.approx(-0.5)
-        r_vec, s_vec = splitting_residuals(st, s)
+        r_vec, s_vec = splitting_residuals(st, x0, z0, s)
         # r = (xt - x1, zt - z1) = (0, -0.5); s = (-s*(x1-x0), -rho*(z1-z0))
         assert_allclose(r_vec, [0.0, -0.5], atol=1e-12)
         assert_allclose(s_vec, [0.0, -0.5], atol=1e-12)
@@ -214,14 +231,8 @@ class TestTheoremResiduals:
     def test_small_at_convergence(self):
         prob = generate(FamilySpec("random_qp", 10, 6))
         cfg = SolverConfig(adaptive_rho=True, eps_abs=1e-9, eps_rel=1e-9)
-        final = {}
-
-        def observer(state, res):
-            if state.iter > 0:
-                final["state"] = state
-
-        solve(prob, cfg, observer=observer)
-        r_vec, s_vec = splitting_residuals(final["state"], cfg.sigma)
+        rep, _, (r_vec, s_vec) = solve_last_step_residuals(prob, cfg)
+        assert rep.status == "solved"
         assert np.max(np.abs(r_vec)) <= 1e-6
         assert np.max(np.abs(s_vec)) <= 1e-6
 
@@ -231,15 +242,8 @@ class TestTheoremResiduals:
     def test_bounded_by_stopping_tolerance_at_termination(self, family, size, adaptive):
         prob = generate(FamilySpec(family, size, 1))
         cfg = SolverConfig(adaptive_rho=adaptive)
-        final = {}
-
-        def observer(state, res):
-            final["state"] = state
-
-        rep = solve(prob, cfg, observer=observer)
+        rep, st, (r_vec, s_vec) = solve_last_step_residuals(prob, cfg)
         assert rep.status == "solved"
-        st = final["state"]
-        r_vec, s_vec = splitting_residuals(st, cfg.sigma)
         prim_scale = max(np.max(np.abs(prob.A @ st.x)), np.max(np.abs(st.z)))
         dual_scale = max(
             np.max(np.abs(prob.P @ st.x)), np.max(np.abs(prob.A.T @ st.y)),
@@ -303,8 +307,11 @@ class TestApplyPolicy:
         cfg = SolverConfig(adaptive_rho=False, max_iter=520, freeze_iter=500,
                            eps_abs=1e-300, eps_rel=1e-300)
 
+        queried = []
+
         class Wobble:
             def propose(self, ctx):
+                queried.append(ctx.iteration)
                 a = 1.5 + 0.1 * np.sin(ctx.iteration)
                 return np.full(ctx.prob.m, a), a
 
@@ -315,12 +322,12 @@ class TestApplyPolicy:
                 snap["at499"] = state.Gamma.copy()
             if state.iter >= 500:
                 snap.setdefault("after", []).append(state.Gamma.copy())
-            snap["frozen"] = state.frozen
 
         solve(prob, cfg, policy=Wobble(), observer=observer)
         for g in snap["after"]:
             assert np.array_equal(g, snap["at499"])
-        assert snap["frozen"]
+        # the policy is not queried from the freeze iteration on
+        assert queried and max(queried) < cfg.freeze_iter
 
     def test_nonfinite_policy_raises_and_preserves_gamma(self):
         prob = generate(FamilySpec("random_qp", 8, 10))
@@ -485,6 +492,74 @@ class TestSolveProperties:
         assert outside == []
 
 
+ITERATE_FIELDS = ("x", "z", "y", "R", "Gamma", "x_tilde", "z_tilde")
+
+
+class KeepAndCopy:
+    """Observer that keeps, at every call, a reference to each iterate array
+    of the state and a copy of it."""
+
+    def __init__(self):
+        self.kept, self.copied = [], []
+
+    def __call__(self, state, res=None):
+        arrays = {name: getattr(state, name) for name in ITERATE_FIELDS}
+        self.kept.append(arrays)
+        self.copied.append({name: None if a is None else a.copy() for name, a in arrays.items()})
+
+    def distinct(self, name: str) -> int:
+        return len({c[name].tobytes() for c in self.copied})
+
+    def assert_references_hold_their_values(self):
+        assert len(self.kept) > 1
+        for k, (kept, copied) in enumerate(zip(self.kept, self.copied)):
+            for name in ITERATE_FIELDS:
+                a, b = kept[name], copied[name]
+                if b is None:
+                    assert a is None, (k, name)
+                else:
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, name)
+
+
+class TestNoInPlaceWrites:
+    """A step, penalty update or policy query binds new arrays and never writes
+    into those the state held, so an observer may keep references instead of
+    copies (verify.Trajectory, run_drift_experiment and training.rollout do)."""
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("policy", [None, "vector"])
+    def test_solve(self, adaptive, policy):
+        prob = generate(FamilySpec("portfolio", 10, 1))
+        cfg = SolverConfig(adaptive_rho=adaptive, rho_check_interval=5, stage_length=3)
+        obs = KeepAndCopy()
+        rep = solve(prob, cfg, policy=vector_policy() if policy else None, observer=obs)
+        assert rep.status == "solved"
+        assert (rep.rho_updates > 0) == adaptive
+        assert (obs.distinct("Gamma") > 1) == (policy is not None)
+        obs.assert_references_hold_their_values()
+
+    def test_drift_run(self, monkeypatch):
+        # the drift run perturbs R (refactoring) and Gamma after every step
+        prob = generate(FamilySpec("random_qp", 10, 3))
+        obs = KeepAndCopy()
+        step = verify.iterate_once
+
+        def observed_step(state, prob, cfg):
+            obs(state)
+            step(state, prob, cfg)
+            obs(state)
+            return state
+
+        monkeypatch.setattr(verify, "iterate_once", observed_step)
+        horizon = 60
+        res = verify.run_drift_experiment(
+            prob, verify.DriftSchedule.inverse_square(horizon), horizon, SolverConfig(), 0.0
+        )
+        assert res.iterations == horizon
+        assert obs.distinct("R") > 2 and obs.distinct("Gamma") > 2
+        obs.assert_references_hold_their_values()
+
+
 class TestKktBackend:
     @pytest.mark.parametrize("family,size", [("lasso", 20), ("svm", 50), ("portfolio", 149)])
     @pytest.mark.parametrize("adaptive", [False, True])
@@ -528,6 +603,14 @@ class TestConfigFile:
     def test_unknown_field_rejected(self):
         with pytest.raises(InputError):
             config_from_dict({"rho_zero": 1.0})
+
+    @pytest.mark.parametrize("name", ["rho0", "sigma", "eps_abs", "eps_rel"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, np.nan, np.inf, -np.inf, 0, 10**400],
+                             ids=["zero", "negative", "nan", "inf", "-inf", "int_zero", "huge_int"])
+    def test_positive_finite_fields(self, name, value):
+        with pytest.raises(InputError, match=f"'{name}' must be finite and > 0"):
+            SolverConfig(**{name: value})
+        assert getattr(SolverConfig(**{name: 2.5}), name) == 2.5
 
     def test_validation(self):
         with pytest.raises(InputError):

@@ -248,9 +248,16 @@ class TestSparseFactor:
         assert exc.value.pivot == 0.0
 
     def test_non_finite_entries_rejected(self):
-        A = sparse.csr_array(np.array([[1.0, np.nan]]))
-        with pytest.raises(InputError):
-            assemble_kkt(sparse.csr_array(np.eye(2)), A, 1.0, np.ones(1))
+        # assemble_kkt does not scan P and A; each of their entries reaches
+        # the assembled matrix, which ldlt_factor checks
+        for bad in (np.nan, np.inf, -np.inf):
+            for where in ("P", "A"):
+                P, A = np.eye(2), np.array([[1.0, 2.0], [0.0, 3.0]])
+                (P if where == "P" else A)[0, 1] = bad
+                for to in (np.asarray, sparse.csr_array):
+                    H = assemble_kkt(to(P), to(A), 1.0, np.ones(2))
+                    with pytest.raises(InputError, match="non-finite"):
+                        ldlt_factor(H)
 
 
 class TestPickBackend:

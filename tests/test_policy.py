@@ -276,6 +276,21 @@ class TestCheckpointFormat:
         save_checkpoint(again, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path):
+        ck = init_checkpoint("vector", seed=12, metadata={"epoch": 1})
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ck, path)
+        before = path.read_bytes()
+        # metadata that is not JSON fails the save after the document is built
+        bad = dataclasses.replace(ck, metadata={"epoch": object()})
+        with pytest.raises(TypeError):
+            save_checkpoint(bad, path)
+        assert path.read_bytes() == before
+        again = load_checkpoint(path)
+        assert flatten_params(again).tobytes() == flatten_params(ck).tobytes()
+        assert again.metadata == ck.metadata
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
     def test_dict_contains_schema_fields(self):
         doc = checkpoint_to_dict(init_checkpoint("scalar", seed=0))
         for key in ("variant", "dims", "W1", "b1", "ln1_gain", "ln1_offset", "W2",

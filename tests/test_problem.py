@@ -238,6 +238,14 @@ class TestTerminated:
         res = replace(res, r_prim_inf=1e-3, r_dual_inf=0.0)
         assert terminated(res, 1e-3, 1e-3)
 
+    @pytest.mark.parametrize("eps", [(0.0, 1e-3), (1e-3, -1.0), (np.nan, 1e-3), (1e-3, np.nan)])
+    def test_invalid_tolerance_rejected(self, eps):
+        prob = QpProblem(P=np.eye(1), q=np.zeros(1), A=np.eye(1),
+                         l=-np.ones(1), u=np.ones(1))
+        res = osqp_residuals(prob, np.zeros(1), np.zeros(1), np.zeros(1))
+        with pytest.raises(InputError, match="tolerances"):
+            terminated(res, *eps)
+
 
 class TestFileFormat:
     def test_roundtrip_bit_exact(self, tmp_path):

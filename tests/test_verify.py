@@ -5,12 +5,13 @@ import pytest
 
 from relaxqp import verify
 from relaxqp.bench import FamilySpec, generate, reference_solution
-from relaxqp.engine import SolverConfig, TrajectoryStep
+from relaxqp.engine import SolverConfig
 from relaxqp.errors import InputError, TheoryViolationError
 from relaxqp.problem import QpProblem, objective
 from relaxqp.verify import (
     SIGNS,
     DriftSchedule,
+    TrajectoryStep,
     check_descent,
     reconstruct_drs,
     record_trajectory,
