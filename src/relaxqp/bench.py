@@ -209,38 +209,42 @@ def _gen_control(size: int, seed: int) -> QpProblem:
     g = lambda tag: _rng("control", size, seed, tag)
     Ad = _stable_matrix(g("A"), nx)
     Bd = g("B").uniform(-1.0, 1.0, size=(nx, nu))
-    Q = np.eye(nx)
-    Rcost = 0.1 * np.eye(nu)
+    r_cost = 0.1  # input cost 0.1*I; the state cost is I
     x0 = g("x0").uniform(-0.5, 0.5, size=nx)
     u_lim = 0.8
     x_lim = 5.0
 
-    # Prediction matrices: states x_1..x_T = Phi x0 + G U.
+    # Constraints: the inputs U, then the states x_1..x_T = Phi x0 + G U,
+    # whose prediction matrix G is written in place as A's state rows.
     n = T * nu
+    m = n + T * nx
+    A = np.zeros((m, n))
+    np.fill_diagonal(A[:n], 1.0)
+    G = A[n:]
     Phi = np.zeros((T * nx, nx))
-    G = np.zeros((T * nx, n))
     Ak = np.eye(nx)
     for t in range(T):
         Ak = Ad @ Ak
         Phi[t * nx : (t + 1) * nx] = Ak
-    for t in range(T):
-        block = Bd
-        for s in range(t, T):
-            G[s * nx : (s + 1) * nx, t * nu : (t + 1) * nu] = block
-            block = Ad @ block
-    Qbar = np.kron(np.eye(T), Q)
-    Rbar = np.kron(np.eye(T), Rcost)
+    block = Bd  # Ad^k Bd, the block of G k steps below its diagonal
+    for k in range(T):
+        for t in range(T - k):
+            G[(t + k) * nx : (t + k + 1) * nx, t * nu : (t + 1) * nu] = block
+        block = Ad @ block
 
-    P = G.T @ Qbar @ G + Rbar
-    P = 0.5 * (P + P.T)
-    q = G.T @ (Qbar @ (Phi @ x0))
+    # Cost U'(G'G + r_cost*I)U + 2(G'Phi x0)'U: with an identity state cost
+    # the condensed products need no state-cost matrix.  G' is copied so
+    # that G'G is a general matrix product: numpy computes G.T @ G on one
+    # buffer as a symmetric rank-k update, which rounds differently.
+    P = np.ascontiguousarray(G.T) @ G
+    P.flat[:: n + 1] += r_cost
+    P += P.T
+    P *= 0.5
+    free = Phi @ x0
+    q = G.T @ free
 
-    m = n + T * nx
-    A = np.zeros((m, n))
-    A[:n] = np.eye(n)
-    A[n:] = G
-    l = np.concatenate((-u_lim * np.ones(n), -x_lim * np.ones(T * nx) - Phi @ x0))
-    u = np.concatenate((u_lim * np.ones(n), x_lim * np.ones(T * nx) - Phi @ x0))
+    l = np.concatenate((np.full(n, -u_lim), -x_lim * np.ones(T * nx) - free))
+    u = np.concatenate((np.full(n, u_lim), x_lim * np.ones(T * nx) - free))
     return QpProblem(P, q, A, l, u, name=f"control_n{size}_s{seed}", seed=seed)
 
 

@@ -80,10 +80,7 @@ class SolverConfig:
             raise InputError("relaxation bounds must satisfy 0 < alpha_min <= alpha_max < 2")
         if not (self.alpha_min <= self.alpha0 <= self.alpha_max):
             raise InputError("alpha0 must lie in [alpha_min, alpha_max]")
-        for name in ("rho0", "sigma", "eps_abs", "eps_rel"):
-            value = getattr(self, name)
-            if not 0 < value <= sys.float_info.max:  # NaN and ints too big for a float fail
-                raise InputError(f"config field {name!r} must be finite and > 0, got {value!r}")
+        check_positive_finite(self, ("rho0", "sigma", "eps_abs", "eps_rel"))
         if self.stage_length < 1 or self.rho_check_interval < 1:
             raise InputError("intervals must be positive")
 
@@ -95,6 +92,15 @@ def check_field_types(cfg) -> None:
         value = getattr(cfg, f.name)
         if not isinstance(value, numbers.Integral if f.type in (bool, int) else numbers.Real):
             raise InputError(f"config field {f.name!r} must be {f.type.__name__}, got {value!r}")
+
+
+def check_positive_finite(cfg, names) -> None:
+    """InputError naming the first of the fields ``names`` of ``cfg`` whose
+    value is not finite and > 0."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not 0 < value <= sys.float_info.max:  # NaN and ints too big for a float fail
+            raise InputError(f"config field {name!r} must be finite and > 0, got {value!r}")
 
 
 def config_to_dict(cfg: SolverConfig) -> dict:

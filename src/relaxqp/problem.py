@@ -16,30 +16,36 @@ A problem file is one JSON document ``{name, n, m, P, q, A, l, u, seed}``,
 written only by :func:`save_problem`.  It writes q, l and u as
 ``{"f8le_zlib_b64": s}``: s is the base64 of the zlib-compressed
 little-endian float64 bytes of the array, so every value, +-inf included,
-round-trips bit-exactly.  The form of P and A follows the backend.  On the
-dense backend each is a sidecar file beside the document, named in the field
-as ``{"f8le_file": "<file>.<P|A>.<crc32>.f8"}``: ``<file>`` is the
-document's file name without leading dots and ``<crc32>`` the crc32 of the
-file's bytes in 8 lowercase hex digits, and those bytes are the raw
-little-endian float64 array in row-major order.  The name is the content's
-address, so rewriting a path with the same problem rewrites the same bytes
-under the same names, and a rewrite with other content writes new sidecars
-and leaves the old ones in place for a reader of the old document.  The
-sidecars are written, each through a temporary file and one ``os.replace``,
-before the document.  :func:`load_problem` reads a sidecar only under a bare
-file name of that pattern whose letter is the field's, only when its size is
-exactly the field's, and accepts its bytes only when their crc32 is the
-name's.  On the sparse backend P and A are
-``{"csr": {"indptr": i, "indices": i, "data": f}}`` inside the document:
-each i is ``{"i4le_zlib_b64": s}``, the same framing of int32 little-endian
-row pointers and column indices (sorted and unique within each row), and f
-the binary float64 values.  The CSR form stores every entry whose bit
-pattern is not zero, -0.0 included, so it round-trips bit-exactly too.
-The reader also takes P and A in the binary form, which earlier versions
-wrote for dense problems, and :func:`array_field` reads the hand-written
-form, a dense row-major list of numbers, where bounds at or beyond the
-+-1e30 sentinel common to QP solver interfaces mean +-inf.  Every JSON input
-file of the package is read by :func:`read_json_object`.
+round-trips bit-exactly.  P and A are sidecar files beside the document, in
+the form of the backend, each named ``<file>.<P|A>.<crc32>.<suffix>``:
+``<file>`` is the document's file name without leading dots and ``<crc32>``
+the crc32 of the file's bytes in 8 lowercase hex digits.  On the dense
+backend the field is ``{"f8le_file": "<file>.<P|A>.<crc32>.f8"}`` and the
+file holds the raw little-endian float64 array in row-major order.  On the
+sparse backend the field is ``{"csr_file": "<file>.<P|A>.<crc32>.csr",
+"nnz": k}`` and the file holds the CSR form, one part after another: the
+rows + 1 row pointers and the k column indices as little-endian int32, then
+the k values as little-endian float64.  It stores every entry whose bit
+pattern is not zero, -0.0 included, so it round-trips bit-exactly too.  The
+name is the content's address, so rewriting a path with the same problem
+rewrites the same bytes under the same names, and a rewrite with other
+content writes new sidecars and leaves the old ones, ``.f8`` and ``.csr``
+alike, in place for a reader of the old document.  The sidecars are
+written, each through a temporary file and one ``os.replace``, before the
+document.  :func:`load_problem` reads a sidecar only under a bare file name
+of that pattern whose letter is the field's and whose suffix is the field's
+form, only when its size is exactly the one n, m and nnz give, and accepts
+its bytes only when their crc32 is the name's.  CSR parts must pass the
+checks every CSR form shares: row pointers start at 0 and never decrease,
+and column indices are in range and sorted and unique within each row.
+The reader also takes the forms earlier versions wrote: for the dense
+backend P and A in the binary form, and for the sparse one
+``{"csr": {"indptr": i, "indices": i, "data": f}}`` inside the document,
+where each i is ``{"i4le_zlib_b64": s}``, the same framing of the int32
+parts, and f the binary float64 values.  :func:`array_field` reads the
+hand-written form, a dense row-major list of numbers, where bounds at or
+beyond the +-1e30 sentinel common to QP solver interfaces mean +-inf.
+Every JSON input file of the package is read by :func:`read_json_object`.
 
 :func:`osqp_residuals` is the one place that forms A x, P x and A'y for an
 iterate: it returns the residuals together with OSQP's stopping scales, which
@@ -70,11 +76,13 @@ BINARY_KEY = "f8le_zlib_b64"
 BINARY_KEYS = {"<f8": BINARY_KEY, "<i4": "i4le_zlib_b64"}
 CSR_KEY = "csr"
 SIDECAR_KEY = "f8le_file"
+CSR_SIDECAR_KEY = "csr_file"
 # A bare file name without a leading dot: group 1 is the field, group 2 the
-# crc32 of the file's bytes.
-SIDECAR_NAME = re.compile(r"[^./\\\0][^/\\\0]*\.([PA])\.([0-9a-f]{8})\.f8")
+# crc32 of the file's bytes, group 3 the suffix of its form.
+SIDECAR_NAME = re.compile(r"[^./\\\0][^/\\\0]*\.([PA])\.([0-9a-f]{8})\.(f8|csr)")
 SYMMETRY_TOL = 1e-10  # rtol and atol of the symmetry test
 PSD_SHIFT = 1e-9
+PROBE_BLOCK = 1 << 18  # entries of P per block of the symmetry test
 
 
 class ConstraintKind(IntEnum):
@@ -241,10 +249,18 @@ def _dense(a) -> np.ndarray:
 
 def _psd_probe(P: np.ndarray) -> bool:
     # Cheap check: P + 1e-9*I must admit a Cholesky factorization.  The shift
-    # tolerates benign rounding in otherwise-PSD inputs.
-    if not np.allclose(P, P.T, rtol=SYMMETRY_TOL, atol=SYMMETRY_TOL):
-        return False
-    shifted = P + PSD_SHIFT * np.eye(P.shape[0])
+    # tolerates benign rounding in otherwise-PSD inputs.  The symmetry test
+    # is np.allclose(P, P.T, rtol, atol) taken over blocks of rows, and the
+    # shift goes onto the diagonal of one copy, so that no temporary is as
+    # large as P but that copy.
+    n = P.shape[0]
+    rows = max(1, PROBE_BLOCK // max(n, 1))
+    for i in range(0, n, rows):
+        if not np.allclose(P[i : i + rows], P[:, i : i + rows].T,
+                           rtol=SYMMETRY_TOL, atol=SYMMETRY_TOL):
+            return False
+    shifted = P.copy()
+    shifted.flat[:: n + 1] += PSD_SHIFT
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -354,19 +370,6 @@ def encode_array(a: np.ndarray, dtype: str = "<f8") -> dict:
     return {BINARY_KEYS[dtype]: base64.b64encode(zlib.compress(raw, 1)).decode("ascii")}
 
 
-def encode_csr(a: np.ndarray) -> dict:
-    """The CSR matrix object of a problem file: every entry of the dense
-    matrix ``a`` whose bit pattern is not zero, -0.0 included."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    stored = a.view(np.uint64) != 0
-    indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-    parts = dict(indptr=encode_array(indptr, "<i4"),
-                 indices=encode_array(np.nonzero(stored)[1], "<i4"),
-                 data=encode_array(a[stored]))
-    return {CSR_KEY: parts}
-
-
 def _decode_binary(obj: dict, key: str, size: int, dtype: str = "<f8") -> np.ndarray:
     # Inflate at most one byte past the expected size, so a small payload
     # cannot expand without bound before its length is checked.
@@ -390,28 +393,40 @@ def _decode_binary(obj: dict, key: str, size: int, dtype: str = "<f8") -> np.nda
 
 
 def _decode_csr(obj: dict, key: str, shape: tuple):
+    # The in-document CSR object earlier versions wrote for sparse problems.
     parts = obj[CSR_KEY]
     if not isinstance(parts, dict):
         raise InputError(f"field {key!r} holds a {CSR_KEY!r} entry that is not an object")
     rows, cols = shape
     indptr = _decode_binary(parts.get("indptr"), f"{key}.indptr", rows + 1, "<i4")
-    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
-        raise InputError(f"field '{key}.indptr' must start at 0 and never decrease")
     nnz = int(indptr[-1])
-    if nnz > rows * cols:
+    if not 0 <= nnz <= rows * cols:
         raise InputError(
-            f"field '{key}.indptr' counts {nnz} entries, more than a {rows}x{cols} matrix holds"
+            f"field '{key}.indptr' counts {nnz} entries, not 0 to the {rows * cols} "
+            f"a {rows}x{cols} matrix holds"
         )
     indices = _decode_binary(parts.get("indices"), f"{key}.indices", nnz, "<i4")
     data = _decode_binary(parts.get("data"), f"{key}.data", nnz)
-    if nnz and (indices.min() < 0 or indices.max() >= cols):
-        raise InputError(f"field '{key}.indices' holds a column index outside [0, {cols})")
+    return _csr_matrix(indptr, indices, data, shape, lambda part: f"field '{key}.{part}'")
+
+
+def _csr_matrix(indptr, indices, data, shape: tuple, label):
+    """The CSR matrix of ``shape`` with these parts, once they pass the
+    checks both file forms of CSR share; ``label(part)`` names a part in
+    the InputError of a failed check."""
+    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        raise InputError(f"{label('indptr')} must start at 0 and never decrease")
+    if indptr[-1] != indices.size:
+        raise InputError(f"{label('indptr')} counts {indptr[-1]} entries, not {indices.size}")
+    cols = shape[1]
+    if indices.size and (indices.min() < 0 or indices.max() >= cols):
+        raise InputError(f"{label('indices')} holds a column index outside [0, {cols})")
     # Within a row each index must exceed the one before it; the step into
     # the first entry of a row is free.
-    row_start = np.zeros(nnz, dtype=bool)
+    row_start = np.zeros(indices.size, dtype=bool)
     row_start[indptr[:-1][np.diff(indptr) > 0]] = True
     if np.any((np.diff(indices) <= 0) & ~row_start[1:]):
-        raise InputError(f"field '{key}.indices' must be sorted and unique within each row")
+        raise InputError(f"{label('indices')} must be sorted and unique within each row")
     return sparse.csr_array((data, indices, indptr), shape=shape)
 
 
@@ -437,41 +452,60 @@ def array_field(doc: dict, key: str, shape: tuple, bounds: bool = False) -> np.n
 
 
 def matrix_field(doc: dict, key: str, shape: tuple, directory):
-    """``doc[key]`` as a CSR matrix of ``shape`` from a CSR matrix object, as
-    an array from the sidecar file in ``directory`` that a sidecar object
-    names, otherwise as :func:`array_field` reads it."""
+    """``doc[key]`` as a CSR matrix of ``shape`` from a CSR sidecar object
+    or an in-document CSR object, as an array from a dense sidecar object,
+    otherwise as :func:`array_field` reads it.  Sidecar files are read from
+    ``directory``."""
     value = doc[key]
+    if isinstance(value, dict) and CSR_SIDECAR_KEY in value:
+        nnz, size = value.get("nnz"), math.prod(shape)
+        if not isinstance(nnz, int) or isinstance(nnz, bool) or not 0 <= nnz <= size:
+            raise InputError(f"field '{key}.nnz' must be an entry count from 0 to {size} "
+                             f"for sidecar file {value[CSR_SIDECAR_KEY]!r}")
+        path, (indptr, indices, data) = _read_sidecar(
+            value[CSR_SIDECAR_KEY], key, "csr", directory,
+            (("<i4", shape[0] + 1), ("<i4", nnz), ("<f8", nnz)),
+        )
+        return _csr_matrix(indptr, indices, data, shape,
+                           lambda part: f"field '{key}.{part}' in sidecar file {path}")
     if isinstance(value, dict) and CSR_KEY in value:
         return _decode_csr(value, key, shape)
     if isinstance(value, dict) and SIDECAR_KEY in value:
-        return _read_sidecar(value[SIDECAR_KEY], key, shape, directory)
+        _, (flat,) = _read_sidecar(value[SIDECAR_KEY], key, "f8", directory,
+                                   (("<f8", math.prod(shape)),))
+        return flat.reshape(shape)
     return array_field(doc, key, shape)
 
 
-def _read_sidecar(name, key: str, shape: tuple, directory) -> np.ndarray:
+def _read_sidecar(name, key: str, suffix: str, directory, parts: tuple):
+    # The path and the arrays of (dtype, count) ``parts`` that the sidecar
+    # file ``name`` of field ``key`` holds one after another.
     match = SIDECAR_NAME.fullmatch(name) if isinstance(name, str) else None
-    if match is None or match[1] != key:
+    if match is None or match[1] != key or match[3] != suffix:
         raise InputError(
-            f"field {key!r} names sidecar file {name!r}, not a bare '<file>.{key}.<crc32>.f8'"
+            f"field {key!r} names sidecar file {name!r}, not a bare '<file>.{key}.<crc32>.{suffix}'"
         )
     path = os.path.join(directory, name)
-    nbytes = 8 * math.prod(shape)
+    nbytes = sum(np.dtype(dtype).itemsize * count for dtype, count in parts)
     try:
         with open(path, "rb") as fh:
-            # Sized before anything is read, so the document's n and m bound
-            # the memory a sidecar can take.
+            # Sized before anything is read, so the document's n, m and nnz
+            # bound the memory a sidecar can take.
             size = os.fstat(fh.fileno()).st_size
             if size != nbytes:
                 raise InputError(
                     f"field {key!r}: sidecar file {path} holds {size} bytes, expected {nbytes}"
                 )
-            flat = np.fromfile(fh, dtype="<f8", count=nbytes // 8)
+            arrays = [np.fromfile(fh, dtype=dtype, count=count) for dtype, count in parts]
     except OSError as exc:
         reason = exc.strerror or exc
         raise InputError(f"field {key!r}: cannot read sidecar file {path}: {reason}") from exc
-    if flat.size * 8 != nbytes or f"{zlib.crc32(flat):08x}" != match[2]:
+    crc = 0
+    for a in arrays:
+        crc = zlib.crc32(a, crc)
+    if sum(a.nbytes for a in arrays) != nbytes or f"{crc:08x}" != match[2]:
         raise InputError(f"field {key!r}: sidecar file {path} fails its crc32 check")
-    return flat.astype(np.float64, copy=False).reshape(shape)
+    return path, [a.astype(a.dtype.newbyteorder("="), copy=False) for a in arrays]
 
 
 def problem_from_dict(doc: dict, directory) -> QpProblem:
@@ -513,15 +547,17 @@ def read_json_object(path, what: str) -> dict:
 
 
 def write_atomic(path, data) -> None:
-    """Write ``data``, a str or a bytes-like object such as a C-contiguous
-    array, to ``path`` through a temporary file in the same directory and one
+    """Write ``data``, a str, a bytes-like object such as a C-contiguous
+    array, or a tuple of bytes-like objects written one after another, to
+    ``path`` through a temporary file in the same directory and one
     ``os.replace``: a reader sees the old file (or none) or the whole new
     one, never a part, even while another process writes the same path."""
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "x" if isinstance(data, str) else "xb") as fh:
-            fh.write(data)
+            for part in data if isinstance(data, tuple) else (data,):
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -529,22 +565,42 @@ def write_atomic(path, data) -> None:
         raise
 
 
-def _write_sidecar(path: str, key: str, a: np.ndarray) -> dict:
-    # The name drops the file name's leading dots, which the reader refuses.
-    raw = np.ascontiguousarray(a, dtype="<f8")
-    name = f"{os.path.basename(path).lstrip('.')}.{key}.{zlib.crc32(raw):08x}.f8"
-    write_atomic(os.path.join(os.path.dirname(path), name), raw)
-    return {SIDECAR_KEY: name}
+def _write_sidecar(path: str, key: str, suffix: str, parts) -> str:
+    # The file holds the C-contiguous arrays ``parts`` one after another.
+    # Its name drops the file name's leading dots, which the reader refuses.
+    crc = 0
+    for a in parts:
+        crc = zlib.crc32(a, crc)
+    name = f"{os.path.basename(path).lstrip('.')}.{key}.{crc:08x}.{suffix}"
+    write_atomic(os.path.join(os.path.dirname(path), name), parts)
+    return name
+
+
+def _dense_sidecar(path: str, key: str, a: np.ndarray) -> dict:
+    return {SIDECAR_KEY: _write_sidecar(path, key, "f8", (a.astype("<f8", copy=False),))}
+
+
+def _csr_sidecar(path: str, key: str, a: np.ndarray) -> dict:
+    # Every entry of a whose bit pattern is not zero, -0.0 included.
+    stored = a.view(np.uint64) != 0
+    indptr = np.zeros(a.shape[0] + 1, dtype="<i4")
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    flat = np.flatnonzero(stored)
+    indices = (flat % a.shape[1]).astype("<i4")
+    data = a.ravel()[flat].astype("<f8", copy=False)
+    return {CSR_SIDECAR_KEY: _write_sidecar(path, key, "csr", (indptr, indices, data)),
+            "nnz": int(data.size)}
 
 
 def save_problem(prob: QpProblem, path) -> None:
-    """Write ``prob`` to the problem file ``path``, P and A in the form of its
-    backend (see the module docstring); any sidecar files first."""
+    """Write ``prob`` to the problem file ``path``: P and A first, as sidecar
+    files in the form of its backend, then the document (see the module
+    docstring)."""
     path = os.fspath(path)
     if prob.kkt_backend == "sparse":
-        P, A = encode_csr(prob.P), encode_csr(prob.A)
+        P, A = _csr_sidecar(path, "P", prob.P), _csr_sidecar(path, "A", prob.A)
     else:
-        P, A = _write_sidecar(path, "P", prob.P), _write_sidecar(path, "A", prob.A)
+        P, A = _dense_sidecar(path, "P", prob.P), _dense_sidecar(path, "A", prob.A)
     doc = {
         "name": prob.name,
         "n": prob.n,

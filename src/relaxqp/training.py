@@ -18,7 +18,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import FixedPolicy, SolverConfig, check_field_types, policy_context, solve
+from .engine import (
+    FixedPolicy,
+    SolverConfig,
+    check_field_types,
+    check_positive_finite,
+    policy_context,
+    solve,
+)
 from .errors import DivergenceError, InputError
 from .policy import (
     PolicyCheckpoint,
@@ -73,6 +80,10 @@ class TrainConfig:
             raise InputError("stage length must be at least 1")
         if self.batch_size < 1:
             raise InputError("batch size must be at least 1")
+        check_positive_finite(self, ("step_size", "perturbation", "loss_eps"))
+        for name in ("epochs", "horizon"):
+            if getattr(self, name) < 0:
+                raise InputError(f"config field {name!r} must be >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass

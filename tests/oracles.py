@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from relaxqp import bench
 from relaxqp.engine import (
     RHO_MAX,
     RHO_MIN,
@@ -173,6 +174,55 @@ def random_box_qp(rng: np.random.Generator, n: int, m: int, name: str = "") -> Q
     l = -rng.uniform(0.1, 1.0, size=m)
     u = rng.uniform(0.1, 1.0, size=m)
     return QpProblem(P, q, A, l, u, name=name or f"box_qp_{n}x{m}")
+
+
+def control_kron(size: int, seed: int) -> QpProblem:
+    """The condensed control instance of relaxqp.bench, built the textbook
+    way: explicit state and input cost matrices Qbar = kron(I_T, I) and
+    Rbar = kron(I_T, 0.1 I), P = G'Qbar G + Rbar and q = G'Qbar Phi x0, with
+    G filled one block column at a time and copied into A.  It draws the
+    same random data as the generator."""
+    nx, nu, T = size, math.ceil(size / 2), 10
+    g = lambda tag: bench._rng("control", size, seed, tag)
+    Ad = bench._stable_matrix(g("A"), nx)
+    Bd = g("B").uniform(-1.0, 1.0, size=(nx, nu))
+    x0 = g("x0").uniform(-0.5, 0.5, size=nx)
+    n = T * nu
+    Phi = np.zeros((T * nx, nx))
+    G = np.zeros((T * nx, n))
+    Ak = np.eye(nx)
+    for t in range(T):
+        Ak = Ad @ Ak
+        Phi[t * nx : (t + 1) * nx] = Ak
+    for t in range(T):
+        block = Bd
+        for s in range(t, T):
+            G[s * nx : (s + 1) * nx, t * nu : (t + 1) * nu] = block
+            block = Ad @ block
+    Qbar = np.kron(np.eye(T), np.eye(nx))
+    Rbar = np.kron(np.eye(T), 0.1 * np.eye(nu))
+    P = G.T @ Qbar @ G + Rbar
+    P = 0.5 * (P + P.T)
+    q = G.T @ (Qbar @ (Phi @ x0))
+    A = np.zeros((n + T * nx, n))
+    A[:n] = np.eye(n)
+    A[n:] = G
+    l = np.concatenate((-0.8 * np.ones(n), -5.0 * np.ones(T * nx) - Phi @ x0))
+    u = np.concatenate((0.8 * np.ones(n), 5.0 * np.ones(T * nx) - Phi @ x0))
+    return QpProblem(P, q, A, l, u, name=f"control_n{size}_s{seed}", seed=seed)
+
+
+def psd_probe_dense(P: np.ndarray) -> bool:
+    """relaxqp.problem's dense PSD probe on whole matrices: P must pass
+    np.allclose(P, P.T, rtol=atol=1e-10), and P + 1e-9*I must admit a
+    Cholesky factorization."""
+    if not np.allclose(P, P.T, rtol=1e-10, atol=1e-10):
+        return False
+    try:
+        np.linalg.cholesky(P + 1e-9 * np.eye(P.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def splitting_residuals(state, x_prev: np.ndarray, z_prev: np.ndarray, sigma: float):

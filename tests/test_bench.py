@@ -27,7 +27,7 @@ from relaxqp.engine import SolverConfig, solve
 from relaxqp.errors import InputError
 from relaxqp.problem import QpProblem
 
-from oracles import active_set_solution
+from oracles import active_set_solution, control_kron
 
 
 class TestFamilySpec:
@@ -116,6 +116,16 @@ class TestGenerators:
         p = generate(FamilySpec("control", 10, 1))
         assert p.n == 10 * 5  # T * ceil(size/2)
         assert p.m == 50 + 100
+
+    @pytest.mark.parametrize("size", [5, 10, 50, 100])
+    @pytest.mark.parametrize("seed", [1, 573290])
+    def test_control_matches_the_kron_formula(self, size, seed):
+        # The generator drops the identity state cost and writes G into A;
+        # every field keeps the bits of the textbook formula.
+        got, want = generate(FamilySpec("control", size, seed)), control_kron(size, seed)
+        for k in "PqAlu":
+            assert getattr(got, k).tobytes() == getattr(want, k).tobytes(), k
+        assert (got.name, got.seed) == (want.name, want.seed)
 
     def test_mpc_dimensions(self):
         p = generate(FamilySpec("mpc", 100, 1))

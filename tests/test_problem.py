@@ -19,11 +19,13 @@ from scipy import sparse
 from relaxqp import linalg
 from relaxqp import problem as problem_mod
 from relaxqp.bench import FamilySpec, generate, reference_solution
+from relaxqp.cli import main
 from relaxqp.errors import InfeasibleBoundsError, InputError
 from relaxqp.problem import (
     BINARY_KEY,
     BINARY_KEYS,
     CSR_KEY,
+    CSR_SIDECAR_KEY,
     SIDECAR_KEY,
     ConstraintKind,
     QpProblem,
@@ -37,6 +39,8 @@ from relaxqp.problem import (
     terminated,
     write_atomic,
 )
+
+from oracles import psd_probe_dense
 
 INF = np.inf
 
@@ -708,6 +712,34 @@ class TestPsdProbe:
         assert calls == []
 
 
+@st.composite
+def probe_inputs(draw):
+    """(P, rows per block): P symmetric PSD, slightly asymmetric around the
+    1e-10 tolerance, indefinite, or with its smallest eigenvalue within a
+    few 1e-9 of zero, where the shift decides."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["psd", "asymmetric", "indefinite", "borderline"]))
+    eigenvalues = draw(arrays(np.float64, n, elements=st.floats(0, 10)))
+    if kind == "indefinite":
+        eigenvalues[0] = -draw(st.floats(1e-6, 10))
+    elif kind == "borderline":
+        eigenvalues[0] = draw(st.floats(-3e-9, 1e-9))
+    P = rotated(eigenvalues, seed=draw(st.integers(0, 2**32 - 1)))
+    if kind == "asymmetric" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        P[i, j] += draw(st.floats(-3e-10, 3e-10)) * (1 + abs(P[j, i]))
+    return P, draw(st.integers(1, n * n))
+
+
+class TestPsdProbeBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(probe_inputs())
+    def test_decides_as_the_whole_matrix_probe(self, case):
+        P, block = case
+        with mock.patch.object(problem_mod, "PROBE_BLOCK", block):
+            assert problem_mod._psd_probe(P) == psd_probe_dense(P)
+
+
 def sparse_problem_with_signed_zeros() -> QpProblem:
     P = np.array([[2.0, -0.0, 0.0], [-0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
     A = np.array([[1.0, -0.0, 0.0], [-0.0, -0.0, 3.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 2.0]])
@@ -717,6 +749,26 @@ def sparse_problem_with_signed_zeros() -> QpProblem:
                          name="signed_zeros", seed=3)
 
 
+def old_csr_object(a: np.ndarray) -> dict:
+    """The in-document CSR object earlier versions of save_problem wrote for
+    a sparse-backend matrix: every entry whose bit pattern is not zero."""
+    stored = a.view(np.uint64) != 0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
+    return {CSR_KEY: {"indptr": encode_array(indptr, "<i4"),
+                      "indices": encode_array(np.nonzero(stored)[1], "<i4"),
+                      "data": encode_array(a[stored])}}
+
+
+def csr_sidecar_parts(directory, doc: dict, key: str):
+    """(indptr, indices, data) of the CSR sidecar file field ``key`` names."""
+    raw = (Path(directory) / doc[key][CSR_SIDECAR_KEY]).read_bytes()
+    nnz = doc[key]["nnz"]
+    rows = (len(raw) - 12 * nnz) // 4  # row pointers: one more than the matrix's rows
+    return (np.frombuffer(raw[: 4 * rows], "<i4"),
+            np.frombuffer(raw[4 * rows : 4 * (rows + nnz)], "<i4"),
+            np.frombuffer(raw[4 * (rows + nnz) :], "<f8"))
+
+
 class TestCsrFileForm:
     @pytest.mark.parametrize("make", [
         lambda: generate(FamilySpec("lasso", 20, seed=1)), sparse_problem_with_signed_zeros,
@@ -724,39 +776,101 @@ class TestCsrFileForm:
     def test_roundtrip_bit_exact(self, tmp_path, make):
         prob = make()
         assert prob.kkt_backend == "sparse"
-        first, second = tmp_path / "a.json", tmp_path / "b.json"
-        save_problem(prob, first)
-        written = json.loads(first.read_text())
-        assert set(written["P"]) == set(written["A"]) == {CSR_KEY}
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        written = saved_doc(prob, first)
+        for key in "PA":
+            assert set(written[key]) == {CSR_SIDECAR_KEY, "nnz"}
+            name = written[key][CSR_SIDECAR_KEY]
+            raw = (first / name).read_bytes()
+            assert name == f"p.json.{key}.{zlib.crc32(raw):08x}.csr"
         assert set(written["q"]) == {BINARY_KEY}
         with forced_backend("sparse"):
-            loaded = load_problem(first)
+            loaded = load_problem(first / "p.json")
         assert same_bits(loaded, prob) and (loaded.name, loaded.seed) == (prob.name, prob.seed)
         assert np.array_equal(loaded.kinds, prob.kinds)
         assert_operators_match(loaded)
-        save_problem(loaded, second)
-        assert first.read_bytes() == second.read_bytes()
+        save_problem(loaded, second / "p.json")
+        assert saved_files(first) == saved_files(second)
 
     def test_signed_zeros_are_stored(self, tmp_path):
         prob = sparse_problem_with_signed_zeros()
         doc = saved_doc(prob, tmp_path)
-        data = doc["A"][CSR_KEY]["data"][BINARY_KEY]
-        stored = np.frombuffer(zlib.decompress(base64.b64decode(data)), "<f8")
-        assert stored.tobytes() == np.array([1.0, -0.0, -0.0, -0.0, 3.0, -1.0, 2.0]).tobytes()
+        indptr, indices, data = csr_sidecar_parts(tmp_path, doc, "A")
+        assert indptr.tolist() == [0, 2, 5, 5, 7] and indices.tolist() == [0, 1, 0, 1, 2, 0, 2]
+        assert data.tobytes() == np.array([1.0, -0.0, -0.0, -0.0, 3.0, -1.0, 2.0]).tobytes()
+        assert doc["A"]["nnz"] == 7
         loaded = problem_from_dict(doc, tmp_path)  # small, so it loads on the dense backend
         assert loaded.kkt_backend == "dense" and same_bits(loaded, prob)
 
-    @pytest.mark.parametrize("form", ["binary", "list"])
+    @pytest.mark.parametrize("form", ["binary", "list", "csr"])
     def test_older_forms_load_alike(self, tmp_path, form):
+        # Files earlier versions wrote: P and A in the binary form, the dense
+        # list form, or in-document CSR objects; each loads bit-exactly.
         prob = generate(FamilySpec("lasso", 20, seed=1))
         if form == "binary":
             doc = {**saved_doc(prob, tmp_path), "P": encode_array(prob.P), "A": encode_array(prob.A)}
+        elif form == "csr":
+            doc = {**saved_doc(prob, tmp_path), "P": old_csr_object(prob.P),
+                   "A": old_csr_object(prob.A)}
         else:
             doc = old_writer_dict(prob)
+        for f in tmp_path.iterdir():
+            f.unlink()  # no sidecar is read
         loaded = problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
         assert loaded.kkt_backend == "sparse"
         assert same_bits(loaded, prob)
         assert_operators_match(loaded)
+
+    def test_old_csr_object_with_signed_zeros(self, tmp_path):
+        prob = sparse_problem_with_signed_zeros()
+        doc = {**saved_doc(prob, tmp_path), "P": old_csr_object(prob.P), "A": old_csr_object(prob.A)}
+        with forced_backend("sparse"):
+            loaded = problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
+        assert same_bits(loaded, prob)
+        assert_operators_match(loaded)
+
+
+@st.composite
+def sparse_problems(draw):
+    """Valid problems built on the sparse backend: sparse P and A with -0.0
+    entries, zero rows of A, infinite bounds, and n or m possibly 0."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 5))
+    M = draw(arrays(np.float64, (n, n), elements=SPARSE_ENTRIES))
+    P = M @ M.T + np.diag(draw(arrays(np.float64, n, elements=st.floats(0.5, 2))))
+    signs = draw(arrays(np.bool_, (n, n)))
+    P[(P == 0.0) & (signs | signs.T)] = -0.0
+    A = draw(arrays(np.float64, (m, n), elements=SPARSE_ENTRIES))
+    a = draw(arrays(np.float64, m, elements=bound_values))
+    b = draw(arrays(np.float64, m, elements=bound_values))
+    l, u = np.minimum(a, b), np.maximum(a, b)
+    zero_rows = np.all(A == 0.0, axis=1)
+    l[zero_rows], u[zero_rows] = -INF, INF
+    with forced_backend("sparse"):
+        return QpProblem(P=P, q=draw(arrays(np.float64, n, elements=SPARSE_ENTRIES)), A=A, l=l,
+                         u=u, name=draw(st.text(max_size=5)), seed=draw(st.integers(0, 2**31)))
+
+
+class TestCsrFileProperties:
+    @PROPERTY_SETTINGS
+    @given(sparse_problems())
+    def test_save_load_bit_exact_and_stable_bytes(self, prob):
+        assert prob.kkt_backend == "sparse"
+        with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+            save_problem(prob, Path(first) / "p.json")
+            doc = json.loads((Path(first) / "p.json").read_text())
+            assert all(set(doc[k]) == {CSR_SIDECAR_KEY, "nnz"} for k in "PA")
+            with forced_backend("sparse"):
+                loaded = load_problem(Path(first) / "p.json")
+            save_problem(loaded, Path(second) / "p.json")
+            assert same_bits(loaded, prob)
+            assert (loaded.name, loaded.seed) == (prob.name, prob.seed)
+            assert np.array_equal(loaded.kinds, prob.kinds)
+            assert_operators_match(loaded)
+            assert len(saved_files(first)) == 3
+            assert saved_files(first) == saved_files(second)
 
 
 def i4(values) -> dict:
@@ -765,6 +879,12 @@ def i4(values) -> dict:
 
 def i4_raw(raw: bytes) -> dict:
     return {BINARY_KEYS["<i4"]: base64.b64encode(raw).decode("ascii")}
+
+
+def csr_3x2_problem() -> QpProblem:
+    with forced_backend("sparse"):
+        return QpProblem(P=np.eye(2), q=np.zeros(2), A=np.array([[1.0, 0], [0, 2], [1, 1]]),
+                         l=-np.ones(3), u=np.ones(3))
 
 
 # Parts of the CSR field "A" of a 3x2 matrix [[1, 0], [0, 2], [1, 1]]:
@@ -790,12 +910,12 @@ MALFORMED_CSR = {
 
 
 class TestMalformedCsr:
+    """The in-document CSR object of earlier versions."""
+
     @staticmethod
     def doc(tmp_path) -> dict:
-        with forced_backend("sparse"):
-            prob = QpProblem(P=np.eye(2), q=np.zeros(2), A=np.array([[1.0, 0], [0, 2], [1, 1]]),
-                             l=-np.ones(3), u=np.ones(3))
-        return saved_doc(prob, tmp_path)
+        prob = csr_3x2_problem()
+        return {**saved_doc(prob, tmp_path), "P": old_csr_object(prob.P), "A": old_csr_object(prob.A)}
 
     def test_base_document_loads(self, tmp_path):
         loaded = problem_from_dict(self.doc(tmp_path), tmp_path)
@@ -839,3 +959,101 @@ class TestMalformedCsr:
     def test_negative_dimension(self, tmp_path):
         with pytest.raises(InputError, match="must not be negative"):
             problem_from_dict({**self.doc(tmp_path), "m": -1}, tmp_path)
+
+
+def _csr_file(f: Path, indptr=None, indices=None, data=None) -> str:
+    """A CSR sidecar beside f with f's parts, some replaced, under the name
+    its crc32 gives; the name."""
+    raw = f.read_bytes()
+    parts = [np.frombuffer(raw[:16], "<i4"), np.frombuffer(raw[16:32], "<i4"),
+             np.frombuffer(raw[32:], "<f8")]
+    for i, part in enumerate((indptr, indices, data)):
+        if part is not None:
+            parts[i] = np.asarray(part, dtype=parts[i].dtype)
+    new = b"".join(p.tobytes() for p in parts)
+    name = f"p.json.A.{zlib.crc32(new):08x}.csr"
+    (f.parent / name).write_bytes(new)
+    return name
+
+
+def _file_case(alter):
+    # A case that alters the file and keeps the document's entry.
+    def case(f: Path, entry: dict) -> dict:
+        alter(f)
+        return entry
+    return case
+
+
+def _name_case(name_of):
+    # A case that names the file name_of(f) gives.
+    return lambda f, entry: {**entry, CSR_SIDECAR_KEY: name_of(f)}
+
+
+# Each case alters the CSR sidecar file f of field "A" of csr_3x2_problem
+# (indptr [0, 1, 2, 4], indices [0, 1, 0, 1], data [1, 2, 1, 1]: 16 + 16 +
+# 32 bytes) or the document's entry for it, and returns the entry.
+MALFORMED_CSR_SIDECAR = {
+    "missing": (_file_case(_delete), "'A'.*cannot read"),
+    "flipped_byte": (_file_case(lambda f: _rewrite(f, f.read_bytes()[:-1] + b"\1")),
+                     "'A'.*fails its crc32 check"),
+    "one_byte_short": (_file_case(lambda f: _rewrite(f, f.read_bytes()[:-1])),
+                       "'A'.*holds 63 bytes, expected 64"),
+    "nnz_one_more": (lambda f, entry: {**entry, "nnz": 5}, "'A'.*holds 64 bytes, expected 76"),
+    "subdirectory": (_name_case(lambda f: _copy_as(f, f"sub/{f.name}")), "'A'.*not a bare"),
+    "parent_path": (_name_case(lambda f: f"../{f.parent.name}/{f.name}"), "'A'.*not a bare"),
+    "leading_dot": (_name_case(lambda f: _copy_as(f, f".{f.name}")), "'A'.*not a bare"),
+    "dense_suffix": (_name_case(lambda f: _copy_as(f, f.name[:-3] + "f8")), "'A'.*not a bare"),
+    "column_out_of_range": (_name_case(lambda f: _csr_file(f, indices=[0, 2, 0, 1])),
+                            "'A.indices' in sidecar file .* column index outside"),
+    "negative_column": (_name_case(lambda f: _csr_file(f, indices=[0, -1, 0, 1])),
+                        "'A.indices' in sidecar file .* column index outside"),
+    "unsorted_indices": (_name_case(lambda f: _csr_file(f, indices=[0, 1, 1, 0])),
+                         "'A.indices' in sidecar file .* sorted and unique"),
+    "duplicate_indices": (_name_case(lambda f: _csr_file(f, indices=[0, 1, 1, 1])),
+                          "'A.indices' in sidecar file .* sorted and unique"),
+    "indptr_decreasing": (_name_case(lambda f: _csr_file(f, indptr=[0, 2, 1, 4])),
+                          "'A.indptr' in sidecar file .* never decrease"),
+    "indptr_not_from_zero": (_name_case(lambda f: _csr_file(f, indptr=[1, 1, 2, 4])),
+                             "'A.indptr' in sidecar file .* start at 0"),
+    "indptr_short_of_nnz": (_name_case(lambda f: _csr_file(f, indptr=[0, 1, 2, 3])),
+                            "'A.indptr' in sidecar file .* counts 3 entries, not 4"),
+}
+
+
+def expect_cli_error(path, capsys):
+    """relaxqp solve --problem path ends in one error line and exit 1."""
+    assert main(["solve", "--problem", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("relaxqp: error:") and err.count("\n") == 1
+
+
+class TestMalformedCsrSidecar:
+    def test_base_file(self, tmp_path):
+        doc = saved_doc(csr_3x2_problem(), tmp_path)
+        assert doc["A"]["nnz"] == 4 and (tmp_path / doc["A"][CSR_SIDECAR_KEY]).stat().st_size == 64
+        assert [p.tolist() for p in csr_sidecar_parts(tmp_path, doc, "A")] == [
+            [0, 1, 2, 4], [0, 1, 0, 1], [1.0, 2.0, 1.0, 1.0]]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSR_SIDECAR))
+    def test_input_error_names_field_and_file(self, tmp_path, capsys, case):
+        alter, fault = MALFORMED_CSR_SIDECAR[case]
+        doc = saved_doc(csr_3x2_problem(), tmp_path)
+        doc["A"] = alter(tmp_path / doc["A"][CSR_SIDECAR_KEY], doc["A"])
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=fault) as info:
+            load_problem(tmp_path / "p.json")
+        assert doc["A"][CSR_SIDECAR_KEY] in str(info.value)
+        expect_cli_error(tmp_path / "p.json", capsys)
+
+    @pytest.mark.parametrize("nnz", [7, -1, 4.0, True, "4", None],
+                             ids=["above_size", "negative", "float", "bool", "text", "missing"])
+    def test_entry_count_checked_before_the_file(self, tmp_path, capsys, nnz):
+        doc = saved_doc(csr_3x2_problem(), tmp_path)
+        doc["A"] = {CSR_SIDECAR_KEY: doc["A"][CSR_SIDECAR_KEY]}
+        if nnz is not None:
+            doc["A"]["nnz"] = nnz
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="'A.nnz' must be an entry count from 0 to 6") as info:
+            load_problem(tmp_path / "p.json")
+        assert doc["A"][CSR_SIDECAR_KEY] in str(info.value)
+        expect_cli_error(tmp_path / "p.json", capsys)

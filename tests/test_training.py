@@ -239,3 +239,19 @@ class TestTrain:
         _, rho_iter = _evaluate_validation(res.ckpt_iter, val_set, cfg)
         _, rho_rho = _evaluate_validation(res.ckpt_rho, val_set, cfg)
         assert rho_rho <= rho_iter
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["step_size", "perturbation", "loss_eps"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, np.nan, np.inf, -np.inf, 0, 10**400],
+                             ids=["zero", "negative", "nan", "inf", "-inf", "int_zero", "huge_int"])
+    def test_positive_finite_fields(self, name, value):
+        with pytest.raises(InputError, match=f"'{name}' must be finite and > 0"):
+            TrainConfig(**{name: value})
+        assert getattr(TrainConfig(**{name: 2.5}), name) == 2.5
+
+    @pytest.mark.parametrize("name", ["epochs", "horizon"])
+    def test_non_negative_counts(self, name):
+        with pytest.raises(InputError, match=f"'{name}' must be >= 0"):
+            TrainConfig(**{name: -1})
+        assert getattr(TrainConfig(**{name: 0}), name) == 0
