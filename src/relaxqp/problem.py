@@ -414,7 +414,8 @@ def _csr_matrix(indptr, indices, data, shape: tuple, label):
     """The CSR matrix of ``shape`` with these parts, once they pass the
     checks both file forms of CSR share; ``label(part)`` names a part in
     the InputError of a failed check."""
-    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+    steps = np.diff(indptr.astype(np.int64))  # int32 differences can wrap around
+    if indptr[0] != 0 or np.any(steps < 0):
         raise InputError(f"{label('indptr')} must start at 0 and never decrease")
     if indptr[-1] != indices.size:
         raise InputError(f"{label('indptr')} counts {indptr[-1]} entries, not {indices.size}")
@@ -424,7 +425,7 @@ def _csr_matrix(indptr, indices, data, shape: tuple, label):
     # Within a row each index must exceed the one before it; the step into
     # the first entry of a row is free.
     row_start = np.zeros(indices.size, dtype=bool)
-    row_start[indptr[:-1][np.diff(indptr) > 0]] = True
+    row_start[indptr[:-1][steps > 0]] = True
     if np.any((np.diff(indices) <= 0) & ~row_start[1:]):
         raise InputError(f"{label('indices')} must be sorted and unique within each row")
     return sparse.csr_array((data, indices, indptr), shape=shape)

@@ -1057,3 +1057,27 @@ class TestMalformedCsrSidecar:
             load_problem(tmp_path / "p.json")
         assert doc["A"][CSR_SIDECAR_KEY] in str(info.value)
         expect_cli_error(tmp_path / "p.json", capsys)
+
+    @pytest.mark.parametrize("form", ["sidecar", "in_document"])
+    def test_indptr_steps_that_wrap_in_int32(self, tmp_path, capsys, form):
+        # The int32 differences of [0, 2**31 - 1, -2**31, -1, 4] wrap around
+        # to 2**31 - 1, 1, 2**31 - 1, 5: all >= 0, though the pointers fall.
+        with forced_backend("sparse"):
+            prob = QpProblem(P=np.eye(2), q=np.zeros(2),
+                             A=np.array([[1.0, 0], [0, 2], [1, 1], [0, 0]]),
+                             l=-np.ones(4), u=np.ones(4))
+        doc = saved_doc(prob, tmp_path)
+        indptr = np.array([0, 2**31 - 1, -2**31, -1, 4], "<i4")
+        if form == "sidecar":
+            _, indices, data = csr_sidecar_parts(tmp_path, doc, "A")
+            raw = indptr.tobytes() + indices.tobytes() + data.tobytes()
+            name = f"p.json.A.{zlib.crc32(raw):08x}.csr"
+            (tmp_path / name).write_bytes(raw)
+            doc["A"] = {CSR_SIDECAR_KEY: name, "nnz": 4}
+        else:
+            doc["A"] = old_csr_object(prob.A)
+            doc["A"][CSR_KEY]["indptr"] = encode_array(indptr, "<i4")
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="'A.indptr'.* never decrease"):
+            load_problem(tmp_path / "p.json")
+        expect_cli_error(tmp_path / "p.json", capsys)
