@@ -15,8 +15,8 @@ Two backends factor H; each problem uses one, picked once by
 :func:`pick_backend` from its size and nonzero count
 (:attr:`relaxqp.problem.QpProblem.kkt_backend`):
 
-* dense: H is an ndarray, factored by one LAPACK Cholesky call (dpotrf) and
-  solved by dpotrs;
+* dense: H is an ndarray, factored by ``np.linalg.cholesky`` and solved by
+  scipy's dpotrs;
 * sparse: P and A are CSR matrices, H is assembled as a CSC matrix and
   factored by SuperLU (``scipy.sparse.linalg.splu``) with a fill-reducing
   column ordering applied symmetrically and no pivoting, i.e. an LDL'-like
@@ -25,6 +25,21 @@ Two backends factor H; each problem uses one, picked once by
 :func:`assemble_kkt`, :func:`ldlt_factor` and :func:`ldlt_solve` dispatch on
 the type of their input.  These names and ``LdltFactor`` predate the reduced
 form; they are kept for API stability and for tools that wrap these bindings.
+
+Which BLAS runs what.  The numpy and scipy wheels each bundle their own
+OpenBLAS, and each keeps its own thread pool, whose workers spin for a while
+after a call.  Every dense product of a solve (H's ``B.T @ B``, a syrk, and
+the matrix-vector products) runs on numpy's, and so does the Cholesky factor.
+The per-iteration dpotrs, one right-hand side, is scipy's but runs on the
+calling thread alone.  scipy's dpotrf runs only after numpy has rejected a
+matrix, to name the failing column.  When the factor ran on scipy's pool
+right after the syrk on numpy's, the two pools' threads shared the CPUs and
+OpenBLAS's threaded potrf (n >= 128) stalled at its barriers: on a 2-vCPU
+VM an n = 150 syrk followed by dpotrf took 11-16 ms against 0.9 ms for the
+two apart (n = 1000: 110-133 ms against 71 ms), and paper_grid's n = 1000
+factor took 95-132 ms against ~13 ms alone.  So no scipy LAPACK/BLAS
+routine that OpenBLAS threads (``cho_factor``, dpotrf, dsyrk, dgemm, ...)
+belongs in the solve path; use numpy's equivalent.
 
 Known limit: when null(P) and null(A) share a nonzero vector (the QP is then
 dual infeasible), the reduced matrix at the largest penalties has condition
@@ -74,8 +89,8 @@ def pick_backend(n: int, m: int, nnz: int) -> str:
 class LdltFactor:
     """Factor of a symmetric positive definite matrix of size ``dim``.
 
-    Dense backend: ``lower`` is the Cholesky factor, ``matrix == lower @
-    lower.T``, and ``lu`` is None.  Sparse backend: ``lu`` is the SuperLU
+    Dense backend: ``lower`` is the C-ordered Cholesky factor, ``matrix ==
+    lower @ lower.T``, and ``lu`` is None.  Sparse backend: ``lu`` is the SuperLU
     factor and ``lower`` is None.
     """
 
@@ -147,11 +162,19 @@ def ldlt_factor(M) -> LdltFactor:
     d = M.shape[0]
     if M.shape[1] != d:
         raise InputError(f"matrix must be square, got {M.shape}")
+    try:
+        return LdltFactor(dim=d, lower=np.linalg.cholesky(M))
+    except np.linalg.LinAlgError:
+        pass
+    # numpy's error does not say where the factorization stopped; scipy's
+    # dpotrf names the column.  The two builds can round differently, so at
+    # the border of definiteness dpotrf may succeed where numpy failed; its
+    # factor is then as valid as numpy's would have been.
     L, info = dpotrf(M, lower=1, clean=1)
     if info > 0:
         index = info - 1
         raise SingularKktError(step=index, index=index, pivot=float(L[index, index]))
-    return LdltFactor(dim=d, lower=L)
+    return LdltFactor(dim=d, lower=np.ascontiguousarray(L))
 
 
 def _sparse_factor(M) -> LdltFactor:
@@ -199,4 +222,6 @@ def ldlt_solve(F: LdltFactor, b: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     if F.lu is not None:
         return F.lu.solve(b)
-    return dpotrs(F.lower, b, lower=1)[0]
+    # F.lower is C-ordered, so F.lower.T is the upper factor in the Fortran
+    # order LAPACK reads: no copy of the factor per solve.
+    return dpotrs(F.lower.T, b, lower=0)[0]

@@ -167,9 +167,14 @@ class QpProblem:
             P, A = _dense(P), _dense(A)
             operators = A, A.T, P
             values = P, q, A
-            zero_row = np.all(A == 0.0, axis=1)
+            zero_row = ~A.any(axis=1)  # -0.0 counts as zero, NaN does not
             psd_probe = _psd_probe
-        if not all(np.all(np.isfinite(v)) for v in values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # A finite sum means every entry is finite, and takes no
+            # temporary as large as A; a sum that overflows is settled by the
+            # exact test.
+            finite = math.isfinite(sum(v.sum() for v in values))
+        if not (finite or all(np.isfinite(v).all() for v in values)):
             raise InputError("P, q, A must be finite")
         if np.any(np.isnan(l)) or np.any(np.isnan(u)):
             raise InputError("bounds must not contain NaN")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -78,6 +80,52 @@ class TestLdltFactor:
         err = np.linalg.norm(F.lower @ F.lower.T - M) / np.linalg.norm(M)
         assert err <= 1e-13
 
+    def test_reconstruction_above_the_threaded_size(self):
+        # OpenBLAS runs potrf on its thread pool from n = 128 up.
+        rng = np.random.default_rng(150)
+        M = random_spd(rng, 150)
+        F = ldlt_factor(M)
+        assert np.array_equal(F.lower, np.tril(F.lower))
+        err = np.linalg.norm(F.lower @ F.lower.T - M) / np.linalg.norm(M)
+        assert err <= 1e-13
+
+    def test_negative_schur_complement_at_a_blocked_column(self):
+        # M = L diag(d) L' with unit lower L: Cholesky runs through the first
+        # 200 columns, whose pivots are d, and meets d[200] = -2.5, past the
+        # first blocks of LAPACK's blocked factorization.
+        n, k = 256, 200
+        rng = np.random.default_rng(k)
+        L = np.tril(0.1 * rng.standard_normal((n, n)), -1) + np.eye(n)
+        d = rng.uniform(1.0, 2.0, n)
+        d[k] = -2.5
+        M = (L * d) @ L.T
+        M = (M + M.T) / 2
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(M)
+        with pytest.raises(SingularKktError) as exc:
+            ldlt_factor(M)
+        assert exc.value.index == exc.value.step == k
+        assert exc.value.pivot == pytest.approx(-2.5, rel=1e-12)
+        assert f"matrix index {k}" in str(exc.value)
+
+    def test_factor_when_only_numpy_rejects_the_matrix(self, monkeypatch):
+        # The two LAPACK builds may round differently at the border of
+        # definiteness; where numpy's fails and dpotrf succeeds, dpotrf's
+        # factor is returned in the same layout.
+        rng = np.random.default_rng(8)
+        M = random_spd(rng, 40)
+
+        def reject(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", reject)
+        F = ldlt_factor(M)
+        assert F.lower.flags.c_contiguous
+        assert np.array_equal(F.lower, np.tril(F.lower))
+        assert np.linalg.norm(F.lower @ F.lower.T - M) / np.linalg.norm(M) <= 1e-14
+        b = rng.standard_normal(40)
+        assert_allclose(ldlt_solve(F, b), np.linalg.solve(M, b), rtol=1e-9)
+
     def test_singular_matrix_raises_with_index(self):
         M = np.zeros((3, 3))
         M[0, 0] = 1.0
@@ -143,6 +191,23 @@ class TestLdltSolve:
         b = rng.standard_normal(d)
         v = ldlt_solve(ldlt_factor(M), b)
         assert np.max(np.abs(M @ v - b)) <= 1e-9 * (1.0 + np.max(np.abs(b)))
+
+    def test_solve_does_not_copy_the_factor(self):
+        # A factor LAPACK cannot read in place would be copied (n^2 * 8
+        # bytes) on every iteration's solve.
+        n = 400
+        rng = np.random.default_rng(400)
+        F = ldlt_factor(random_spd(rng, n))
+        b = rng.standard_normal(n)
+        ldlt_solve(F, b)
+        tracemalloc.start()
+        try:
+            v = ldlt_solve(F, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, peak
+        assert np.max(np.abs(F.lower @ (F.lower.T @ v) - b)) <= 1e-9 * (1.0 + np.max(np.abs(b)))
 
     def test_dimension_mismatch(self):
         F = ldlt_factor(np.eye(3))

@@ -132,6 +132,54 @@ class TestProblemValidation:
         assert prob.m == 1
 
 
+BIG = 1.5e308  # finite, but two of them sum to inf
+
+# name: (P, q, A, l, u, error message or None); P is 2x2, A has 2 columns.
+VALIDATION_CASES = {
+    "negative_zero_row_excluding_origin": (
+        np.eye(2), np.zeros(2), [[-0.0, -0.0], [1.0, 0.0]], [1.0, -1.0], [2.0, 1.0],
+        "all-zero constraint row 0"),
+    "negative_zero_row_containing_origin": (
+        np.eye(2), np.zeros(2), [[1.0, 0.0], [-0.0, 0.0]], [-1.0, -1.0], [1.0, 1.0], None),
+    "nan_in_A": (np.eye(2), np.zeros(2), [[np.nan, 0.0]], [0.0], [1.0], "must be finite"),
+    "nan_row_excluding_origin": (
+        np.eye(2), np.zeros(2), [[np.nan, 0.0]], [1.0], [2.0], "must be finite"),
+    "nan_in_P": (np.diag([np.nan, 1.0]), np.zeros(2), [[1.0, 0.0]], [0.0], [1.0],
+                 "must be finite"),
+    "nan_in_q": (np.eye(2), [0.0, np.nan], [[1.0, 0.0]], [0.0], [1.0], "must be finite"),
+    "inf_in_A": (np.eye(2), np.zeros(2), [[np.inf, 1.0]], [0.0], [1.0], "must be finite"),
+    "minus_inf_in_P": (np.diag([1.0, -np.inf]), np.zeros(2), [[1.0, 0.0]], [0.0], [1.0],
+                       "must be finite"),
+    "inf_in_q": (np.eye(2), [-np.inf, 0.0], [[1.0, 0.0]], [0.0], [1.0], "must be finite"),
+    "opposite_infs": (np.eye(2), [np.inf, -np.inf], [[1.0, 0.0]], [0.0], [1.0],
+                      "must be finite"),
+    "sum_overflows": (np.eye(2), [BIG, BIG], [[BIG, BIG]], [0.0], [1.0], None),
+    "sums_overflow_both_ways": (
+        np.eye(2), np.zeros(2), [[BIG, BIG], [-BIG, -BIG]], [-1.0, -1.0], [1.0, 1.0], None),
+    "overflow_beside_inf": (
+        np.eye(2), np.zeros(2), [[BIG, BIG], [-np.inf, 0.0]], [-1.0, -1.0], [1.0, 1.0],
+        "must be finite"),
+}
+
+
+class TestValidationDecisions:
+    """Zero rows and non-finite entries are told apart exactly on both
+    backends: -0.0 is zero, NaN is not, and a sum that overflows on finite
+    entries rejects nothing."""
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+    def test_decision(self, backend, case):
+        P, q, A, l, u, message = VALIDATION_CASES[case]
+        args = dict(P=np.array(P), q=np.array(q), A=np.array(A), l=np.array(l), u=np.array(u))
+        with forced_backend(backend), np.errstate(all="raise"):
+            if message is None:
+                assert QpProblem(**args).kkt_backend == backend
+            else:
+                with pytest.raises(InputError, match=message):
+                    QpProblem(**args)
+
+
 class TestObjective:
     def test_identity_quadratic(self):
         prob = QpProblem(P=np.eye(2), q=np.zeros(2), A=np.eye(2),
