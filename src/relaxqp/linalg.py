@@ -90,8 +90,8 @@ class LdltFactor:
     """Factor of a symmetric positive definite matrix of size ``dim``.
 
     Dense backend: ``lower`` is the C-ordered Cholesky factor, ``matrix ==
-    lower @ lower.T``, and ``lu`` is None.  Sparse backend: ``lu`` is the SuperLU
-    factor and ``lower`` is None.
+    lower @ lower.T``, and ``lu`` is None.  Sparse backend: ``lu`` is the
+    SuperLU factor and ``lower`` is None.
     """
 
     dim: int
@@ -165,12 +165,11 @@ def ldlt_factor(M) -> LdltFactor:
     try:
         return LdltFactor(dim=d, lower=np.linalg.cholesky(M))
     except np.linalg.LinAlgError:
-        pass
-    # numpy's error does not say where the factorization stopped; scipy's
-    # dpotrf names the column.  The two builds can round differently, so at
-    # the border of definiteness dpotrf may succeed where numpy failed; its
-    # factor is then as valid as numpy's would have been.
-    L, info = dpotrf(M, lower=1, clean=1)
+        # numpy's error does not say where the factorization stopped; scipy's
+        # dpotrf names the column.  The two builds round differently, so at
+        # the border of definiteness dpotrf may succeed where numpy failed;
+        # its factor is then as valid as numpy's would have been.
+        L, info = dpotrf(M, lower=1, clean=1)
     if info > 0:
         index = info - 1
         raise SingularKktError(step=index, index=index, pivot=float(L[index, index]))

