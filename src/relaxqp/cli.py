@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .engine import SolverConfig, config_from_dict, config_to_dict, load_config, report_to_dict, solve
+from .engine import SolverConfig, config_from_dict, load_config, report_to_dict, solve
 from .errors import InputError, SolverError, TheoryViolationError
 from .policy import init_checkpoint, load_checkpoint, policy_from_checkpoint, save_checkpoint
 from .problem import load_problem, read_json_object
@@ -86,9 +86,7 @@ def cmd_solve(args) -> int:
 
 
 def _bench_one(task):
-    store, spec_doc, cfg_doc, policy_label, ckpt_path = task
-    spec = bench_mod.spec_from_dict(spec_doc)
-    cfg = SolverConfig(**cfg_doc)
+    store, spec, cfg, policy_label, ckpt_path = task
     prob, _ = bench_mod.ensure_instance(store, spec)
     policy = policy_from_checkpoint(load_checkpoint(ckpt_path)) if ckpt_path else None
     rho_mode = "adaptive" if cfg.adaptive_rho else "fixed"
@@ -123,8 +121,8 @@ def cmd_bench(args) -> int:
     for spec in specs:
         for policy_label, ckpt_path in runs:
             for adaptive in (False, True):
-                cfg_doc = config_to_dict(replace(cfg, adaptive_rho=adaptive))
-                tasks.append((str(store), bench_mod.spec_to_dict(spec), cfg_doc, policy_label, ckpt_path))
+                tasks.append((str(store), spec, replace(cfg, adaptive_rho=adaptive), policy_label,
+                              ckpt_path))
 
     rows = _map(_bench_one, tasks, args.jobs)
 
@@ -223,9 +221,7 @@ def cmd_train(args) -> int:
 
 
 def _verify_one(task):
-    store, spec_doc, cfg_doc, steps_n, drift_iters = task
-    spec = bench_mod.spec_from_dict(spec_doc)
-    cfg = SolverConfig(**cfg_doc)
+    store, spec, cfg, steps_n, drift_iters = task
     prob, ref = bench_mod.ensure_instance(store, spec, with_reference=True)
     entry = {"instance": spec.name}
     try:
@@ -259,10 +255,7 @@ def cmd_verify(args) -> int:
     cfg = _load_cfg(args)
     specs = bench_mod.load_manifest(args.manifest)
     store = args.store or "instances"
-    tasks = [
-        (str(store), bench_mod.spec_to_dict(s), config_to_dict(cfg), args.steps, args.drift_iters)
-        for s in specs
-    ]
+    tasks = [(str(store), s, cfg, args.steps, args.drift_iters) for s in specs]
     results = _map(_verify_one, tasks, args.jobs)
     failed = any("violation" in r or not r.get("drift_converged", False) for r in results)
     payload = json.dumps(results, indent=1, sort_keys=True)
@@ -320,10 +313,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SolverError as exc:
-        print(f"relaxqp: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SolverError, OSError) as exc:
         print(f"relaxqp: error: {exc}", file=sys.stderr)
         return 1
 

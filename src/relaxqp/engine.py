@@ -34,7 +34,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,10 +101,6 @@ def check_positive_finite(cfg, names) -> None:
         value = getattr(cfg, name)
         if not 0 < value <= sys.float_info.max:  # NaN and ints too big for a float fail
             raise InputError(f"config field {name!r} must be finite and > 0, got {value!r}")
-
-
-def config_to_dict(cfg: SolverConfig) -> dict:
-    return asdict(cfg)
 
 
 def config_from_dict(doc: dict, cls=SolverConfig):

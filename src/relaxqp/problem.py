@@ -36,16 +36,16 @@ document.  :func:`load_problem` reads a sidecar only under a bare file name
 of that pattern whose letter is the field's and whose suffix is the field's
 form, only when its size is exactly the one n, m and nnz give, and accepts
 its bytes only when their crc32 is the name's.  CSR parts must pass the
-checks every CSR form shares: row pointers start at 0 and never decrease,
-and column indices are in range and sorted and unique within each row.
-The reader also takes the forms earlier versions wrote: for the dense
-backend P and A in the binary form, and for the sparse one
-``{"csr": {"indptr": i, "indices": i, "data": f}}`` inside the document,
-where each i is ``{"i4le_zlib_b64": s}``, the same framing of the int32
-parts, and f the binary float64 values.  :func:`array_field` reads the
-hand-written form, a dense row-major list of numbers, where bounds at or
-beyond the +-1e30 sentinel common to QP solver interfaces mean +-inf.
-Every JSON input file of the package is read by :func:`read_json_object`.
+checks of the CSR form: row pointers start at 0 and never decrease, and
+column indices are in range and sorted and unique within each row.  Besides
+the sidecar objects, P and A may be hand-written as a dense row-major list
+of numbers, the form :func:`array_field` reads, where bounds at or beyond
+the +-1e30 sentinel common to QP solver interfaces mean +-inf.  Any other
+object for P or A, such as the in-document CSR object or the binary form
+files written before the sidecar forms hold, is an InputError naming the
+field: such a file must be regenerated.  n, m and seed must be JSON
+integers.  Every JSON input file of the package is read by
+:func:`read_json_object`.
 
 :func:`osqp_residuals` is the one place that forms A x, P x and A'y for an
 iterate: it returns the residuals together with OSQP's stopping scales, which
@@ -73,8 +73,6 @@ from .linalg import pick_backend, positive_splu
 
 INFINITY_SENTINEL = 1e30
 BINARY_KEY = "f8le_zlib_b64"
-BINARY_KEYS = {"<f8": BINARY_KEY, "<i4": "i4le_zlib_b64"}
-CSR_KEY = "csr"
 SIDECAR_KEY = "f8le_file"
 CSR_SIDECAR_KEY = "csr_file"
 # A bare file name without a leading dot: group 1 is the field, group 2 the
@@ -369,19 +367,18 @@ def terminated(res: Residuals, eps_abs: float, eps_rel: float) -> bool:
     )
 
 
-def encode_array(a: np.ndarray, dtype: str = "<f8") -> dict:
+def encode_array(a: np.ndarray) -> dict:
     """The binary array object of a problem file (see the module docstring)."""
-    raw = np.ascontiguousarray(a, dtype=dtype).tobytes()
-    return {BINARY_KEYS[dtype]: base64.b64encode(zlib.compress(raw, 1)).decode("ascii")}
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {BINARY_KEY: base64.b64encode(zlib.compress(raw, 1)).decode("ascii")}
 
 
-def _decode_binary(obj: dict, key: str, size: int, dtype: str = "<f8") -> np.ndarray:
+def _decode_binary(obj: dict, key: str, size: int) -> np.ndarray:
     # Inflate at most one byte past the expected size, so a small payload
     # cannot expand without bound before its length is checked.
-    itemsize = np.dtype(dtype).itemsize
-    nbytes = itemsize * size
+    nbytes = 8 * size
     try:
-        data = base64.b64decode(obj[BINARY_KEYS[dtype]], validate=True)
+        data = base64.b64decode(obj[BINARY_KEY], validate=True)
         inflater = zlib.decompressobj()
         raw = inflater.decompress(data, nbytes + 1)
     except (KeyError, TypeError, ValueError, zlib.error) as exc:
@@ -394,45 +391,29 @@ def _decode_binary(obj: dict, key: str, size: int, dtype: str = "<f8") -> np.nda
         raise InputError(f"field {key!r} has bytes after the end of its zlib stream")
     if len(raw) < nbytes:
         raise InputError(f"field {key!r} decodes to {len(raw)} bytes, expected {nbytes}")
-    return np.frombuffer(raw, dtype=dtype).astype(np.dtype(dtype).newbyteorder("="))
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
-def _decode_csr(obj: dict, key: str, shape: tuple):
-    # The in-document CSR object earlier versions wrote for sparse problems.
-    parts = obj[CSR_KEY]
-    if not isinstance(parts, dict):
-        raise InputError(f"field {key!r} holds a {CSR_KEY!r} entry that is not an object")
-    rows, cols = shape
-    indptr = _decode_binary(parts.get("indptr"), f"{key}.indptr", rows + 1, "<i4")
-    nnz = int(indptr[-1])
-    if not 0 <= nnz <= rows * cols:
-        raise InputError(
-            f"field '{key}.indptr' counts {nnz} entries, not 0 to the {rows * cols} "
-            f"a {rows}x{cols} matrix holds"
-        )
-    indices = _decode_binary(parts.get("indices"), f"{key}.indices", nnz, "<i4")
-    data = _decode_binary(parts.get("data"), f"{key}.data", nnz)
-    return _csr_matrix(indptr, indices, data, shape, lambda part: f"field '{key}.{part}'")
-
-
-def _csr_matrix(indptr, indices, data, shape: tuple, label):
-    """The CSR matrix of ``shape`` with these parts, once they pass the
-    checks both file forms of CSR share; ``label(part)`` names a part in
-    the InputError of a failed check."""
+def _csr_matrix(indptr, indices, data, shape: tuple, key: str, path: str):
+    """The CSR matrix of ``shape`` with the parts of field ``key``'s sidecar
+    file ``path``, once they pass the checks of the CSR form; a failed check
+    is an InputError naming the part and the file."""
+    indptr_at, indices_at = (f"field '{key}.{part}' in sidecar file {path}"
+                             for part in ("indptr", "indices"))
     steps = np.diff(indptr.astype(np.int64))  # int32 differences can wrap around
     if indptr[0] != 0 or np.any(steps < 0):
-        raise InputError(f"{label('indptr')} must start at 0 and never decrease")
+        raise InputError(f"{indptr_at} must start at 0 and never decrease")
     if indptr[-1] != indices.size:
-        raise InputError(f"{label('indptr')} counts {indptr[-1]} entries, not {indices.size}")
+        raise InputError(f"{indptr_at} counts {indptr[-1]} entries, not {indices.size}")
     cols = shape[1]
     if indices.size and (indices.min() < 0 or indices.max() >= cols):
-        raise InputError(f"{label('indices')} holds a column index outside [0, {cols})")
+        raise InputError(f"{indices_at} holds a column index outside [0, {cols})")
     # Within a row each index must exceed the one before it; the step into
     # the first entry of a row is free.
     row_start = np.zeros(indices.size, dtype=bool)
     row_start[indptr[:-1][steps > 0]] = True
     if np.any((np.diff(indices) <= 0) & ~row_start[1:]):
-        raise InputError(f"{label('indices')} must be sorted and unique within each row")
+        raise InputError(f"{indices_at} must be sorted and unique within each row")
     return sparse.csr_array((data, indices, indptr), shape=shape)
 
 
@@ -458,29 +439,37 @@ def array_field(doc: dict, key: str, shape: tuple, bounds: bool = False) -> np.n
 
 
 def matrix_field(doc: dict, key: str, shape: tuple, directory):
-    """``doc[key]`` as a CSR matrix of ``shape`` from a CSR sidecar object
-    or an in-document CSR object, as an array from a dense sidecar object,
-    otherwise as :func:`array_field` reads it.  Sidecar files are read from
-    ``directory``."""
+    """``doc[key]`` as a CSR matrix of ``shape`` from a CSR sidecar object,
+    as an array from a dense sidecar object, otherwise as a dense list the
+    way :func:`array_field` reads it.  Sidecar files are read from
+    ``directory``; any other object is an InputError."""
     value = doc[key]
-    if isinstance(value, dict) and CSR_SIDECAR_KEY in value:
+    if not isinstance(value, dict):
+        return array_field(doc, key, shape)
+    if CSR_SIDECAR_KEY in value:
         nnz, size = value.get("nnz"), math.prod(shape)
-        if not isinstance(nnz, int) or isinstance(nnz, bool) or not 0 <= nnz <= size:
+        if not (_is_integer(nnz) and 0 <= nnz <= size):
             raise InputError(f"field '{key}.nnz' must be an entry count from 0 to {size} "
                              f"for sidecar file {value[CSR_SIDECAR_KEY]!r}")
         path, (indptr, indices, data) = _read_sidecar(
             value[CSR_SIDECAR_KEY], key, "csr", directory,
             (("<i4", shape[0] + 1), ("<i4", nnz), ("<f8", nnz)),
         )
-        return _csr_matrix(indptr, indices, data, shape,
-                           lambda part: f"field '{key}.{part}' in sidecar file {path}")
-    if isinstance(value, dict) and CSR_KEY in value:
-        return _decode_csr(value, key, shape)
-    if isinstance(value, dict) and SIDECAR_KEY in value:
+        return _csr_matrix(indptr, indices, data, shape, key, path)
+    if SIDECAR_KEY in value:
         _, (flat,) = _read_sidecar(value[SIDECAR_KEY], key, "f8", directory,
                                    (("<f8", math.prod(shape)),))
         return flat.reshape(shape)
-    return array_field(doc, key, shape)
+    raise InputError(
+        f"field {key!r} is not a sidecar object ({CSR_SIDECAR_KEY!r} or {SIDECAR_KEY!r}) or a "
+        "list of numbers; a problem file written before the sidecar forms must be regenerated"
+    )
+
+
+def _is_integer(value) -> bool:
+    # A JSON integer: json.loads reads one as an int, and true and false as
+    # bools, which are ints too.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _read_sidecar(name, key: str, suffix: str, directory, parts: tuple):
@@ -518,8 +507,10 @@ def problem_from_dict(doc: dict, directory) -> QpProblem:
     """The problem a document describes; sidecar files it names are read
     from ``directory``."""
     try:
-        n = int(doc["n"])
-        m = int(doc["m"])
+        n, m, seed = doc["n"], doc["m"], doc.get("seed", 0)
+        for key, value in (("n", n), ("m", m), ("seed", seed)):
+            if not _is_integer(value):
+                raise InputError(f"field {key!r} must be an integer, got {value!r}")
         if n < 0 or m < 0:
             raise InputError(f"n and m must not be negative, got n={n}, m={m}")
         fields = dict(
@@ -529,7 +520,7 @@ def problem_from_dict(doc: dict, directory) -> QpProblem:
             l=array_field(doc, "l", (m,), bounds=True),
             u=array_field(doc, "u", (m,), bounds=True),
             name=str(doc.get("name", "")),
-            seed=int(doc.get("seed", 0)),
+            seed=seed,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed problem document: {exc}") from exc

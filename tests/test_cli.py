@@ -279,17 +279,18 @@ class TestInputErrors:
             capsys,
         )
 
-    @pytest.mark.parametrize("payload", [
-        {"f8le_zlib_b64": "not base64!"},
-        {"f8le_zlib_b64": base64.b64encode(zlib.compress(bytes(10_000_000))).decode("ascii")},
+    @pytest.mark.parametrize("payload,fault", [
+        ({"f8le_zlib_b64": "not base64!"}, "is not a valid binary array"),
+        ({"f8le_zlib_b64": base64.b64encode(zlib.compress(bytes(10_000_000))).decode("ascii")},
+         "decodes to more than the expected"),
     ], ids=["bad_base64", "inflation_bomb"])
-    def test_malformed_binary_problem_field(self, tmp_path, capsys, payload):
+    def test_malformed_binary_problem_field(self, tmp_path, capsys, payload, fault):
         bad = tmp_path / "bad.json"
         save_problem(generate(FamilySpec("random_qp", 5, 1)), bad)
         doc = json.loads(bad.read_text())
-        doc["A"] = payload
+        doc["l"] = payload
         bad.write_text(json.dumps(doc))
-        self._expect_error(["solve", "--problem", str(bad)], "'A'", capsys)
+        self._expect_error(["solve", "--problem", str(bad)], f"'l' {fault}", capsys)
 
     def test_deleted_sidecar_file(self, random_problem_file, capsys):
         name = json.loads(random_problem_file.read_text())["P"][SIDECAR_KEY]

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from relaxqp.engine import (
     SolverConfig,
     apply_policy,
     config_from_dict,
-    config_to_dict,
     init_state,
     iterate_once,
     maybe_update_rho,
@@ -597,7 +596,7 @@ class TestKktBackend:
 class TestConfigFile:
     def test_roundtrip(self):
         cfg = SolverConfig(rho0=0.2, adaptive_rho=False, max_iter=77)
-        again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        again = config_from_dict(json.loads(json.dumps(asdict(cfg))))
         assert again == cfg
 
     def test_unknown_field_rejected(self):

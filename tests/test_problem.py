@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import tempfile
 import zlib
 from contextlib import contextmanager
@@ -23,8 +24,6 @@ from relaxqp.cli import main
 from relaxqp.errors import InfeasibleBoundsError, InputError
 from relaxqp.problem import (
     BINARY_KEY,
-    BINARY_KEYS,
-    CSR_KEY,
     CSR_SIDECAR_KEY,
     SIDECAR_KEY,
     ConstraintKind,
@@ -339,6 +338,15 @@ class TestFileFormat:
         with pytest.raises(InputError):
             problem_from_dict({"n": 1}, tmp_path)
 
+    @pytest.mark.parametrize("value", [2.9, True, "2"], ids=["float", "bool", "text"])
+    @pytest.mark.parametrize("key", ["n", "m", "seed"])
+    def test_integer_fields(self, tmp_path, key, value):
+        doc = {"n": 2, "m": 1, "P": [1.0, 0.0, 0.0, 1.0], "q": [0.0, 0.0], "A": [1.0, 1.0],
+               "l": [-1.0], "u": [1.0], "seed": 3}
+        assert problem_from_dict(doc, tmp_path).seed == 3
+        with pytest.raises(InputError, match=f"field '{key}' must be an integer"):
+            problem_from_dict({**doc, key: value}, tmp_path)
+
     def test_dict_roundtrip(self, tmp_path):
         prob = tiny_problem()
         again = problem_from_dict(saved_doc(prob, tmp_path), tmp_path)
@@ -382,17 +390,10 @@ class TestFileFormat:
         assert same_bits(load_problem(tmp_path / "old.json"), first)
         assert same_bits(load_problem(path), second)
 
-    def test_old_dense_binary_form_loads_bit_exactly(self, tmp_path):
-        prob = generate(FamilySpec("control", 10, seed=1))
-        doc = {**saved_doc(prob, tmp_path), "P": encode_array(prob.P), "A": encode_array(prob.A)}
-        (tmp_path / "old.json").write_text(json.dumps(doc))
-        loaded = load_problem(tmp_path / "old.json")
-        assert loaded.kkt_backend == "dense" and same_bits(loaded, prob)
-
 
 def old_writer_dict(prob: QpProblem) -> dict:
-    """A problem document in the dense list form, as hand-written files and
-    earlier versions of save_problem spell it."""
+    """A problem document in the dense list form, as hand-written files spell
+    it."""
     def bounds(v):
         out = v.copy()
         out[np.isposinf(out)] = 1e30
@@ -468,27 +469,33 @@ def binary(raw: bytes) -> dict:
     return {BINARY_KEY: base64.b64encode(raw).decode("ascii")}
 
 
-# Payloads for the field "P" of a 2x2 problem, which must inflate to 32 bytes.
-MALFORMED_P = {
-    "bad_base64": {BINARY_KEY: "not base64!"},
-    "not_zlib": binary(b"plain bytes, no zlib header"),
-    "too_short": binary(zlib.compress(np.eye(2).tobytes()[:-8])),
-    "too_long": binary(zlib.compress(np.eye(3).tobytes())),
-    "inflation_bomb": binary(zlib.compress(bytes(10_000_000), 9)),
-    "truncated_stream": binary(zlib.compress(np.eye(2).tobytes())[:-3]),
-    "trailing_bytes": binary(zlib.compress(np.eye(2).tobytes()) + b"extra"),
-    "wrong_key": {"f4_raw": ""},
-    "not_text": {BINARY_KEY: 12},
+# Payloads for the field "q" of a 2-variable problem, which must inflate to
+# 16 bytes, and the fault each must be reported as.
+MALFORMED_Q = {
+    "bad_base64": ({BINARY_KEY: "not base64!"}, "is not a valid binary array"),
+    "not_zlib": (binary(b"plain bytes, no zlib header"), "is not a valid binary array"),
+    "too_short": (binary(zlib.compress(np.ones(1).tobytes())), "decodes to 8 bytes, expected 16"),
+    "too_long": (binary(zlib.compress(np.ones(3).tobytes())),
+                 "decodes to more than the expected 16 bytes"),
+    "inflation_bomb": (binary(zlib.compress(bytes(10_000_000), 9)),
+                       "decodes to more than the expected 16 bytes"),
+    "truncated_stream": (binary(zlib.compress(np.ones(2).tobytes())[:-3]),
+                         "holds a truncated zlib stream"),
+    "trailing_bytes": (binary(zlib.compress(np.ones(2).tobytes()) + b"extra"),
+                       "has bytes after the end of its zlib stream"),
+    "wrong_key": ({"f4_raw": ""}, "is not a valid binary array"),
+    "not_text": ({BINARY_KEY: 12}, "is not a valid binary array"),
 }
 
 
 class TestMalformedBinary:
-    @pytest.mark.parametrize("case", sorted(MALFORMED_P))
+    @pytest.mark.parametrize("case", sorted(MALFORMED_Q))
     def test_input_error_names_field(self, tmp_path, case):
+        payload, fault = MALFORMED_Q[case]
         doc = saved_doc(QpProblem(P=np.eye(2), q=np.zeros(2), A=np.ones((1, 2)),
                                   l=-np.ones(1), u=np.ones(1)), tmp_path)
-        doc["P"] = MALFORMED_P[case]
-        with pytest.raises(InputError, match="'P'"):
+        doc["q"] = payload
+        with pytest.raises(InputError, match=f"'q' {fault}"):
             problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
 
 
@@ -797,16 +804,6 @@ def sparse_problem_with_signed_zeros() -> QpProblem:
                          name="signed_zeros", seed=3)
 
 
-def old_csr_object(a: np.ndarray) -> dict:
-    """The in-document CSR object earlier versions of save_problem wrote for
-    a sparse-backend matrix: every entry whose bit pattern is not zero."""
-    stored = a.view(np.uint64) != 0
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
-    return {CSR_KEY: {"indptr": encode_array(indptr, "<i4"),
-                      "indices": encode_array(np.nonzero(stored)[1], "<i4"),
-                      "data": encode_array(a[stored])}}
-
-
 def csr_sidecar_parts(directory, doc: dict, key: str):
     """(indptr, indices, data) of the CSR sidecar file field ``key`` names."""
     raw = (Path(directory) / doc[key][CSR_SIDECAR_KEY]).read_bytes()
@@ -852,30 +849,11 @@ class TestCsrFileForm:
         loaded = problem_from_dict(doc, tmp_path)  # small, so it loads on the dense backend
         assert loaded.kkt_backend == "dense" and same_bits(loaded, prob)
 
-    @pytest.mark.parametrize("form", ["binary", "list", "csr"])
-    def test_older_forms_load_alike(self, tmp_path, form):
-        # Files earlier versions wrote: P and A in the binary form, the dense
-        # list form, or in-document CSR objects; each loads bit-exactly.
+    def test_list_form_loads_alike(self, tmp_path):
+        # A hand-written sparse-backend problem: P and A as dense lists.
         prob = generate(FamilySpec("lasso", 20, seed=1))
-        if form == "binary":
-            doc = {**saved_doc(prob, tmp_path), "P": encode_array(prob.P), "A": encode_array(prob.A)}
-        elif form == "csr":
-            doc = {**saved_doc(prob, tmp_path), "P": old_csr_object(prob.P),
-                   "A": old_csr_object(prob.A)}
-        else:
-            doc = old_writer_dict(prob)
-        for f in tmp_path.iterdir():
-            f.unlink()  # no sidecar is read
-        loaded = problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
+        loaded = problem_from_dict(json.loads(json.dumps(old_writer_dict(prob))), tmp_path)
         assert loaded.kkt_backend == "sparse"
-        assert same_bits(loaded, prob)
-        assert_operators_match(loaded)
-
-    def test_old_csr_object_with_signed_zeros(self, tmp_path):
-        prob = sparse_problem_with_signed_zeros()
-        doc = {**saved_doc(prob, tmp_path), "P": old_csr_object(prob.P), "A": old_csr_object(prob.A)}
-        with forced_backend("sparse"):
-            loaded = problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
         assert same_bits(loaded, prob)
         assert_operators_match(loaded)
 
@@ -921,92 +899,20 @@ class TestCsrFileProperties:
             assert saved_files(first) == saved_files(second)
 
 
-def i4(values) -> dict:
-    return encode_array(np.asarray(values), "<i4")
-
-
-def i4_raw(raw: bytes) -> dict:
-    return {BINARY_KEYS["<i4"]: base64.b64encode(raw).decode("ascii")}
-
-
 def csr_3x2_problem() -> QpProblem:
     with forced_backend("sparse"):
         return QpProblem(P=np.eye(2), q=np.zeros(2), A=np.array([[1.0, 0], [0, 2], [1, 1]]),
                          l=-np.ones(3), u=np.ones(3))
 
 
-# Parts of the CSR field "A" of a 3x2 matrix [[1, 0], [0, 2], [1, 1]]:
-# indptr [0, 1, 2, 4], indices [0, 1, 0, 1], data [1, 2, 1, 1].
-MALFORMED_CSR = {
-    "indptr_too_short": ("indptr", i4([0, 1, 2]), "'A.indptr'"),
-    "indptr_too_long": ("indptr", i4([0, 1, 2, 4, 4]), "'A.indptr'"),
-    "indptr_not_from_zero": ("indptr", i4([1, 1, 2, 4]), "'A.indptr'"),
-    "indptr_decreasing": ("indptr", i4([0, 2, 1, 4]), "'A.indptr'"),
-    "nnz_above_size": ("indptr", i4([0, 3, 5, 7]), "'A.indptr'"),
-    "column_out_of_range": ("indices", i4([0, 2, 0, 1]), "'A.indices'"),
-    "negative_column": ("indices", i4([0, -1, 0, 1]), "'A.indices'"),
-    "unsorted_indices": ("indices", i4([0, 1, 1, 0]), "'A.indices'"),
-    "duplicate_indices": ("indices", i4([0, 1, 1, 1]), "'A.indices'"),
-    "indices_wrong_length": ("indices", i4([0, 1, 0]), "'A.indices'"),
-    "data_wrong_length": ("data", encode_array(np.ones(5)), "'A.data'"),
-    "data_bad_base64": ("data", {BINARY_KEY: "not base64!"}, "'A.data'"),
-    "indices_not_zlib": ("indices", i4_raw(b"plain bytes, no zlib header"), "'A.indices'"),
-    "indices_inflation_bomb": ("indices", i4_raw(zlib.compress(bytes(10_000_000), 9)),
-                               "'A.indices'"),
-    "data_missing": ("data", None, "'A.data'"),
-}
-
-
-class TestMalformedCsr:
-    """The in-document CSR object of earlier versions."""
-
-    @staticmethod
-    def doc(tmp_path) -> dict:
-        prob = csr_3x2_problem()
-        return {**saved_doc(prob, tmp_path), "P": old_csr_object(prob.P), "A": old_csr_object(prob.A)}
-
-    def test_base_document_loads(self, tmp_path):
-        loaded = problem_from_dict(self.doc(tmp_path), tmp_path)
-        assert loaded.A.tolist() == [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
-
-    @pytest.mark.parametrize("case", sorted(MALFORMED_CSR))
-    def test_input_error_names_field(self, tmp_path, case):
-        part, payload, named = MALFORMED_CSR[case]
-        doc = self.doc(tmp_path)
-        if payload is None:
-            del doc["A"][CSR_KEY][part]
-        else:
-            doc["A"][CSR_KEY][part] = payload
-        with pytest.raises(InputError, match=named):
-            problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
-
-    def test_csr_entry_not_an_object(self, tmp_path):
-        doc = self.doc(tmp_path)
-        doc["A"] = {CSR_KEY: [1, 2]}
-        with pytest.raises(InputError, match="'A'"):
-            problem_from_dict(doc, tmp_path)
-
-    def test_dimensions_too_large_to_hold(self, tmp_path, monkeypatch):
-        # A few kilobytes of CSR can describe a matrix whose dense field
-        # cannot be allocated; the allocation is faked to fail.
-        n = 100_000
-        real_zeros = np.zeros
-
-        def zeros(shape, *args, **kwargs):
-            if np.prod(shape) > 10**9:
-                raise MemoryError
-            return real_zeros(shape, *args, **kwargs)
-
-        monkeypatch.setattr(np, "zeros", zeros)
-        doc = {"n": n, "m": 0, "q": encode_array(np.zeros(n)), "l": [], "u": [], "A": [],
-               "P": {CSR_KEY: {"indptr": i4(np.zeros(n + 1)), "indices": i4([]),
-                               "data": encode_array(np.zeros(0))}}}
-        with pytest.raises(InputError, match="does not fit in memory"):
-            problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
-
-    def test_negative_dimension(self, tmp_path):
-        with pytest.raises(InputError, match="must not be negative"):
-            problem_from_dict({**self.doc(tmp_path), "m": -1}, tmp_path)
+def csr_sidecar(directory, key: str, indptr, indices, data) -> dict:
+    """The document entry of field ``key`` for a CSR sidecar file with these
+    parts, written to ``directory`` under the name its crc32 gives."""
+    raw = b"".join(np.asarray(part, dtype).tobytes()
+                   for part, dtype in ((indptr, "<i4"), (indices, "<i4"), (data, "<f8")))
+    name = f"p.json.{key}.{zlib.crc32(raw):08x}.csr"
+    (Path(directory) / name).write_bytes(raw)
+    return {CSR_SIDECAR_KEY: name, "nnz": len(data)}
 
 
 def _csr_file(f: Path, indptr=None, indices=None, data=None) -> str:
@@ -1017,11 +923,8 @@ def _csr_file(f: Path, indptr=None, indices=None, data=None) -> str:
              np.frombuffer(raw[32:], "<f8")]
     for i, part in enumerate((indptr, indices, data)):
         if part is not None:
-            parts[i] = np.asarray(part, dtype=parts[i].dtype)
-    new = b"".join(p.tobytes() for p in parts)
-    name = f"p.json.A.{zlib.crc32(new):08x}.csr"
-    (f.parent / name).write_bytes(new)
-    return name
+            parts[i] = part
+    return csr_sidecar(f.parent, "A", *parts)[CSR_SIDECAR_KEY]
 
 
 def _file_case(alter):
@@ -1068,11 +971,13 @@ MALFORMED_CSR_SIDECAR = {
 }
 
 
-def expect_cli_error(path, capsys):
-    """relaxqp solve --problem path ends in one error line and exit 1."""
+def expect_cli_error(path, capsys, fault: str = ""):
+    """relaxqp solve --problem path ends in one error line, matching the
+    regular expression ``fault``, and exit 1."""
     assert main(["solve", "--problem", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("relaxqp: error:") and err.count("\n") == 1
+    assert re.search(fault, err)
 
 
 class TestMalformedCsrSidecar:
@@ -1106,8 +1011,7 @@ class TestMalformedCsrSidecar:
         assert doc["A"][CSR_SIDECAR_KEY] in str(info.value)
         expect_cli_error(tmp_path / "p.json", capsys)
 
-    @pytest.mark.parametrize("form", ["sidecar", "in_document"])
-    def test_indptr_steps_that_wrap_in_int32(self, tmp_path, capsys, form):
+    def test_indptr_steps_that_wrap_in_int32(self, tmp_path, capsys):
         # The int32 differences of [0, 2**31 - 1, -2**31, -1, 4] wrap around
         # to 2**31 - 1, 1, 2**31 - 1, 5: all >= 0, though the pointers fall.
         with forced_backend("sparse"):
@@ -1115,17 +1019,66 @@ class TestMalformedCsrSidecar:
                              A=np.array([[1.0, 0], [0, 2], [1, 1], [0, 0]]),
                              l=-np.ones(4), u=np.ones(4))
         doc = saved_doc(prob, tmp_path)
-        indptr = np.array([0, 2**31 - 1, -2**31, -1, 4], "<i4")
-        if form == "sidecar":
-            _, indices, data = csr_sidecar_parts(tmp_path, doc, "A")
-            raw = indptr.tobytes() + indices.tobytes() + data.tobytes()
-            name = f"p.json.A.{zlib.crc32(raw):08x}.csr"
-            (tmp_path / name).write_bytes(raw)
-            doc["A"] = {CSR_SIDECAR_KEY: name, "nnz": 4}
-        else:
-            doc["A"] = old_csr_object(prob.A)
-            doc["A"][CSR_KEY]["indptr"] = encode_array(indptr, "<i4")
+        _, indices, data = csr_sidecar_parts(tmp_path, doc, "A")
+        doc["A"] = csr_sidecar(tmp_path, "A", np.array([0, 2**31 - 1, -2**31, -1, 4]), indices,
+                               data)
         (tmp_path / "p.json").write_text(json.dumps(doc))
         with pytest.raises(InputError, match="'A.indptr'.* never decrease"):
             load_problem(tmp_path / "p.json")
         expect_cli_error(tmp_path / "p.json", capsys)
+
+    def test_dimensions_too_large_to_hold(self, tmp_path, monkeypatch):
+        # A few hundred kilobytes of CSR sidecar can describe a matrix whose
+        # dense field cannot be allocated; the allocation is faked to fail.
+        n = 100_000
+        real_zeros = np.zeros
+
+        def zeros(shape, *args, **kwargs):
+            if np.prod(shape) > 10**9:
+                raise MemoryError
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        doc = {"n": n, "m": 0, "q": encode_array(np.zeros(n)), "l": [], "u": [], "A": [],
+               "P": csr_sidecar(tmp_path, "P", np.zeros(n + 1), [], [])}
+        with pytest.raises(InputError, match="does not fit in memory"):
+            problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
+
+    def test_negative_dimension(self, tmp_path):
+        with pytest.raises(InputError, match="must not be negative"):
+            problem_from_dict({**saved_doc(csr_3x2_problem(), tmp_path), "m": -1}, tmp_path)
+
+
+def old_csr_object(a: np.ndarray) -> dict:
+    """The in-document CSR object files written before the sidecar forms
+    hold: int32 parts framed like the binary form, float64 values in it."""
+    a = sparse.csr_array(a)
+    def i4(part):
+        raw = zlib.compress(part.astype("<i4").tobytes())
+        return {"i4le_zlib_b64": base64.b64encode(raw).decode("ascii")}
+
+    return {"csr": {"indptr": i4(a.indptr), "indices": i4(a.indices), "data": encode_array(a.data)}}
+
+
+# The objects for P and A that files written before the sidecar forms hold:
+# the binary form of q (dense problems) and the in-document CSR object
+# (sparse ones), and a malformed CSR object.
+OLD_FORMS = {
+    "binary": encode_array,
+    "csr_object": old_csr_object,
+    "csr_not_an_object": lambda a: {"csr": [1, 2]},
+}
+
+
+class TestOldFormsRejected:
+    @pytest.mark.parametrize("key", ["P", "A"])
+    @pytest.mark.parametrize("form", sorted(OLD_FORMS))
+    def test_input_error_asks_to_regenerate(self, tmp_path, capsys, form, key):
+        prob = csr_3x2_problem()
+        doc = saved_doc(prob, tmp_path)
+        doc[key] = OLD_FORMS[form](getattr(prob, key))
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        fault = f"field '{key}' is not a sidecar object .* must be regenerated"
+        with pytest.raises(InputError, match=fault):
+            load_problem(tmp_path / "p.json")
+        expect_cli_error(tmp_path / "p.json", capsys, fault)
