@@ -22,7 +22,7 @@ from .errors import (
     SolverError,
     TheoryViolationError,
 )
-from .linalg import LdltFactor, assemble_kkt, ldlt_factor, ldlt_solve
+from .linalg import KktTerms, LdltFactor, assemble_kkt, ldlt_factor, ldlt_solve
 from .policy import (
     NormStats,
     PolicyCheckpoint,
@@ -56,6 +56,7 @@ __all__ = [
     "FixedPolicy",
     "InfeasibleBoundsError",
     "InputError",
+    "KktTerms",
     "LdltFactor",
     "NormStats",
     "PolicyCheckpoint",

@@ -28,6 +28,7 @@ from .engine import SolverConfig, solve
 from .errors import InputError, ReferenceFailureError
 from .problem import (
     QpProblem,
+    _is_integer,
     array_field,
     load_problem,
     osqp_residuals,
@@ -393,11 +394,16 @@ def spec_to_dict(spec: FamilySpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> FamilySpec:
+    """The spec of a manifest entry; size and seed must be JSON integers."""
     try:
-        fields = dict(family=doc["family"], size=int(doc["size"]), seed=int(doc["seed"]),
+        fields = dict(family=doc["family"], size=doc["size"], seed=doc["seed"],
                       split=doc.get("split", "test"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed family spec: {exc}") from exc
+    for key in ("size", "seed"):
+        if not _is_integer(fields[key]):
+            raise InputError(f"malformed family spec: field {key!r} must be an integer, "
+                             f"got {fields[key]!r}")
     return FamilySpec(**fields)
 
 

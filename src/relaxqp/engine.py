@@ -17,7 +17,10 @@ boundaries without touching the factorization.  The first line is OSQP's
 reduced form of the quasi-definite KKT system
 [[P + sigma*I, A'], [A, -diag(1/rho)]] [xt; nu] = [sigma*x_k - q; z_k - y_k/rho]
 (see :mod:`relaxqp.linalg`); its matrix is positive definite and its factor
-is cached.  The products with A, A' and P go through the problem's
+is cached.  Every factorization assembles the matrix through the problem's
+:attr:`~relaxqp.problem.QpProblem.kkt_terms`, so after the problem's first
+one a penalty update refills it from data the problem already holds.  The
+products with A, A' and P go through the problem's
 :attr:`~relaxqp.problem.QpProblem.operators`, dense arrays or CSR copies
 depending on the problem's :attr:`~relaxqp.problem.QpProblem.kkt_backend`.
 
@@ -184,8 +187,7 @@ def init_state(prob: QpProblem, cfg: SolverConfig) -> SolverState:
     A singular KKT system surfaces as a setup-time SingularKktError.
     """
     r_vals = rho_pattern(prob.kinds, cfg.rho0)
-    A, _, P = prob.operators
-    kkt = ldlt_factor(assemble_kkt(P, A, cfg.sigma, r_vals))
+    kkt = _factor_kkt(prob, cfg, r_vals)
     gamma = np.full(prob.m, cfg.alpha0, dtype=np.float64)
     return SolverState(
         x=np.zeros(prob.n),
@@ -202,9 +204,15 @@ def init_state(prob: QpProblem, cfg: SolverConfig) -> SolverState:
 
 def refactor(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> None:
     """Rebuild and refactor the KKT system for the current penalty vector."""
-    A, _, P = prob.operators
-    state.kkt = ldlt_factor(assemble_kkt(P, A, cfg.sigma, state.R))
+    state.kkt = _factor_kkt(prob, cfg, state.R)
     state.n_factorizations += 1
+
+
+def _factor_kkt(prob: QpProblem, cfg: SolverConfig, r_vals: np.ndarray) -> LdltFactor:
+    # Through the problem's KKT terms, which refill H when r_vals has
+    # rho_pattern's two levels.
+    A, _, P = prob.operators
+    return ldlt_factor(assemble_kkt(P, A, cfg.sigma, r_vals, prob.kkt_terms))
 
 
 def iterate_once(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> SolverState:

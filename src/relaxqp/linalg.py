@@ -22,14 +22,36 @@ Two backends factor H; each problem uses one, picked once by
   column ordering applied symmetrically and no pivoting, i.e. an LDL'-like
   factor of the permuted H, whose pivots are checked to be positive.
 
+Two ways to form H.  :func:`assemble_kkt` takes the problem's
+:class:`KktTerms` (:attr:`relaxqp.problem.QpProblem.kkt_terms`).  When the
+penalty vector takes one value on the equality rows and one on the rest,
+the two levels of :func:`relaxqp.engine.rho_pattern` and so the form of
+every penalty a solve factors, H is refilled from the terms:
+
+    H = P + sigma*I + sum over levels l of rho_l * (G_l + diag(d_l)).
+
+A row of A with one nonzero a at column j adds r*a^2 to H[j, j] alone, so
+d_l holds those rows' squares by column, and G_l = A_l'A_l is the Gram
+matrix of level l's rows with two or more nonzeros.  The terms are built by
+the first refill of a problem, inside :func:`assemble_kkt`; later refills,
+after a penalty update or in a later solve of the same problem object, only
+combine their arrays: no sparse product or syrk.  On the sparse backend the
+terms lie on one canonical CSC pattern, the union of those of P, I and the
+G_l, so a refill is a sum of data arrays.  Any other penalty vector, such as
+the per-row drift of :func:`relaxqp.verify.run_drift_experiment`, has no
+levels to reuse: H is then the product P + sigma*I + B'B with B =
+sqrt(r)*A over all rows, as when no terms are given.  The refilled H equals
+that product up to roundoff in its last bits, not bit for bit: the
+singleton rows and the levels are summed apart.
+
 :func:`assemble_kkt`, :func:`ldlt_factor` and :func:`ldlt_solve` dispatch on
 the type of their input.  These names and ``LdltFactor`` predate the reduced
-form; they are kept for API stability and for tools that wrap these bindings.
+form; they are kept for tools that wrap these bindings by name.
 
 Which BLAS runs what.  The numpy and scipy wheels each bundle their own
 OpenBLAS, and each keeps its own thread pool, whose workers spin for a while
-after a call.  Every dense product of a solve (H's ``B.T @ B``, a syrk, and
-the matrix-vector products) runs on numpy's, and so does the Cholesky factor.
+after a call.  Every dense product of a solve (H's syrks and the
+matrix-vector products) runs on numpy's, and so does the Cholesky factor.
 The per-iteration dpotrs, one right-hand side, is scipy's but runs on the
 calling thread alone.  scipy's dpotrf runs only after numpy has rejected a
 matrix, to name the failing column.  When the factor ran on scipy's pool
@@ -47,6 +69,7 @@ number of order r*||A||^2 / sigma.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -99,7 +122,135 @@ class LdltFactor:
     lu: SuperLU | None = None
 
 
-def assemble_kkt(P, A, sigma: float, r_values: np.ndarray):
+class KktTerms:
+    """The terms of the reduced KKT matrix of P and A that do not depend on
+    the penalty, for penalty vectors with one value on the ``equality`` rows
+    (a boolean mask) and one on the rest (see the module docstring).
+
+    Building one takes O(m); the terms are computed by the first
+    :meth:`refill` and kept for the life of the object.
+    """
+
+    def __init__(self, P, A, equality: np.ndarray):
+        self.P, self.A = P, A
+        self.equality = np.asarray(equality, dtype=bool)
+        # The first row of each group (None for a group without rows), and
+        # for every row the first row of its group.
+        self._first = [int(rows[0]) if rows.size else None for rows in
+                       (np.flatnonzero(self.equality), np.flatnonzero(~self.equality))]
+        self._leader = np.where(self.equality, *(i or 0 for i in self._first))
+
+    def levels(self, r: np.ndarray) -> tuple[float, float] | None:
+        """(value on the equality rows, value on the rest) when ``r`` takes
+        one value on each group, else None.  A group without rows reads 0."""
+        lead = self._leader
+        # The scalar test first: a penalty that drifts per row almost always
+        # fails it.
+        if r.size and r[-1] != r[lead[-1]] or not (r == r[lead]).all():
+            return None
+        c_eq, c_rest = (0.0 if i is None else float(r[i]) for i in self._first)
+        return c_eq, c_rest
+
+    @cached_property
+    def _parts(self):
+        # (grams, p_at, p_values, diag_at, diags, pattern): refill sums
+        # rho_l * gram over the [(level, gram)] and adds P's p_values at
+        # p_at and the diagonal terms at diag_at of the flat result.  Dense
+        # backend: n x n grams, p_at all of H and pattern None; sparse: the
+        # data arrays of the CSC pattern (indices, indptr).
+        P, A = self.P, self.A
+        n = A.shape[1]
+        is_sparse = sparse.issparse(A)
+        if is_sparse:
+            counts = np.diff(A.indptr)
+            single = np.flatnonzero(counts == 1)
+            cols, vals = A.indices[A.indptr[single]], A.data[A.indptr[single]]
+        else:
+            nonzero = A != 0.0
+            counts = nonzero.sum(axis=1, dtype=np.int32)
+            single = np.flatnonzero(counts == 1)
+            cols = nonzero[single].argmax(axis=1) if single.size else single
+            vals = A[single, cols]
+        single_eq = self.equality[single]
+        diags = tuple(np.bincount(cols[mask], weights=vals[mask] ** 2, minlength=n)
+                      for mask in (single_eq, ~single_eq))
+        grams = []
+        for level, rows in enumerate((self.equality, ~self.equality)):
+            rows = np.flatnonzero(rows & (counts > 1))
+            if rows.size:
+                # A run of consecutive rows is a view, not a copy.
+                A_l = A[rows[0] : rows[-1] + 1] if rows[-1] - rows[0] < rows.size else A[rows]
+                # csr_array(A_l') @ A_l has unsorted indices; tocsc() sorts
+                # them by transposing.  Dense: one syrk.
+                G = (sparse.csr_array(A_l.T) @ A_l).tocsc() if is_sparse else A_l.T @ A_l
+                grams.append((level, G))
+        if not is_sparse:
+            return grams, slice(None), P.reshape(-1), np.arange(n) * (n + 1), diags, None
+        # The pattern is the union of those of P, I and the grams, as sorted
+        # keys column * n + row.  The largest part (a gram, as a rule) often
+        # holds all the others; its index arrays are then the pattern's.
+        P = P.tocsc()
+        P.sum_duplicates()
+        parts = [P, sparse.eye_array(n, format="csc"), *(G for _, G in grams)]
+        keys = [_csc_keys(C) for C in parts]
+        largest = max(range(len(parts)), key=lambda k: keys[k].size)
+        union = keys[largest]
+        missing = np.concatenate([k[~_holds(union, k)] for k in keys if k is not union])
+        if missing.size:
+            union = np.concatenate((union, np.unique(missing)))
+            union.sort(kind="stable")  # two sorted runs, merged
+            pattern = union % n, np.searchsorted(union, np.arange(n + 1) * n)
+            pattern = tuple(a.astype(parts[largest].indices.dtype) for a in pattern)
+        else:
+            pattern = parts[largest].indices, parts[largest].indptr
+        # Where each part's entries lie in the pattern; all of it for a part
+        # that is the whole pattern.
+        at = [slice(None) if k is union else np.searchsorted(union, k) for k in keys]
+        for i, (level, G) in enumerate(grams):
+            data = G.data
+            if not isinstance(at[2 + i], slice):
+                data = np.zeros(union.size)
+                data[at[2 + i]] = G.data
+            grams[i] = level, data
+        return grams, at[0], P.data, at[1], diags, pattern
+
+    def refill(self, sigma: float, levels: tuple[float, float]):
+        """P + sigma*I + sum of rho_l * (G_l + diag(d_l)) for the ``levels``
+        (rho_eq, rho_rest), in a new array: an ndarray on the dense backend,
+        a CSC matrix on the sparse one."""
+        grams, p_at, p_values, diag_at, diags, pattern = self._parts
+        n = self.A.shape[1]
+        if grams:
+            # The first product is the new array: a zeroed one would cost a
+            # page fault per page on the dense backend.
+            level, gram = grams[0]
+            data = levels[level] * gram
+            for level, gram in grams[1:]:
+                data += levels[level] * gram
+        else:
+            data = np.zeros((n, n) if pattern is None else pattern[0].size)
+        flat = data.reshape(-1)
+        flat[p_at] += p_values
+        flat[diag_at] += sigma + levels[0] * diags[0] + levels[1] * diags[1]
+        if pattern is None:
+            return data
+        return sparse.csc_array((data, *pattern), shape=(n, n))
+
+
+def _csc_keys(C) -> np.ndarray:
+    # column * n + row of each entry of the CSC matrix C, in storage order.
+    n = C.shape[0]
+    return np.repeat(np.arange(C.shape[1], dtype=np.int64) * n, np.diff(C.indptr)) + C.indices
+
+
+def _holds(union: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    # Which of keys are in the sorted array union.
+    if not union.size:
+        return np.zeros(keys.size, dtype=bool)
+    return union[np.searchsorted(union, keys).clip(max=union.size - 1)] == keys
+
+
+def assemble_kkt(P, A, sigma: float, r_values: np.ndarray, terms: KktTerms | None = None):
     """Build the reduced KKT matrix P + sigma*I + A' diag(r) A: an ndarray
     for dense P and A, a CSC matrix for sparse ones.
 
@@ -109,6 +260,9 @@ def assemble_kkt(P, A, sigma: float, r_values: np.ndarray):
     A : (m, n) constraint matrix.
     sigma : positive regularization added to the diagonal.
     r_values : (m,) positive per-constraint penalty entries.
+    terms : the :class:`KktTerms` of P and A.  When given and r_values has
+        their two levels, H is refilled from them; otherwise it is the
+        product over all rows.
 
     P and A are not scanned for non-finite entries: every entry of P reaches
     H through ``+ P`` and every entry of A its diagonal, which
@@ -133,6 +287,12 @@ def assemble_kkt(P, A, sigma: float, r_values: np.ndarray):
     if (r <= 0).any():
         raise InputError("penalty entries must be positive")
 
+    if terms is not None:
+        if terms.P is not P or terms.A is not A:
+            raise InputError("KKT terms belong to other matrices than P and A")
+        levels = terms.levels(r)
+        if levels is not None:
+            return terms.refill(sigma, levels)
     if is_sparse:
         B = sparse.diags_array(np.sqrt(r)) @ A
         H = B.T @ B + P + sparse.diags_array(np.full(n, float(sigma)))

@@ -69,7 +69,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InfeasibleBoundsError, InputError, SingularKktError
-from .linalg import pick_backend, positive_splu
+from .linalg import KktTerms, pick_backend, positive_splu
 
 INFINITY_SENTINEL = 1e30
 BINARY_KEY = "f8le_zlib_b64"
@@ -204,6 +204,14 @@ class QpProblem:
     def row_norms(self) -> np.ndarray:
         """Infinity norm of each row of A (a per-row policy feature)."""
         return np.max(np.abs(self.A), axis=1) if self.A.size else np.zeros(self.m)
+
+    @cached_property
+    def kkt_terms(self) -> KktTerms:
+        """The penalty-free terms of the reduced KKT matrix of every solve
+        of this problem, computed by its first KKT assembly (see
+        :mod:`relaxqp.linalg`)."""
+        A, _, P = self.operators
+        return KktTerms(P, A, self.kinds == ConstraintKind.EQUALITY)
 
     @cached_property
     def q_norm(self) -> float:
@@ -613,5 +621,11 @@ def save_problem(prob: QpProblem, path) -> None:
 
 
 def load_problem(path) -> QpProblem:
+    """The problem in the problem file ``path``; an InputError in its
+    content names the file."""
     path = os.fspath(path)
-    return problem_from_dict(read_json_object(path, "problem file"), os.path.dirname(path))
+    doc = read_json_object(path, "problem file")
+    try:
+        return problem_from_dict(doc, os.path.dirname(path))
+    except InputError as exc:
+        raise type(exc)(f"problem file {path}: {exc}") from exc

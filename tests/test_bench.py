@@ -200,6 +200,15 @@ class TestManifestAndStore:
         spec = FamilySpec("svm", 10, 3, "val")
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
+    @pytest.mark.parametrize("field,value", [
+        ("size", 20.9), ("size", 20.0), ("size", "20"), ("size", True), ("seed", "3"),
+        ("seed", 3.0), ("seed", None), ("seed", False),
+    ])
+    def test_spec_size_and_seed_must_be_integers(self, field, value):
+        doc = {"family": "random_qp", "size": 20, "seed": 3, field: value}
+        with pytest.raises(InputError, match=f"field '{field}' must be an integer"):
+            spec_from_dict(doc)
+
     def test_split_disjointness_enforced(self, tmp_path):
         specs = [
             FamilySpec("random_qp", 10, 1, "train"),

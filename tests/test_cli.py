@@ -306,6 +306,21 @@ class TestInputErrors:
             capsys,
         )
 
+    def test_bench_names_the_broken_problem_file_of_a_store(self, tmp_path, capsys):
+        specs = [FamilySpec("random_qp", 10, 1), FamilySpec("control", 10, 1)]
+        manifest, store = tmp_path / "m.json", tmp_path / "store"
+        save_manifest(specs, manifest)
+        argv = ["bench", "--manifest", str(manifest), "--store", str(store),
+                "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 0
+        good, broken = (instance_dir(store, s) / "problem.json" for s in specs)
+        doc = json.loads(broken.read_text())
+        doc["P"] = {"csr": {}}  # a form no writer produces any more
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        self._expect_error(argv, f"problem file {broken}: malformed problem document", capsys)
+        assert str(good) not in capsys.readouterr().err
+
     @pytest.mark.parametrize("text,named", [
         (json.dumps({"x_star": [1.0]}), "lambda_star"),
         ("{not json", "invalid reference file"),

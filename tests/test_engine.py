@@ -19,9 +19,11 @@ from relaxqp.engine import (
     rho_pattern,
     solve,
 )
+from relaxqp import engine
 from relaxqp import problem as problem_mod
 from relaxqp import verify
 from relaxqp.errors import DivergenceError, InputError, PolicyError
+from relaxqp.linalg import ldlt_solve
 from relaxqp.policy import init_checkpoint, policy_from_checkpoint
 from relaxqp.problem import ConstraintKind, QpProblem, osqp_residuals
 
@@ -557,6 +559,72 @@ class TestNoInPlaceWrites:
         assert res.iterations == horizon
         assert obs.distinct("R") > 2 and obs.distinct("Gamma") > 2
         obs.assert_references_hold_their_values()
+
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_kkt_matrices_and_factors(self, monkeypatch, backend):
+        # Every refill returns a new H and every refactor a new factor, so
+        # those taken before a penalty update keep their values after it.
+        monkeypatch.setattr(problem_mod, "pick_backend", lambda n, m, nnz: backend)
+        prob = generate(FamilySpec("lasso", 10, seed=1))
+        assemble, kept, factors = engine.assemble_kkt, [], []
+        b = np.linspace(-1.0, 1.0, prob.n)
+
+        def keep(*args):
+            H = assemble(*args)
+            kept.append((H, H.copy()))
+            return H
+
+        def observer(state, res):
+            if not factors or factors[-1][0] is not state.kkt:
+                factors.append((state.kkt, ldlt_solve(state.kkt, b)))
+
+        monkeypatch.setattr(engine, "assemble_kkt", keep)
+        rep = solve(prob, SolverConfig(rho_check_interval=5), observer=observer)
+        assert rep.rho_updates >= 2
+        assert len(kept) == len(factors) == rep.factorizations
+        assert "_parts" in prob.kkt_terms.__dict__  # the matrices were refilled
+        dense = [H.toarray() if backend == "sparse" else H for H, _ in kept]
+        for H, copy in zip(dense, (c.toarray() if backend == "sparse" else c for _, c in kept)):
+            assert H.tobytes() == copy.tobytes()
+        for F, v in factors:
+            assert ldlt_solve(F, b).tobytes() == v.tobytes()
+        data = [H.data if backend == "sparse" else H for H, _ in kept]
+        assert not any(np.shares_memory(a, c) for i, a in enumerate(data) for c in data[i + 1:])
+
+
+class TestKktTermsReuse:
+    @pytest.mark.parametrize("family,size", [("lasso", 10), ("lasso", 20)])
+    def test_second_solve_reuses_the_terms(self, family, size):
+        # lasso_n20 runs on the sparse backend, lasso_n10 on the dense one.
+        prob = generate(FamilySpec(family, size, seed=1))
+        cfg = SolverConfig(rho_check_interval=5)
+        first = solve(prob, cfg)
+        terms = prob.kkt_terms
+        parts = terms.__dict__["_parts"]
+        second = solve(prob, cfg)
+        assert prob.kkt_terms is terms and terms.__dict__["_parts"] is parts
+        assert (second.status, second.iterations, second.rho_updates, second.factorizations) == (
+            first.status, first.iterations, first.rho_updates, first.factorizations)
+        assert second.x.tobytes() == first.x.tobytes()
+
+    def test_drift_refactors_take_the_all_rows_product(self, monkeypatch):
+        # The drift run's per-row penalties have no levels: after the first
+        # factor, every assembly is the product over all rows.
+        prob = generate(FamilySpec("portfolio", 10, seed=1))
+        calls = []
+        assemble = engine.assemble_kkt
+
+        def spy(P, A, sigma, r, terms=None):
+            calls.append(terms is not None and terms.levels(r) is not None)
+            return assemble(P, A, sigma, r, terms)
+
+        monkeypatch.setattr(engine, "assemble_kkt", spy)
+        horizon = 20
+        verify.run_drift_experiment(
+            prob, verify.DriftSchedule.inverse_square(horizon), horizon, SolverConfig(), 0.0
+        )
+        assert calls == [True] + [False] * (len(calls) - 1) and len(calls) > 2
 
 
 class TestKktBackend:

@@ -8,7 +8,8 @@ from scipy import sparse
 from relaxqp.bench import FamilySpec, generate
 from relaxqp.engine import RHO_MAX, RHO_MIN, rho_pattern
 from relaxqp.errors import InputError, SingularKktError
-from relaxqp.linalg import assemble_kkt, ldlt_factor, ldlt_solve, pick_backend
+from relaxqp.linalg import KktTerms, assemble_kkt, ldlt_factor, ldlt_solve, pick_backend
+from relaxqp.problem import ConstraintKind
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -348,3 +349,105 @@ class TestPickBackend:
         assert pick_backend(100, 499, 100) == "dense"  # below the size floor
         assert pick_backend(100, 500, 3600) == "sparse"
         assert pick_backend(100, 500, 3601) == "dense"  # above 6% nonzero
+
+
+def _dense(H):
+    return H.toarray() if sparse.issparse(H) else H
+
+
+def assert_refill_matches_product(P, A, equality, levels, sigma=1e-6):
+    """The refilled H of the two-level penalty ``levels`` (equality rows,
+    the rest) equals the product over all rows to 1e-13 relative, in the
+    backend's form: an ndarray, or a canonical CSC matrix."""
+    terms = KktTerms(P, A, equality)
+    r = np.where(equality, *levels)
+    H = assemble_kkt(P, A, sigma, r, terms)
+    assert "_parts" in terms.__dict__  # the refill ran
+    exact = _dense(assemble_kkt(P, A, sigma, r))
+    if sparse.issparse(A):
+        assert H.format == "csc" and H.has_canonical_format
+    else:
+        assert isinstance(H, np.ndarray) and H.flags.c_contiguous
+    err = np.abs(_dense(H) - exact).max() / np.abs(exact).max()
+    assert err <= 1e-13, (levels, err)
+
+
+BACKENDS = {"dense": np.asarray, "sparse": sparse.csr_array}
+
+
+class TestKktTerms:
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("family,size", sorted(DESK_SIZES.items()))
+    def test_refill_matches_the_product_on_every_family(self, family, size, backend):
+        prob = generate(FamilySpec(family, size, seed=1))
+        to = BACKENDS[backend]
+        equality = prob.kinds == ConstraintKind.EQUALITY
+        for rho in (RHO_MIN, 1e-2, 1.0, 1e2, RHO_MAX):
+            r = rho_pattern(prob.kinds, rho)
+            levels = (r[equality][:1].sum(), r[~equality][:1].sum())
+            assert_refill_matches_product(to(prob.P), to(prob.A), equality, levels)
+
+    # Rows of a 4-variable A and whether each is an equality row.
+    EDGE_CASES = {
+        "no_rows": (np.zeros((0, 4)), []),
+        "all_singleton": (np.array([[2.0, 0, 0, 0], [0, -3.0, 0, 0], [0.5, 0, 0, 0],
+                                    [0, 0, 0, 1.0]]), [False, True, True, False]),
+        "zero_row": (np.array([[1.0, 2.0, 0, 0], [0, 0, 0, 0], [0, 1.0, 1.0, 1.0]]),
+                     [False, False, True]),
+        "loose_rows": (np.array([[1.0, 2.0, 0, 0], [0, 3.0, 0, -1.0], [0, 0, 4.0, 0]]),
+                       [False, False, False]),
+        "equality_only": (np.array([[1.0, 2.0, 0, 0], [0, 3.0, 0, -1.0], [0, 0, 4.0, 0]]),
+                          [True, True, True]),
+        "singletons_of_both_kinds": (
+            np.array([[1.0, 2.0, 3.0, 0], [0, 0, 5.0, 0], [0, 0, -2.0, 0], [0, 1.0, 0, 1.0],
+                      [0, 0, 0, 7.0]]), [True, True, False, False, False]),
+        # A gram whose pattern holds those of P, I and the other gram.
+        "one_gram_holds_all": (
+            np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 2.0, 0.5], [0, 3.0, 0, 1.0]]),
+            [True, True, False]),
+    }
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_refill_matches_the_product_on_edge_cases(self, case, backend):
+        A, equality = self.EDGE_CASES[case]
+        to = BACKENDS[backend]
+        P = np.diag([1.0, 0.0, 2.0, 0.0])
+        P[0, 2] = P[2, 0] = 0.5
+        for levels in ((0.1, 100.0), (7.0, 7.0), (RHO_MAX, RHO_MIN)):
+            assert_refill_matches_product(to(P), to(A), np.array(equality, dtype=bool), levels)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_other_penalty_vectors_take_the_product_bit_for_bit(self, backend):
+        prob = generate(FamilySpec("svm", 10, seed=1))
+        P, A = BACKENDS[backend](prob.P), BACKENDS[backend](prob.A)
+        terms = KktTerms(P, A, prob.kinds == ConstraintKind.EQUALITY)
+        r = rho_pattern(prob.kinds, 0.1) * np.random.default_rng(2).uniform(0.9, 1.1, prob.m)
+        H, exact = assemble_kkt(P, A, 1e-6, r, terms), assemble_kkt(P, A, 1e-6, r)
+        if sparse.issparse(H):
+            assert all(np.array_equal(getattr(H, f), getattr(exact, f))
+                       for f in ("data", "indices", "indptr"))
+        else:
+            assert np.array_equal(H, exact)
+        assert "_parts" not in terms.__dict__  # the terms were never built
+
+    def test_levels(self):
+        terms = KktTerms(np.eye(2), np.eye(3, 2), np.array([False, True, False]))
+        assert terms.levels(np.array([0.1, 100.0, 0.1])) == (100.0, 0.1)
+        assert terms.levels(np.array([0.1, 100.0, 0.2])) is None
+        assert KktTerms(np.eye(2), np.zeros((0, 2)), np.zeros(0, bool)).levels(np.zeros(0)) == (0, 0)
+
+    def test_terms_of_other_matrices_rejected(self):
+        terms = KktTerms(np.eye(2), np.eye(2), np.zeros(2, bool))
+        with pytest.raises(InputError, match="other matrices"):
+            assemble_kkt(np.eye(2), np.eye(2), 1.0, np.ones(2), terms)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_refills_share_no_data(self, backend):
+        prob = generate(FamilySpec("lasso", 10, seed=1))
+        P, A = BACKENDS[backend](prob.P), BACKENDS[backend](prob.A)
+        terms = KktTerms(P, A, prob.kinds == ConstraintKind.EQUALITY)
+        mats = [assemble_kkt(P, A, 1e-6, rho_pattern(prob.kinds, rho), terms) for rho in (0.1, 1.0, 0.1)]
+        data = [_dense(H) if backend == "dense" else H.data for H in mats]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(data) for b in data[i + 1:])
+        assert np.array_equal(_dense(mats[0]), _dense(mats[2]))
