@@ -57,6 +57,9 @@ RHO_MIN = 1e-6
 RHO_MAX = 1e6
 EQUALITY_RHO_FACTOR = 1e3
 RHO_TRIGGER_FACTOR = 5.0
+# Floating-point errors ignored while the iteration runs: a diverging iterate
+# overflows before iterate_once reports it as a DivergenceError.
+ITERATE_ERRSTATE = {"invalid": "ignore", "over": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,12 @@ class SolveReport:
     x: np.ndarray
     z: np.ndarray
     y: np.ndarray
+    # Wall time of the stage-boundary policy calls, features and context
+    # included, and the number of them that queried the policy (none after
+    # the freeze): set against runtime_seconds and iterations, the
+    # break-even of a learned policy.
+    policy_seconds: float = 0.0
+    policy_queries: int = 0
 
 
 def report_to_dict(rep: SolveReport) -> dict:
@@ -173,6 +182,8 @@ def report_to_dict(rep: SolveReport) -> dict:
         "rho_updates": rep.rho_updates,
         "factorizations": rep.factorizations,
         "runtime_seconds": rep.runtime_seconds,
+        "policy_seconds": rep.policy_seconds,
+        "policy_queries": rep.policy_queries,
         "objective": rep.objective,
         "x": rep.x.tolist(),
         "z": rep.z.tolist(),
@@ -216,26 +227,34 @@ def _factor_kkt(prob: QpProblem, cfg: SolverConfig, r_vals: np.ndarray) -> LdltF
 
 
 def iterate_once(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> SolverState:
-    """Advance the iterate tuple by one step (mutates and returns state)."""
+    """Advance the iterate tuple by one step (mutates and returns state).
+
+    Overflow and invalid operations on the way to a divergence are expected:
+    callers that step many times (:func:`solve`, the drift runs) do so under
+    one ``np.errstate(**ITERATE_ERRSTATE)``.
+    """
     r = state.R
     g = state.Gamma
     x_k, z_k, y_k = state.x, state.z, state.y
     A, AT, _ = prob.operators
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        rhs = cfg.sigma * x_k - prob.q + AT @ (r * z_k - y_k)
-        x_tilde = ldlt_solve(state.kkt, rhs)
-        z_tilde = A @ x_tilde
+    rhs = cfg.sigma * x_k - prob.q + AT @ (r * z_k - y_k)
+    x_tilde = ldlt_solve(state.kkt, rhs)
+    z_tilde = A @ x_tilde
 
-        x_next = state.alpha_x * x_tilde + (1.0 - state.alpha_x) * x_k
-        w = g * z_tilde + (1.0 - g) * z_k
-        z_next = (w + y_k / r).clip(prob.l, prob.u)
-        y_next = y_k + r * (w - z_next)
-        # A finite sum means every entry is finite; a sum that overflows is
-        # settled by the exact test.
-        finite = math.isfinite(x_next.sum() + z_next.sum() + y_next.sum())
-
-    if not (finite or all(np.isfinite(v).all() for v in (x_next, z_next, y_next))):
+    x_next = state.alpha_x * x_tilde + (1.0 - state.alpha_x) * x_k
+    w = g * z_tilde + (1.0 - g) * z_k
+    z_next = w + y_k / r
+    np.maximum(z_next, prob.l, out=z_next)  # clip(., l, u), bit for bit
+    np.minimum(z_next, prob.u, out=z_next)
+    y_next = y_k + r * (w - z_next)
+    # A finite sum means every entry is finite; a sum that overflows is
+    # settled by the exact test.
+    add = np.add.reduce
+    if not (
+        math.isfinite(add(x_next) + add(z_next) + add(y_next))
+        or all(np.isfinite(v).all() for v in (x_next, z_next, y_next))
+    ):
         raise DivergenceError(state.iter + 1)
 
     state.x_tilde, state.z_tilde = x_tilde, z_tilde
@@ -272,19 +291,22 @@ def apply_policy(state: SolverState, policy, ctx, cfg: SolverConfig) -> SolverSt
     """Query the relaxation policy at a stage boundary.
 
     After the freeze iteration the relaxation is left untouched so the total
-    parameter drift stays finite.  Non-finite policy output raises and leaves
-    the state unchanged.
+    parameter drift stays finite.  A decision-space relaxation of None keeps
+    the current one.  Non-finite policy output raises and leaves the state
+    unchanged.
     """
     if state.iter >= cfg.freeze_iter:
         return state
     gamma, alpha_x = policy.propose(ctx)
+    if alpha_x is None:
+        alpha_x = state.alpha_x
     gamma = np.asarray(gamma, dtype=np.float64)
-    if not (np.isfinite(gamma).all() and np.isfinite(alpha_x)):
+    if not (np.isfinite(gamma).all() and math.isfinite(alpha_x)):
         raise PolicyError(f"policy produced non-finite relaxation at iteration {state.iter}")
-    gamma = gamma.clip(cfg.alpha_min, cfg.alpha_max)
-    alpha_x = float(np.clip(alpha_x, cfg.alpha_min, cfg.alpha_max))
-    state.Gamma = gamma
-    state.alpha_x = alpha_x
+    # clip(gamma, alpha_min, alpha_max), bit for bit, into a new array
+    gamma = np.maximum(gamma, cfg.alpha_min)
+    state.Gamma = np.minimum(gamma, cfg.alpha_max, out=gamma)
+    state.alpha_x = min(max(float(alpha_x), cfg.alpha_min), cfg.alpha_max)
     return state
 
 
@@ -350,20 +372,26 @@ def solve(
         observer(state, res)
 
     status = "max_iter"
-    while state.iter < cfg.max_iter:
-        iterate_once(state, prob, cfg)
-        res = osqp_residuals(prob, state.x, state.z, state.y)
-        history.append((state.iter, res.r_prim_inf, res.r_dual_inf))
-        if observer is not None:
-            observer(state, res)
-        if terminated(res, cfg.eps_abs, cfg.eps_rel):
-            status = "solved"
-            break
-        if cfg.adaptive_rho and state.iter % cfg.rho_check_interval == 0:
-            maybe_update_rho(state, res, prob, cfg)
-        if policy is not None and state.iter % cfg.stage_length == 0:
-            apply_policy(state, policy, policy_context(prob, state, res, stage_res), cfg)
-            stage_res = res
+    policy_seconds = 0.0
+    policy_queries = 0
+    with np.errstate(**ITERATE_ERRSTATE):
+        while state.iter < cfg.max_iter:
+            iterate_once(state, prob, cfg)
+            res = osqp_residuals(prob, state.x, state.z, state.y)
+            history.append((state.iter, res.r_prim_inf, res.r_dual_inf))
+            if observer is not None:
+                observer(state, res)
+            if terminated(res, cfg.eps_abs, cfg.eps_rel):
+                status = "solved"
+                break
+            if cfg.adaptive_rho and state.iter % cfg.rho_check_interval == 0:
+                maybe_update_rho(state, res, prob, cfg)
+            if policy is not None and state.iter % cfg.stage_length == 0:
+                t_query = time.perf_counter()
+                apply_policy(state, policy, policy_context(prob, state, res, stage_res), cfg)
+                policy_seconds += time.perf_counter() - t_query
+                policy_queries += state.iter < cfg.freeze_iter
+                stage_res = res
 
     runtime = time.perf_counter() - t0
     return SolveReport(
@@ -378,4 +406,6 @@ def solve(
         x=state.x.copy(),
         z=state.z.copy(),
         y=state.y.copy(),
+        policy_seconds=policy_seconds,
+        policy_queries=policy_queries,
     )

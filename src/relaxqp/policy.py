@@ -17,6 +17,19 @@ variant because the per-row features already carry the per-row penalty.
 variant's layout: checkpoint validation, initialization, SPSA flattening and
 the JSON format all follow them.  :class:`MlpPolicy` is the engine-facing
 policy of either variant; :func:`policy_from_checkpoint` builds it.
+
+Building an :class:`MlpPolicy` compiles its checkpoint once.  The feature
+standard deviations are folded into W1, and W1 is split: its solver-level
+columns give one 64-vector per query, added to every row as a bias, so a
+row is multiplied only by the per-row columns.  The means are subtracted
+from the raw features rather than folded into the bias, where they would
+cancel when a feature's standard deviation is small against its mean.  W1,
+W2 and their biases are centred over the hidden units, so the
+pre-activations come out centred and each layer norm needs only their
+variance.  :func:`mlp_forward` then runs in place, on blocks of at most
+:data:`BLOCK_ENTRIES` hidden values, and never holds an (m, 64) array.  A
+query agrees with the unfolded forward pass to roundoff
+(``tests/oracles.py::mlp_forward_loops``).
 """
 
 import json
@@ -35,7 +48,12 @@ FEATURE_CLAMP = 6.0
 LAYERNORM_EPS = 1e-5
 HIDDEN_WIDTH = 64
 INPUT_DIMS = {"scalar": 6, "vector": 13}  # vector: 5 solver-level + 8 per-row
+ROW_FEATURES = 8
 STD_FLOOR = 1e-6
+# Hidden values per evaluation block: 256 rows of 64, so each temporary is
+# 128 KB, below glibc's mmap threshold, and is not page-faulted afresh.
+BLOCK_ENTRIES = 16384
+_ONES = np.ones((HIDDEN_WIDTH, 1))  # row sums as a matrix product, into a column
 
 
 def param_shapes(variant: str) -> dict:
@@ -54,9 +72,18 @@ def param_shapes(variant: str) -> dict:
 _PARAM_FIELDS = tuple(param_shapes("scalar"))
 
 
+def _clamp(v: np.ndarray) -> None:
+    """``v.clip(-FEATURE_CLAMP, FEATURE_CLAMP, out=v)``, bit for bit, without
+    the Python layer of ``clip``."""
+    np.maximum(v, -FEATURE_CLAMP, out=v)
+    np.minimum(v, FEATURE_CLAMP, out=v)
+
+
 def _clamped_log(v):
     with np.errstate(divide="ignore"):
-        return np.log(v).clip(-FEATURE_CLAMP, FEATURE_CLAMP)
+        v = np.log(v)
+    _clamp(v)
+    return v
 
 
 def extract_global(res_now: Residuals, res_prev: Residuals, rho: float, variant: str) -> np.ndarray:
@@ -74,7 +101,7 @@ def extract_global(res_now: Residuals, res_prev: Residuals, rho: float, variant:
         vals.append(rho)
     elif variant != "vector":
         raise InputError(f"unknown policy variant {variant!r}")
-    return _clamped_log(np.asarray(vals, dtype=np.float64))
+    return _clamped_log(np.array(vals))
 
 
 def extract_rows(
@@ -92,20 +119,24 @@ def extract_rows(
     that is not log-scaled.  The residual sign is clamped with the logs, a
     no-op on values in [-1, 1].
     """
-    feats = np.empty((prob.m, 8), dtype=np.float64)
-    abs_r = np.abs(r_prim)
-    with np.errstate(divide="ignore"):
-        np.log(z - prob.l, out=feats[:, 0])
-        np.log(prob.u - z, out=feats[:, 1])
-        np.log(abs_r, out=feats[:, 2])
-        np.log(np.abs(y), out=feats[:, 4])
-        np.log(abs_r / (np.abs(r_prim_prev) + FEATURE_EPS), out=feats[:, 5])
-        np.log(rho_values, out=feats[:, 6])
-    np.sign(r_prim, out=feats[:, 3])
-    logs = feats[:, :7]
-    logs.clip(-FEATURE_CLAMP, FEATURE_CLAMP, out=logs)
-    feats[:, 7] = prob.row_norms
-    return feats
+    # Feature-major, so that each feature is one contiguous row; the logs
+    # are taken over rows 0-6 at once, before row 3 gets the sign.
+    feats = np.empty((ROW_FEATURES, prob.m))
+    np.subtract(z, prob.l, out=feats[0])
+    np.subtract(prob.u, z, out=feats[1])
+    np.abs(r_prim, out=feats[2])
+    np.abs(y, out=feats[4])
+    np.abs(r_prim_prev, out=feats[5])
+    feats[5] += FEATURE_EPS
+    np.divide(feats[2], feats[5], out=feats[5])
+    feats[6] = rho_values
+    logs = feats[:7]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(logs, out=logs)
+    np.sign(r_prim, out=feats[3])
+    _clamp(logs)
+    feats[7] = prob.row_norms
+    return feats.T
 
 
 @dataclass(frozen=True)
@@ -115,9 +146,6 @@ class NormStats:
     mean: np.ndarray
     std: np.ndarray
     source: str = ""
-
-    def normalize(self, feats: np.ndarray) -> np.ndarray:
-        return (feats - self.mean) / self.std
 
     @classmethod
     def identity(cls, dim: int) -> "NormStats":
@@ -207,73 +235,148 @@ def init_checkpoint(
     )
 
 
-def _layer(x, W, b, gain, offset):
-    h = x @ W.T + b
-    # h.mean and h.var spelled out as the same operations, sharing h - mean.
-    k = h.shape[-1]
-    d = h - h.sum(axis=-1, keepdims=True) / k
-    var = (d * d).sum(axis=-1, keepdims=True) / k
-    h = d / np.sqrt(var + LAYERNORM_EPS) * gain + offset
-    return np.where(h > 0, h, np.expm1(h))  # ELU
+def _elu(h: np.ndarray, t: np.ndarray) -> None:
+    """ELU of ``h`` in place, as max(h, expm1(min(h, 0))); ``t`` is scratch
+    of h's shape.  Bit for bit the ``np.where(h > 0, h, expm1(h))`` form,
+    -0.0 included: on a tie of zeros, whichever operand ``minimum`` and
+    ``maximum`` return, -0.0 stays -0.0 with these operand orders."""
+    np.minimum(0.0, h, out=t)
+    np.expm1(t, out=t)
+    np.maximum(h, t, out=h)
 
 
-def mlp_forward(ckpt: PolicyCheckpoint, x: np.ndarray) -> np.ndarray:
-    """Forward pass on normalized features; x is (d,) or (rows, d).
+def _norm_elu(h: np.ndarray, t: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> None:
+    """Layer norm of the centred pre-activations ``h``, then ELU, in place;
+    ``t`` is scratch of h's shape and ``gain`` the layer gain times
+    sqrt(HIDDEN_WIDTH), as 1/sqrt(mean(h^2) + eps) is
+    sqrt(HIDDEN_WIDTH)/sqrt(sum(h^2) + HIDDEN_WIDTH*eps)."""
+    np.square(h, out=t)
+    scale = np.matmul(t, _ONES)
+    scale += HIDDEN_WIDTH * LAYERNORM_EPS
+    np.sqrt(scale, out=scale)
+    np.divide(1.0, scale, out=scale)
+    h *= scale
+    h *= gain
+    h += offset
+    _elu(h, t)
 
-    Returns relaxation values in [alpha_min, alpha_max].
+
+def _hidden_layers(policy: "MlpPolicy", h: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Both hidden layers of a block whose first-layer pre-activations are
+    in ``h``, and its (k,) output pre-activations into ``out``; ``h`` and
+    ``t`` are overwritten."""
+    (gain1, offset1), (gain2, offset2) = policy.norms
+    _norm_elu(h, t, gain1, offset1)
+    np.matmul(h, policy.W2, out=t)
+    t += policy.b2
+    _norm_elu(t, h, gain2, offset2)
+    np.matmul(t, policy.w_out, out=out)
+
+
+def mlp_forward(policy: "MlpPolicy", phi: np.ndarray, rows: np.ndarray | None = None):
+    """Forward pass of ``policy`` on raw (unnormalized) features: ``phi`` the
+    solver-level features, ``rows`` the vector variant's (m, 8) per-row
+    features (None for the scalar variant).
+
+    Returns the relaxation values in [alpha_min, alpha_max]: an (m,) array
+    for the vector variant, a float for the scalar one.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != ckpt.input_dim:
-        raise InputError(f"input dim {x.shape[-1]} does not match variant {ckpt.variant!r}")
-    h = _layer(x, ckpt.W1, ckpt.b1, ckpt.ln1_gain, ckpt.ln1_offset)
-    h = _layer(h, ckpt.W2, ckpt.b2, ckpt.ln2_gain, ckpt.ln2_offset)
-    pre = h @ ckpt.w_out + ckpt.b_out
-    out = ckpt.alpha_min + (ckpt.alpha_max - ckpt.alpha_min) * expit(pre)
-    if not np.isfinite(out).all():
+    n_row = 0 if rows is None else rows.shape[-1]
+    if phi.shape != policy.mean_global.shape or n_row != policy.mean_rows.size:
+        raise InputError(
+            f"features of widths {phi.size} + {n_row} do not match variant {policy.variant!r}"
+        )
+    bias = policy.W1_global @ (phi - policy.mean_global)
+    bias += policy.b1
+    if rows is None:
+        out = np.empty(1)
+        _hidden_layers(policy, bias.reshape(1, -1), np.empty((1, HIDDEN_WIDTH)), out)
+    else:
+        m = rows.shape[0]
+        step = min(m, BLOCK_ENTRIES // HIDDEN_WIDTH)
+        x = np.empty((step, ROW_FEATURES))
+        h = np.empty((step, HIDDEN_WIDTH))
+        t = np.empty((step, HIDDEN_WIDTH))
+        out = np.empty(m)
+        for r0 in range(0, m, max(step, 1)):
+            k = min(step, m - r0)
+            xb, hb = x[:k], h[:k]
+            np.subtract(rows[r0 : r0 + k], policy.mean_rows, out=xb)
+            np.matmul(xb, policy.W1_rows, out=hb)
+            hb += bias
+            _hidden_layers(policy, hb, t[:k], out[r0 : r0 + k])
+    out += policy.b_out
+    expit(out, out=out)
+    out *= policy.alpha_span
+    out += policy.alpha_min
+    # Outputs are bounded unless NaN, so the sum is finite exactly when they all are.
+    if not math.isfinite(np.add.reduce(out)):
         raise PolicyError("relaxation policy produced non-finite output")
-    return out
+    return float(out[0]) if rows is None else out
 
 
-def vector_inputs(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Vector-variant MLP input: the solver-level features repeated on every
-    row, followed by that row's own features."""
-    rows = np.atleast_2d(rows)
-    out = np.empty((rows.shape[0], phi.size + rows.shape[1]))
-    out[:, : phi.size] = phi
-    out[:, phi.size :] = rows
-    return out
+def policy_features(ctx: PolicyContext, variant: str):
+    """Raw features at a stage boundary: the solver-level features, and the
+    vector variant's (m, 8) per-row features (None for the scalar one)."""
+    phi = extract_global(ctx.res, ctx.res_prev, ctx.rho_scalar, variant)
+    if variant == "scalar":
+        return phi, None
+    return phi, extract_rows(
+        ctx.prob, ctx.z, ctx.res.r_prim, ctx.y, ctx.res_prev.r_prim, ctx.rho_values
+    )
 
 
 def policy_inputs(ctx: PolicyContext, variant: str) -> np.ndarray:
-    """Unnormalized MLP input at a stage boundary: the (6,) solver-level
-    features of the scalar variant or the (m, 13) rows of the vector one."""
-    phi = extract_global(ctx.res, ctx.res_prev, ctx.rho_scalar, variant)
-    if variant == "scalar":
+    """Unnormalized MLP input at a stage boundary, as the normalization
+    statistics are fitted to it: the (6,) solver-level features of the
+    scalar variant, or the (m, 13) rows of the vector one (the solver-level
+    features repeated on every row, then the row's own)."""
+    phi, rows = policy_features(ctx, variant)
+    if rows is None:
         return phi
-    rows = extract_rows(
-        ctx.prob, ctx.z, ctx.res.r_prim, ctx.y, ctx.res_prev.r_prim, ctx.rho_values
-    )
-    return vector_inputs(phi, rows)
+    return np.hstack((np.broadcast_to(phi, (rows.shape[0], phi.size)), rows))
 
 
 class MlpPolicy:
-    """The relaxation policy of a checkpoint of either variant."""
+    """The relaxation policy of a checkpoint of either variant.  Its inference
+    arrays are built from the checkpoint once, here (see the module
+    docstring); a later change to the checkpoint needs a new policy."""
 
     def __init__(self, ckpt: PolicyCheckpoint):
         self.ckpt = ckpt
+        self.variant = ckpt.variant
+        ns = ckpt.norm_stats
+        g = INPUT_DIMS[ckpt.variant] - (ROW_FEATURES if ckpt.variant == "vector" else 0)
+        W1 = ckpt.W1 / ns.std
+        W1 -= W1.mean(axis=0)
+        self.mean_global, self.mean_rows = ns.mean[:g].copy(), ns.mean[g:].copy()
+        self.W1_global = np.ascontiguousarray(W1[:, :g])
+        self.W1_rows = W1[:, g:].T.copy()  # (8, 64) for the vector variant, (0, 64) else
+        self.b1 = ckpt.b1 - ckpt.b1.mean()
+        self.W2 = (ckpt.W2 - ckpt.W2.mean(axis=0)).T.copy()
+        self.b2 = ckpt.b2 - ckpt.b2.mean()
+        root_width = math.sqrt(HIDDEN_WIDTH)
+        self.norms = (
+            (root_width * ckpt.ln1_gain, ckpt.ln1_offset.copy()),
+            (root_width * ckpt.ln2_gain, ckpt.ln2_offset.copy()),
+        )
+        self.w_out, self.b_out = ckpt.w_out.copy(), ckpt.b_out
+        self.alpha_min, self.alpha_span = ckpt.alpha_min, ckpt.alpha_max - ckpt.alpha_min
 
     def propose(self, ctx: PolicyContext):
-        return self.predict(policy_inputs(ctx, self.ckpt.variant), ctx.prob.m)
+        phi, rows = policy_features(ctx, self.variant)
+        return self.predict(phi, rows, ctx.prob.m)
 
-    def predict(self, inputs: np.ndarray, m: int):
-        """(per-row relaxation, decision-space relaxation) from unnormalized
-        inputs: the scalar variant's one output broadcast over m rows, or the
-        vector variant's row outputs and their mean."""
-        out = mlp_forward(self.ckpt, self.ckpt.norm_stats.normalize(inputs))
-        if self.ckpt.variant == "scalar":
-            alpha = float(out)
-            return np.full(m, alpha), alpha
-        return out, float(out.mean())
+    def predict(self, phi: np.ndarray, rows: np.ndarray | None, m: int):
+        """(per-row relaxation, decision-space relaxation) from raw features:
+        the scalar variant's one output broadcast over m rows, or the vector
+        variant's row outputs and their mean.  With no rows the vector
+        variant has no mean to give and returns None, which keeps the
+        current decision-space relaxation."""
+        out = mlp_forward(self, phi, rows)
+        if rows is None:
+            return np.full(m, out), out
+        return out, float(np.add.reduce(out)) / out.size if out.size else None
 
 
 def policy_from_checkpoint(ckpt: PolicyCheckpoint) -> MlpPolicy:

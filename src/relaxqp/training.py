@@ -173,8 +173,9 @@ def collect_norm_stats(
 def _evaluate_validation(ckpt: PolicyCheckpoint, val_set: list, cfg: SolverConfig):
     iters = []
     rho_updates = []
+    policy = policy_from_checkpoint(ckpt)
     for prob, _ref in val_set:
-        report = solve(prob, cfg, policy=policy_from_checkpoint(ckpt))
+        report = solve(prob, cfg, policy=policy)
         iters.append(report.iterations)
         rho_updates.append(report.rho_updates)
     return float(np.mean(iters)), float(np.mean(rho_updates))

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import (
+    ITERATE_ERRSTATE,
     RHO_MAX,
     RHO_MIN,
     SolverConfig,
@@ -393,47 +394,49 @@ def run_drift_experiment(
     # one for alpha_x if theta_gamma > 0.  A block of iterations draws all of
     # its signs in one call, which yields the same stream as one call per
     # draw; the signs a converged run leaves unused are never seen.
-    for k0, k1 in _blocks(0, horizon, 2 * m + 1):
-        th_rs = schedule.theta_r[k0:k1].tolist()
-        th_gs = schedule.theta_gamma[k0:k1].tolist()
-        n_draws = sum(m for t in th_rs if t > 0.0) + sum(m + 1 for t in th_gs if t > 0.0)
-        signs = SIGNS[rng.integers(0, 2, size=n_draws)]
-        pos = 0
-        for k, th_r, th_g in zip(range(k0, k1), th_rs, th_gs):
-            x_k, z_k = state.x, state.z  # a step binds new arrays
-            iterate_once(state, prob, cfg)
-            # The norms of the step's splitting residuals r = (x~ - x, z~ - z)
-            # and s = -(sigma (x - x_k), R (z - z_k)), R not yet perturbed:
-            # |-sigma d|_inf = sigma |d|_inf, the initial 0.0 covers an empty
-            # block, and Python's max of the two is the max over both as no
-            # entry is NaN (iterate_once raises on a non-finite iterate, which
-            # a non-finite x_tilde or z_tilde would make).
-            r_hist[k] = max(
-                np.abs(state.x_tilde - state.x).max(initial=0.0),
-                np.abs(state.z_tilde - state.z).max(initial=0.0),
-            )
-            s_hist[k] = max(
-                cfg.sigma * np.abs(state.x - x_k).max(initial=0.0),
-                np.abs(state.R * (state.z - z_k)).max(initial=0.0),
-            )
-            gap_hist[k] = abs(objective(prob, state.x) - p_star)
-            if r_hist[k] <= r_tol and s_hist[k] <= s_tol and gap_hist[k] <= gap_tol:
-                converged = True
-                iterations = k + 1
-                break
-            if th_r > 0.0:
-                state.R = (state.R * (1.0 + signs[pos : pos + m] * th_r)).clip(RHO_MIN, RHO_MAX)
-                pos += m
-                refactor(state, prob, cfg)
-            if th_g > 0.0:
-                state.Gamma = (state.Gamma * (1.0 + signs[pos : pos + m] * th_g)).clip(
-                    cfg.alpha_min, cfg.alpha_max
+    with np.errstate(**ITERATE_ERRSTATE):
+        for k0, k1 in _blocks(0, horizon, 2 * m + 1):
+            th_rs = schedule.theta_r[k0:k1].tolist()
+            th_gs = schedule.theta_gamma[k0:k1].tolist()
+            n_draws = sum(m for t in th_rs if t > 0.0) + sum(m + 1 for t in th_gs if t > 0.0)
+            signs = SIGNS[rng.integers(0, 2, size=n_draws)]
+            pos = 0
+            for k, th_r, th_g in zip(range(k0, k1), th_rs, th_gs):
+                x_k, z_k = state.x, state.z  # a step binds new arrays
+                iterate_once(state, prob, cfg)
+                # The norms of the step's splitting residuals r = (x~ - x, z~ - z)
+                # and s = -(sigma (x - x_k), R (z - z_k)), R not yet perturbed:
+                # |-sigma d|_inf = sigma |d|_inf, the initial 0.0 covers an empty
+                # block, and Python's max of the two is the max over both as no
+                # entry is NaN (iterate_once raises on a non-finite iterate, which
+                # a non-finite x_tilde or z_tilde would make).
+                r_hist[k] = max(
+                    np.abs(state.x_tilde - state.x).max(initial=0.0),
+                    np.abs(state.z_tilde - state.z).max(initial=0.0),
                 )
-                alpha_x = state.alpha_x * (1.0 + float(signs[pos + m]) * th_g)
-                state.alpha_x = float(min(max(alpha_x, cfg.alpha_min), cfg.alpha_max))
-                pos += m + 1
-        if converged:
-            break
+                s_hist[k] = max(
+                    cfg.sigma * np.abs(state.x - x_k).max(initial=0.0),
+                    np.abs(state.R * (state.z - z_k)).max(initial=0.0),
+                )
+                gap_hist[k] = abs(objective(prob, state.x) - p_star)
+                if r_hist[k] <= r_tol and s_hist[k] <= s_tol and gap_hist[k] <= gap_tol:
+                    converged = True
+                    iterations = k + 1
+                    break
+                if th_r > 0.0:
+                    state.R = (state.R * (1.0 + signs[pos : pos + m] * th_r)).clip(RHO_MIN, RHO_MAX)
+                    pos += m
+                    refactor(state, prob, cfg)
+                if th_g > 0.0:
+                    state.Gamma = (state.Gamma * (1.0 + signs[pos : pos + m] * th_g)).clip(
+                        cfg.alpha_min, cfg.alpha_max
+                    )
+                    alpha_x = state.alpha_x * (1.0 + float(signs[pos + m]) * th_g)
+                    state.alpha_x = float(min(max(alpha_x, cfg.alpha_min), cfg.alpha_max))
+                    pos += m + 1
+            if converged:
+                break
+
     return DriftResult(
         r_inf=r_hist[:iterations],
         s_inf=s_hist[:iterations],

@@ -135,8 +135,9 @@ def active_set_solution(prob: QpProblem, tol: float = 1e-9):
     return best
 
 
-def mlp_forward_loops(ckpt, x_norm: np.ndarray) -> float:
-    """Scalar-loop forward pass matching the policy architecture."""
+def mlp_forward_loops(ckpt, x: np.ndarray) -> float:
+    """Scalar-loop forward pass matching the policy architecture, on one raw
+    (unnormalized) input vector: normalization, then the layers unfolded."""
 
     def layer(v, W, b, gain, offset):
         h = [sum(W[i][j] * v[j] for j in range(len(v))) + b[i] for i in range(len(W))]
@@ -145,7 +146,8 @@ def mlp_forward_loops(ckpt, x_norm: np.ndarray) -> float:
         h = [(hi - mu) / math.sqrt(var + 1e-5) * gain[i] + offset[i] for i, hi in enumerate(h)]
         return [hi if hi > 0 else math.exp(hi) - 1.0 for hi in h]
 
-    v = list(x_norm)
+    ns = ckpt.norm_stats
+    v = [(xi - mu) / sd for xi, mu, sd in zip(x.tolist(), ns.mean.tolist(), ns.std.tolist())]
     v = layer(v, ckpt.W1.tolist(), ckpt.b1.tolist(), ckpt.ln1_gain.tolist(), ckpt.ln1_offset.tolist())
     v = layer(v, ckpt.W2.tolist(), ckpt.b2.tolist(), ckpt.ln2_gain.tolist(), ckpt.ln2_offset.tolist())
     pre = sum(w * h for w, h in zip(ckpt.w_out.tolist(), v)) + ckpt.b_out

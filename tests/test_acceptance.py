@@ -20,7 +20,6 @@ from relaxqp.policy import (
     init_checkpoint,
     mlp_forward,
     policy_from_checkpoint,
-    vector_inputs,
     with_params,
 )
 from relaxqp.training import TrainConfig, collect_norm_stats, train
@@ -202,26 +201,27 @@ def test_criterion_6_policy_contract(trained_scalar):
     at n=50 evaluates unchanged at n=500."""
     # exact midpoint at zero initialization, both variants
     ck_s = init_checkpoint("scalar", seed=0)
-    assert float(mlp_forward(ck_s, np.random.default_rng(0).normal(size=6))) == 1.6
+    assert mlp_forward(policy_from_checkpoint(ck_s), np.random.default_rng(0).normal(size=6)) == 1.6
     ck_v = init_checkpoint("vector", seed=0)
     rows = np.random.default_rng(1).normal(size=(4, 8))
-    g, ax = policy_from_checkpoint(ck_v).predict(vector_inputs(np.zeros(5), rows), 4)
+    g, ax = policy_from_checkpoint(ck_v).predict(np.zeros(5), rows, 4)
     assert np.all(g == 1.6) and ax == 1.6
 
     # saturation bounds
     rng = np.random.default_rng(9)
     theta = flatten_params(ck_v)
     ck_wild = with_params(ck_v, theta + 3.0 * rng.standard_normal(theta.size))
-    outs = mlp_forward(ck_wild, rng.normal(size=(256, 13)))
+    wild = policy_from_checkpoint(ck_wild)
+    x = rng.normal(size=(256, 13))
+    outs = np.concatenate([mlp_forward(wild, xi[:5], xi[None, 5:]) for xi in x])
     assert np.all(outs >= 1.25) and np.all(outs <= 1.95)
 
     # row equivariance
     phi = rng.normal(size=5)
     rows = rng.normal(size=(9, 8))
     perm = rng.permutation(9)
-    wild = policy_from_checkpoint(ck_wild)
-    g1, _ = wild.predict(vector_inputs(phi, rows), 9)
-    g2, _ = wild.predict(vector_inputs(phi, rows[perm]), 9)
+    g1, _ = wild.predict(phi, rows, 9)
+    g2, _ = wild.predict(phi, rows[perm], 9)
     np.testing.assert_allclose(g2, g1[perm], rtol=1e-13)
 
     # size transfer: the checkpoint trained at n=50 drives an n=500 solve

@@ -109,6 +109,18 @@ class TestSolveCommand:
         ])
         assert rc == 0
 
+    def test_report_carries_the_policy_time(self, random_problem_file, tmp_path, capsys):
+        ck_path = tmp_path / "ck.json"
+        save_checkpoint(init_checkpoint("vector", seed=0), ck_path)
+        args = ["solve", "--problem", str(random_problem_file)]
+        assert main(args + ["--policy", "vector", "--checkpoint", str(ck_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["policy_queries"] == (report["iterations"] - 1) // 10 > 0
+        assert 0.0 < report["policy_seconds"] < report["runtime_seconds"]
+        assert main(args) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["policy_queries"], report["policy_seconds"]) == (0, 0.0)
+
     def test_policy_without_checkpoint_errors(self, random_problem_file):
         assert main(["solve", "--problem", str(random_problem_file), "--policy", "scalar"]) == 1
 
@@ -145,6 +157,9 @@ class TestBenchCommand:
         assert rc == 0
         rows = list(csv.DictReader(out.open()))
         assert {r["policy"] for r in rows} == {"baseline", "scalar_policy"}
+        # The policy's time stays out: the timing-free columns are compared
+        # byte for byte between runs.
+        assert not any(name.startswith("policy_") for name in rows[0])
 
     def test_empty_manifest_header_only(self, tmp_path):
         manifest = tmp_path / "m.json"

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from relaxqp.bench import FamilySpec, generate
 from relaxqp.engine import (
+    ITERATE_ERRSTATE,
     FixedPolicy,
     SolverConfig,
     apply_policy,
@@ -16,6 +18,7 @@ from relaxqp.engine import (
     init_state,
     iterate_once,
     maybe_update_rho,
+    report_to_dict,
     rho_pattern,
     solve,
 )
@@ -77,6 +80,12 @@ class TestInitState:
 
 
 class TestIterateOnce:
+    @pytest.fixture(autouse=True)
+    def _errstate(self):
+        # The floating-point error state solve and the drift runs step under.
+        with np.errstate(**ITERATE_ERRSTATE):
+            yield
+
     def test_fixed_point_at_origin(self):
         prob = one_dim_box()
         cfg = SolverConfig(adaptive_rho=False)
@@ -358,6 +367,59 @@ class TestApplyPolicy:
         apply_policy(st, Wild(), None, cfg)
         assert np.all(st.Gamma == cfg.alpha_max)
         assert st.alpha_x == cfg.alpha_min
+
+    def test_none_keeps_the_decision_space_relaxation(self):
+        prob = generate(FamilySpec("random_qp", 8, 11))
+        cfg = SolverConfig(adaptive_rho=False)
+        st = init_state(prob, cfg)
+        st.iter, st.alpha_x = 10, 1.3
+
+        class RowsOnly:
+            def propose(self, ctx):
+                return np.full(prob.m, 1.7), None
+
+        apply_policy(st, RowsOnly(), None, cfg)
+        assert np.all(st.Gamma == 1.7) and st.alpha_x == 1.3
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_vector_policy_without_constraint_rows(self, adaptive):
+        # With m = 0 a vector policy has no row outputs to average: alpha_x
+        # keeps its value and the solve is the fixed 1.6 one.
+        prob = QpProblem(P=np.eye(3), q=np.array([1.0, -2.0, 0.5]), A=np.zeros((0, 3)),
+                         l=np.zeros(0), u=np.zeros(0))
+        cfg = SolverConfig(adaptive_rho=adaptive)
+        policy = policy_from_checkpoint(init_checkpoint("vector", seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(prob, cfg, policy=policy)
+        want = solve(prob, cfg, policy=FixedPolicy(1.6))
+        assert rep.status == want.status == "solved"
+        assert rep.iterations == want.iterations
+        assert np.array_equal(rep.x, want.x)
+        assert rep.policy_queries == (rep.iterations - 1) // cfg.stage_length
+
+
+class TestPolicyReport:
+    def test_queries_counted_up_to_the_freeze(self):
+        prob = generate(FamilySpec("random_qp", 8, 9))
+        cfg = SolverConfig(adaptive_rho=False, max_iter=520, freeze_iter=500,
+                           eps_abs=1e-300, eps_rel=1e-300)
+        rep = solve(prob, cfg, policy=FixedPolicy(1.5))
+        assert rep.iterations == 520
+        assert rep.policy_queries == 49  # iterations 10, 20, ..., 490
+        assert 0.0 < rep.policy_seconds < rep.runtime_seconds
+
+    def test_no_policy_no_queries(self):
+        rep = solve(generate(FamilySpec("random_qp", 8, 9)), SolverConfig())
+        assert rep.policy_queries == 0 and rep.policy_seconds == 0.0
+
+    def test_report_document_carries_them(self):
+        prob = generate(FamilySpec("portfolio", 10, 2))
+        policy = policy_from_checkpoint(init_checkpoint("vector", seed=2))
+        rep = solve(prob, SolverConfig(adaptive_rho=False), policy=policy)
+        doc = report_to_dict(rep)
+        assert doc["policy_queries"] == rep.policy_queries == (rep.iterations - 1) // 10
+        assert doc["policy_seconds"] == rep.policy_seconds > 0.0
 
 
 class TestSolve:

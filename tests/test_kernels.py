@@ -1,9 +1,12 @@
-"""The per-iteration kernels equal their plain numpy formulas bit for bit.
+"""The per-iteration kernels equal their plain numpy formulas.
 
-``osqp_residuals`` takes its six norms in one reduction, ``extract_rows``
-writes its logs into the feature columns and clamps them at once, and the
-MLP layer spells out the layer norm's mean and variance.  Each is checked
-here against the straightforward formula, on bits, not within a tolerance.
+``osqp_residuals`` takes its six norms in one reduction and ``extract_rows``
+writes its logs into the feature rows and clamps them at once; each is
+checked here against the straightforward formula, on bits, not within a
+tolerance.  The MLP query runs on weights compiled from the checkpoint
+(normalization folded into W1, centred layers), so it differs from the
+layer norm's mean-and-variance formula by roundoff; it is checked against
+that formula to 1e-14 relative.
 """
 
 import dataclasses
@@ -21,6 +24,7 @@ from relaxqp.policy import (
     init_checkpoint,
     mlp_forward,
     param_shapes,
+    policy_from_checkpoint,
 )
 from relaxqp.problem import QpProblem, osqp_residuals
 
@@ -213,8 +217,14 @@ class TestMlpLayerNorm:
     def test_equal_to_mean_var_formula(self, variant, shape, seed):
         ck = random_checkpoint(variant, seed)
         x = np.random.default_rng(100 + seed).standard_normal(shape) * 3.0
-        got = mlp_forward(ck, x)
+        policy = policy_from_checkpoint(ck)
+        if variant == "scalar":
+            got = mlp_forward(policy, x)
+        else:
+            x[:, :5] = x[0, :5]  # one query: the solver-level features are shared
+            got = mlp_forward(policy, x[0, :5], x[:, 5:])
         want = mlp_reference(ck, x)
-        assert np.shape(got) == np.shape(want) and bits(got) == bits(want)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         if len(shape) == 2 and shape[0] > 1:
             assert np.ptp(got) > 0  # the rows give different outputs

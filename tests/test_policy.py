@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +10,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relaxqp.bench import FamilySpec, generate
-from relaxqp.engine import FixedPolicy, SolverConfig, solve
+from relaxqp.engine import FixedPolicy, SolverConfig, policy_context, report_to_dict, solve
 from relaxqp.errors import InputError
 from relaxqp.policy import (
+    BLOCK_ENTRIES,
+    HIDDEN_WIDTH,
     INPUT_DIMS,
+    ROW_FEATURES,
+    STD_FLOOR,
     NormStats,
+    _elu,
     checkpoint_from_dict,
     checkpoint_to_dict,
     extract_global,
@@ -25,7 +32,6 @@ from relaxqp.policy import (
     param_shapes,
     policy_from_checkpoint,
     save_checkpoint,
-    vector_inputs,
     with_params,
 )
 from relaxqp.problem import QpProblem, Residuals, encode_array
@@ -41,7 +47,7 @@ def res_of(rp_inf, rd_inf):
 
 def predict_rows(ck, phi, rows):
     """Vector-policy output for solver-level features phi and per-row features."""
-    return policy_from_checkpoint(ck).predict(vector_inputs(phi, rows), len(rows))
+    return policy_from_checkpoint(ck).predict(phi, rows, len(rows))
 
 
 def perturbed_vector_checkpoint(seed):
@@ -155,17 +161,17 @@ class TestNormStats:
 class TestMlpForward:
     def test_zero_output_layer_gives_exact_midpoint(self):
         ck = init_checkpoint("scalar", seed=0)
-        out = float(mlp_forward(ck, np.linspace(-1, 1, 6)))
+        out = mlp_forward(policy_from_checkpoint(ck), np.linspace(-1, 1, 6))
         assert out == 1.6
 
     def test_saturation_never_exceeds_box(self):
         ck = init_checkpoint("scalar", seed=1)
         ck.b_out = 1e3
-        out = float(mlp_forward(ck, np.zeros(6)))
+        out = mlp_forward(policy_from_checkpoint(ck), np.zeros(6))
         assert out == pytest.approx(1.95)
         assert out <= 1.95
         ck.b_out = -1e3
-        assert float(mlp_forward(ck, np.zeros(6))) >= 1.25
+        assert mlp_forward(policy_from_checkpoint(ck), np.zeros(6)) >= 1.25
 
     @pytest.mark.parametrize("variant,dim", [("scalar", 6), ("vector", 13)])
     def test_matches_loop_oracle(self, variant, dim):
@@ -173,22 +179,157 @@ class TestMlpForward:
         ck = init_checkpoint(variant, seed=9)
         theta = flatten_params(ck)
         ck = with_params(ck, theta + 0.1 * rng.standard_normal(theta.size))
+        policy = policy_from_checkpoint(ck)
         for _ in range(5):
             x = rng.standard_normal(dim)
-            got = float(mlp_forward(ck, x))
+            if variant == "scalar":
+                got = mlp_forward(policy, x)
+            else:
+                got = float(mlp_forward(policy, x[:5], x[None, 5:])[0])
             want = mlp_forward_loops(ck, x)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_bad_input_dim(self):
-        ck = init_checkpoint("scalar", seed=0)
-        with pytest.raises(InputError):
-            mlp_forward(ck, np.zeros(5))
+        scalar = policy_from_checkpoint(init_checkpoint("scalar", seed=0))
+        vector = policy_from_checkpoint(init_checkpoint("vector", seed=0))
+        for policy, phi, rows in [
+            (scalar, np.zeros(5), None),
+            (scalar, np.zeros(6), np.zeros((2, 8))),
+            (vector, np.zeros(5), None),
+            (vector, np.zeros(6), np.zeros((2, 8))),
+            (vector, np.zeros(5), np.zeros((2, 7))),
+        ]:
+            with pytest.raises(InputError):
+                mlp_forward(policy, phi, rows)
+
+
+def fitted_checkpoint(variant, seed):
+    """A perturbed checkpoint with norm stats whose stds run from STD_FLOOR to
+    1e3 (log-uniform per feature; the floor and 1e3 themselves included)
+    and whose means are up to +-6, the feature clamp."""
+    rng = np.random.default_rng(seed)
+    d = INPUT_DIMS[variant]
+    ck = init_checkpoint(variant, seed=seed)
+    theta = flatten_params(ck)
+    ck = with_params(ck, theta + 0.3 * rng.standard_normal(theta.size))
+    std = 10.0 ** rng.uniform(math.log10(STD_FLOOR), 3.0, size=d)
+    std[[0, -1]] = STD_FLOOR, 1e3
+    mean = rng.uniform(-6.0, 6.0, size=d)
+    return dataclasses.replace(ck, norm_stats=NormStats(mean, std, source="test"))
+
+
+def raw_inputs(ck, rng, rows):
+    """Raw features drawn around the checkpoint's statistics (normalized
+    values of about N(0, 2^2)): the solver-level part and ``rows`` rows."""
+    ns = ck.norm_stats
+    x = ns.mean + ns.std * 2.0 * rng.standard_normal((max(rows, 1), ns.mean.size))
+    if ck.variant == "scalar":
+        return x[0], None
+    return x[0, :5], x[:rows, 5:]
+
+
+class TestFoldedForward:
+    """The compiled query against the unfolded loop oracle, on raw inputs."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scalar_variant(self, seed):
+        ck = fitted_checkpoint("scalar", seed)
+        policy = policy_from_checkpoint(ck)
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(5):
+            phi, _ = raw_inputs(ck, rng, 0)
+            got = mlp_forward(policy, phi)
+            assert isinstance(got, float)
+            assert got == pytest.approx(mlp_forward_loops(ck, phi), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", [0, 1, 255, 256, 257, 2600])
+    def test_vector_variant_across_row_blocks(self, m):
+        ck = fitted_checkpoint("vector", m)
+        rng = np.random.default_rng(200 + m)
+        phi, rows = raw_inputs(ck, rng, m)
+        out = mlp_forward(policy_from_checkpoint(ck), phi, rows)
+        assert out.shape == (m,)
+        # Every row up to 257, and at m = 2600 the first and last rows of every
+        # block plus a sample: the loop oracle takes ~0.4 ms a row.
+        step = BLOCK_ENTRIES // HIDDEN_WIDTH
+        check = set(range(min(m, 2 * step + 1)))
+        check |= {i for b in range(0, m, step) for i in (b, b + 1, b + step - 1)}
+        check |= set(rng.choice(m, size=min(m, 40), replace=False).tolist())
+        for i in sorted(i for i in check if i < m):
+            want = mlp_forward_loops(ck, np.concatenate((phi, rows[i])))
+            assert out[i] == pytest.approx(want, rel=1e-12, abs=0), i
+
+    def test_floor_std_feature_far_from_zero(self):
+        # A feature at STD_FLOOR whose mean is at the clamp: the mean is
+        # subtracted before the scaled weights apply, so nothing cancels.
+        ck = fitted_checkpoint("vector", 5)
+        ns = ck.norm_stats
+        mean, std = ns.mean.copy(), ns.std.copy()
+        mean[5:], std[5:] = 6.0, STD_FLOOR
+        ck = dataclasses.replace(ck, norm_stats=NormStats(mean, std))
+        rng = np.random.default_rng(5)
+        phi, rows = raw_inputs(ck, rng, 64)
+        out = mlp_forward(policy_from_checkpoint(ck), phi, rows)
+        for i in range(64):
+            want = mlp_forward_loops(ck, np.concatenate((phi, rows[i])))
+            assert out[i] == pytest.approx(want, rel=1e-12, abs=0), i
+
+    def test_checkpoint_edits_after_building_are_not_seen(self):
+        # The policy compiles its checkpoint once: a later edit of the
+        # checkpoint needs a new policy.
+        ck = perturbed_vector_checkpoint(3)
+        policy = policy_from_checkpoint(ck)
+        rows = np.random.default_rng(3).standard_normal((4, ROW_FEATURES))
+        before = mlp_forward(policy, np.zeros(5), rows)
+        for name in param_shapes("vector"):
+            getattr(ck, name)[...] = 0.0
+        ck.norm_stats.mean[...] = 1.0
+        ck.b_out = 5.0
+        assert np.array_equal(mlp_forward(policy, np.zeros(5), rows), before)
+
+    def test_query_holds_no_m_by_hidden_array(self):
+        prob = generate(FamilySpec("mpc", 100, 1))
+        assert prob.m == 2600
+        policy = policy_from_checkpoint(perturbed_vector_checkpoint(4))
+        cfg = SolverConfig(adaptive_rho=False, max_iter=20)
+        seen = []
+        solve(prob, cfg, observer=lambda state, res: seen.append((state, res)))
+        (_, res_prev), (state, res) = seen[-11], seen[-1]
+        ctx = policy_context(prob, state, res, res_prev)
+        policy.propose(ctx)
+        tracemalloc.start()
+        try:
+            gamma, _ = policy.propose(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gamma.shape == (prob.m,)
+        assert peak < prob.m * HIDDEN_WIDTH * 8, peak
+
+
+SPECIAL_ELU_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                      1e-300, -1e-300, 1e-17, -1e-17, 0.5, -0.5, 1.0, -1.0, 700.0, -700.0, 710.0,
+                      -745.0, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+                      np.inf, -np.inf, np.nan, -np.nan]
+
+
+class TestElu:
+    @pytest.mark.parametrize("reps", [1, 3, 64])
+    def test_bit_for_bit_the_where_form(self, reps):
+        # reps moves the special values across vector and remainder loops.
+        h = np.concatenate([np.tile(SPECIAL_ELU_INPUTS, reps), -np.logspace(-320, 3, 97),
+                            np.logspace(-320, 3, 97)])
+        with np.errstate(over="ignore"):
+            want = np.where(h > 0, h, np.expm1(h))
+        got = h.copy()
+        _elu(got, np.empty_like(got))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPolicySteps:
     def test_scalar_broadcast(self):
         ck = init_checkpoint("scalar", seed=0)
-        gamma, ax = policy_from_checkpoint(ck).predict(np.zeros(6), 7)
+        gamma, ax = policy_from_checkpoint(ck).predict(np.zeros(6), None, 7)
         assert gamma.shape == (7,)
         assert np.all(gamma == ax)
 
