@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relaxqp.bench import FamilySpec, generate
-from relaxqp.engine import FixedPolicy, SolverConfig, policy_context, report_to_dict, solve
+from relaxqp.engine import FixedPolicy, SolverConfig, policy_context, solve
 from relaxqp.errors import InputError
 from relaxqp.policy import (
     BLOCK_ENTRIES,
