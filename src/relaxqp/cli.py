@@ -115,6 +115,11 @@ def cmd_bench(args) -> int:
 
     runs = [("baseline", None)]
     for ck in args.checkpoint or []:
+        trained = load_checkpoint(ck).metadata.get("adaptive_rho")
+        if isinstance(trained, bool):  # bench runs every checkpoint in both modes
+            other = "fixed" if trained else "adaptive"
+            print(f"bench: checkpoint {ck} was trained with {'adaptive' if trained else 'fixed'} "
+                  f"rho; its {other}-rho rows run it in the other mode", file=sys.stderr)
         runs.append((Path(ck).stem, ck))
 
     tasks = []
@@ -213,8 +218,8 @@ def cmd_train(args) -> int:
     with open(out / "train_log.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["epoch", "mean_train_loss", "mean_val_iters", "mean_val_rho_updates"])
         w.writeheader()
-        for row in result.log_rows:
-            w.writerow(row)
+        # None, the initial row's training loss, is written as an empty field
+        w.writerows(([result.initial_row] if result.initial_row else []) + result.log_rows)
     if result.warning:
         print(f"train: warning: {result.warning}", file=sys.stderr)
     return 0
@@ -232,7 +237,7 @@ def _verify_one(task):
         entry["max_perturbation_violation"] = chk.max_perturbation_violation
         entry["worst_transition_step"] = chk.worst_transition_step
         entry["worst_perturbation_step"] = chk.worst_perturbation_step
-        z_star = np.clip(prob.A @ ref.x_star, prob.l, prob.u)
+        z_star = np.clip(prob.operators[0] @ ref.x_star, prob.l, prob.u)
         slacks = check_descent(steps, ref.x_star, z_star, ref.lambda_star, cfg.alpha_max)
         applied = slacks[~np.isnan(slacks)]  # NaN before the first consistent state
         entry["min_descent_slack"] = float(applied.min()) if applied.size else None

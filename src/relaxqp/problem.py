@@ -13,39 +13,37 @@ product with A, A' and P goes through: the dense arrays, or CSR matrices
 equal to ``scipy.sparse.csr_array`` of them.
 
 A problem file is one JSON document ``{name, n, m, P, q, A, l, u, seed}``,
-written only by :func:`save_problem`.  It writes q, l and u as
-``{"f8le_zlib_b64": s}``: s is the base64 of the zlib-compressed
-little-endian float64 bytes of the array, so every value, +-inf included,
-round-trips bit-exactly.  P and A are sidecar files beside the document, in
-the form of the backend, each named ``<file>.<P|A>.<crc32>.<suffix>``:
-``<file>`` is the document's file name without leading dots and ``<crc32>``
-the crc32 of the file's bytes in 8 lowercase hex digits.  On the dense
-backend the field is ``{"f8le_file": "<file>.<P|A>.<crc32>.f8"}`` and the
-file holds the raw little-endian float64 array in row-major order.  On the
-sparse backend the field is ``{"csr_file": "<file>.<P|A>.<crc32>.csr",
-"nnz": k}`` and the file holds the CSR form, one part after another: the
-rows + 1 row pointers and the k column indices as little-endian int32, then
-the k values as little-endian float64.  It stores every entry whose bit
-pattern is not zero, -0.0 included, so it round-trips bit-exactly too.  The
-name is the content's address, so rewriting a path with the same problem
-rewrites the same bytes under the same names, and a rewrite with other
-content writes new sidecars and leaves the old ones, ``.f8`` and ``.csr``
-alike, in place for a reader of the old document.  The sidecars are
-written, each through a temporary file and one ``os.replace``, before the
-document.  :func:`load_problem` reads a sidecar only under a bare file name
-of that pattern whose letter is the field's and whose suffix is the field's
-form, only when its size is exactly the one n, m and nnz give, and accepts
-its bytes only when their crc32 is the name's.  CSR parts must pass the
-checks of the CSR form: row pointers start at 0 and never decrease, and
-column indices are in range and sorted and unique within each row.  Besides
-the sidecar objects, P and A may be hand-written as a dense row-major list
-of numbers, the form :func:`array_field` reads, where bounds at or beyond
-the +-1e30 sentinel common to QP solver interfaces mean +-inf.  Any other
-object for P or A, such as the in-document CSR object or the binary form
-files written before the sidecar forms hold, is an InputError naming the
-field: such a file must be regenerated.  n, m and seed must be JSON
-integers.  Every JSON input file of the package is read by
-:func:`read_json_object`.
+written only by :func:`save_problem`.  Each of the five arrays is a sidecar
+file beside the document, named ``<file>.<field>.<crc32>.<suffix>``:
+``<file>`` is the document's file name without leading dots, ``<field>``
+the field's letter and ``<crc32>`` the crc32 of the file's bytes in 8
+lowercase hex digits.  q, l and u, and P and A on the dense backend, are
+``{"f8le_file": "<file>.<field>.<crc32>.f8"}``, and the file holds the raw
+little-endian float64 array in row-major order.  On the sparse backend P and
+A are ``{"csr_file": "<file>.<P|A>.<crc32>.csr", "nnz": k}`` and the file
+holds the CSR form, one part after another: the rows + 1 row pointers and
+the k column indices as little-endian int32, then the k values as
+little-endian float64.  It stores every entry whose bit pattern is not zero,
+-0.0 included.  So every value, +-inf, -0.0 and subnormals included,
+round-trips bit-exactly.  The name is the content's address, so rewriting a
+path with the same problem rewrites the same bytes under the same names, and
+a rewrite with other content writes new sidecars and leaves the old ones in
+place for a reader of the old document.  The sidecars are written, each
+through a temporary file and one ``os.replace``, before the document.
+:func:`load_problem` reads a sidecar only under a bare file name of that
+pattern whose letter is the field's and whose suffix is the field's form,
+only when its size is exactly the one n, m and nnz give, and accepts its
+bytes only when their crc32 is the name's.  CSR parts must pass the checks
+of the CSR form: row pointers start at 0 and never decrease, and column
+indices are in range and sorted and unique within each row.  A CSR object
+for q, l or u is an InputError.  Besides the sidecar objects, any of the
+five fields may be hand-written as a dense row-major list of numbers, the
+form :func:`array_field` reads, where bounds at or beyond the +-1e30
+sentinel common to QP solver interfaces mean +-inf.  Any other object, such
+as the in-document forms of files written before every field had a sidecar
+form, is an InputError naming the field: such a file must be regenerated.
+n, m and seed must be JSON integers.  Every JSON input file of the package
+is read by :func:`read_json_object`.
 
 :func:`osqp_residuals` is the one place that forms A x, P x and A'y for an
 iterate: it returns the residuals together with OSQP's stopping scales, which
@@ -54,7 +52,6 @@ products again.  Its six infinity norms are taken in one reduction, and |q|
 once per problem (:attr:`QpProblem.q_norm`).
 """
 
-import base64
 import json
 import math
 import os
@@ -72,12 +69,11 @@ from .errors import InfeasibleBoundsError, InputError, SingularKktError
 from .linalg import KktTerms, pick_backend, positive_splu
 
 INFINITY_SENTINEL = 1e30
-BINARY_KEY = "f8le_zlib_b64"
 SIDECAR_KEY = "f8le_file"
 CSR_SIDECAR_KEY = "csr_file"
 # A bare file name without a leading dot: group 1 is the field, group 2 the
 # crc32 of the file's bytes, group 3 the suffix of its form.
-SIDECAR_NAME = re.compile(r"[^./\\\0][^/\\\0]*\.([PA])\.([0-9a-f]{8})\.(f8|csr)")
+SIDECAR_NAME = re.compile(r"[^./\\\0][^/\\\0]*\.([PAqlu])\.([0-9a-f]{8})\.(f8|csr)")
 SYMMETRY_TOL = 1e-10  # rtol and atol of the symmetry test
 PSD_SHIFT = 1e-9
 PROBE_BLOCK = 1 << 18  # entries of P per block of the symmetry test
@@ -203,7 +199,12 @@ class QpProblem:
     @cached_property
     def row_norms(self) -> np.ndarray:
         """Infinity norm of each row of A (a per-row policy feature)."""
-        return np.max(np.abs(self.A), axis=1) if self.A.size else np.zeros(self.m)
+        A = self.operators[0]
+        if not A.shape[1]:
+            return np.zeros(self.m)
+        if sparse.issparse(A):
+            return abs(A).max(axis=1).toarray().reshape(self.m)  # 1-D or a column, by scipy version
+        return np.abs(A).max(axis=1)
 
     @cached_property
     def kkt_terms(self) -> KktTerms:
@@ -334,7 +335,7 @@ def objective(prob: QpProblem, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (prob.n,):
         raise InputError(f"x has shape {x.shape}, expected ({prob.n},)")
-    return float(0.5 * x @ (prob.P @ x) + prob.q @ x)
+    return float(0.5 * x @ (prob.operators[2] @ x) + prob.q @ x)
 
 
 def osqp_residuals(prob: QpProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray) -> Residuals:
@@ -375,33 +376,6 @@ def terminated(res: Residuals, eps_abs: float, eps_rel: float) -> bool:
     )
 
 
-def encode_array(a: np.ndarray) -> dict:
-    """The binary array object of a problem file (see the module docstring)."""
-    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return {BINARY_KEY: base64.b64encode(zlib.compress(raw, 1)).decode("ascii")}
-
-
-def _decode_binary(obj: dict, key: str, size: int) -> np.ndarray:
-    # Inflate at most one byte past the expected size, so a small payload
-    # cannot expand without bound before its length is checked.
-    nbytes = 8 * size
-    try:
-        data = base64.b64decode(obj[BINARY_KEY], validate=True)
-        inflater = zlib.decompressobj()
-        raw = inflater.decompress(data, nbytes + 1)
-    except (KeyError, TypeError, ValueError, zlib.error) as exc:
-        raise InputError(f"field {key!r} is not a valid binary array: {exc}") from exc
-    if len(raw) > nbytes:
-        raise InputError(f"field {key!r} decodes to more than the expected {nbytes} bytes")
-    if not inflater.eof:
-        raise InputError(f"field {key!r} holds a truncated zlib stream")
-    if inflater.unused_data:
-        raise InputError(f"field {key!r} has bytes after the end of its zlib stream")
-    if len(raw) < nbytes:
-        raise InputError(f"field {key!r} decodes to {len(raw)} bytes, expected {nbytes}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-
 def _csr_matrix(indptr, indices, data, shape: tuple, key: str, path: str):
     """The CSR matrix of ``shape`` with the parts of field ``key``'s sidecar
     file ``path``, once they pass the checks of the CSR form; a failed check
@@ -426,19 +400,18 @@ def _csr_matrix(indptr, indices, data, shape: tuple, key: str, path: str):
 
 
 def array_field(doc: dict, key: str, shape: tuple, bounds: bool = False) -> np.ndarray:
-    """``doc[key]`` as a float array of ``shape``, from a binary array object
-    or a dense list; in a list of ``bounds``, the +-1e30 sentinel means +-inf.
-    A field that does not decode to the shape is an InputError naming it."""
+    """``doc[key]``, a dense list of numbers, as a float array of ``shape``;
+    in a list of ``bounds``, the +-1e30 sentinel means +-inf.  A field that
+    is an object or does not hold the shape's entries is an InputError
+    naming it."""
     value = doc[key]
-    size = math.prod(shape)
     if isinstance(value, dict):
-        flat = _decode_binary(value, key, size)
-    else:
-        flat = np.asarray(value, dtype=np.float64)
-        if bounds:
-            flat = flat.copy()
-            flat[flat >= INFINITY_SENTINEL] = np.inf
-            flat[flat <= -INFINITY_SENTINEL] = -np.inf
+        raise InputError(f"field {key!r} is an object, not a list of numbers")
+    flat = np.array(value, dtype=np.float64)
+    if bounds:
+        flat[flat >= INFINITY_SENTINEL] = np.inf
+        flat[flat <= -INFINITY_SENTINEL] = -np.inf
+    size = math.prod(shape)
     if flat.size != size:
         raise InputError(
             f"field {key!r} has {flat.size} entries, expected {'x'.join(map(str, shape))}"
@@ -446,15 +419,17 @@ def array_field(doc: dict, key: str, shape: tuple, bounds: bool = False) -> np.n
     return flat.reshape(shape)
 
 
-def matrix_field(doc: dict, key: str, shape: tuple, directory):
-    """``doc[key]`` as a CSR matrix of ``shape`` from a CSR sidecar object,
-    as an array from a dense sidecar object, otherwise as a dense list the
-    way :func:`array_field` reads it.  Sidecar files are read from
-    ``directory``; any other object is an InputError."""
+def matrix_field(doc: dict, key: str, shape: tuple, directory, bounds: bool = False):
+    """``doc[key]`` as an array of ``shape`` from a dense sidecar object, as
+    a CSR matrix from a CSR sidecar object when ``shape`` is a matrix's,
+    otherwise as a dense list the way :func:`array_field` reads it with
+    ``bounds``.  Sidecar files are read from ``directory``; any other object
+    is an InputError."""
     value = doc[key]
     if not isinstance(value, dict):
-        return array_field(doc, key, shape)
-    if CSR_SIDECAR_KEY in value:
+        return array_field(doc, key, shape, bounds)
+    matrix = len(shape) == 2
+    if matrix and CSR_SIDECAR_KEY in value:
         nnz, size = value.get("nnz"), math.prod(shape)
         if not (_is_integer(nnz) and 0 <= nnz <= size):
             raise InputError(f"field '{key}.nnz' must be an entry count from 0 to {size} "
@@ -468,9 +443,10 @@ def matrix_field(doc: dict, key: str, shape: tuple, directory):
         _, (flat,) = _read_sidecar(value[SIDECAR_KEY], key, "f8", directory,
                                    (("<f8", math.prod(shape)),))
         return flat.reshape(shape)
+    forms = f"{CSR_SIDECAR_KEY!r} or {SIDECAR_KEY!r}" if matrix else repr(SIDECAR_KEY)
     raise InputError(
-        f"field {key!r} is not a sidecar object ({CSR_SIDECAR_KEY!r} or {SIDECAR_KEY!r}) or a "
-        "list of numbers; a problem file written before the sidecar forms must be regenerated"
+        f"field {key!r} is not a sidecar object ({forms}) or a list of numbers; "
+        "a problem file written before the sidecar forms must be regenerated"
     )
 
 
@@ -523,10 +499,10 @@ def problem_from_dict(doc: dict, directory) -> QpProblem:
             raise InputError(f"n and m must not be negative, got n={n}, m={m}")
         fields = dict(
             P=matrix_field(doc, "P", (n, n), directory),
-            q=array_field(doc, "q", (n,)),
+            q=matrix_field(doc, "q", (n,), directory),
             A=matrix_field(doc, "A", (m, n), directory),
-            l=array_field(doc, "l", (m,), bounds=True),
-            u=array_field(doc, "u", (m,), bounds=True),
+            l=matrix_field(doc, "l", (m,), directory, bounds=True),
+            u=matrix_field(doc, "u", (m,), directory, bounds=True),
             name=str(doc.get("name", "")),
             seed=seed,
         )
@@ -598,23 +574,20 @@ def _csr_sidecar(path: str, key: str, a: np.ndarray) -> dict:
 
 
 def save_problem(prob: QpProblem, path) -> None:
-    """Write ``prob`` to the problem file ``path``: P and A first, as sidecar
-    files in the form of its backend, then the document (see the module
-    docstring)."""
+    """Write ``prob`` to the problem file ``path``: the five arrays first, as
+    sidecar files, P and A in the form of its backend, then the document
+    (see the module docstring)."""
     path = os.fspath(path)
-    if prob.kkt_backend == "sparse":
-        P, A = _csr_sidecar(path, "P", prob.P), _csr_sidecar(path, "A", prob.A)
-    else:
-        P, A = _dense_sidecar(path, "P", prob.P), _dense_sidecar(path, "A", prob.A)
+    matrix_sidecar = _csr_sidecar if prob.kkt_backend == "sparse" else _dense_sidecar
     doc = {
         "name": prob.name,
         "n": prob.n,
         "m": prob.m,
-        "P": P,
-        "q": encode_array(prob.q),
-        "A": A,
-        "l": encode_array(prob.l),
-        "u": encode_array(prob.u),
+        "P": matrix_sidecar(path, "P", prob.P),
+        "q": _dense_sidecar(path, "q", prob.q),
+        "A": matrix_sidecar(path, "A", prob.A),
+        "l": _dense_sidecar(path, "l", prob.l),
+        "u": _dense_sidecar(path, "u", prob.u),
         "seed": prob.seed,
     }
     write_atomic(path, json.dumps(doc))

@@ -195,8 +195,11 @@ def _batch_loss(theta, template, batch, cfg, tcfg):
 class TrainResult:
     ckpt_iter: PolicyCheckpoint
     ckpt_rho: PolicyCheckpoint
-    log_rows: list = field(default_factory=list)
+    log_rows: list = field(default_factory=list)  # one per epoch
     warning: str = ""
+    # The initial checkpoint's validation means as an epoch-0 log row with no
+    # training loss; None without a validation set.
+    initial_row: dict | None = None
 
 
 def train(
@@ -273,7 +276,8 @@ def train(
         ck = with_params(ckpt0, best[2])
         score = best[0][0] if isinstance(best[0], tuple) else best[0]
         ck.metadata = dict(ckpt0.metadata)
-        ck.metadata.update({"selection": tag, "epoch": best[1], "val_score": score})
+        ck.metadata.update({"selection": tag, "epoch": best[1], "val_score": score,
+                            "adaptive_rho": cfg.adaptive_rho})
         if warning:
             ck.metadata["warning"] = warning
         return ck
@@ -283,5 +287,7 @@ def train(
         ckpt_rho=finalize(best_rho if cfg.adaptive_rho else best_iter, "rho"),
         log_rows=log_rows,
         warning=warning,
+        initial_row={"epoch": 0, "mean_train_loss": None, "mean_val_iters": base_iters,
+                     "mean_val_rho_updates": base_rho} if val_set else None,
     )
     return result

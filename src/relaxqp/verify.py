@@ -137,18 +137,7 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class DrsState:
-    """Dual splitting state after one step, in the consensus space."""
-
-    y: np.ndarray  # lam + R_next * sigma
-    y_tilde: np.ndarray  # lam + R * sigma
-    lam: np.ndarray
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True)
 class DrsCheck:
-    states: list
     max_transition_violation: float
     max_perturbation_violation: float
     # First step at which each maximum is attained (0 when no violation is
@@ -187,11 +176,10 @@ def reconstruct_drs(steps: Trajectory, prob: QpProblem, raise_on_violation: bool
 
     The steps are processed in blocks, one consensus-space row per step.
     Every quantity is an elementwise product or sum or a row maximum, so
-    each step's states and violations are those of the step on its own."""
+    each step's violations are those of the step on its own."""
     if not steps:
         raise InputError("empty trajectory")
     n = prob.n
-    states = []
     v_trans = np.empty(len(steps))
     v_pert = np.empty(len(steps))
     for k0, k1 in _blocks(0, len(steps), n + prob.m):
@@ -226,18 +214,9 @@ def reconstruct_drs(steps: Trajectory, prob: QpProblem, raise_on_violation: bool
                     f"perturbation={float(v_pert[k]):.3e}",
                     iteration=k,
                 )
-        # Each state gets arrays of its own, as a step-by-step loop makes them:
-        # row views that keep the blocks alive raised theory_verify's peak
-        # RSS by 2 MB.
-        states.extend(
-            DrsState(y=y_next[i].copy(), y_tilde=y_tilde[i].copy(),
-                     lam=lam_next[i].copy(), sigma=sig_next[i].copy())
-            for i in range(k1 - k0)
-        )
     max_trans, worst_trans = _worst(v_trans)
     max_pert, worst_pert = _worst(v_pert)
     return DrsCheck(
-        states=states,
         max_transition_violation=max_trans,
         max_perturbation_violation=max_pert,
         worst_transition_step=worst_trans,

@@ -31,7 +31,6 @@ from relaxqp.verify import (
     IDENTITY_RTOL,
     DriftResult,
     DrsCheck,
-    DrsState,
     TrajectoryStep,
 )
 
@@ -299,7 +298,6 @@ def _stacked_step(step):
 def reconstruct_drs_per_step(steps: list, prob: QpProblem, raise_on_violation: bool = True) -> DrsCheck:
     """relaxqp.verify.reconstruct_drs, one step at a time."""
     n = prob.n
-    states = []
     max_trans = max_pert = 0.0
     worst_trans = worst_pert = 0
     for k, st in enumerate(steps):
@@ -331,8 +329,7 @@ def reconstruct_drs_per_step(steps: list, prob: QpProblem, raise_on_violation: b
             max_trans, worst_trans = v_trans, k
         if v_pert > max_pert:
             max_pert, worst_pert = v_pert, k
-        states.append(DrsState(y=y_next, y_tilde=y_tilde, lam=lam_next, sigma=sig_next))
-    return DrsCheck(states, max_trans, max_pert, worst_trans, worst_pert)
+    return DrsCheck(max_trans, max_pert, worst_trans, worst_pert)
 
 
 def check_descent_per_step(

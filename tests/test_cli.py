@@ -161,6 +161,34 @@ class TestBenchCommand:
         # byte for byte between runs.
         assert not any(name.startswith("policy_") for name in rows[0])
 
+    def test_checkpoint_in_the_other_rho_mode_is_named(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        save_manifest([FamilySpec("random_qp", 10, 1)], manifest)
+        paths = {}
+        for name, metadata in (("plain", {}), ("fixed", {"adaptive_rho": False}),
+                               ("adaptive", {"adaptive_rho": True})):
+            paths[name] = tmp_path / f"{name}.json"
+            save_checkpoint(init_checkpoint("scalar", seed=0, metadata=metadata), paths[name])
+        outs = []
+        for name in ("plain", "fixed", "adaptive"):
+            outs.append(tmp_path / f"{name}.csv")
+            assert main(["bench", "--manifest", str(manifest), "--store", str(tmp_path / "store"),
+                         "--checkpoint", str(paths[name]), "--out", str(outs[-1])]) == 0
+            err = capsys.readouterr().err.splitlines()
+            named = [line for line in err if str(paths[name]) in line]
+            if name == "plain":
+                assert named == []
+            else:
+                other = "adaptive" if name == "fixed" else "fixed"
+                assert named == [f"bench: checkpoint {paths[name]} was trained with {name} rho; "
+                                 f"its {other}-rho rows run it in the other mode"]
+        # the CSV is as it was: the policy label and the timing column aside,
+        # the three runs write the same rows
+        def columns(out):
+            return [{k: v for k, v in r.items() if k not in ("policy", "runtime_s")}
+                    for r in csv.DictReader(out.open())]
+        assert columns(outs[0]) == columns(outs[1]) == columns(outs[2])
+
     def test_empty_manifest_header_only(self, tmp_path):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"specs": []}))
@@ -294,18 +322,22 @@ class TestInputErrors:
             capsys,
         )
 
-    @pytest.mark.parametrize("payload,fault", [
-        ({"f8le_zlib_b64": "not base64!"}, "is not a valid binary array"),
-        ({"f8le_zlib_b64": base64.b64encode(zlib.compress(bytes(10_000_000))).decode("ascii")},
-         "decodes to more than the expected"),
+    @pytest.mark.parametrize("payload", [
+        {"f8le_zlib_b64": "not base64!"},
+        {"f8le_zlib_b64": base64.b64encode(zlib.compress(bytes(10_000_000))).decode("ascii")},
     ], ids=["bad_base64", "inflation_bomb"])
-    def test_malformed_binary_problem_field(self, tmp_path, capsys, payload, fault):
+    def test_malformed_binary_problem_field(self, tmp_path, capsys, payload):
+        # The binary array objects of files written before l had a sidecar
+        # are refused undecoded, however malformed.
         bad = tmp_path / "bad.json"
         save_problem(generate(FamilySpec("random_qp", 5, 1)), bad)
         doc = json.loads(bad.read_text())
         doc["l"] = payload
         bad.write_text(json.dumps(doc))
-        self._expect_error(["solve", "--problem", str(bad)], f"'l' {fault}", capsys)
+        self._expect_error(["solve", "--problem", str(bad)],
+                           "'l' is not a sidecar object ('f8le_file') or a list of numbers; "
+                           "a problem file written before the sidecar forms must be regenerated",
+                           capsys)
 
     def test_deleted_sidecar_file(self, random_problem_file, capsys):
         name = json.loads(random_problem_file.read_text())["P"][SIDECAR_KEY]
@@ -454,9 +486,12 @@ class TestTrainCommand:
         assert rc == 0
         ck = json.loads((out / "ckpt_iter.json").read_text())
         assert all(w == 0.0 for w in ck["w_out"])
-        assert (out / "ckpt_rho.json").exists()
-        log = (out / "train_log.csv").read_text().strip().splitlines()
-        assert len(log) == 1  # header only with zero epochs
+        assert ck["metadata"]["adaptive_rho"] is False
+        assert json.loads((out / "ckpt_rho.json").read_text())["metadata"]["adaptive_rho"] is False
+        # the header and the initial checkpoint's epoch-0 row, without a training loss
+        rows = list(csv.DictReader((out / "train_log.csv").open()))
+        assert [(r["epoch"], r["mean_train_loss"]) for r in rows] == [("0", "")]
+        assert float(rows[0]["mean_val_iters"]) == ck["metadata"]["val_score"]
 
     def test_log_rows_equal_epochs(self, tmp_path):
         manifest = {
@@ -476,7 +511,8 @@ class TestTrainCommand:
         ])
         assert rc == 0
         rows = list(csv.DictReader((out / "train_log.csv").open()))
-        assert len(rows) == 2
+        assert [r["epoch"] for r in rows] == ["0", "1", "2"]  # the initial row, then one per epoch
+        assert rows[0]["mean_train_loss"] == "" and all(r["mean_train_loss"] for r in rows[1:])
 
 
 class TestVerifyCommand:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from relaxqp.bench import FamilySpec, generate
+from relaxqp.bench import FamilySpec, generate, reference_from_dict
 from relaxqp.engine import FixedPolicy, SolverConfig, policy_context, solve
 from relaxqp.errors import InputError
 from relaxqp.policy import (
@@ -33,7 +33,7 @@ from relaxqp.policy import (
     save_checkpoint,
     with_params,
 )
-from relaxqp.problem import QpProblem, Residuals, encode_array
+from relaxqp.problem import QpProblem, Residuals
 
 from oracles import mlp_forward_loops
 
@@ -443,16 +443,20 @@ class TestCheckpointFormat:
         with pytest.raises(InputError):
             checkpoint_from_dict({"variant": "scalar"})
 
-    def test_binary_array_fields_accepted(self):
-        ck = init_checkpoint("vector", seed=3)
-        doc = checkpoint_to_dict(ck)
-        doc["W1"], doc["norm_std"] = encode_array(ck.W1), encode_array(ck.norm_stats.std)
-        again = checkpoint_from_dict(doc)
-        assert again.W1.tobytes() == ck.W1.tobytes()
-        assert again.norm_stats.std.tobytes() == ck.norm_stats.std.tobytes()
-        doc["W1"] = encode_array(ck.W1[:-1])
-        with pytest.raises(InputError, match="'W1'"):
-            checkpoint_from_dict(doc)
+    def test_binary_object_fields_rejected(self):
+        # Checkpoints and reference solutions hold their arrays as lists of
+        # numbers only; no writer ever put a binary object into one.
+        binary = {"f8le_zlib_b64": "eJxjYIAAAAAIAAE="}  # zlib of 8 zero bytes, base64
+        fault = "field '{}' is an object, not a list of numbers"
+        doc = checkpoint_to_dict(init_checkpoint("vector", seed=3))
+        for field in ("W1", "norm_std"):
+            with pytest.raises(InputError, match=fault.format(field)):
+                checkpoint_from_dict({**doc, field: binary})
+        ref = {"x_star": [1.0], "lambda_star": [0.5], "objective": 0.5, "kkt_error": 0.0}
+        assert reference_from_dict(ref, 1, 1).x_star.tolist() == [1.0]
+        for field in ("x_star", "lambda_star"):
+            with pytest.raises(InputError, match=fault.format(field)):
+                reference_from_dict({**ref, field: binary}, 1, 1)
 
 
 SPECIAL_WEIGHTS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,

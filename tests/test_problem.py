@@ -23,13 +23,11 @@ from relaxqp.bench import FamilySpec, generate, reference_solution
 from relaxqp.cli import main
 from relaxqp.errors import InfeasibleBoundsError, InputError
 from relaxqp.problem import (
-    BINARY_KEY,
     CSR_SIDECAR_KEY,
     SIDECAR_KEY,
     ConstraintKind,
     QpProblem,
     classify,
-    encode_array,
     load_problem,
     objective,
     osqp_residuals,
@@ -42,6 +40,9 @@ from relaxqp.problem import (
 from oracles import psd_probe_dense
 
 INF = np.inf
+# The key of the in-document binary array object of files written before q,
+# l and u had sidecars.
+OLD_BINARY_KEY = "f8le_zlib_b64"
 
 
 def tiny_problem():
@@ -64,6 +65,13 @@ def saved_doc(prob: QpProblem, directory) -> dict:
 
 def saved_files(directory) -> dict:
     return {f.name: f.read_bytes() for f in Path(directory).iterdir()}
+
+
+def old_binary_object(a) -> dict:
+    """The binary array object files written before q, l and u had sidecars
+    hold: the base64 of the zlib-compressed little-endian float64 bytes."""
+    raw = zlib.compress(np.asarray(a, dtype="<f8").tobytes(), 1)
+    return {OLD_BINARY_KEY: base64.b64encode(raw).decode("ascii")}
 
 
 class TestClassify:
@@ -209,6 +217,43 @@ class TestObjective:
             assert lhs <= rhs + 1e-12
 
 
+class TestThroughOperators:
+    """objective and row_norms read P and A through the problem's operators,
+    the CSR matrices on the sparse backend, and agree with the dense fields."""
+
+    @pytest.mark.parametrize("family,size", [("mpc", 100), ("lasso", 50)])
+    def test_objective_bit_identical_with_diagonal_P(self, family, size):
+        prob = generate(FamilySpec(family, size, seed=1))
+        assert prob.kkt_backend == "sparse"
+        assert np.array_equal(prob.P, np.diag(np.diag(prob.P)))
+        x = np.random.default_rng(size).standard_normal(prob.n)
+        assert objective(prob, x) == float(0.5 * x @ (prob.P @ x) + prob.q @ x)
+
+    def test_objective_with_off_diagonal_P(self):
+        rng = np.random.default_rng(8)
+        B = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.1)
+        P = B.T @ B + np.eye(40)
+        q = rng.standard_normal(40)
+        with forced_backend("sparse"):
+            prob = QpProblem(P=P, q=q, A=np.eye(40), l=-np.ones(40), u=np.ones(40))
+        assert np.count_nonzero(P - np.diag(np.diag(P))) > 40
+        for _ in range(20):
+            x = rng.standard_normal(40)
+            want = 0.5 * x @ (P @ x) + q @ x
+            assert abs(objective(prob, x) - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate(FamilySpec("mpc", 100, seed=1)),
+        lambda: generate(FamilySpec("control", 10, seed=1)),
+        lambda: sparse_problem_with_signed_zeros(),
+        lambda: QpProblem(P=np.eye(2), q=np.zeros(2), A=np.array([[-0.0, 0.0], [-3.0, 2.0]]),
+                          l=-np.ones(2), u=np.ones(2)),
+    ], ids=["mpc_n100", "control_n10", "sparse_signed_zeros", "dense_signed_zeros"])
+    def test_row_norms_bit_identical(self, make):
+        prob = make()
+        assert prob.row_norms.tobytes() == np.max(np.abs(prob.A), axis=1).tobytes()
+
+
 class TestResiduals:
     def test_zero_point(self):
         prob = QpProblem(P=np.eye(2), q=np.zeros(2), A=np.eye(2),
@@ -318,7 +363,7 @@ class TestFileFormat:
 
     def test_sentinel_encodes_infinity(self, tmp_path):
         # The hand-written list form marks infinite bounds with the +-1e30
-        # sentinel; the binary form that save_problem writes carries +-inf.
+        # sentinel; the sidecars that save_problem writes carry +-inf.
         doc = {"n": 2, "m": 3, "P": [1.0, 0.0, 0.0, 1.0], "q": [1.0, -1.0],
                "A": [1.0, 0.0, 0.0, 1.0, 1.0, 1.0], "l": [-1.0, -1e30, -2e30],
                "u": [1.0, 2.0, 1e30]}
@@ -328,8 +373,7 @@ class TestFileFormat:
         path = tmp_path / "prob.json"
         save_problem(listed, path)
         written = json.loads(path.read_text())
-        assert all(set(written[k]) == {BINARY_KEY} for k in ("q", "l", "u"))
-        assert all(set(written[k]) == {SIDECAR_KEY} for k in ("P", "A"))
+        assert all(set(written[k]) == {SIDECAR_KEY} for k in "PqAlu")
         loaded = load_problem(path)
         assert loaded.l.tobytes() == listed.l.tobytes()
         assert loaded.u.tobytes() == listed.u.tobytes()
@@ -355,14 +399,13 @@ class TestFileFormat:
     def test_dense_backend_writes_sidecars(self, tmp_path):
         prob = generate(FamilySpec("control", 10, seed=1))
         written = saved_doc(prob, tmp_path)
-        assert all(set(written[k]) == {BINARY_KEY} for k in "qlu")
-        for key in "PA":
+        for key in "PqAlu":
             name = written[key][SIDECAR_KEY]
             raw = (tmp_path / name).read_bytes()
             assert name == f"p.json.{key}.{zlib.crc32(raw):08x}.f8"
             assert raw == getattr(prob, key).astype("<f8").tobytes()
         assert sorted(saved_files(tmp_path)) == sorted(
-            ["p.json", written["P"][SIDECAR_KEY], written["A"][SIDECAR_KEY]])
+            ["p.json"] + [written[key][SIDECAR_KEY] for key in "PqAlu"])
 
     def test_hidden_file_name_drops_leading_dots(self, tmp_path):
         save_problem(tiny_problem(), tmp_path / ".p.json")
@@ -452,7 +495,7 @@ class TestFileProperties:
             save_problem(loaded, Path(second) / "p.json")
             assert same_bits(loaded, prob)
             assert (loaded.name, loaded.seed) == (prob.name, prob.seed)
-            assert len(saved_files(first)) == 3
+            assert len(saved_files(first)) == 6
             assert saved_files(first) == saved_files(second)
 
     @PROPERTY_SETTINGS
@@ -466,36 +509,32 @@ class TestFileProperties:
 
 
 def binary(raw: bytes) -> dict:
-    return {BINARY_KEY: base64.b64encode(raw).decode("ascii")}
+    return {OLD_BINARY_KEY: base64.b64encode(raw).decode("ascii")}
 
 
-# Payloads for the field "q" of a 2-variable problem, which must inflate to
-# 16 bytes, and the fault each must be reported as.
+# Binary array objects for the field "q" of a 2-variable problem, well-formed
+# or not, as files written before q had a sidecar hold them.  None is decoded.
 MALFORMED_Q = {
-    "bad_base64": ({BINARY_KEY: "not base64!"}, "is not a valid binary array"),
-    "not_zlib": (binary(b"plain bytes, no zlib header"), "is not a valid binary array"),
-    "too_short": (binary(zlib.compress(np.ones(1).tobytes())), "decodes to 8 bytes, expected 16"),
-    "too_long": (binary(zlib.compress(np.ones(3).tobytes())),
-                 "decodes to more than the expected 16 bytes"),
-    "inflation_bomb": (binary(zlib.compress(bytes(10_000_000), 9)),
-                       "decodes to more than the expected 16 bytes"),
-    "truncated_stream": (binary(zlib.compress(np.ones(2).tobytes())[:-3]),
-                         "holds a truncated zlib stream"),
-    "trailing_bytes": (binary(zlib.compress(np.ones(2).tobytes()) + b"extra"),
-                       "has bytes after the end of its zlib stream"),
-    "wrong_key": ({"f4_raw": ""}, "is not a valid binary array"),
-    "not_text": ({BINARY_KEY: 12}, "is not a valid binary array"),
+    "bad_base64": {OLD_BINARY_KEY: "not base64!"},
+    "not_zlib": binary(b"plain bytes, no zlib header"),
+    "too_short": binary(zlib.compress(np.ones(1).tobytes())),
+    "too_long": binary(zlib.compress(np.ones(3).tobytes())),
+    "inflation_bomb": binary(zlib.compress(bytes(10_000_000), 9)),
+    "truncated_stream": binary(zlib.compress(np.ones(2).tobytes())[:-3]),
+    "trailing_bytes": binary(zlib.compress(np.ones(2).tobytes()) + b"extra"),
+    "wrong_key": {"f4_raw": ""},
+    "not_text": {OLD_BINARY_KEY: 12},
 }
 
 
 class TestMalformedBinary:
     @pytest.mark.parametrize("case", sorted(MALFORMED_Q))
     def test_input_error_names_field(self, tmp_path, case):
-        payload, fault = MALFORMED_Q[case]
         doc = saved_doc(QpProblem(P=np.eye(2), q=np.zeros(2), A=np.ones((1, 2)),
                                   l=-np.ones(1), u=np.ones(1)), tmp_path)
-        doc["q"] = payload
-        with pytest.raises(InputError, match=f"'q' {fault}"):
+        doc["q"] = MALFORMED_Q[case]
+        fault = r"field 'q' is not a sidecar object \('f8le_file'\) .* must be regenerated"
+        with pytest.raises(InputError, match=fault):
             problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
 
 
@@ -550,12 +589,6 @@ class TestMalformedSidecar:
         with pytest.raises(InputError, match=f"'A'.*{fault}") as info:
             load_problem(tmp_path / "p.json")
         assert str(name) in str(info.value)
-
-    def test_sidecar_form_only_for_p_and_a(self, tmp_path):
-        doc = saved_doc(tiny_problem(), tmp_path)
-        doc["q"] = doc["A"]
-        with pytest.raises(InputError, match="'q'"):
-            problem_from_dict(doc, tmp_path)
 
 
 class TestAtomicWrite:
@@ -830,7 +863,7 @@ class TestCsrFileForm:
             name = written[key][CSR_SIDECAR_KEY]
             raw = (first / name).read_bytes()
             assert name == f"p.json.{key}.{zlib.crc32(raw):08x}.csr"
-        assert set(written["q"]) == {BINARY_KEY}
+        assert all(set(written[key]) == {SIDECAR_KEY} for key in "qlu")
         with forced_backend("sparse"):
             loaded = load_problem(first / "p.json")
         assert same_bits(loaded, prob) and (loaded.name, loaded.seed) == (prob.name, prob.seed)
@@ -895,7 +928,7 @@ class TestCsrFileProperties:
             assert (loaded.name, loaded.seed) == (prob.name, prob.seed)
             assert np.array_equal(loaded.kinds, prob.kinds)
             assert_operators_match(loaded)
-            assert len(saved_files(first)) == 3
+            assert len(saved_files(first)) == 6
             assert saved_files(first) == saved_files(second)
 
 
@@ -1039,7 +1072,7 @@ class TestMalformedCsrSidecar:
             return real_zeros(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "zeros", zeros)
-        doc = {"n": n, "m": 0, "q": encode_array(np.zeros(n)), "l": [], "u": [], "A": [],
+        doc = {"n": n, "m": 0, "q": [0.0] * n, "l": [], "u": [], "A": [],
                "P": csr_sidecar(tmp_path, "P", np.zeros(n + 1), [], [])}
         with pytest.raises(InputError, match="does not fit in memory"):
             problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
@@ -1057,14 +1090,15 @@ def old_csr_object(a: np.ndarray) -> dict:
         raw = zlib.compress(part.astype("<i4").tobytes())
         return {"i4le_zlib_b64": base64.b64encode(raw).decode("ascii")}
 
-    return {"csr": {"indptr": i4(a.indptr), "indices": i4(a.indices), "data": encode_array(a.data)}}
+    return {"csr": {"indptr": i4(a.indptr), "indices": i4(a.indices),
+                    "data": old_binary_object(a.data)}}
 
 
 # The objects for P and A that files written before the sidecar forms hold:
-# the binary form of q (dense problems) and the in-document CSR object
+# the binary array object (dense problems) and the in-document CSR object
 # (sparse ones), and a malformed CSR object.
 OLD_FORMS = {
-    "binary": encode_array,
+    "binary": old_binary_object,
     "csr_object": old_csr_object,
     "csr_not_an_object": lambda a: {"csr": [1, 2]},
 }
@@ -1082,3 +1116,69 @@ class TestOldFormsRejected:
         with pytest.raises(InputError, match=fault):
             load_problem(tmp_path / "p.json")
         expect_cli_error(tmp_path / "p.json", capsys, fault)
+
+
+def _other_letter(f: Path, key: str) -> dict:
+    other = "u" if key != "u" else "l"
+    return {SIDECAR_KEY: _copy_as(f, f.name.replace(f".{key}.", f".{other}."))}
+
+
+# Each case alters the sidecar file f that the vector field ``key`` names, or
+# the document's entry for it, and returns the entry; with it the error names
+# the field and the regular expression's fault.  q holds 2 float64s and l and
+# u 3 each in tiny_problem.
+VECTOR_SIDECAR_FAULTS = {
+    "missing": (lambda f, key: {SIDECAR_KEY: _delete(f)}, "cannot read"),
+    "one_byte_short": (lambda f, key: {SIDECAR_KEY: _rewrite(f, f.read_bytes()[:-1])},
+                       r"holds (15|23) bytes, expected (16|24)"),
+    "flipped_byte": (lambda f, key: {SIDECAR_KEY: _rewrite(f, bytes([f.read_bytes()[0] ^ 1])
+                                                           + f.read_bytes()[1:])},
+                     "fails its crc32 check"),
+    "other_field_letter": (_other_letter, "not a bare"),
+    "csr_object": (lambda f, key: {CSR_SIDECAR_KEY: f.name, "nnz": 1},
+                   r"is not a sidecar object \('f8le_file'\)"),
+    "parent_form": (lambda f, key: old_binary_object(np.frombuffer(f.read_bytes(), "<f8")),
+                    r"is not a sidecar object \('f8le_file'\) .* must be regenerated"),
+}
+
+
+class TestVectorSidecars:
+    """q, l and u are float64 sidecars; every fault in one ends relaxqp solve
+    in one error line naming the field and the problem file."""
+
+    @pytest.mark.parametrize("key", ["q", "l", "u"])
+    @pytest.mark.parametrize("case", sorted(VECTOR_SIDECAR_FAULTS))
+    def test_cli_error_names_field_and_file(self, tmp_path, capsys, case, key):
+        alter, fault = VECTOR_SIDECAR_FAULTS[case]
+        path = tmp_path / "p.json"
+        doc = saved_doc(tiny_problem(), tmp_path)
+        doc[key] = alter(tmp_path / doc[key][SIDECAR_KEY], key)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=f"field '{key}'.*{fault}"):
+            load_problem(path)
+        named = f"problem file {re.escape(str(path))}: .*field '{key}'"
+        expect_cli_error(path, capsys, f"{named}.*{fault}")
+
+    def test_parent_form_document(self, tmp_path, capsys):
+        # A whole document as the parent's save_problem wrote it: P and A as
+        # dense sidecars, q, l and u as binary objects.  The first of them is
+        # the one the error names.
+        prob = tiny_problem()
+        doc = saved_doc(prob, tmp_path)
+        for key in "qlu":
+            (tmp_path / doc[key][SIDECAR_KEY]).unlink()
+            doc[key] = old_binary_object(getattr(prob, key))
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        expect_cli_error(path, capsys, f"problem file {re.escape(str(path))}: .*field 'q' is not a "
+                         r"sidecar object \('f8le_file'\) .* must be regenerated")
+
+    def test_sidecars_carry_bounds_and_special_values_bit_exactly(self, tmp_path):
+        # The +-1e30 sentinel applies to hand-written lists only: a sidecar
+        # keeps +-1e30 as they are, beside +-inf, -0.0 and subnormals.
+        l = np.array([-INF, -1e30, -0.0, -5e-324, np.nextafter(-1e30, 0)])
+        u = np.array([INF, 1e30, 0.0, 5e-324, 2.2250738585072014e-308])
+        prob = QpProblem(P=np.eye(2), q=np.array([-0.0, 5e-324]), A=np.ones((5, 2)), l=l, u=u)
+        loaded = problem_from_dict(saved_doc(prob, tmp_path), tmp_path)
+        assert same_bits(loaded, prob)
+        assert loaded.l[1] == -1e30 and loaded.u[1] == 1e30

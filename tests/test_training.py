@@ -191,6 +191,18 @@ class TestTrain:
         assert np.array_equal(flatten_params(res.ckpt_iter), flatten_params(ck0))
         assert np.array_equal(flatten_params(res.ckpt_rho), flatten_params(ck0))
         assert res.log_rows == []
+        # the initial checkpoint's validation means, with no training loss
+        assert res.initial_row == {"epoch": 0, "mean_train_loss": None,
+                                   "mean_val_iters": res.ckpt_iter.metadata["val_score"],
+                                   "mean_val_rho_updates": res.initial_row["mean_val_rho_updates"]}
+        assert res.ckpt_iter.metadata["adaptive_rho"] is res.ckpt_rho.metadata["adaptive_rho"] is False
+
+    def test_no_validation_set_no_initial_row(self):
+        train_set, _ = self._sets(2, 0)
+        res = train(train_set, [], init_checkpoint("scalar", seed=0),
+                    TrainConfig(epochs=1, batch_size=2), SolverConfig(adaptive_rho=True))
+        assert res.initial_row is None and len(res.log_rows) == 1
+        assert res.ckpt_iter.metadata["adaptive_rho"] is res.ckpt_rho.metadata["adaptive_rho"] is True
 
     def test_log_row_count_equals_epochs(self):
         train_set, val_set = self._sets(2, 1)
