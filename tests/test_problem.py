@@ -217,13 +217,18 @@ class TestObjective:
             assert lhs <= rhs + 1e-12
 
 
+@pytest.fixture(scope="module")
+def mpc_n100():
+    return generate(FamilySpec("mpc", 100, seed=1))
+
+
 class TestThroughOperators:
     """objective and row_norms read P and A through the problem's operators,
     the CSR matrices on the sparse backend, and agree with the dense fields."""
 
     @pytest.mark.parametrize("family,size", [("mpc", 100), ("lasso", 50)])
-    def test_objective_bit_identical_with_diagonal_P(self, family, size):
-        prob = generate(FamilySpec(family, size, seed=1))
+    def test_objective_bit_identical_with_diagonal_P(self, mpc_n100, family, size):
+        prob = mpc_n100 if family == "mpc" else generate(FamilySpec(family, size, seed=1))
         assert prob.kkt_backend == "sparse"
         assert np.array_equal(prob.P, np.diag(np.diag(prob.P)))
         x = np.random.default_rng(size).standard_normal(prob.n)
@@ -243,14 +248,14 @@ class TestThroughOperators:
             assert abs(objective(prob, x) - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize("make", [
-        lambda: generate(FamilySpec("mpc", 100, seed=1)),
-        lambda: generate(FamilySpec("control", 10, seed=1)),
-        lambda: sparse_problem_with_signed_zeros(),
-        lambda: QpProblem(P=np.eye(2), q=np.zeros(2), A=np.array([[-0.0, 0.0], [-3.0, 2.0]]),
-                          l=-np.ones(2), u=np.ones(2)),
+        lambda mpc: mpc,
+        lambda mpc: generate(FamilySpec("control", 10, seed=1)),
+        lambda mpc: sparse_problem_with_signed_zeros(),
+        lambda mpc: QpProblem(P=np.eye(2), q=np.zeros(2), A=np.array([[-0.0, 0.0], [-3.0, 2.0]]),
+                              l=-np.ones(2), u=np.ones(2)),
     ], ids=["mpc_n100", "control_n10", "sparse_signed_zeros", "dense_signed_zeros"])
-    def test_row_norms_bit_identical(self, make):
-        prob = make()
+    def test_row_norms_bit_identical(self, mpc_n100, make):
+        prob = make(mpc_n100)
         assert prob.row_norms.tobytes() == np.max(np.abs(prob.A), axis=1).tobytes()
 
 
