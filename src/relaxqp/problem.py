@@ -419,7 +419,7 @@ def array_field(doc: dict, key: str, shape: tuple, bounds: bool = False) -> np.n
     return flat.reshape(shape)
 
 
-def matrix_field(doc: dict, key: str, shape: tuple, directory, bounds: bool = False):
+def sidecar_field(doc: dict, key: str, shape: tuple, directory, bounds: bool = False):
     """``doc[key]`` as an array of ``shape`` from a dense sidecar object, as
     a CSR matrix from a CSR sidecar object when ``shape`` is a matrix's,
     otherwise as a dense list the way :func:`array_field` reads it with
@@ -429,7 +429,10 @@ def matrix_field(doc: dict, key: str, shape: tuple, directory, bounds: bool = Fa
     if not isinstance(value, dict):
         return array_field(doc, key, shape, bounds)
     matrix = len(shape) == 2
-    if matrix and CSR_SIDECAR_KEY in value:
+    if CSR_SIDECAR_KEY in value:
+        if not matrix:
+            raise InputError(f"field {key!r} is a {CSR_SIDECAR_KEY!r} object; "
+                             "the CSR form is for P and A only")
         nnz, size = value.get("nnz"), math.prod(shape)
         if not (_is_integer(nnz) and 0 <= nnz <= size):
             raise InputError(f"field '{key}.nnz' must be an entry count from 0 to {size} "
@@ -498,11 +501,11 @@ def problem_from_dict(doc: dict, directory) -> QpProblem:
         if n < 0 or m < 0:
             raise InputError(f"n and m must not be negative, got n={n}, m={m}")
         fields = dict(
-            P=matrix_field(doc, "P", (n, n), directory),
-            q=matrix_field(doc, "q", (n,), directory),
-            A=matrix_field(doc, "A", (m, n), directory),
-            l=matrix_field(doc, "l", (m,), directory, bounds=True),
-            u=matrix_field(doc, "u", (m,), directory, bounds=True),
+            P=sidecar_field(doc, "P", (n, n), directory),
+            q=sidecar_field(doc, "q", (n,), directory),
+            A=sidecar_field(doc, "A", (m, n), directory),
+            l=sidecar_field(doc, "l", (m,), directory, bounds=True),
+            u=sidecar_field(doc, "u", (m,), directory, bounds=True),
             name=str(doc.get("name", "")),
             seed=seed,
         )

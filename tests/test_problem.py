@@ -1141,7 +1141,7 @@ VECTOR_SIDECAR_FAULTS = {
                      "fails its crc32 check"),
     "other_field_letter": (_other_letter, "not a bare"),
     "csr_object": (lambda f, key: {CSR_SIDECAR_KEY: f.name, "nnz": 1},
-                   r"is not a sidecar object \('f8le_file'\)"),
+                   "the CSR form is for P and A only"),
     "parent_form": (lambda f, key: old_binary_object(np.frombuffer(f.read_bytes(), "<f8")),
                     r"is not a sidecar object \('f8le_file'\) .* must be regenerated"),
 }
