@@ -5,8 +5,9 @@ Machine-readable payloads go to the --out location (or standard output when
 behavior is controlled by explicit flags and config files; environment
 variables are never consulted.
 
-Exit codes: solve 0=solved 2=max_iter 1=error; bench 3 if any instance
-failed; verify nonzero on any theory violation.
+Exit codes: 0 on success; 1 on any error, a usage error (an unknown or
+malformed flag) included; solve 2 when it stops at max_iter; bench 3 if any
+instance failed; verify 4 on any theory violation.
 """
 
 import argparse
@@ -51,22 +52,10 @@ def _map(fn, tasks, jobs: int) -> list:
     return [fn(t) for t in tasks]
 
 
-def _policy_for(args):
-    mode = args.policy
-    if mode == "fixed":
-        return None
-    if not args.checkpoint:
-        raise SolverError(f"--policy {mode} requires --checkpoint")
-    ckpt = load_checkpoint(args.checkpoint)
-    if ckpt.variant != mode:
-        raise SolverError(f"checkpoint variant {ckpt.variant!r} does not match --policy {mode}")
-    return policy_from_checkpoint(ckpt)
-
-
 def cmd_solve(args) -> int:
     cfg = _load_cfg(args)
     prob = load_problem(args.problem)
-    policy = _policy_for(args)
+    policy = policy_from_checkpoint(load_checkpoint(args.checkpoint)) if args.checkpoint else None
     report = solve(prob, cfg, policy=policy)
     doc = report_to_dict(report)
     if args.out:
@@ -86,9 +75,8 @@ def cmd_solve(args) -> int:
 
 
 def _bench_one(task):
-    store, spec, cfg, policy_label, ckpt_path = task
+    store, spec, cfg, policy_label, policy = task
     prob, _ = bench_mod.ensure_instance(store, spec)
-    policy = policy_from_checkpoint(load_checkpoint(ckpt_path)) if ckpt_path else None
     rho_mode = "adaptive" if cfg.adaptive_rho else "fixed"
     row = {
         "family": spec.family,
@@ -115,19 +103,20 @@ def cmd_bench(args) -> int:
 
     runs = [("baseline", None)]
     for ck in args.checkpoint or []:
-        trained = load_checkpoint(ck).metadata.get("adaptive_rho")
+        ckpt = load_checkpoint(ck)
+        trained = ckpt.metadata.get("adaptive_rho")
         if isinstance(trained, bool):  # bench runs every checkpoint in both modes
             other = "fixed" if trained else "adaptive"
             print(f"bench: checkpoint {ck} was trained with {'adaptive' if trained else 'fixed'} "
                   f"rho; its {other}-rho rows run it in the other mode", file=sys.stderr)
-        runs.append((Path(ck).stem, ck))
+        runs.append((Path(ck).stem, policy_from_checkpoint(ckpt)))
 
     tasks = []
     for spec in specs:
-        for policy_label, ckpt_path in runs:
+        for policy_label, policy in runs:
             for adaptive in (False, True):
                 tasks.append((str(store), spec, replace(cfg, adaptive_rho=adaptive), policy_label,
-                              ckpt_path))
+                              policy))
 
     rows = _map(_bench_one, tasks, args.jobs)
 
@@ -189,6 +178,9 @@ def cmd_train(args) -> int:
     tcfg_doc = dict(doc.get("config", {}))
     tcfg_doc.setdefault("seed", doc.get("seed", 0))
     tcfg = config_from_dict(tcfg_doc, TrainConfig)
+    # before any solve or write, so that a box not centred at 1.6 is refused first
+    ckpt0 = init_checkpoint(variant, seed=tcfg.seed, alpha_min=cfg.alpha_min,
+                            alpha_max=cfg.alpha_max, metadata={"family": family, "optimizer": "spsa"})
     store = args.store or "instances"
 
     def build(split_specs, split):
@@ -204,13 +196,7 @@ def cmd_train(args) -> int:
     print(f"train: {len(train_set)} training / {len(val_set)} validation instances", file=sys.stderr)
 
     norm_stats = collect_norm_stats([p for p, _ in train_set], variant, cfg)
-    ckpt0 = init_checkpoint(
-        variant,
-        seed=tcfg.seed,
-        norm_stats=norm_stats,
-        metadata={"family": family, "optimizer": "spsa"},
-    )
-    result = train(train_set, val_set, ckpt0, tcfg, cfg)
+    result = train(train_set, val_set, replace(ckpt0, norm_stats=norm_stats), tcfg, cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.ckpt_iter, out / "ckpt_iter.json")
@@ -271,25 +257,39 @@ def cmd_verify(args) -> int:
     return 4 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an InputError: main prints it as the one
+    ``relaxqp: error:`` line, after the usage text, and exits 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    # A parent parser holding one flag that several commands share.
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*args, **kwargs)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="relaxqp", description=__doc__)
+    ap = _Parser(prog="relaxqp", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="solver config JSON file")
-    common.add_argument("--seed", type=int, help="override config seed")
-    common.add_argument("--max-iter", type=int, dest="max_iter", help="override max iterations")
-    common.add_argument("--adaptive-rho", choices=("on", "off"), dest="adaptive_rho",
-                        help="override penalty adaptation")
+    config = _flag("--config", help="solver config JSON file")
+    max_iter = _flag("--max-iter", type=int, dest="max_iter", help="override max iterations")
+    adaptive_rho = _flag("--adaptive-rho", choices=("on", "off"), dest="adaptive_rho",
+                         help="override penalty adaptation")
 
-    p = sub.add_parser("solve", parents=[common], help="solve one problem file")
+    p = sub.add_parser("solve", parents=[config, max_iter, adaptive_rho],
+                       help="solve one problem file")
     p.add_argument("--problem", required=True)
-    p.add_argument("--checkpoint", help="policy checkpoint JSON")
-    p.add_argument("--policy", choices=("fixed", "scalar", "vector"), default="fixed")
+    p.add_argument("--checkpoint", help="policy checkpoint JSON; without one, the fixed alpha0")
     p.add_argument("--out", help="output directory for report.json and residuals.csv")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bench", parents=[common], help="run a benchmark manifest")
+    p = sub.add_parser("bench", parents=[config, max_iter], help="run a benchmark manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", action="append", help="policy checkpoint (repeatable)")
     p.add_argument("--store", help="instance store directory")
@@ -297,14 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("train", parents=[common], help="train a relaxation policy")
+    p = sub.add_parser("train", parents=[config, max_iter, adaptive_rho],
+                       help="train a relaxation policy")
     p.add_argument("--manifest", required=True, help="training manifest JSON")
     p.add_argument("--store", help="instance store directory")
     p.add_argument("--out", help="output directory for checkpoints and log")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("verify", parents=[common], help="check the convergence theory numerically")
+    p = sub.add_parser("verify", parents=[config], help="check the convergence theory numerically")
     p.add_argument("--manifest", required=True)
+    p.add_argument("--seed", type=int, help="override config seed, the drift runs' seed")
     p.add_argument("--store", help="instance store directory")
     p.add_argument("--steps", type=int, default=200, help="recorded iterations per instance")
     p.add_argument("--drift-iters", type=int, default=10000, dest="drift_iters")
@@ -315,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SolverError, OSError) as exc:
         print(f"relaxqp: error: {exc}", file=sys.stderr)

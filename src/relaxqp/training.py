@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .engine import (
-    FixedPolicy,
     SolverConfig,
     check_field_types,
     check_positive_finite,
@@ -67,7 +66,6 @@ def stage_loss(
 class TrainConfig:
     epochs: int = 1000
     batch_size: int = 16
-    stage_length: int = 10
     loss_eps: float = LOSS_EPS
     perturbation: float = 0.05  # SPSA evaluation offset c0
     step_size: float = 0.2  # SPSA gain a0
@@ -76,8 +74,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.stage_length < 1:
-            raise InputError("stage length must be at least 1")
         if self.batch_size < 1:
             raise InputError("batch size must be at least 1")
         check_positive_finite(self, ("step_size", "perturbation", "loss_eps"))
@@ -142,15 +138,10 @@ def rollout(
     )
 
 
-def collect_norm_stats(
-    instances: list,
-    variant: str,
-    cfg: SolverConfig,
-    horizon: int = 200,
-    alpha: float = 1.6,
-):
-    """Policy inputs from short baseline rollouts with the default
-    relaxation, used once to freeze the normalization statistics."""
+def collect_norm_stats(instances: list, variant: str, cfg: SolverConfig, horizon: int = 200):
+    """Policy inputs at ``cfg``'s stage boundaries of short baseline rollouts
+    (no policy, so the relaxation stays ``cfg.alpha0``), used once to freeze
+    the normalization statistics."""
     batches = []
     for prob in instances:
         feats = []
@@ -164,7 +155,7 @@ def collect_norm_stats(
             stage["res"] = res
 
         run_cfg = replace(cfg, max_iter=horizon)
-        solve(prob, run_cfg, policy=FixedPolicy(alpha), observer=observer)
+        solve(prob, run_cfg, observer=observer)
         if feats:
             batches.append(np.vstack([np.atleast_2d(f) for f in feats]))
     return fit_norm_stats(batches)
@@ -213,14 +204,14 @@ def train(
 
     ``train_set`` and ``val_set`` are lists of (problem, reference) pairs;
     references must hold the tight primal-dual optimum of each instance.
-    Returns the checkpoint with the lowest mean validation iteration count
-    and, under adaptive penalty updates, the one with the fewest mean
-    penalty updates.  If no epoch improves on the initial checkpoint, the
-    initial checkpoint is returned with a warning.
+    Rollouts and validation solves take every solver setting, the stage
+    length included, from ``cfg``.  Returns the checkpoint with the lowest
+    mean validation iteration count and, under adaptive penalty updates, the
+    one with the fewest mean penalty updates.  If no epoch improves on the
+    initial checkpoint, the initial checkpoint is returned with a warning.
     """
     if tcfg.batch_size > max(len(train_set), 1):
         raise InputError("batch size exceeds the training set size")
-    cfg = replace(cfg, stage_length=tcfg.stage_length)
     rng = np.random.default_rng(tcfg.seed)
     theta = flatten_params(ckpt0)
 

@@ -1,16 +1,16 @@
-import base64
 import csv
 import json
-import zlib
 
 import numpy as np
 import pytest
 
+from relaxqp import cli
 from relaxqp.bench import FamilySpec, ensure_instance, generate, instance_dir, save_manifest
 from relaxqp.cli import main
 from relaxqp.engine import SolverConfig, solve
-from relaxqp.policy import checkpoint_to_dict, init_checkpoint, save_checkpoint
+from relaxqp.policy import checkpoint_to_dict, init_checkpoint, load_checkpoint, save_checkpoint
 from relaxqp.problem import CSR_SIDECAR_KEY, SIDECAR_KEY, QpProblem, save_problem
+from relaxqp.training import collect_norm_stats
 from relaxqp.verify import check_descent, reconstruct_drs, record_trajectory
 
 
@@ -99,30 +99,26 @@ class TestSolveCommand:
         r2.pop("runtime_seconds")
         assert r1 == r2
 
-    def test_policy_checkpoint(self, random_problem_file, tmp_path):
-        ck = init_checkpoint("scalar", seed=0)
-        ck_path = tmp_path / "ck.json"
-        save_checkpoint(ck, ck_path)
-        rc = main([
-            "solve", "--problem", str(random_problem_file),
-            "--policy", "scalar", "--checkpoint", str(ck_path),
-        ])
-        assert rc == 0
+    def test_policy_checkpoint(self, random_problem_file, tmp_path, capsys):
+        # A checkpoint runs as the variant it was trained as.
+        for variant in ("scalar", "vector"):
+            ck_path = tmp_path / f"{variant}.json"
+            save_checkpoint(init_checkpoint(variant, seed=0), ck_path)
+            rc = main(["solve", "--problem", str(random_problem_file), "--checkpoint", str(ck_path)])
+            assert rc == 0
+            assert json.loads(capsys.readouterr().out)["policy_queries"] > 0
 
     def test_report_carries_the_policy_time(self, random_problem_file, tmp_path, capsys):
         ck_path = tmp_path / "ck.json"
         save_checkpoint(init_checkpoint("vector", seed=0), ck_path)
         args = ["solve", "--problem", str(random_problem_file)]
-        assert main(args + ["--policy", "vector", "--checkpoint", str(ck_path)]) == 0
+        assert main(args + ["--checkpoint", str(ck_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["policy_queries"] == (report["iterations"] - 1) // 10 > 0
         assert 0.0 < report["policy_seconds"] < report["runtime_seconds"]
         assert main(args) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["policy_queries"], report["policy_seconds"]) == (0, 0.0)
-
-    def test_policy_without_checkpoint_errors(self, random_problem_file):
-        assert main(["solve", "--problem", str(random_problem_file), "--policy", "scalar"]) == 1
 
 
 class TestBenchCommand:
@@ -227,6 +223,62 @@ class TestBenchCommand:
         keyed_p = [(r["seed"], r["rho_mode"], r["iterations"]) for r in rows_p]
         assert keyed_s == keyed_p
 
+    def test_each_checkpoint_loaded_once(self, tmp_path, monkeypatch):
+        # bench compiles each checkpoint once and hands the policy to every
+        # task, the worker processes of --jobs 2 included.
+        manifest = tmp_path / "m.json"
+        save_manifest([FamilySpec("random_qp", 10, s) for s in (1, 2)], manifest)
+        argv = ["bench", "--manifest", str(manifest), "--store", str(tmp_path / "store")]
+        for variant in ("scalar", "vector"):
+            save_checkpoint(init_checkpoint(variant, seed=0), tmp_path / f"{variant}.json")
+            argv += ["--checkpoint", str(tmp_path / f"{variant}.json")]
+        loaded = []
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path) or
+                            load_checkpoint(path))
+        rows = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main(argv + ["--out", str(out), "--jobs", jobs]) == 0
+            rows[jobs] = [{k: v for k, v in r.items() if k != "runtime_s"}
+                          for r in csv.DictReader(out.open())]
+        assert loaded == [str(tmp_path / "scalar.json"), str(tmp_path / "vector.json")] * 2
+        assert rows["1"] == rows["2"]
+        assert {r["policy"] for r in rows["1"]} == {"baseline", "scalar", "vector"}
+
+
+class TestUsageErrors:
+    """A removed, unknown or malformed flag ends as the usage text and one
+    error line naming it, with exit 1; 2 is solve's iteration-limit code."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["solve", "--problem", "p.json", "--seed", "1"], "--seed"),
+        (["bench", "--manifest", "m.json", "--seed", "1"], "--seed"),
+        (["train", "--manifest", "m.json", "--seed", "1"], "--seed"),
+        (["bench", "--manifest", "m.json", "--adaptive-rho", "off"], "--adaptive-rho"),
+        (["verify", "--manifest", "m.json", "--adaptive-rho", "off"], "--adaptive-rho"),
+        (["verify", "--manifest", "m.json", "--max-iter", "1"], "--max-iter"),
+        (["solve", "--problem", "p.json", "--policy", "scalar"], "--policy"),
+        (["solve", "--problem", "p.json", "--bogus"], "--bogus"),
+        (["solve", "--problem", "p.json", "--max-iter", "many"], "--max-iter"),
+        (["train", "--manifest", "m.json", "--adaptive-rho", "maybe"], "--adaptive-rho"),
+        (["verify"], "--manifest"),
+    ], ids=["solve_seed", "bench_seed", "train_seed", "bench_adaptive_rho",
+            "verify_adaptive_rho", "verify_max_iter", "solve_policy", "unknown_flag",
+            "malformed_value", "invalid_choice", "missing_required"])
+    def test_exit_one_with_one_error_line(self, capsys, argv, named):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert out == "" and err.startswith("usage: relaxqp") and "Traceback" not in err
+        assert errors == [err.splitlines()[-1]]
+        assert errors[0].startswith("relaxqp: error: ") and named in errors[0]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--checkpoint" in capsys.readouterr().out
+
 
 class TestInputErrors:
     """Malformed inputs end as one error line and exit 1, never a traceback."""
@@ -294,8 +346,9 @@ class TestInputErrors:
         ({"loss_eps": -1e-10}, "'loss_eps'"),
         ({"epochs": -1}, "'epochs'"),
         ({"horizon": -5}, "'horizon'"),
+        ({"stage_length": 20}, "unknown config fields: ['stage_length']"),
     ], ids=["step_size_nan", "perturbation_zero", "loss_eps_negative", "epochs_negative",
-            "horizon_negative"])
+            "horizon_negative", "stage_length"])
     def test_invalid_train_config_writes_nothing(self, tmp_path, capsys, config, named):
         # Rejected before any reference solve: no instance store, no checkpoint.
         man_path = tmp_path / "train.json"
@@ -316,28 +369,10 @@ class TestInputErrors:
         ck_path = tmp_path / "ck.json"
         ck_path.write_text(json.dumps(doc))
         self._expect_error(
-            ["solve", "--problem", str(random_problem_file), "--policy", "scalar",
-             "--checkpoint", str(ck_path)],
+            ["solve", "--problem", str(random_problem_file), "--checkpoint", str(ck_path)],
             f"'{field}'",
             capsys,
         )
-
-    @pytest.mark.parametrize("payload", [
-        {"f8le_zlib_b64": "not base64!"},
-        {"f8le_zlib_b64": base64.b64encode(zlib.compress(bytes(10_000_000))).decode("ascii")},
-    ], ids=["bad_base64", "inflation_bomb"])
-    def test_malformed_binary_problem_field(self, tmp_path, capsys, payload):
-        # The binary array objects of files written before l had a sidecar
-        # are refused undecoded, however malformed.
-        bad = tmp_path / "bad.json"
-        save_problem(generate(FamilySpec("random_qp", 5, 1)), bad)
-        doc = json.loads(bad.read_text())
-        doc["l"] = payload
-        bad.write_text(json.dumps(doc))
-        self._expect_error(["solve", "--problem", str(bad)],
-                           "'l' is not a sidecar object ('f8le_file') or a list of numbers; "
-                           "a problem file written before the sidecar forms must be regenerated",
-                           capsys)
 
     def test_deleted_sidecar_file(self, random_problem_file, capsys):
         name = json.loads(random_problem_file.read_text())["P"][SIDECAR_KEY]
@@ -423,8 +458,7 @@ class TestJsonFiles:
 
     def test_checkpoint_file(self, bad_file, tiny_problem_file, capsys):
         self._expect_error(
-            ["solve", "--problem", str(tiny_problem_file), "--policy", "scalar",
-             "--checkpoint", str(bad_file)],
+            ["solve", "--problem", str(tiny_problem_file), "--checkpoint", str(bad_file)],
             bad_file,
             capsys,
         )
@@ -513,6 +547,39 @@ class TestTrainCommand:
         rows = list(csv.DictReader((out / "train_log.csv").open()))
         assert [r["epoch"] for r in rows] == ["0", "1", "2"]  # the initial row, then one per epoch
         assert rows[0]["mean_train_loss"] == "" and all(r["mean_train_loss"] for r in rows[1:])
+
+    def _zero_epoch_run(self, tmp_path, config: dict):
+        man_path, cfg_path = tmp_path / "train.json", tmp_path / "cfg.json"
+        man_path.write_text(json.dumps({
+            "family": "random_qp", "variant": "scalar",
+            "train_instances": [{"size": 10, "seed": s} for s in (1, 2)],
+            "val_instances": [{"size": 10, "seed": 11}],
+            "config": {"epochs": 0, "batch_size": 2},
+        }))
+        cfg_path.write_text(json.dumps(config))
+        return main(["train", "--manifest", str(man_path), "--store", str(tmp_path / "store"),
+                     "--out", str(tmp_path / "run"), "--config", str(cfg_path)])
+
+    def test_norm_statistics_at_the_config_stage_length(self, tmp_path):
+        assert self._zero_epoch_run(tmp_path, {"stage_length": 20, "adaptive_rho": False}) == 0
+        ck = load_checkpoint(tmp_path / "run" / "ckpt_iter.json")
+        probs = [ensure_instance(tmp_path / "store", FamilySpec("random_qp", 10, s, "train"))[0]
+                 for s in (1, 2)]
+        for stage_length, same in ((20, True), (10, False)):
+            cfg = SolverConfig(stage_length=stage_length, adaptive_rho=False)
+            expected = collect_norm_stats(probs, "scalar", cfg)
+            assert np.array_equal(ck.norm_stats.mean, expected.mean) is same
+
+    def test_checkpoint_box_from_the_config(self, tmp_path):
+        assert self._zero_epoch_run(tmp_path, {"alpha_min": 1.3, "alpha_max": 1.9}) == 0
+        ck = load_checkpoint(tmp_path / "run" / "ckpt_iter.json")
+        assert (ck.alpha_min, ck.alpha_max) == (1.3, 1.9)
+
+    def test_off_centre_box_writes_nothing(self, tmp_path, capsys):
+        assert self._zero_epoch_run(tmp_path, {"alpha_max": 1.9}) == 1
+        err = capsys.readouterr().err
+        assert err == "relaxqp: error: relaxation box must be centered at 1.6, got midpoint 1.575\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json", "train.json"]
 
 
 class TestVerifyCommand:

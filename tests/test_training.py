@@ -235,6 +235,23 @@ class TestTrain:
         assert 0.5 * (ck.alpha_min + ck.alpha_max) == pytest.approx(1.6)
         assert ck.metadata["selection"] == "iter"
 
+    def test_stage_length_from_the_solver_config(self, monkeypatch):
+        # Rollouts and validation solves all run at the solver config's stage length.
+        from relaxqp import training
+
+        train_set, val_set = self._sets(2, 1)
+        seen = []
+        solve = training.solve
+
+        def spy(prob, cfg, **kwargs):
+            seen.append(cfg.stage_length)
+            return solve(prob, cfg, **kwargs)
+
+        monkeypatch.setattr(training, "solve", spy)
+        train(train_set, val_set, init_checkpoint("scalar", seed=0),
+              TrainConfig(epochs=1, batch_size=2), SolverConfig(adaptive_rho=False, stage_length=20))
+        assert len(seen) == 2 + 2 * 2 and set(seen) == {20}  # 2 validations, 2 rollouts per side
+
     def test_batch_size_validated(self):
         train_set, val_set = self._sets(2, 1)
         ck0 = init_checkpoint("scalar", seed=0)
