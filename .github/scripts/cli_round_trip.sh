@@ -10,10 +10,13 @@
 # in-document binary object of files written before q had a sidecar
 # ({"f8le_zlib_b64"}) must make solve exit 1 with one error line.
 #
-# Then a checkpoint round trip on random_qp_n10: a 0-epoch train writes the
-# initial checkpoint, solve --checkpoint runs it (exit 0, policy_queries > 0),
-# two bench --checkpoint runs give the same columns, and bench --adaptive-rho
-# off, a flag bench does not take, exits 1 with one error line.
+# Then a checkpoint round trip on random_qp_n10: a 0-epoch train in a config
+# whose relaxation box [1.0, 1.9] is not centred at 1.6 writes the initial
+# checkpoint, which holds no box; solve --checkpoint runs it in that config
+# (exit 0, policy_queries > 0), and two bench --checkpoint runs in the default
+# config give the same columns.  Last, two usage errors exit 1 with one error
+# line: bench --adaptive-rho off, a flag bench does not take, and verify
+# --drift-iters -1.
 #
 # Run from the repository root: bash .github/scripts/cli_round_trip.sh
 set -euo pipefail
@@ -58,24 +61,35 @@ cat > "$d/train.json" <<'JSON'
  "train_instances": [{"size": 10, "seed": 1}, {"size": 10, "seed": 2}],
  "val_instances": [{"size": 10, "seed": 11}]}
 JSON
-python -m relaxqp.cli train --manifest "$d/train.json" --store "$d/t" --out "$d/run"
+echo '{"alpha_min": 1.0, "alpha_max": 1.9}' > "$d/box.json"
+python -m relaxqp.cli train --manifest "$d/train.json" --store "$d/t" --out "$d/run" --config "$d/box.json"
 ck="$d/run/ckpt_iter.json"
+python -c 'import json, sys; doc = json.load(open(sys.argv[1])); assert "alpha_min" not in doc' "$ck"
 echo '{"specs": [{"family": "random_qp", "size": 10, "seed": 21}]}' > "$d/m.json"
 for run in 1 2; do
   python -m relaxqp.cli bench --manifest "$d/m.json" --store "$d/s" --checkpoint "$ck" --out "$d/c$run.csv"
 done
 cmp <(cut -d, -f1-6,8- "$d/c1.csv") <(cut -d, -f1-6,8- "$d/c2.csv")
 python -m relaxqp.cli solve --problem "$d/s/random_qp/size10/seed21/problem.json" --checkpoint "$ck" \
-  > "$d/report.json"
+  --config "$d/box.json" > "$d/report.json"
 python -c 'import json, sys; q = json.load(open(sys.argv[1]))["policy_queries"]; assert q > 0, q' \
   "$d/report.json"
-rc=0
-python -m relaxqp.cli bench --manifest "$d/m.json" --store "$d/s" --adaptive-rho off \
-  > /dev/null 2> "$d/err.txt" || rc=$?
-if [ "$rc" -ne 1 ] || [ "$(grep -c error "$d/err.txt")" -ne 1 ] \
-    || ! tail -n 1 "$d/err.txt" | grep -q "^relaxqp: error: unrecognized arguments: --adaptive-rho off$"; then
-  echo "bench --adaptive-rho off: exit $rc, stderr:" >&2
-  cat "$d/err.txt" >&2
-  exit 1
-fi
+
+# Runs the command after $1, which must exit 1 with one error line, the last
+# one, matching $1.
+expect_usage_error() {
+  local want=$1 rc=0
+  shift
+  "$@" > /dev/null 2> "$d/err.txt" || rc=$?
+  if [ "$rc" -ne 1 ] || [ "$(grep -c error "$d/err.txt")" -ne 1 ] \
+      || ! tail -n 1 "$d/err.txt" | grep -q "$want"; then
+    echo "$*: exit $rc, stderr:" >&2
+    cat "$d/err.txt" >&2
+    exit 1
+  fi
+}
+expect_usage_error "^relaxqp: error: unrecognized arguments: --adaptive-rho off$" \
+  python -m relaxqp.cli bench --manifest "$d/m.json" --store "$d/s" --adaptive-rho off
+expect_usage_error "^relaxqp: error: argument --drift-iters: must be at least 1, got -1$" \
+  python -m relaxqp.cli verify --manifest "$d/m.json" --store "$d/s" --drift-iters -1
 echo "CLI round trip passed"

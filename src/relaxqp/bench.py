@@ -339,7 +339,7 @@ def complementarity_inf(prob: QpProblem, z: np.ndarray, y: np.ndarray) -> float:
 
 
 def reference_solution(prob: QpProblem, cfg: SolverConfig | None = None) -> ReferenceSolution:
-    """Tight solve (eps = 1e-9, adaptive penalty, fixed relaxation 1.6)
+    """Tight solve (eps = 1e-9, adaptive penalty, fixed relaxation ``alpha0``)
     providing the primal-dual optimum used for training and verification."""
     if cfg is None:
         cfg = SolverConfig()

@@ -178,9 +178,8 @@ def cmd_train(args) -> int:
     tcfg_doc = dict(doc.get("config", {}))
     tcfg_doc.setdefault("seed", doc.get("seed", 0))
     tcfg = config_from_dict(tcfg_doc, TrainConfig)
-    # before any solve or write, so that a box not centred at 1.6 is refused first
-    ckpt0 = init_checkpoint(variant, seed=tcfg.seed, alpha_min=cfg.alpha_min,
-                            alpha_max=cfg.alpha_max, metadata={"family": family, "optimizer": "spsa"})
+    # before any solve or write, so that an unknown variant is refused first
+    ckpt0 = init_checkpoint(variant, seed=tcfg.seed, metadata={"family": family, "optimizer": "spsa"})
     store = args.store or "instances"
 
     def build(split_specs, split):
@@ -266,6 +265,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _positive_int(text: str) -> int:
+    """The type of a count flag: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _flag(*args, **kwargs) -> argparse.ArgumentParser:
     # A parent parser holding one flag that several commands share.
     p = argparse.ArgumentParser(add_help=False)
@@ -308,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--seed", type=int, help="override config seed, the drift runs' seed")
     p.add_argument("--store", help="instance store directory")
-    p.add_argument("--steps", type=int, default=200, help="recorded iterations per instance")
-    p.add_argument("--drift-iters", type=int, default=10000, dest="drift_iters")
+    p.add_argument("--steps", type=_positive_int, default=200, help="recorded iterations per instance")
+    p.add_argument("--drift-iters", type=_positive_int, default=10000, dest="drift_iters")
     p.add_argument("--out", help="verification JSON path")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)

@@ -313,7 +313,7 @@ def apply_policy(state: SolverState, policy, ctx, cfg: SolverConfig) -> SolverSt
 @dataclass
 class PolicyContext:
     """Solver-state snapshot handed to relaxation policies at stage boundaries;
-    ``res_prev`` holds the residuals of the previous stage boundary."""
+    ``res_prev`` holds the previous boundary's residuals, ``cfg`` the solve's config."""
 
     prob: QpProblem
     res: Residuals
@@ -323,10 +323,11 @@ class PolicyContext:
     z: np.ndarray
     y: np.ndarray
     iteration: int
+    cfg: SolverConfig
 
 
 def policy_context(
-    prob: QpProblem, state: SolverState, res: Residuals, res_prev: Residuals
+    prob: QpProblem, state: SolverState, res: Residuals, res_prev: Residuals, cfg: SolverConfig
 ) -> PolicyContext:
     """The policy's view of ``state`` at a stage boundary."""
     return PolicyContext(
@@ -338,6 +339,7 @@ def policy_context(
         z=state.z,
         y=state.y,
         iteration=state.iter,
+        cfg=cfg,
     )
 
 
@@ -388,7 +390,7 @@ def solve(
                 maybe_update_rho(state, res, prob, cfg)
             if policy is not None and state.iter % cfg.stage_length == 0:
                 t_query = time.perf_counter()
-                apply_policy(state, policy, policy_context(prob, state, res, stage_res), cfg)
+                apply_policy(state, policy, policy_context(prob, state, res, stage_res, cfg), cfg)
                 policy_seconds += time.perf_counter() - t_query
                 policy_queries += state.iter < cfg.freeze_iter
                 stage_res = res

@@ -2,7 +2,7 @@
 
 Two policy variants share one MLP architecture (input -> 64 -> 64 -> 1 with
 layer normalization and ELU after each hidden layer, sigmoid-scaled output
-in [alpha_min, alpha_max]):
+in the relaxation box of the config of the solve that queries it):
 
   * scalar: one forward pass on 6 solver-level features, broadcast to every
     constraint row;
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .engine import PolicyContext
+from .engine import PolicyContext, SolverConfig
 from .errors import InputError, PolicyError
 from .problem import QpProblem, Residuals, array_field, read_json_object, write_atomic
 
@@ -179,8 +179,6 @@ class PolicyCheckpoint:
     ln2_offset: np.ndarray
     w_out: np.ndarray
     b_out: float
-    alpha_min: float
-    alpha_max: float
     norm_stats: NormStats
     metadata: dict = field(default_factory=dict)
 
@@ -193,9 +191,6 @@ class PolicyCheckpoint:
                 raise InputError(
                     f"checkpoint field {name!r} has shape {np.shape(value)}, expected {shape}"
                 )
-        mid = 0.5 * (self.alpha_min + self.alpha_max)
-        if abs(mid - 1.6) > 1e-12:
-            raise InputError(f"relaxation box must be centered at 1.6, got midpoint {mid}")
 
     @property
     def input_dim(self) -> int:
@@ -205,14 +200,12 @@ class PolicyCheckpoint:
 def init_checkpoint(
     variant: str,
     seed: int = 0,
-    alpha_min: float = 1.25,
-    alpha_max: float = 1.95,
     norm_stats: NormStats | None = None,
     metadata: dict | None = None,
 ) -> PolicyCheckpoint:
     """Fresh checkpoint: fan-in-scaled uniform hidden weights (drawn in
     layout order), unit layer-norm gains, zero biases, offsets and output
-    layer, so the first prediction is exactly the box midpoint 1.6."""
+    layer, so every prediction is exactly the midpoint of the solve's box."""
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in param_shapes(variant).items():
@@ -228,8 +221,6 @@ def init_checkpoint(
         variant=variant,
         **params,
         b_out=0.0,
-        alpha_min=alpha_min,
-        alpha_max=alpha_max,
         norm_stats=norm_stats if norm_stats is not None else NormStats.identity(INPUT_DIMS[variant]),
         metadata=meta,
     )
@@ -273,13 +264,13 @@ def _hidden_layers(policy: "MlpPolicy", h: np.ndarray, t: np.ndarray, out: np.nd
     np.matmul(t, policy.w_out, out=out)
 
 
-def mlp_forward(policy: "MlpPolicy", phi: np.ndarray, rows: np.ndarray | None = None):
+def mlp_forward(policy: "MlpPolicy", cfg: SolverConfig, phi: np.ndarray, rows: np.ndarray | None = None):
     """Forward pass of ``policy`` on raw (unnormalized) features: ``phi`` the
     solver-level features, ``rows`` the vector variant's (m, 8) per-row
     features (None for the scalar variant).
 
-    Returns the relaxation values in [alpha_min, alpha_max]: an (m,) array
-    for the vector variant, a float for the scalar one.
+    Returns the relaxation values in the box of the solver config ``cfg``:
+    an (m,) array for the vector variant, a float for the scalar one.
     """
     n_row = 0 if rows is None else rows.shape[-1]
     if phi.shape != policy.mean_global.shape or n_row != policy.mean_rows.size:
@@ -307,8 +298,8 @@ def mlp_forward(policy: "MlpPolicy", phi: np.ndarray, rows: np.ndarray | None = 
             _hidden_layers(policy, hb, t[:k], out[r0 : r0 + k])
     out += policy.b_out
     expit(out, out=out)
-    out *= policy.alpha_span
-    out += policy.alpha_min
+    out *= cfg.alpha_max - cfg.alpha_min
+    out += cfg.alpha_min
     # Outputs are bounded unless NaN, so the sum is finite exactly when they all are.
     if not math.isfinite(np.add.reduce(out)):
         raise PolicyError("relaxation policy produced non-finite output")
@@ -361,19 +352,18 @@ class MlpPolicy:
             (root_width * ckpt.ln2_gain, ckpt.ln2_offset.copy()),
         )
         self.w_out, self.b_out = ckpt.w_out.copy(), ckpt.b_out
-        self.alpha_min, self.alpha_span = ckpt.alpha_min, ckpt.alpha_max - ckpt.alpha_min
 
     def propose(self, ctx: PolicyContext):
         phi, rows = policy_features(ctx, self.variant)
-        return self.predict(phi, rows, ctx.prob.m)
+        return self.predict(ctx.cfg, phi, rows, ctx.prob.m)
 
-    def predict(self, phi: np.ndarray, rows: np.ndarray | None, m: int):
-        """(per-row relaxation, decision-space relaxation) from raw features:
-        the scalar variant's one output broadcast over m rows, or the vector
-        variant's row outputs and their mean.  With no rows the vector
-        variant has no mean to give and returns None, which keeps the
-        current decision-space relaxation."""
-        out = mlp_forward(self, phi, rows)
+    def predict(self, cfg: SolverConfig, phi: np.ndarray, rows: np.ndarray | None, m: int):
+        """(per-row relaxation, decision-space relaxation) in ``cfg``'s box
+        from raw features: the scalar variant's one output broadcast over m
+        rows, or the vector variant's row outputs and their mean.  With no
+        rows the vector variant has no mean to give and returns None, which
+        keeps the current decision-space relaxation."""
+        out = mlp_forward(self, cfg, phi, rows)
         if rows is None:
             return np.full(m, out), out
         return out, float(np.add.reduce(out)) / out.size if out.size else None
@@ -405,8 +395,6 @@ def with_params(ckpt: PolicyCheckpoint, theta: np.ndarray) -> PolicyCheckpoint:
         variant=ckpt.variant,
         **out,
         b_out=b_out,
-        alpha_min=ckpt.alpha_min,
-        alpha_max=ckpt.alpha_max,
         norm_stats=ckpt.norm_stats,
         metadata=dict(ckpt.metadata),
     )
@@ -418,8 +406,6 @@ def checkpoint_to_dict(ckpt: PolicyCheckpoint) -> dict:
         "dims": [ckpt.input_dim, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
         **{f: getattr(ckpt, f).ravel().tolist() for f in _PARAM_FIELDS},
         "b_out": ckpt.b_out,
-        "alpha_min": ckpt.alpha_min,
-        "alpha_max": ckpt.alpha_max,
         "norm_mean": ckpt.norm_stats.mean.tolist(),
         "norm_std": ckpt.norm_stats.std.tolist(),
         "norm_source": ckpt.norm_stats.source,
@@ -428,14 +414,14 @@ def checkpoint_to_dict(ckpt: PolicyCheckpoint) -> dict:
 
 
 def checkpoint_from_dict(doc: dict) -> PolicyCheckpoint:
+    """The checkpoint of a JSON document, ignoring ``dims`` and the relaxation
+    box (``alpha_min``, ``alpha_max``) that files of older writers hold."""
     try:
         variant = doc["variant"]
         params = {f: array_field(doc, f, shape) for f, shape in param_shapes(variant).items()}
         d_in = (INPUT_DIMS[variant],)
         fields = dict(
             b_out=float(doc["b_out"]),
-            alpha_min=float(doc["alpha_min"]),
-            alpha_max=float(doc["alpha_max"]),
             norm_stats=NormStats(
                 mean=array_field(doc, "norm_mean", d_in),
                 std=array_field(doc, "norm_std", d_in),

@@ -151,7 +151,7 @@ def collect_norm_stats(instances: list, variant: str, cfg: SolverConfig, horizon
             if state.iter % cfg.stage_length != 0:
                 return
             if stage:
-                feats.append(policy_inputs(policy_context(prob, state, res, stage["res"]), variant))
+                feats.append(policy_inputs(policy_context(prob, state, res, stage["res"], cfg), variant))
             stage["res"] = res
 
         run_cfg = replace(cfg, max_iter=horizon)

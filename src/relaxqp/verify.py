@@ -358,8 +358,8 @@ def run_drift_experiment(
 
     Non-convergence within the horizon is a reported outcome, not an error.
     """
-    if min(schedule.theta_r.size, schedule.theta_gamma.size) < horizon:
-        raise InputError("schedule shorter than the requested horizon")
+    if not 0 <= horizon <= min(schedule.theta_r.size, schedule.theta_gamma.size):
+        raise InputError(f"drift horizon {horizon} is negative or longer than the schedule")
     rng = np.random.default_rng(seed)
     cfg = replace(cfg, adaptive_rho=False, max_iter=max(horizon, 1))
     state = init_state(prob, cfg)

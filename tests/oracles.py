@@ -134,9 +134,10 @@ def active_set_solution(prob: QpProblem, tol: float = 1e-9):
     return best
 
 
-def mlp_forward_loops(ckpt, x: np.ndarray) -> float:
+def mlp_forward_loops(ckpt, cfg, x: np.ndarray) -> float:
     """Scalar-loop forward pass matching the policy architecture, on one raw
-    (unnormalized) input vector: normalization, then the layers unfolded."""
+    (unnormalized) input vector: normalization, then the layers unfolded,
+    with the output scaled into the box of the solver config ``cfg``."""
 
     def layer(v, W, b, gain, offset):
         h = [sum(W[i][j] * v[j] for j in range(len(v))) + b[i] for i in range(len(W))]
@@ -151,7 +152,7 @@ def mlp_forward_loops(ckpt, x: np.ndarray) -> float:
     v = layer(v, ckpt.W2.tolist(), ckpt.b2.tolist(), ckpt.ln2_gain.tolist(), ckpt.ln2_offset.tolist())
     pre = sum(w * h for w, h in zip(ckpt.w_out.tolist(), v)) + ckpt.b_out
     sig = 1.0 / (1.0 + math.exp(-pre))
-    return ckpt.alpha_min + (ckpt.alpha_max - ckpt.alpha_min) * sig
+    return cfg.alpha_min + (cfg.alpha_max - cfg.alpha_min) * sig
 
 
 class RandomGammaPolicy:

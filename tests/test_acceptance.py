@@ -196,15 +196,18 @@ def test_criterion_5_reduction_equivalence():
 
 
 def test_criterion_6_policy_contract(trained_scalar):
-    """Untrained checkpoints predict exactly 1.6; outputs stay inside
-    [1.25, 1.95]; the vector policy is row-equivariant; a checkpoint trained
-    at n=50 evaluates unchanged at n=500."""
+    """Under the default config, untrained checkpoints predict exactly 1.6
+    and outputs stay inside [1.25, 1.95]; the vector policy is
+    row-equivariant; a checkpoint trained at n=50 evaluates unchanged at
+    n=500."""
+    cfg = SolverConfig()
     # exact midpoint at zero initialization, both variants
     ck_s = init_checkpoint("scalar", seed=0)
-    assert mlp_forward(policy_from_checkpoint(ck_s), np.random.default_rng(0).normal(size=6)) == 1.6
+    phi = np.random.default_rng(0).normal(size=6)
+    assert mlp_forward(policy_from_checkpoint(ck_s), cfg, phi) == 1.6
     ck_v = init_checkpoint("vector", seed=0)
     rows = np.random.default_rng(1).normal(size=(4, 8))
-    g, ax = policy_from_checkpoint(ck_v).predict(np.zeros(5), rows, 4)
+    g, ax = policy_from_checkpoint(ck_v).predict(cfg, np.zeros(5), rows, 4)
     assert np.all(g == 1.6) and ax == 1.6
 
     # saturation bounds
@@ -213,15 +216,15 @@ def test_criterion_6_policy_contract(trained_scalar):
     ck_wild = with_params(ck_v, theta + 3.0 * rng.standard_normal(theta.size))
     wild = policy_from_checkpoint(ck_wild)
     x = rng.normal(size=(256, 13))
-    outs = np.concatenate([mlp_forward(wild, xi[:5], xi[None, 5:]) for xi in x])
+    outs = np.concatenate([mlp_forward(wild, cfg, xi[:5], xi[None, 5:]) for xi in x])
     assert np.all(outs >= 1.25) and np.all(outs <= 1.95)
 
     # row equivariance
     phi = rng.normal(size=5)
     rows = rng.normal(size=(9, 8))
     perm = rng.permutation(9)
-    g1, _ = wild.predict(phi, rows, 9)
-    g2, _ = wild.predict(phi, rows[perm], 9)
+    g1, _ = wild.predict(cfg, phi, rows, 9)
+    g2, _ = wild.predict(cfg, phi, rows[perm], 9)
     np.testing.assert_allclose(g2, g1[perm], rtol=1e-13)
 
     # size transfer: the checkpoint trained at n=50 drives an n=500 solve

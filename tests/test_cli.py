@@ -262,9 +262,14 @@ class TestUsageErrors:
         (["solve", "--problem", "p.json", "--max-iter", "many"], "--max-iter"),
         (["train", "--manifest", "m.json", "--adaptive-rho", "maybe"], "--adaptive-rho"),
         (["verify"], "--manifest"),
+        (["verify", "--manifest", "m.json", "--steps", "0"], "--steps"),
+        (["verify", "--manifest", "m.json", "--drift-iters", "-5"], "--drift-iters"),
+        (["verify", "--manifest", "m.json", "--drift-iters", "0"], "--drift-iters"),
+        (["verify", "--manifest", "m.json", "--steps", "1.5"], "--steps"),
     ], ids=["solve_seed", "bench_seed", "train_seed", "bench_adaptive_rho",
             "verify_adaptive_rho", "verify_max_iter", "solve_policy", "unknown_flag",
-            "malformed_value", "invalid_choice", "missing_required"])
+            "malformed_value", "invalid_choice", "missing_required", "zero_steps",
+            "negative_drift_iters", "zero_drift_iters", "fractional_steps"])
     def test_exit_one_with_one_error_line(self, capsys, argv, named):
         assert main(argv) == 1
         out, err = capsys.readouterr()
@@ -548,10 +553,10 @@ class TestTrainCommand:
         assert [r["epoch"] for r in rows] == ["0", "1", "2"]  # the initial row, then one per epoch
         assert rows[0]["mean_train_loss"] == "" and all(r["mean_train_loss"] for r in rows[1:])
 
-    def _zero_epoch_run(self, tmp_path, config: dict):
+    def _zero_epoch_run(self, tmp_path, config: dict, variant="scalar"):
         man_path, cfg_path = tmp_path / "train.json", tmp_path / "cfg.json"
         man_path.write_text(json.dumps({
-            "family": "random_qp", "variant": "scalar",
+            "family": "random_qp", "variant": variant,
             "train_instances": [{"size": 10, "seed": s} for s in (1, 2)],
             "val_instances": [{"size": 10, "seed": 11}],
             "config": {"epochs": 0, "batch_size": 2},
@@ -570,15 +575,21 @@ class TestTrainCommand:
             expected = collect_norm_stats(probs, "scalar", cfg)
             assert np.array_equal(ck.norm_stats.mean, expected.mean) is same
 
-    def test_checkpoint_box_from_the_config(self, tmp_path):
-        assert self._zero_epoch_run(tmp_path, {"alpha_min": 1.3, "alpha_max": 1.9}) == 0
-        ck = load_checkpoint(tmp_path / "run" / "ckpt_iter.json")
-        assert (ck.alpha_min, ck.alpha_max) == (1.3, 1.9)
+    def test_checkpoint_box_from_the_config(self, tmp_path, random_problem_file, capsys):
+        # A checkpoint holds no relaxation box: it trains in any box the
+        # config takes, centred or not, and runs in the box of the solve.
+        assert self._zero_epoch_run(tmp_path, {"alpha_min": 1.0, "alpha_max": 1.9}) == 0
+        ck_path = tmp_path / "run" / "ckpt_iter.json"
+        assert not {"alpha_min", "alpha_max"} & set(json.loads(ck_path.read_text()))
+        capsys.readouterr()
+        argv = ["solve", "--problem", str(random_problem_file), "--checkpoint", str(ck_path),
+                "--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["policy_queries"] > 0
 
-    def test_off_centre_box_writes_nothing(self, tmp_path, capsys):
-        assert self._zero_epoch_run(tmp_path, {"alpha_max": 1.9}) == 1
-        err = capsys.readouterr().err
-        assert err == "relaxqp: error: relaxation box must be centered at 1.6, got midpoint 1.575\n"
+    def test_unknown_variant_writes_nothing(self, tmp_path, capsys):
+        assert self._zero_epoch_run(tmp_path, {}, variant="matrix") == 1
+        assert capsys.readouterr().err == "relaxqp: error: unknown policy variant 'matrix'\n"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json", "train.json"]
 
 

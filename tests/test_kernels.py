@@ -16,6 +16,7 @@ import pytest
 from scipy.special import expit
 
 from relaxqp.bench import FamilySpec, generate
+from relaxqp.engine import SolverConfig
 from relaxqp.policy import (
     FEATURE_CLAMP,
     FEATURE_EPS,
@@ -196,10 +197,10 @@ def layer_reference(x, W, b, gain, offset):
     return np.where(h > 0, h, np.expm1(h))
 
 
-def mlp_reference(ck, x):
+def mlp_reference(ck, cfg, x):
     h = layer_reference(x, ck.W1, ck.b1, ck.ln1_gain, ck.ln1_offset)
     h = layer_reference(h, ck.W2, ck.b2, ck.ln2_gain, ck.ln2_offset)
-    return ck.alpha_min + (ck.alpha_max - ck.alpha_min) * expit(h @ ck.w_out + ck.b_out)
+    return cfg.alpha_min + (cfg.alpha_max - cfg.alpha_min) * expit(h @ ck.w_out + ck.b_out)
 
 
 def random_checkpoint(variant: str, seed: int):
@@ -217,13 +218,13 @@ class TestMlpLayerNorm:
     def test_equal_to_mean_var_formula(self, variant, shape, seed):
         ck = random_checkpoint(variant, seed)
         x = np.random.default_rng(100 + seed).standard_normal(shape) * 3.0
-        policy = policy_from_checkpoint(ck)
+        policy, cfg = policy_from_checkpoint(ck), SolverConfig()
         if variant == "scalar":
-            got = mlp_forward(policy, x)
+            got = mlp_forward(policy, cfg, x)
         else:
             x[:, :5] = x[0, :5]  # one query: the solver-level features are shared
-            got = mlp_forward(policy, x[0, :5], x[:, 5:])
-        want = mlp_reference(ck, x)
+            got = mlp_forward(policy, cfg, x[0, :5], x[:, 5:])
+        want = mlp_reference(ck, cfg, x)
         assert np.shape(got) == np.shape(want)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         if len(shape) == 2 and shape[0] > 1:

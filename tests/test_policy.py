@@ -38,6 +38,7 @@ from relaxqp.problem import QpProblem, Residuals
 from oracles import mlp_forward_loops
 
 INF = np.inf
+CFG = SolverConfig()  # the default relaxation box, [1.25, 1.95]
 
 
 def res_of(rp_inf, rd_inf):
@@ -46,7 +47,7 @@ def res_of(rp_inf, rd_inf):
 
 def predict_rows(ck, phi, rows):
     """Vector-policy output for solver-level features phi and per-row features."""
-    return policy_from_checkpoint(ck).predict(phi, rows, len(rows))
+    return policy_from_checkpoint(ck).predict(CFG, phi, rows, len(rows))
 
 
 def perturbed_vector_checkpoint(seed):
@@ -160,17 +161,21 @@ class TestNormStats:
 class TestMlpForward:
     def test_zero_output_layer_gives_exact_midpoint(self):
         ck = init_checkpoint("scalar", seed=0)
-        out = mlp_forward(policy_from_checkpoint(ck), np.linspace(-1, 1, 6))
+        out = mlp_forward(policy_from_checkpoint(ck), CFG, np.linspace(-1, 1, 6))
         assert out == 1.6
+        # of whichever box the querying config has
+        off_centre = SolverConfig(alpha0=1.5, alpha_min=1.0, alpha_max=1.9)
+        out = mlp_forward(policy_from_checkpoint(ck), off_centre, np.linspace(-1, 1, 6))
+        assert out == 1.0 + 0.5 * (1.9 - 1.0)
 
     def test_saturation_never_exceeds_box(self):
         ck = init_checkpoint("scalar", seed=1)
         ck.b_out = 1e3
-        out = mlp_forward(policy_from_checkpoint(ck), np.zeros(6))
+        out = mlp_forward(policy_from_checkpoint(ck), CFG, np.zeros(6))
         assert out == pytest.approx(1.95)
         assert out <= 1.95
         ck.b_out = -1e3
-        assert mlp_forward(policy_from_checkpoint(ck), np.zeros(6)) >= 1.25
+        assert mlp_forward(policy_from_checkpoint(ck), CFG, np.zeros(6)) >= 1.25
 
     @pytest.mark.parametrize("variant,dim", [("scalar", 6), ("vector", 13)])
     def test_matches_loop_oracle(self, variant, dim):
@@ -182,10 +187,10 @@ class TestMlpForward:
         for _ in range(5):
             x = rng.standard_normal(dim)
             if variant == "scalar":
-                got = mlp_forward(policy, x)
+                got = mlp_forward(policy, CFG, x)
             else:
-                got = float(mlp_forward(policy, x[:5], x[None, 5:])[0])
-            want = mlp_forward_loops(ck, x)
+                got = float(mlp_forward(policy, CFG, x[:5], x[None, 5:])[0])
+            want = mlp_forward_loops(ck, CFG, x)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_bad_input_dim(self):
@@ -199,7 +204,7 @@ class TestMlpForward:
             (vector, np.zeros(5), np.zeros((2, 7))),
         ]:
             with pytest.raises(InputError):
-                mlp_forward(policy, phi, rows)
+                mlp_forward(policy, CFG, phi, rows)
 
 
 def fitted_checkpoint(variant, seed):
@@ -237,16 +242,16 @@ class TestFoldedForward:
         rng = np.random.default_rng(100 + seed)
         for _ in range(5):
             phi, _ = raw_inputs(ck, rng, 0)
-            got = mlp_forward(policy, phi)
+            got = mlp_forward(policy, CFG, phi)
             assert isinstance(got, float)
-            assert got == pytest.approx(mlp_forward_loops(ck, phi), rel=1e-12, abs=0)
+            assert got == pytest.approx(mlp_forward_loops(ck, CFG, phi), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m", [0, 1, 255, 256, 257, 2600])
     def test_vector_variant_across_row_blocks(self, m):
         ck = fitted_checkpoint("vector", m)
         rng = np.random.default_rng(200 + m)
         phi, rows = raw_inputs(ck, rng, m)
-        out = mlp_forward(policy_from_checkpoint(ck), phi, rows)
+        out = mlp_forward(policy_from_checkpoint(ck), CFG, phi, rows)
         assert out.shape == (m,)
         # Every row up to 257, and at m = 2600 the first and last rows of every
         # block plus a sample: the loop oracle takes ~0.4 ms a row.
@@ -255,7 +260,7 @@ class TestFoldedForward:
         check |= {i for b in range(0, m, step) for i in (b, b + 1, b + step - 1)}
         check |= set(rng.choice(m, size=min(m, 40), replace=False).tolist())
         for i in sorted(i for i in check if i < m):
-            want = mlp_forward_loops(ck, np.concatenate((phi, rows[i])))
+            want = mlp_forward_loops(ck, CFG, np.concatenate((phi, rows[i])))
             assert out[i] == pytest.approx(want, rel=1e-12, abs=0), i
 
     def test_floor_std_feature_far_from_zero(self):
@@ -268,9 +273,9 @@ class TestFoldedForward:
         ck = dataclasses.replace(ck, norm_stats=NormStats(mean, std))
         rng = np.random.default_rng(5)
         phi, rows = raw_inputs(ck, rng, 64)
-        out = mlp_forward(policy_from_checkpoint(ck), phi, rows)
+        out = mlp_forward(policy_from_checkpoint(ck), CFG, phi, rows)
         for i in range(64):
-            want = mlp_forward_loops(ck, np.concatenate((phi, rows[i])))
+            want = mlp_forward_loops(ck, CFG, np.concatenate((phi, rows[i])))
             assert out[i] == pytest.approx(want, rel=1e-12, abs=0), i
 
     def test_checkpoint_edits_after_building_are_not_seen(self):
@@ -279,12 +284,12 @@ class TestFoldedForward:
         ck = perturbed_vector_checkpoint(3)
         policy = policy_from_checkpoint(ck)
         rows = np.random.default_rng(3).standard_normal((4, ROW_FEATURES))
-        before = mlp_forward(policy, np.zeros(5), rows)
+        before = mlp_forward(policy, CFG, np.zeros(5), rows)
         for name in param_shapes("vector"):
             getattr(ck, name)[...] = 0.0
         ck.norm_stats.mean[...] = 1.0
         ck.b_out = 5.0
-        assert np.array_equal(mlp_forward(policy, np.zeros(5), rows), before)
+        assert np.array_equal(mlp_forward(policy, CFG, np.zeros(5), rows), before)
 
     def test_query_holds_no_m_by_hidden_array(self):
         prob = generate(FamilySpec("mpc", 100, 1))
@@ -294,7 +299,7 @@ class TestFoldedForward:
         seen = []
         solve(prob, cfg, observer=lambda state, res: seen.append((state, res)))
         (_, res_prev), (state, res) = seen[-11], seen[-1]
-        ctx = policy_context(prob, state, res, res_prev)
+        ctx = policy_context(prob, state, res, res_prev, cfg)
         policy.propose(ctx)
         tracemalloc.start()
         try:
@@ -328,7 +333,7 @@ class TestElu:
 class TestPolicySteps:
     def test_scalar_broadcast(self):
         ck = init_checkpoint("scalar", seed=0)
-        gamma, ax = policy_from_checkpoint(ck).predict(np.zeros(6), None, 7)
+        gamma, ax = policy_from_checkpoint(ck).predict(CFG, np.zeros(6), None, 7)
         assert gamma.shape == (7,)
         assert np.all(gamma == ax)
 
@@ -394,9 +399,19 @@ class TestSizeTransfer:
 
 
 class TestCheckpointFormat:
-    def test_invariants_enforced(self):
-        with pytest.raises(InputError):
-            init_checkpoint("scalar", alpha_min=1.0, alpha_max=1.9)
+    def test_document_with_a_box_loads_alike(self):
+        # Files written when checkpoints carried a relaxation box hold
+        # alpha_min/alpha_max; the reader ignores them, and the policy maps
+        # into the querying config's box.
+        ck = perturbed_vector_checkpoint(13)
+        doc = checkpoint_to_dict(ck)
+        old = {**doc, "alpha_min": 1.3, "alpha_max": 1.9}
+        rng = np.random.default_rng(13)
+        phi, rows = rng.standard_normal(5), rng.standard_normal((7, ROW_FEATURES))
+        for cfg in (CFG, SolverConfig(alpha_min=1.5, alpha_max=1.7)):
+            want, want_x = policy_from_checkpoint(checkpoint_from_dict(doc)).predict(cfg, phi, rows, 7)
+            got, got_x = policy_from_checkpoint(checkpoint_from_dict(old)).predict(cfg, phi, rows, 7)
+            assert got.tobytes() == want.tobytes() and got_x == want_x
 
     def test_json_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -434,9 +449,10 @@ class TestCheckpointFormat:
     def test_dict_contains_schema_fields(self):
         doc = checkpoint_to_dict(init_checkpoint("scalar", seed=0))
         for key in ("variant", "dims", "W1", "b1", "ln1_gain", "ln1_offset", "W2",
-                    "b2", "ln2_gain", "ln2_offset", "w_out", "b_out", "alpha_min",
-                    "alpha_max", "norm_mean", "norm_std", "metadata"):
+                    "b2", "ln2_gain", "ln2_offset", "w_out", "b_out", "norm_mean",
+                    "norm_std", "metadata"):
             assert key in doc
+        assert "alpha_min" not in doc and "alpha_max" not in doc
         assert doc["dims"] == [6, 64, 64, 1]
 
     def test_malformed_rejected(self):
@@ -480,9 +496,7 @@ def checkpoints(draw):
     stats = NormStats(mean=np.array(draw(st.lists(weights, min_size=d_in, max_size=d_in))),
                       std=np.array(draw(st.lists(weights, min_size=d_in, max_size=d_in))),
                       source=draw(st.text(max_size=5)))
-    half = draw(st.floats(0.0, 0.6))
-    return dataclasses.replace(with_params(ck, theta), norm_stats=stats,
-                               alpha_min=1.6 - half, alpha_max=1.6 + half)
+    return dataclasses.replace(with_params(ck, theta), norm_stats=stats)
 
 
 class TestCheckpointProperties:
@@ -499,8 +513,6 @@ class TestCheckpointProperties:
         assert again.norm_stats.mean.tobytes() == ck.norm_stats.mean.tobytes()
         assert again.norm_stats.std.tobytes() == ck.norm_stats.std.tobytes()
         assert again.norm_stats.source == ck.norm_stats.source
-        assert np.array([again.alpha_min, again.alpha_max]).tobytes() == (
-            np.array([ck.alpha_min, ck.alpha_max]).tobytes())
         assert again.metadata == ck.metadata
 
 
@@ -513,6 +525,31 @@ class TestEnginePolicyIntegration:
         rep_fixed = solve(prob, cfg, policy=FixedPolicy(1.6))
         assert rep_policy.iterations == rep_fixed.iterations
         assert_allclose(rep_policy.x, rep_fixed.x, rtol=0, atol=0)
+
+    def test_proposals_lie_in_the_config_box(self):
+        # The policy maps into the box of the solve that queries it, so
+        # apply_policy's clip stores every proposal unchanged.
+        prob = generate(FamilySpec("svm", 10, 1))
+        cfg = SolverConfig(alpha_min=1.5, alpha_max=1.7)
+        policy = policy_from_checkpoint(perturbed_vector_checkpoint(20240601))
+        proposals, stored = {}, {}
+
+        class Recording:
+            def propose(self, ctx):
+                proposals[ctx.iteration] = policy.propose(ctx)
+                return proposals[ctx.iteration]
+
+        def observer(state, res):
+            stored[state.iter] = (state.Gamma, state.alpha_x)
+
+        rep = solve(prob, cfg, policy=Recording(), observer=observer)
+        assert rep.policy_queries == len(proposals) > 1
+        gammas = np.concatenate([g for g, _ in proposals.values()])
+        assert np.all((gammas >= 1.5) & (gammas <= 1.7)) and np.ptp(gammas) > 0.01
+        for k, (gamma, alpha_x) in proposals.items():
+            # the relaxation iteration k + 1 ran with is what apply_policy stored at k
+            assert stored[k + 1][0].tobytes() == gamma.tobytes()
+            assert stored[k + 1][1] == alpha_x
 
     def test_shared_vector_policy_matches_fresh_policy(self):
         # Row norms belong to the problem: one policy object reused across

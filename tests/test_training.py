@@ -232,7 +232,6 @@ class TestTrain:
         ck = res.ckpt_iter
         assert ck.W1.shape == (64, 6)
         assert ck.W2.shape == (64, 64)
-        assert 0.5 * (ck.alpha_min + ck.alpha_max) == pytest.approx(1.6)
         assert ck.metadata["selection"] == "iter"
 
     def test_stage_length_from_the_solver_config(self, monkeypatch):

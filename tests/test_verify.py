@@ -373,6 +373,11 @@ class TestBlocksMatchPerStep:
         with pytest.raises(InputError):
             run_drift_experiment(prob, sch, 10, SolverConfig(), 0.0)
 
+    def test_negative_horizon_is_an_input_error(self):
+        prob = random_box_qp(np.random.default_rng(31), 4, 3)
+        with pytest.raises(InputError, match="drift horizon -5 is negative"):
+            run_drift_experiment(prob, DriftSchedule.zero(10), -5, SolverConfig(), 0.0)
+
     @pytest.mark.parametrize("m", [0, 1, 5, 23, 150])
     @pytest.mark.parametrize("iterations", [1, 7])
     def test_one_bulk_draw_is_the_per_call_draws(self, m, iterations):
