@@ -513,6 +513,36 @@ class TestFileProperties:
         assert same_bits(loaded, replace(prob, l=sentinel(prob.l), u=sentinel(prob.u)))
 
 
+def binary(raw: bytes) -> dict:
+    return {OLD_BINARY_KEY: base64.b64encode(raw).decode("ascii")}
+
+
+# Binary array objects for the field "q" of a 2-variable problem, well-formed
+# or not, as files written before q had a sidecar hold them.  None is decoded.
+MALFORMED_Q = {
+    "bad_base64": {OLD_BINARY_KEY: "not base64!"},
+    "not_zlib": binary(b"plain bytes, no zlib header"),
+    "too_short": binary(zlib.compress(np.ones(1).tobytes())),
+    "too_long": binary(zlib.compress(np.ones(3).tobytes())),
+    "inflation_bomb": binary(zlib.compress(bytes(10_000_000), 9)),
+    "truncated_stream": binary(zlib.compress(np.ones(2).tobytes())[:-3]),
+    "trailing_bytes": binary(zlib.compress(np.ones(2).tobytes()) + b"extra"),
+    "wrong_key": {"f4_raw": ""},
+    "not_text": {OLD_BINARY_KEY: 12},
+}
+
+
+class TestMalformedBinary:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_Q))
+    def test_input_error_names_field(self, tmp_path, case):
+        doc = saved_doc(QpProblem(P=np.eye(2), q=np.zeros(2), A=np.ones((1, 2)),
+                                  l=-np.ones(1), u=np.ones(1)), tmp_path)
+        doc["q"] = MALFORMED_Q[case]
+        fault = r"field 'q' is not a sidecar object \('f8le_file'\) .* must be regenerated"
+        with pytest.raises(InputError, match=fault):
+            problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
+
+
 def _delete(f: Path) -> str:
     f.unlink()
     return f.name
