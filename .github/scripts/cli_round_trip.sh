@@ -12,11 +12,12 @@
 #
 # Then a checkpoint round trip on random_qp_n10: a 0-epoch train in a config
 # whose relaxation box [1.0, 1.9] is not centred at 1.6 writes the initial
-# checkpoint, which holds no box; solve --checkpoint runs it in that config
-# (exit 0, policy_queries > 0), and two bench --checkpoint runs in the default
-# config give the same columns.  Last, two usage errors exit 1 with one error
-# line: bench --adaptive-rho off, a flag bench does not take, and verify
-# --drift-iters -1.
+# checkpoint, which holds neither a box nor dims; solve --checkpoint runs it
+# in that config (exit 0, policy_queries > 0), and two bench --checkpoint runs
+# in the default config give the same columns.  Last, five refused inputs
+# exit 1 with one error line: bench --adaptive-rho off, a flag bench does not
+# take, verify --drift-iters -1, solve --max-iter 0, bench --jobs 0 and a
+# training manifest with a misspelt key.
 #
 # Run from the repository root: bash .github/scripts/cli_round_trip.sh
 set -euo pipefail
@@ -64,7 +65,7 @@ JSON
 echo '{"alpha_min": 1.0, "alpha_max": 1.9}' > "$d/box.json"
 python -m relaxqp.cli train --manifest "$d/train.json" --store "$d/t" --out "$d/run" --config "$d/box.json"
 ck="$d/run/ckpt_iter.json"
-python -c 'import json, sys; doc = json.load(open(sys.argv[1])); assert "alpha_min" not in doc' "$ck"
+python -c 'import json, sys; doc = json.load(open(sys.argv[1])); assert not {"alpha_min", "dims"} & set(doc)' "$ck"
 echo '{"specs": [{"family": "random_qp", "size": 10, "seed": 21}]}' > "$d/m.json"
 for run in 1 2; do
   python -m relaxqp.cli bench --manifest "$d/m.json" --store "$d/s" --checkpoint "$ck" --out "$d/c$run.csv"
@@ -77,7 +78,7 @@ python -c 'import json, sys; q = json.load(open(sys.argv[1]))["policy_queries"];
 
 # Runs the command after $1, which must exit 1 with one error line, the last
 # one, matching $1.
-expect_usage_error() {
+expect_error() {
   local want=$1 rc=0
   shift
   "$@" > /dev/null 2> "$d/err.txt" || rc=$?
@@ -88,8 +89,16 @@ expect_usage_error() {
     exit 1
   fi
 }
-expect_usage_error "^relaxqp: error: unrecognized arguments: --adaptive-rho off$" \
+expect_error "^relaxqp: error: unrecognized arguments: --adaptive-rho off$" \
   python -m relaxqp.cli bench --manifest "$d/m.json" --store "$d/s" --adaptive-rho off
-expect_usage_error "^relaxqp: error: argument --drift-iters: must be at least 1, got -1$" \
+expect_error "^relaxqp: error: argument --drift-iters: must be at least 1, got -1$" \
   python -m relaxqp.cli verify --manifest "$d/m.json" --store "$d/s" --drift-iters -1
+expect_error "^relaxqp: error: argument --max-iter: must be at least 1, got 0$" \
+  python -m relaxqp.cli solve --problem "$d/s/random_qp/size10/seed21/problem.json" --max-iter 0
+expect_error "^relaxqp: error: argument --jobs: must be at least 1, got 0$" \
+  python -m relaxqp.cli bench --manifest "$d/m.json" --store "$d/s" --jobs 0
+sed 's/"variant"/"varient"/' "$d/train.json" > "$d/misspelt.json"
+expect_error "^relaxqp: error: training manifest .*: unknown fields \['varient'\]$" \
+  python -m relaxqp.cli train --manifest "$d/misspelt.json" --store "$d/t" --out "$d/run2"
+test ! -e "$d/run2"
 echo "CLI round trip passed"

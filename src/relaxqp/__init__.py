@@ -33,7 +33,6 @@ from .policy import (
     save_checkpoint,
 )
 from .problem import (
-    ConstraintKind,
     QpProblem,
     Residuals,
     classify,
@@ -49,7 +48,6 @@ from .verify import DriftSchedule, check_descent, reconstruct_drs, run_drift_exp
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstraintKind",
     "DivergenceError",
     "DriftSchedule",
     "FamilySpec",

@@ -167,17 +167,22 @@ def cmd_bench(args) -> int:
 
 def cmd_train(args) -> int:
     doc = read_json_object(args.manifest, "training manifest")
+    where = f"training manifest {args.manifest}"
+    unknown = sorted(set(doc) - {"family", "variant", "config", "train_instances", "val_instances"})
+    if unknown:
+        raise InputError(f"{where}: unknown fields {unknown}")
     missing = [k for k in ("family", "train_instances", "val_instances") if k not in doc]
     if missing:
-        raise InputError(f"training manifest {args.manifest} lacks fields {missing}")
+        raise InputError(f"{where} lacks fields {missing}")
+    for key in ("train_instances", "val_instances"):
+        if not (isinstance(doc[key], list) and all(isinstance(d, dict) for d in doc[key])):
+            raise InputError(f"{where}: field {key!r} must be a list of objects")
+    if not isinstance(doc.get("config", {}), dict):
+        raise InputError(f"{where}: field 'config' must be an object")
     cfg = _load_cfg(args)
     family = doc["family"]
     variant = doc.get("variant", "scalar")
-    if not isinstance(doc.get("config", {}), dict):
-        raise InputError(f"training manifest {args.manifest}: field 'config' must be an object")
-    tcfg_doc = dict(doc.get("config", {}))
-    tcfg_doc.setdefault("seed", doc.get("seed", 0))
-    tcfg = config_from_dict(tcfg_doc, TrainConfig)
+    tcfg = config_from_dict(doc.get("config", {}), TrainConfig)
     # before any solve or write, so that an unknown variant is refused first
     ckpt0 = init_checkpoint(variant, seed=tcfg.seed, metadata={"family": family, "optimizer": "spsa"})
     store = args.store or "instances"
@@ -288,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     config = _flag("--config", help="solver config JSON file")
-    max_iter = _flag("--max-iter", type=int, dest="max_iter", help="override max iterations")
+    max_iter = _flag("--max-iter", type=_positive_int, dest="max_iter",
+                     help="override max iterations")
     adaptive_rho = _flag("--adaptive-rho", choices=("on", "off"), dest="adaptive_rho",
                          help="override penalty adaptation")
 
@@ -304,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", action="append", help="policy checkpoint (repeatable)")
     p.add_argument("--store", help="instance store directory")
     p.add_argument("--out", help="results CSV path")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("train", parents=[config, max_iter, adaptive_rho],
@@ -321,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=200, help="recorded iterations per instance")
     p.add_argument("--drift-iters", type=_positive_int, default=10000, dest="drift_iters")
     p.add_argument("--out", help="verification JSON path")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_verify)
     return ap
 

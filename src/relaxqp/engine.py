@@ -9,12 +9,12 @@ One iteration, starting from (x_k, z_k, y_k):
     z_{k+1} = clip(w + y_k/rho, l, u)
     y_{k+1} = y_k + rho * (w - z_{k+1})
 
-where rho is the per-constraint penalty vector (entries rho for inequality
-rows, 1e3*rho for equality rows) and g the per-constraint relaxation vector.
-The penalty changes only through the residual-balancing heuristic, which
-triggers a refactorization; the relaxation vector can change freely at stage
-boundaries without touching the factorization.  The first line is OSQP's
-reduced form of the quasi-definite KKT system
+where rho is the per-constraint penalty vector (entries 1e3*rho on equality
+rows, l == u finite, and rho on the rest) and g the per-constraint
+relaxation vector.  The penalty changes only through the residual-balancing
+heuristic, which triggers a refactorization; the relaxation vector can
+change freely at stage boundaries without touching the factorization.  The
+first line is OSQP's reduced form of the quasi-definite KKT system
 [[P + sigma*I, A'], [A, -diag(1/rho)]] [xt; nu] = [sigma*x_k - q; z_k - y_k/rho]
 (see :mod:`relaxqp.linalg`); its matrix is positive definite and its factor
 is cached.  Every factorization assembles the matrix through the problem's
@@ -44,7 +44,6 @@ import numpy as np
 from .errors import DivergenceError, InputError, PolicyError
 from .linalg import LdltFactor, assemble_kkt, ldlt_factor, ldlt_solve
 from .problem import (
-    ConstraintKind,
     QpProblem,
     Residuals,
     objective,
@@ -122,11 +121,11 @@ def load_config(path) -> SolverConfig:
     return config_from_dict(read_json_object(path, "config file"))
 
 
-def rho_pattern(kinds: np.ndarray, rho: float) -> np.ndarray:
-    """Per-constraint penalty: rho on inequality/loose rows, 1e3*rho on
-    equality rows, all clamped to [RHO_MIN, RHO_MAX]."""
-    vals = np.full(kinds.shape, rho, dtype=np.float64)
-    vals[kinds == ConstraintKind.EQUALITY] = EQUALITY_RHO_FACTOR * rho
+def rho_pattern(equality: np.ndarray, rho: float) -> np.ndarray:
+    """Per-constraint penalty: 1e3*rho on the rows of the equality mask, rho
+    on the rest, all clamped to [RHO_MIN, RHO_MAX]."""
+    vals = np.full(equality.shape, rho, dtype=np.float64)
+    vals[equality] = EQUALITY_RHO_FACTOR * rho
     return np.clip(vals, RHO_MIN, RHO_MAX)
 
 
@@ -197,7 +196,7 @@ def init_state(prob: QpProblem, cfg: SolverConfig) -> SolverState:
 
     A singular KKT system surfaces as a setup-time SingularKktError.
     """
-    r_vals = rho_pattern(prob.kinds, cfg.rho0)
+    r_vals = rho_pattern(prob.equality, cfg.rho0)
     kkt = _factor_kkt(prob, cfg, r_vals)
     gamma = np.full(prob.m, cfg.alpha0, dtype=np.float64)
     return SolverState(
@@ -280,7 +279,7 @@ def maybe_update_rho(
     ratio = candidate / state.rho_scalar
     if ratio >= RHO_TRIGGER_FACTOR or 1.0 / ratio >= RHO_TRIGGER_FACTOR:
         state.rho_scalar = candidate
-        state.R = rho_pattern(prob.kinds, candidate)
+        state.R = rho_pattern(prob.equality, candidate)
         refactor(state, prob, cfg)
         state.rho_updates += 1
         return state, True

@@ -59,7 +59,7 @@ _ONES = np.ones((HIDDEN_WIDTH, 1))  # row sums as a matrix product, into a colum
 def param_shapes(variant: str) -> dict:
     """Shapes of a variant's MLP parameters, in the order used for SPSA
     flattening and for the checkpoint's JSON keys (``b_out`` follows)."""
-    if variant not in INPUT_DIMS:
+    if not (isinstance(variant, str) and variant in INPUT_DIMS):  # a list is unhashable
         raise InputError(f"unknown policy variant {variant!r}")
     h = HIDDEN_WIDTH
     return {
@@ -191,10 +191,6 @@ class PolicyCheckpoint:
                 raise InputError(
                     f"checkpoint field {name!r} has shape {np.shape(value)}, expected {shape}"
                 )
-
-    @property
-    def input_dim(self) -> int:
-        return self.W1.shape[1]
 
 
 def init_checkpoint(
@@ -403,7 +399,6 @@ def with_params(ckpt: PolicyCheckpoint, theta: np.ndarray) -> PolicyCheckpoint:
 def checkpoint_to_dict(ckpt: PolicyCheckpoint) -> dict:
     return {
         "variant": ckpt.variant,
-        "dims": [ckpt.input_dim, HIDDEN_WIDTH, HIDDEN_WIDTH, 1],
         **{f: getattr(ckpt, f).ravel().tolist() for f in _PARAM_FIELDS},
         "b_out": ckpt.b_out,
         "norm_mean": ckpt.norm_stats.mean.tolist(),

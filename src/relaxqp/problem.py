@@ -59,7 +59,6 @@ import re
 import uuid
 import zlib
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
@@ -79,15 +78,8 @@ PSD_SHIFT = 1e-9
 PROBE_BLOCK = 1 << 18  # entries of P per block of the symmetry test
 
 
-class ConstraintKind(IntEnum):
-    EQUALITY = 0
-    INEQUALITY = 1
-    LOOSE = 2
-
-
 def classify(l: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Tag each constraint row as equality (l == u, finite), loose (both
-    bounds infinite) or inequality (everything else)."""
+    """The equality mask of the bounds: True on the rows with l == u finite."""
     l = np.asarray(l, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if l.shape != u.shape:
@@ -97,10 +89,7 @@ def classify(l: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise InfeasibleBoundsError(
             f"lower bound exceeds upper bound at rows {bad.tolist()[:10]}"
         )
-    kinds = np.full(l.shape, ConstraintKind.INEQUALITY, dtype=np.int8)
-    kinds[(l == u) & np.isfinite(l)] = ConstraintKind.EQUALITY
-    kinds[np.isneginf(l) & np.isposinf(u)] = ConstraintKind.LOOSE
-    return kinds
+    return (l == u) & np.isfinite(l)
 
 
 @dataclass(frozen=True)
@@ -118,6 +107,7 @@ class QpProblem:
     l, u : (m,) lower/upper bounds, possibly infinite.
     name : human-readable identifier.
     seed : generator seed the instance was built from (0 for hand-made data).
+    equality : (m,) bool mask of the rows with l == u finite (:func:`classify`).
     kkt_backend : ``"dense"`` or ``"sparse"``, the linear-algebra backend of
         every solve of this problem (see :func:`relaxqp.linalg.pick_backend`).
     operators : (A, A', P) in the storage of ``kkt_backend``: CSR matrices
@@ -172,7 +162,7 @@ class QpProblem:
             raise InputError("P, q, A must be finite")
         if np.any(np.isnan(l)) or np.any(np.isnan(u)):
             raise InputError("bounds must not contain NaN")
-        kinds = classify(l, u)  # also rejects l > u
+        equality = classify(l, u)  # also rejects l > u
         # A zero row can only carry bounds that admit Ax = 0.
         for i in np.nonzero(zero_row)[0]:
             if l[i] > 0.0 or u[i] < 0.0:
@@ -184,7 +174,7 @@ class QpProblem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "equality", equality)
         object.__setattr__(self, "kkt_backend", backend)
         object.__setattr__(self, "operators", operators)
 
@@ -212,7 +202,7 @@ class QpProblem:
         of this problem, computed by its first KKT assembly (see
         :mod:`relaxqp.linalg`)."""
         A, _, P = self.operators
-        return KktTerms(P, A, self.kinds == ConstraintKind.EQUALITY)
+        return KktTerms(P, A, self.equality)
 
     @cached_property
     def q_norm(self) -> float:

@@ -84,7 +84,6 @@ class TrainConfig:
 
 @dataclass
 class RolloutRecord:
-    instance: str
     losses: list
     total_loss: float
     iterations: int
@@ -105,7 +104,7 @@ def rollout(
     stage against the reference optimum.  A diverging run is scored with the
     per-stage cap instead of raising."""
     if horizon == 0:
-        return RolloutRecord(prob.name, [], 0.0, 0, 0, False)
+        return RolloutRecord([], 0.0, 0, 0, False)
     t = cfg.stage_length
     snapshots: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -120,7 +119,7 @@ def rollout(
         n_stages = max(horizon // t, 1)
         cap = shaping(DIVERGENCE_STAGE_CAP)
         losses = [cap] * n_stages
-        return RolloutRecord(prob.name, losses, cap * n_stages, horizon, 0, False)
+        return RolloutRecord(losses, cap * n_stages, horizon, 0, False)
 
     if report.iterations % t != 0:  # the final iterate closes a partial stage
         snapshots.append((report.x, report.y))
@@ -129,7 +128,6 @@ def rollout(
         for (x0, y0), (x1, y1) in zip(snapshots[:-1], snapshots[1:])
     ]
     return RolloutRecord(
-        instance=prob.name,
         losses=losses,
         total_loss=float(sum(losses)),
         iterations=report.iterations,

@@ -309,28 +309,25 @@ def record_trajectory(prob: QpProblem, cfg: SolverConfig, n_steps: int, policy=N
 
 @dataclass(frozen=True)
 class DriftSchedule:
-    """Per-step relative drift magnitudes for the penalty and relaxation."""
+    """Per-step relative drift magnitude theta_k of the penalty and the
+    relaxation alike."""
 
-    theta_r: np.ndarray
-    theta_gamma: np.ndarray
-    description: str
-    summable: bool
+    theta: np.ndarray
 
     @classmethod
     def zero(cls, horizon: int) -> "DriftSchedule":
-        z = np.zeros(horizon)
-        return cls(z, z.copy(), "constant parameters (theta = 0)", True)
+        return cls(np.zeros(horizon))
 
     @classmethod
     def inverse_square(cls, horizon: int, scale: float = 0.5) -> "DriftSchedule":
+        """Summable drift scale/(k+1)^2."""
         k = np.arange(horizon, dtype=np.float64)
-        t = scale / (k + 1.0) ** 2
-        return cls(t, t.copy(), f"summable drift {scale}/(k+1)^2", True)
+        return cls(scale / (k + 1.0) ** 2)
 
     @classmethod
     def constant(cls, horizon: int, level: float = 0.5) -> "DriftSchedule":
-        t = np.full(horizon, level)
-        return cls(t, t.copy(), f"non-summable constant drift {level}", False)
+        """Non-summable drift: theta_k = level at every step."""
+        return cls(np.full(horizon, level))
 
 
 @dataclass(frozen=True)
@@ -358,7 +355,7 @@ def run_drift_experiment(
 
     Non-convergence within the horizon is a reported outcome, not an error.
     """
-    if not 0 <= horizon <= min(schedule.theta_r.size, schedule.theta_gamma.size):
+    if not 0 <= horizon <= schedule.theta.size:
         raise InputError(f"drift horizon {horizon} is negative or longer than the schedule")
     rng = np.random.default_rng(seed)
     cfg = replace(cfg, adaptive_rho=False, max_iter=max(horizon, 1))
@@ -369,18 +366,17 @@ def run_drift_experiment(
     gap_hist = np.empty(horizon)
     converged = False
     iterations = horizon
-    # Each iteration draws m signs for R if theta_r > 0, then m for Gamma and
-    # one for alpha_x if theta_gamma > 0.  A block of iterations draws all of
-    # its signs in one call, which yields the same stream as one call per
-    # draw; the signs a converged run leaves unused are never seen.
+    # Each iteration with theta > 0 draws m signs for R, then m for Gamma and
+    # one for alpha_x.  A block of iterations draws all of its signs in one
+    # call, which yields the same stream as one call per draw; the signs a
+    # converged run leaves unused are never seen.
     with np.errstate(**ITERATE_ERRSTATE):
         for k0, k1 in _blocks(0, horizon, 2 * m + 1):
-            th_rs = schedule.theta_r[k0:k1].tolist()
-            th_gs = schedule.theta_gamma[k0:k1].tolist()
-            n_draws = sum(m for t in th_rs if t > 0.0) + sum(m + 1 for t in th_gs if t > 0.0)
+            thetas = schedule.theta[k0:k1].tolist()
+            n_draws = (2 * m + 1) * sum(th > 0.0 for th in thetas)
             signs = SIGNS[rng.integers(0, 2, size=n_draws)]
             pos = 0
-            for k, th_r, th_g in zip(range(k0, k1), th_rs, th_gs):
+            for k, th in zip(range(k0, k1), thetas):
                 x_k, z_k = state.x, state.z  # a step binds new arrays
                 iterate_once(state, prob, cfg)
                 # The norms of the step's splitting residuals r = (x~ - x, z~ - z)
@@ -402,15 +398,14 @@ def run_drift_experiment(
                     converged = True
                     iterations = k + 1
                     break
-                if th_r > 0.0:
-                    state.R = (state.R * (1.0 + signs[pos : pos + m] * th_r)).clip(RHO_MIN, RHO_MAX)
+                if th > 0.0:
+                    state.R = (state.R * (1.0 + signs[pos : pos + m] * th)).clip(RHO_MIN, RHO_MAX)
                     pos += m
                     refactor(state, prob, cfg)
-                if th_g > 0.0:
-                    state.Gamma = (state.Gamma * (1.0 + signs[pos : pos + m] * th_g)).clip(
+                    state.Gamma = (state.Gamma * (1.0 + signs[pos : pos + m] * th)).clip(
                         cfg.alpha_min, cfg.alpha_max
                     )
-                    alpha_x = state.alpha_x * (1.0 + float(signs[pos + m]) * th_g)
+                    alpha_x = state.alpha_x * (1.0 + float(signs[pos + m]) * th)
                     state.alpha_x = float(min(max(alpha_x, cfg.alpha_min), cfg.alpha_max))
                     pos += m + 1
             if converged:

@@ -407,17 +407,15 @@ def drift_per_step(
             converged = True
             iterations = k + 1
             break
-        th_r = schedule.theta_r[k]
-        th_g = schedule.theta_gamma[k]
-        if th_r > 0.0:
+        th = schedule.theta[k]
+        if th > 0.0:
             signs = rng.choice((-1.0, 1.0), size=prob.m)
-            state.R = np.clip(state.R * (1.0 + signs * th_r), RHO_MIN, RHO_MAX)
+            state.R = np.clip(state.R * (1.0 + signs * th), RHO_MIN, RHO_MAX)
             refactor(state, prob, cfg)
-        if th_g > 0.0:
             signs = rng.choice((-1.0, 1.0), size=prob.m)
-            state.Gamma = np.clip(state.Gamma * (1.0 + signs * th_g), cfg.alpha_min, cfg.alpha_max)
+            state.Gamma = np.clip(state.Gamma * (1.0 + signs * th), cfg.alpha_min, cfg.alpha_max)
             ax_sign = rng.choice((-1.0, 1.0))
-            alpha_x = state.alpha_x * (1.0 + ax_sign * th_g)
+            alpha_x = state.alpha_x * (1.0 + ax_sign * th)
             state.alpha_x = float(np.clip(alpha_x, cfg.alpha_min, cfg.alpha_max))
     return DriftResult(
         r_inf=r_hist[:iterations],

@@ -266,10 +266,18 @@ class TestUsageErrors:
         (["verify", "--manifest", "m.json", "--drift-iters", "-5"], "--drift-iters"),
         (["verify", "--manifest", "m.json", "--drift-iters", "0"], "--drift-iters"),
         (["verify", "--manifest", "m.json", "--steps", "1.5"], "--steps"),
+        (["solve", "--problem", "p.json", "--max-iter", "0"], "--max-iter"),
+        (["bench", "--manifest", "m.json", "--max-iter", "0"], "--max-iter"),
+        (["train", "--manifest", "m.json", "--max-iter", "-1"], "--max-iter"),
+        (["bench", "--manifest", "m.json", "--jobs", "-3"], "--jobs"),
+        (["bench", "--manifest", "m.json", "--jobs", "0"], "--jobs"),
+        (["verify", "--manifest", "m.json", "--jobs", "0"], "--jobs"),
     ], ids=["solve_seed", "bench_seed", "train_seed", "bench_adaptive_rho",
             "verify_adaptive_rho", "verify_max_iter", "solve_policy", "unknown_flag",
             "malformed_value", "invalid_choice", "missing_required", "zero_steps",
-            "negative_drift_iters", "zero_drift_iters", "fractional_steps"])
+            "negative_drift_iters", "zero_drift_iters", "fractional_steps", "solve_zero_max_iter",
+            "bench_zero_max_iter", "train_negative_max_iter", "bench_negative_jobs",
+            "bench_zero_jobs", "verify_zero_jobs"])
     def test_exit_one_with_one_error_line(self, capsys, argv, named):
         assert main(argv) == 1
         out, err = capsys.readouterr()
@@ -334,8 +342,21 @@ class TestInputErrors:
                      "config": {"epoch": 1}}), "'epoch'"),
         (json.dumps({"family": "random_qp", "train_instances": [], "val_instances": [],
                      "config": {"epochs": "many"}}), "'epochs'"),
-    ], ids=["missing_train_instances", "not_json", "unknown_config_key", "mistyped_config_value"])
+        (json.dumps({"family": "random_qp", "train_instances": 5, "val_instances": []}),
+         "'train_instances' must be a list"),
+        (json.dumps({"family": "random_qp", "train_instances": [{"size": 10, "seed": 1}],
+                     "val_instances": [3]}), "'val_instances' must be a list of objects"),
+        (json.dumps({"family": "random_qp", "varient": "vector", "train_instances": [],
+                     "val_instances": []}), "unknown fields ['varient']"),
+        (json.dumps({"family": "random_qp", "seed": 3, "train_instances": [],
+                     "val_instances": []}), "unknown fields ['seed']"),
+        (json.dumps({"family": "random_qp", "variant": ["vector"], "train_instances": [],
+                     "val_instances": []}), "unknown policy variant ['vector']"),
+    ], ids=["missing_train_instances", "not_json", "unknown_config_key", "mistyped_config_value",
+            "instances_not_a_list", "instance_not_an_object", "misspelt_key", "top_level_seed",
+            "variant_not_a_string"])
     def test_malformed_train_manifest(self, tmp_path, capsys, text, named):
+        # Refused before any reference solve: no instance store, no checkpoint.
         man_path = tmp_path / "train.json"
         man_path.write_text(text)
         self._expect_error(
@@ -344,6 +365,7 @@ class TestInputErrors:
             named,
             capsys,
         )
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["train.json"]
 
     @pytest.mark.parametrize("config,named", [
         ({"step_size": float("nan")}, "'step_size'"),
@@ -512,8 +534,7 @@ class TestTrainCommand:
             "variant": "scalar",
             "train_instances": [{"size": 10, "seed": s} for s in (1, 2)],
             "val_instances": [{"size": 10, "seed": 11}],
-            "config": {"epochs": 0, "batch_size": 2},
-            "seed": 0,
+            "config": {"epochs": 0, "batch_size": 2, "seed": 0},
         }
         man_path = tmp_path / "train.json"
         man_path.write_text(json.dumps(manifest))
@@ -538,8 +559,7 @@ class TestTrainCommand:
             "variant": "scalar",
             "train_instances": [{"size": 10, "seed": s} for s in (1, 2)],
             "val_instances": [{"size": 10, "seed": 11}],
-            "config": {"epochs": 2, "batch_size": 2},
-            "seed": 0,
+            "config": {"epochs": 2, "batch_size": 2, "seed": 0},
         }
         man_path = tmp_path / "train.json"
         man_path.write_text(json.dumps(manifest))

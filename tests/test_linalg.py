@@ -9,7 +9,6 @@ from relaxqp.bench import FamilySpec, generate
 from relaxqp.engine import RHO_MAX, RHO_MIN, rho_pattern
 from relaxqp.errors import InputError, SingularKktError
 from relaxqp.linalg import KktTerms, assemble_kkt, ldlt_factor, ldlt_solve, pick_backend
-from relaxqp.problem import ConstraintKind
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -237,7 +236,7 @@ def test_reduced_solve_matches_full_quasi_definite_system(family):
     y = rng.standard_normal(m)
     backends = {"dense": (prob.P, prob.A), "sparse": (sparse.csr_array(prob.P), sparse.csr_array(prob.A))}
     for rho in (RHO_MIN, 1e-2, 10.0, 1e3, RHO_MAX):
-        r = rho_pattern(prob.kinds, rho)
+        r = rho_pattern(prob.equality, rho)
         K = np.zeros((n + m, n + m))
         K[:n, :n] = prob.P + sigma * np.eye(n)
         K[:n, n:] = prob.A.T
@@ -260,7 +259,7 @@ def test_sparse_and_dense_backends_agree(family):
     Ps, As = sparse.csr_array(prob.P), sparse.csr_array(prob.A)
     b = np.random.default_rng(3).standard_normal(prob.n)
     for rho in (RHO_MIN, 1e-4, 1e-2, 1.0, 1e2, 1e4, RHO_MAX):
-        r = rho_pattern(prob.kinds, rho)
+        r = rho_pattern(prob.equality, rho)
         H_dense = assemble_kkt(prob.P, prob.A, 1e-6, r)
         H_sparse = assemble_kkt(Ps, As, 1e-6, r)
         assert H_sparse.format == "csc"
@@ -381,9 +380,9 @@ class TestKktTerms:
     def test_refill_matches_the_product_on_every_family(self, family, size, backend):
         prob = generate(FamilySpec(family, size, seed=1))
         to = BACKENDS[backend]
-        equality = prob.kinds == ConstraintKind.EQUALITY
+        equality = prob.equality
         for rho in (RHO_MIN, 1e-2, 1.0, 1e2, RHO_MAX):
-            r = rho_pattern(prob.kinds, rho)
+            r = rho_pattern(equality, rho)
             levels = (r[equality][:1].sum(), r[~equality][:1].sum())
             assert_refill_matches_product(to(prob.P), to(prob.A), equality, levels)
 
@@ -421,8 +420,8 @@ class TestKktTerms:
     def test_other_penalty_vectors_take_the_product_bit_for_bit(self, backend):
         prob = generate(FamilySpec("svm", 10, seed=1))
         P, A = BACKENDS[backend](prob.P), BACKENDS[backend](prob.A)
-        terms = KktTerms(P, A, prob.kinds == ConstraintKind.EQUALITY)
-        r = rho_pattern(prob.kinds, 0.1) * np.random.default_rng(2).uniform(0.9, 1.1, prob.m)
+        terms = KktTerms(P, A, prob.equality)
+        r = rho_pattern(prob.equality, 0.1) * np.random.default_rng(2).uniform(0.9, 1.1, prob.m)
         H, exact = assemble_kkt(P, A, 1e-6, r, terms), assemble_kkt(P, A, 1e-6, r)
         if sparse.issparse(H):
             assert all(np.array_equal(getattr(H, f), getattr(exact, f))
@@ -446,8 +445,8 @@ class TestKktTerms:
     def test_refills_share_no_data(self, backend):
         prob = generate(FamilySpec("lasso", 10, seed=1))
         P, A = BACKENDS[backend](prob.P), BACKENDS[backend](prob.A)
-        terms = KktTerms(P, A, prob.kinds == ConstraintKind.EQUALITY)
-        mats = [assemble_kkt(P, A, 1e-6, rho_pattern(prob.kinds, rho), terms) for rho in (0.1, 1.0, 0.1)]
+        terms = KktTerms(P, A, prob.equality)
+        mats = [assemble_kkt(P, A, 1e-6, rho_pattern(prob.equality, rho), terms) for rho in (0.1, 1.0, 0.1)]
         data = [_dense(H) if backend == "dense" else H.data for H in mats]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(data) for b in data[i + 1:])
         assert np.array_equal(_dense(mats[0]), _dense(mats[2]))

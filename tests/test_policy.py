@@ -400,12 +400,12 @@ class TestSizeTransfer:
 
 class TestCheckpointFormat:
     def test_document_with_a_box_loads_alike(self):
-        # Files written when checkpoints carried a relaxation box hold
-        # alpha_min/alpha_max; the reader ignores them, and the policy maps
-        # into the querying config's box.
+        # Files written when checkpoints carried a relaxation box and their
+        # layer widths hold alpha_min/alpha_max and dims; the reader ignores
+        # them, and the policy maps into the querying config's box.
         ck = perturbed_vector_checkpoint(13)
         doc = checkpoint_to_dict(ck)
-        old = {**doc, "alpha_min": 1.3, "alpha_max": 1.9}
+        old = {**doc, "alpha_min": 1.3, "alpha_max": 1.9, "dims": [ck.W1.shape[1], 64, 64, 1]}
         rng = np.random.default_rng(13)
         phi, rows = rng.standard_normal(5), rng.standard_normal((7, ROW_FEATURES))
         for cfg in (CFG, SolverConfig(alpha_min=1.5, alpha_max=1.7)):
@@ -448,12 +448,11 @@ class TestCheckpointFormat:
 
     def test_dict_contains_schema_fields(self):
         doc = checkpoint_to_dict(init_checkpoint("scalar", seed=0))
-        for key in ("variant", "dims", "W1", "b1", "ln1_gain", "ln1_offset", "W2",
+        for key in ("variant", "W1", "b1", "ln1_gain", "ln1_offset", "W2",
                     "b2", "ln2_gain", "ln2_offset", "w_out", "b_out", "norm_mean",
                     "norm_std", "metadata"):
             assert key in doc
-        assert "alpha_min" not in doc and "alpha_max" not in doc
-        assert doc["dims"] == [6, 64, 64, 1]
+        assert not {"alpha_min", "alpha_max", "dims"} & set(doc)
 
     def test_malformed_rejected(self):
         with pytest.raises(InputError):

@@ -162,17 +162,16 @@ class TestDescentStart:
 class TestDriftSchedules:
     def test_summable_partial_sums(self):
         sch = DriftSchedule.inverse_square(100000)
-        total = np.sum(sch.theta_r + sch.theta_gamma)
-        # 2 * 0.5 * pi^2/6, and the tail is negligible
-        assert total == pytest.approx(np.pi**2 / 6.0, abs=1e-3)
-        assert sch.summable
+        # 0.5 * pi^2/6, and the tail is negligible
+        assert np.sum(sch.theta) == pytest.approx(np.pi**2 / 12.0, abs=1e-3)
 
     def test_constant_not_summable(self):
-        assert not DriftSchedule.constant(10).summable
+        # the partial sums grow as 0.5 k
+        assert np.cumsum(DriftSchedule.constant(10).theta).tolist() == [0.5 * k for k in range(1, 11)]
 
     def test_zero(self):
         sch = DriftSchedule.zero(5)
-        assert np.all(sch.theta_r == 0)
+        assert sch.theta.shape == (5,) and np.all(sch.theta == 0)
 
 
 class TestDriftExperiment:
@@ -368,10 +367,8 @@ class TestBlocksMatchPerStep:
 
     def test_short_relaxation_schedule_is_an_input_error(self):
         prob = random_box_qp(np.random.default_rng(30), 4, 3)
-        sch = DriftSchedule.zero(10)
-        sch = DriftSchedule(sch.theta_r, sch.theta_gamma[:5], sch.description, sch.summable)
-        with pytest.raises(InputError):
-            run_drift_experiment(prob, sch, 10, SolverConfig(), 0.0)
+        with pytest.raises(InputError, match="drift horizon 10 is negative or longer"):
+            run_drift_experiment(prob, DriftSchedule.zero(5), 10, SolverConfig(), 0.0)
 
     def test_negative_horizon_is_an_input_error(self):
         prob = random_box_qp(np.random.default_rng(31), 4, 3)
