@@ -1122,7 +1122,7 @@ def binary(raw: bytes) -> dict:
 
 # Malformed binary array objects (sized for tiny_problem's q), as files
 # written before q, l and u had sidecars could hold them.  The reader refuses
-# each undecoded, as it does a well-formed one (the parent_form case).
+# each undecoded, as it does a well-formed one (the parent_form case below).
 MALFORMED_BINARY = {
     "bad_base64": {OLD_BINARY_KEY: "not base64!"},
     "not_zlib": binary(b"plain bytes, no zlib header"),
@@ -1136,6 +1136,19 @@ MALFORMED_BINARY = {
 }
 
 
+class TestMalformedBinary:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BINARY))
+    def test_input_error_names_field(self, tmp_path, capsys, case):
+        path = tmp_path / "p.json"
+        doc = saved_doc(tiny_problem(), tmp_path)
+        fault = r"is not a sidecar object \('f8le_file'\) .* must be regenerated"
+        for key in "qlu":
+            path.write_text(json.dumps({**doc, key: MALFORMED_BINARY[case]}))
+            with pytest.raises(InputError, match=f"field '{key}' {fault}"):
+                load_problem(path)
+            expect_cli_error(path, capsys, f"problem file {re.escape(str(path))}: .*field '{key}' {fault}")
+
+
 class TestVectorSidecars:
     """q, l and u are float64 sidecars; every fault in one ends relaxqp solve
     in one error line naming the field and the problem file."""
@@ -1146,16 +1159,11 @@ class TestVectorSidecars:
         alter, fault = VECTOR_SIDECAR_FAULTS[case]
         path = tmp_path / "p.json"
         doc = saved_doc(tiny_problem(), tmp_path)
-        entries = [alter(tmp_path / doc[key][SIDECAR_KEY], key)]
-        if case == "parent_form":
-            entries += MALFORMED_BINARY.values()
-        named = f"problem file {re.escape(str(path))}: .*field '{key}'"
-        for entry in entries:
-            doc[key] = entry
-            path.write_text(json.dumps(doc))
-            with pytest.raises(InputError, match=f"field '{key}'.*{fault}"):
-                load_problem(path)
-            expect_cli_error(path, capsys, f"{named}.*{fault}")
+        doc[key] = alter(tmp_path / doc[key][SIDECAR_KEY], key)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=f"field '{key}'.*{fault}"):
+            load_problem(path)
+        expect_cli_error(path, capsys, f"problem file {re.escape(str(path))}: .*field '{key}'.*{fault}")
 
     def test_parent_form_document(self, tmp_path, capsys):
         # A whole document as the parent's save_problem wrote it: P and A as
