@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# CLI round trip of a sparse and a dense problem file, mpc_n100 and control_n10.
+# CLI round trip of two sparse and a dense problem file, mpc_n100, lasso_n20
+# and control_n10.
 #
 # For each instance the first bench run generates it and saves its arrays as
 # sidecar files; the second loads them and must give the same iteration
 # columns; solve then reads the stored file.  The document must hold P and A
 # in the sidecar form of the instance's backend, CSR ({"csr_file", "nnz"})
-# for mpc_n100 and dense ({"f8le_file"}) for control_n10, and q, l and u as
+# for mpc_n100 and lasso_n20, whose generators build P and A as CSR
+# matrices, and dense ({"f8le_file"}) for control_n10, and q, l and u as
 # dense sidecars ({"f8le_file"}).  A copy of the document whose q is the
 # in-document binary object of files written before q had a sidecar
 # ({"f8le_zlib_b64"}) must make solve exit 1 with one error line.
@@ -24,7 +26,7 @@ set -euo pipefail
 d=$(mktemp -d)
 trap 'rm -rf "$d"' EXIT
 export PYTHONPATH=src
-for instance in "mpc 100 csr_file,nnz" "control 10 f8le_file"; do
+for instance in "mpc 100 csr_file,nnz" "lasso 20 csr_file,nnz" "control 10 f8le_file"; do
   set -- $instance
   echo "{\"specs\": [{\"family\": \"$1\", \"size\": $2, \"seed\": 1}]}" > "$d/m.json"
   for run in 1 2; do

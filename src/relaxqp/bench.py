@@ -10,6 +10,10 @@ Six families, all emitted in the one problem form (P, q, A, l, u):
   mpc        sparse-form regulator with fixed plant data; only the initial
              state differs between instances
 
+The lasso and mpc generators, whose larger instances take the sparse
+backend, build P and A as CSR matrices from the index arithmetic of their
+blocks and never allocate the dense matrices.
+
 Instance randomness comes from a splittable stream keyed by
 (family, size, seed, field-tag), so every field has its own substream and
 adding fields never reshuffles existing ones.  The mpc family draws its
@@ -20,9 +24,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .engine import SolverConfig, solve
 from .errors import InputError, ReferenceFailureError
@@ -150,6 +156,28 @@ def _gen_portfolio(size: int, seed: int) -> QpProblem:
     return QpProblem(P, q, A, l, u, name=f"portfolio_n{size}_s{seed}", seed=seed)
 
 
+def _dense_block(row: int, col: int, M: np.ndarray) -> tuple:
+    # (rows, cols, values) of every entry of M, zeros included, placed at
+    # (row, col).
+    rows, cols = np.indices(M.shape, dtype=np.int32)
+    return rows.ravel() + row, cols.ravel() + col, M.ravel()
+
+
+def _diagonal_block(row: int, col: int, k: int, values) -> tuple:
+    # (rows, cols, values) of the k x k diagonal matrix of values (a number
+    # or k of them) placed at (row, col).
+    steps = np.arange(k, dtype=np.int32)
+    return steps + row, steps + col, np.full(k, values)
+
+
+def _csr(shape: tuple, *blocks) -> sparse.csr_array:
+    # The CSR matrix of the (rows, cols, values) blocks, which do not overlap.
+    # Their index arrays are int32, the index type of the problem's CSR copy:
+    # int64 ones would double the temporaries of a set-up.
+    rows, cols, values = (np.concatenate(part) for part in zip(*blocks))
+    return sparse.csr_array((values, (rows, cols)), shape=shape)
+
+
 def _gen_lasso(size: int, seed: int) -> QpProblem:
     n = size
     md = 10 * n
@@ -161,18 +189,16 @@ def _gen_lasso(size: int, seed: int) -> QpProblem:
     lam = 0.2 * np.max(np.abs(Ad.T @ b))
 
     dim = n + md + n  # (x, residual, epigraph bound)
-    P = np.zeros((dim, dim))
-    P[n : n + md, n : n + md] = np.eye(md)
+    P = _csr((dim, dim), _diagonal_block(n, n, md, 1.0))
     q = np.concatenate((np.zeros(n + md), lam * np.ones(n)))
 
     m = md + 2 * n
-    A = np.zeros((m, dim))
-    A[:md, :n] = Ad
-    np.fill_diagonal(A[:md, n : n + md], -1.0)  # -np.eye would store -0.0 off the diagonal
-    A[md : md + n, :n] = np.eye(n)
-    np.fill_diagonal(A[md : md + n, n + md :], -1.0)
-    A[md + n :, :n] = np.eye(n)
-    A[md + n :, n + md :] = np.eye(n)
+    A = _csr(
+        (m, dim),
+        _dense_block(0, 0, Ad), _diagonal_block(0, n, md, -1.0),  # Ad x - r = b
+        _diagonal_block(md, 0, n, 1.0), _diagonal_block(md, n + md, n, -1.0),  # x - t <= 0
+        _diagonal_block(md + n, 0, n, 1.0), _diagonal_block(md + n, n + md, n, 1.0),  # x + t >= 0
+    )
     l = np.concatenate((b, np.full(n, -np.inf), np.zeros(n)))
     u = np.concatenate((b, np.zeros(n), np.full(n, np.inf)))
     return QpProblem(P, q, A, l, u, name=f"lasso_n{size}_s{seed}", seed=seed)
@@ -249,7 +275,9 @@ def _gen_control(size: int, seed: int) -> QpProblem:
     return QpProblem(P, q, A, l, u, name=f"control_n{size}_s{seed}", seed=seed)
 
 
+@cache
 def _mpc_shared_data():
+    # Computed once per process; its arrays are read-only.
     nx, nu = MPC_STATE_DIM, MPC_INPUT_DIM
     g = lambda tag: _rng("mpc", nx, 0, "shared-" + tag)
     Ad = _stable_matrix(g("A"), nx)
@@ -257,6 +285,8 @@ def _mpc_shared_data():
     q_diag = g("Q").uniform(0.5, 1.5, size=nx)
     r_diag = g("R").uniform(0.05, 0.15, size=nu)
     qt_diag = q_diag.copy()
+    for a in (Ad, Bd, q_diag, r_diag, qt_diag):
+        a.flags.writeable = False
     # u = 0 keeps the contracting state inside the (loose) state box from any
     # admissible x0, so the input box can be tight enough to be active at the
     # optimum without risking infeasibility.
@@ -274,30 +304,23 @@ def _gen_mpc(size: int, seed: int) -> QpProblem:
     n = (T + 1) * nx + T * nu
     off_u = (T + 1) * nx
     p_diag = np.concatenate((np.tile(q_diag, T), qt_diag, np.tile(r_diag, T)))
-    P = np.diag(p_diag)
+    P = _csr((n, n), _diagonal_block(0, 0, n, p_diag))
     q = np.zeros(n)
 
-    m = nx + T * nx + T * nx + T * nu
-    A = np.zeros((m, n))
-    l = np.empty(m)
-    u = np.empty(m)
-    A[:nx, :nx] = np.eye(nx)
-    l[:nx] = u[:nx] = x0
-    row = nx
+    # Rows: the initial state x_0 = x0, the dynamics x_{t+1} - Ad x_t -
+    # Bd u_t = 0, the state box on x_1 .. x_T and the input box.
+    dyn, box, inputs = nx, nx + T * nx, nx + 2 * T * nx
+    m = inputs + T * nu
+    neg_Ad, neg_Bd = -Ad, -Bd
+    blocks = [_diagonal_block(0, 0, nx, 1.0)]
     for t in range(T):
-        A[row : row + nx, (t + 1) * nx : (t + 2) * nx] = np.eye(nx)
-        A[row : row + nx, t * nx : (t + 1) * nx] = -Ad
-        A[row : row + nx, off_u + t * nu : off_u + (t + 1) * nu] = -Bd
-        l[row : row + nx] = u[row : row + nx] = 0.0
-        row += nx
-    for t in range(T):
-        A[row : row + nx, (t + 1) * nx : (t + 2) * nx] = np.eye(nx)
-        l[row : row + nx] = -x_lim
-        u[row : row + nx] = x_lim
-        row += nx
-    A[row:, off_u:] = np.eye(T * nu)
-    l[row:] = -u_lim
-    u[row:] = u_lim
+        row = dyn + t * nx
+        blocks += (_dense_block(row, t * nx, neg_Ad), _diagonal_block(row, (t + 1) * nx, nx, 1.0),
+                   _dense_block(row, off_u + t * nu, neg_Bd))
+    blocks += (_diagonal_block(box, nx, T * nx, 1.0), _diagonal_block(inputs, off_u, T * nu, 1.0))
+    A = _csr((m, n), *blocks)
+    l = np.concatenate((x0, np.zeros(T * nx), np.full(T * nx, -x_lim), np.full(T * nu, -u_lim)))
+    u = np.concatenate((x0, np.zeros(T * nx), np.full(T * nx, x_lim), np.full(T * nu, u_lim)))
     return QpProblem(P, q, A, l, u, name=f"mpc_n{size}_s{seed}", seed=seed)
 
 

@@ -185,6 +185,12 @@ def cmd_train(args) -> int:
     tcfg = config_from_dict(doc.get("config", {}), TrainConfig)
     # before any solve or write, so that an unknown variant is refused first
     ckpt0 = init_checkpoint(variant, seed=tcfg.seed, metadata={"family": family, "optimizer": "spsa"})
+    n_train = len(doc["train_instances"])
+    if not n_train:
+        raise InputError(f"{where}: field 'train_instances' lists no instance")
+    if tcfg.batch_size > n_train:
+        raise InputError(f"{where}: config field 'batch_size' ({tcfg.batch_size}) exceeds "
+                         f"the number of training instances ({n_train})")
     store = args.store or "instances"
 
     def build(split_specs, split):

@@ -191,7 +191,7 @@ class KktTerms:
         # holds all the others; its index arrays are then the pattern's.
         P = P.tocsc()
         P.sum_duplicates()
-        parts = [P, sparse.eye_array(n, format="csc"), *(G for _, G in grams)]
+        parts = [P, sparse.diags_array(np.ones(n), format="csc"), *(G for _, G in grams)]
         keys = [_csc_keys(C) for C in parts]
         largest = max(range(len(parts)), key=lambda k: keys[k].size)
         union = keys[largest]

@@ -6,11 +6,19 @@ entries of l, u allowed to be -inf/+inf.
 :class:`QpProblem` takes P and A as ndarrays or scipy.sparse matrices and
 keeps them as dense ndarrays, its public model.  It picks the problem's
 linear-algebra backend once, with :func:`relaxqp.linalg.pick_backend`, from
-the nonzero count of its input, and validates P and A in that backend's
-storage: the dense arrays, or CSR copies of their nonzeros.  What validation
-built is the problem's :attr:`QpProblem.operators`, the storage every
-product with A, A' and P goes through: the dense arrays, or CSR matrices
-equal to ``scipy.sparse.csr_array`` of them.
+the nonzero count of its input.  On the sparse backend it builds one CSR
+matrix per matrix, :attr:`QpProblem.stored`, holding the stored entries:
+those whose bit pattern is not zero, -0.0 included.  From CSR input that is
+the canonical copy (indices sorted, duplicates summed) without its +0.0
+entries; from dense input it is a scan of the bit patterns.  No dense array
+is scanned again: the dense field is the dense input or, from CSR input, the
+stored entries assigned into zeros; the operators are the stored CSR without
+its zero values (the same object when it holds none), equal to
+``scipy.sparse.csr_array`` of the dense field; and :func:`save_problem`
+writes the stored CSR as it is.  On the dense backend the dense arrays are
+all three.  P and A are validated in the storage of the problem's
+:attr:`QpProblem.operators`, the storage every product with A, A' and P
+goes through.
 
 A problem file is one JSON document ``{name, n, m, P, q, A, l, u, seed}``,
 written only by :func:`save_problem`.  Each of the five arrays is a sidecar
@@ -23,8 +31,8 @@ little-endian float64 array in row-major order.  On the sparse backend P and
 A are ``{"csr_file": "<file>.<P|A>.<crc32>.csr", "nnz": k}`` and the file
 holds the CSR form, one part after another: the rows + 1 row pointers and
 the k column indices as little-endian int32, then the k values as
-little-endian float64.  It stores every entry whose bit pattern is not zero,
--0.0 included.  So every value, +-inf, -0.0 and subnormals included,
+little-endian float64: the stored entries, every entry whose bit pattern is
+not zero, -0.0 included.  So every value, +-inf, -0.0 and subnormals included,
 round-trips bit-exactly.  The name is the content's address, so rewriting a
 path with the same problem rewrites the same bytes under the same names, and
 a rewrite with other content writes new sidecars and leaves the old ones in
@@ -113,6 +121,9 @@ class QpProblem:
     operators : (A, A', P) in the storage of ``kkt_backend``: CSR matrices
         without stored zeros on the sparse backend, the dense arrays on the
         dense one.
+    stored : (P, A) as a problem file stores them: on the sparse backend CSR
+        matrices of the entries whose bit pattern is not zero, -0.0 included;
+        the dense arrays on the dense one.
     """
 
     P: np.ndarray
@@ -141,7 +152,8 @@ class QpProblem:
             raise InputError("bound vectors must have one entry per constraint row")
         backend = pick_backend(n, m, _count_nonzero(P) + _count_nonzero(A))
         if backend == "sparse":
-            A_op, P_op = _csr_nonzeros(A), _csr_nonzeros(P)
+            stored = _stored(P), _stored(A)
+            P_op, A_op = (_select(M, M.data != 0.0) for M in stored)  # NaN is kept
             P, A = _dense(P), _dense(A)
             operators = A_op, A_op.T.tocsr(), P_op
             values = P_op.data, q, A_op.data
@@ -149,6 +161,7 @@ class QpProblem:
             psd_probe = _psd_probe_csr
         else:
             P, A = _dense(P), _dense(A)
+            stored = P, A
             operators = A, A.T, P
             values = P, q, A
             zero_row = ~A.any(axis=1)  # -0.0 counts as zero, NaN does not
@@ -177,6 +190,7 @@ class QpProblem:
         object.__setattr__(self, "equality", equality)
         object.__setattr__(self, "kkt_backend", backend)
         object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "stored", stored)
 
     @property
     def n(self) -> int:
@@ -227,13 +241,27 @@ def _count_nonzero(a) -> int:
     return int(np.count_nonzero(a.data if sparse.issparse(a) else a))
 
 
-def _csr_nonzeros(a):
-    # Equal to csr_array(dense a): the same indptr, indices and data.
-    if not sparse.issparse(a):
-        return sparse.csr_array(a)
-    a = a.copy()
-    a.eliminate_zeros()
-    return a
+def _stored(a):
+    # The CSR matrix of the entries of a whose bit pattern is not zero, -0.0
+    # included: a canonical CSR a without its +0.0 entries, or a scan of a
+    # dense a.
+    if sparse.issparse(a):
+        return _select(a, a.data.view(np.uint64) != 0)
+    stored = a.view(np.uint64) != 0
+    indptr = np.zeros(a.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    flat = np.flatnonzero(stored)
+    indices = (flat % a.shape[1]).astype(np.int32)
+    return sparse.csr_array((a.ravel()[flat], indices, indptr), shape=a.shape)
+
+
+def _select(a, keep):
+    # The CSR matrix a without the entries where keep is False; a itself
+    # when it keeps them all.
+    if keep.all():
+        return a
+    kept = np.concatenate(([0], np.cumsum(keep)))[a.indptr].astype(a.indptr.dtype)
+    return sparse.csr_array((a.data[keep], a.indices[keep], kept), shape=a.shape)
 
 
 def _dense(a) -> np.ndarray:
@@ -256,10 +284,13 @@ def _psd_probe(P: np.ndarray) -> bool:
     # shift goes onto the diagonal of one copy, so that no temporary is as
     # large as P but that copy.
     n = P.shape[0]
+    # P is finite here, so a block that equals its mirror exactly passes
+    # np.allclose: the exact test, far cheaper, goes first.
     rows = max(1, PROBE_BLOCK // max(n, 1))
     for i in range(0, n, rows):
-        if not np.allclose(P[i : i + rows], P[:, i : i + rows].T,
-                           rtol=SYMMETRY_TOL, atol=SYMMETRY_TOL):
+        block, mirror = P[i : i + rows], P[:, i : i + rows].T
+        if not (np.array_equal(block, mirror)
+                or np.allclose(block, mirror, rtol=SYMMETRY_TOL, atol=SYMMETRY_TOL)):
             return False
     shifted = P.copy()
     shifted.flat[:: n + 1] += PSD_SHIFT
@@ -554,31 +585,26 @@ def _dense_sidecar(path: str, key: str, a: np.ndarray) -> dict:
     return {SIDECAR_KEY: _write_sidecar(path, key, "f8", (a.astype("<f8", copy=False),))}
 
 
-def _csr_sidecar(path: str, key: str, a: np.ndarray) -> dict:
-    # Every entry of a whose bit pattern is not zero, -0.0 included.
-    stored = a.view(np.uint64) != 0
-    indptr = np.zeros(a.shape[0] + 1, dtype="<i4")
-    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-    flat = np.flatnonzero(stored)
-    indices = (flat % a.shape[1]).astype("<i4")
-    data = a.ravel()[flat].astype("<f8", copy=False)
-    return {CSR_SIDECAR_KEY: _write_sidecar(path, key, "csr", (indptr, indices, data)),
-            "nnz": int(data.size)}
+def _csr_sidecar(path: str, key: str, a) -> dict:
+    parts = (a.indptr.astype("<i4", copy=False), a.indices.astype("<i4", copy=False),
+             a.data.astype("<f8", copy=False))
+    return {CSR_SIDECAR_KEY: _write_sidecar(path, key, "csr", parts), "nnz": int(a.nnz)}
 
 
 def save_problem(prob: QpProblem, path) -> None:
     """Write ``prob`` to the problem file ``path``: the five arrays first, as
-    sidecar files, P and A in the form of its backend, then the document
-    (see the module docstring)."""
+    sidecar files, P and A as :attr:`QpProblem.stored` holds them, then the
+    document (see the module docstring)."""
     path = os.fspath(path)
-    matrix_sidecar = _csr_sidecar if prob.kkt_backend == "sparse" else _dense_sidecar
+    P, A = prob.stored
+    matrix_sidecar = _csr_sidecar if sparse.issparse(A) else _dense_sidecar
     doc = {
         "name": prob.name,
         "n": prob.n,
         "m": prob.m,
-        "P": matrix_sidecar(path, "P", prob.P),
+        "P": matrix_sidecar(path, "P", P),
         "q": _dense_sidecar(path, "q", prob.q),
-        "A": matrix_sidecar(path, "A", prob.A),
+        "A": matrix_sidecar(path, "A", A),
         "l": _dense_sidecar(path, "l", prob.l),
         "u": _dense_sidecar(path, "u", prob.u),
         "seed": prob.seed,

@@ -214,6 +214,73 @@ def control_kron(size: int, seed: int) -> QpProblem:
     return QpProblem(P, q, A, l, u, name=f"control_n{size}_s{seed}", seed=seed)
 
 
+def lasso_dense(size: int, seed: int) -> QpProblem:
+    """The lasso instance of relaxqp.bench built from dense P and A, each
+    block assigned into a zero matrix."""
+    n = size
+    md = 10 * n
+    g = lambda tag: bench._rng("lasso", size, seed, tag)
+    Ad = g("design").standard_normal((md, n))
+    x_true = g("truth").standard_normal(n)
+    x_true *= g("support").uniform(size=n) < 0.1
+    b = Ad @ x_true + 0.01 * g("noise").standard_normal(md)
+    lam = 0.2 * np.max(np.abs(Ad.T @ b))
+    dim = n + md + n
+    P = np.zeros((dim, dim))
+    P[n : n + md, n : n + md] = np.eye(md)
+    q = np.concatenate((np.zeros(n + md), lam * np.ones(n)))
+    m = md + 2 * n
+    A = np.zeros((m, dim))
+    A[:md, :n] = Ad
+    np.fill_diagonal(A[:md, n : n + md], -1.0)
+    A[md : md + n, :n] = np.eye(n)
+    np.fill_diagonal(A[md : md + n, n + md :], -1.0)
+    A[md + n :, :n] = np.eye(n)
+    A[md + n :, n + md :] = np.eye(n)
+    l = np.concatenate((b, np.full(n, -np.inf), np.zeros(n)))
+    u = np.concatenate((b, np.zeros(n), np.full(n, np.inf)))
+    return QpProblem(P, q, A, l, u, name=f"lasso_n{size}_s{seed}", seed=seed)
+
+
+def mpc_dense(size: int, seed: int) -> QpProblem:
+    """The mpc instance of relaxqp.bench built from dense P and A, with its
+    plant data drawn afresh rather than from the generator's cache."""
+    nx, nu, T = bench.MPC_STATE_DIM, bench.MPC_INPUT_DIM, bench.MPC_HORIZON
+    g = lambda tag: bench._rng("mpc", nx, 0, "shared-" + tag)
+    Ad = bench._stable_matrix(g("A"), nx)
+    Bd = g("B").uniform(-1.0, 1.0, size=(nx, nu))
+    q_diag = g("Q").uniform(0.5, 1.5, size=nx)
+    r_diag = g("R").uniform(0.05, 0.15, size=nu)
+    x_lim, u_lim = 5.0, 0.02
+    x0 = bench._rng("mpc", size, seed, "x0").uniform(-0.5, 0.5, size=nx)
+    n = (T + 1) * nx + T * nu
+    off_u = (T + 1) * nx
+    P = np.diag(np.concatenate((np.tile(q_diag, T), q_diag, np.tile(r_diag, T))))
+    q = np.zeros(n)
+    m = nx + T * nx + T * nx + T * nu
+    A = np.zeros((m, n))
+    l = np.empty(m)
+    u = np.empty(m)
+    A[:nx, :nx] = np.eye(nx)
+    l[:nx] = u[:nx] = x0
+    row = nx
+    for t in range(T):
+        A[row : row + nx, (t + 1) * nx : (t + 2) * nx] = np.eye(nx)
+        A[row : row + nx, t * nx : (t + 1) * nx] = -Ad
+        A[row : row + nx, off_u + t * nu : off_u + (t + 1) * nu] = -Bd
+        l[row : row + nx] = u[row : row + nx] = 0.0
+        row += nx
+    for t in range(T):
+        A[row : row + nx, (t + 1) * nx : (t + 2) * nx] = np.eye(nx)
+        l[row : row + nx] = -x_lim
+        u[row : row + nx] = x_lim
+        row += nx
+    A[row:, off_u:] = np.eye(T * nu)
+    l[row:] = -u_lim
+    u[row:] = u_lim
+    return QpProblem(P, q, A, l, u, name=f"mpc_n{size}_s{seed}", seed=seed)
+
+
 def psd_probe_dense(P: np.ndarray) -> bool:
     """relaxqp.problem's dense PSD probe on whole matrices: P must pass
     np.allclose(P, P.T, rtol=atol=1e-10), and P + 1e-9*I must admit a

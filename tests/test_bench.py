@@ -1,9 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 
+from relaxqp import bench
 from relaxqp.bench import (
     DESK_SIZES,
     FamilySpec,
@@ -25,9 +28,9 @@ from relaxqp.bench import (
 )
 from relaxqp.engine import SolverConfig, solve
 from relaxqp.errors import InputError
-from relaxqp.problem import QpProblem
+from relaxqp.problem import QpProblem, save_problem
 
-from oracles import active_set_solution, control_kron
+from oracles import active_set_solution, control_kron, lasso_dense, mpc_dense
 
 
 class TestFamilySpec:
@@ -152,6 +155,49 @@ class TestGenerators:
         prob = generate(FamilySpec(family, size, 5))
         rep = solve(prob, SolverConfig())
         assert rep.status == "solved"
+
+
+def saved_files(prob: QpProblem, directory: Path) -> dict:
+    """Name and bytes of every file save_problem writes for ``prob``."""
+    directory.mkdir()
+    save_problem(prob, directory / "p.json")
+    return {f.name: f.read_bytes() for f in directory.iterdir()}
+
+
+def operator_parts(M) -> tuple:
+    """The arrays of an operator: a CSR matrix's parts, or the ndarray."""
+    return (M.indptr, M.indices, M.data) if sparse.issparse(M) else (np.ascontiguousarray(M),)
+
+
+SPARSE_GENERATOR_CASES = ([("lasso", size, 1) for size in documented_grid("lasso")]
+                          + [("mpc", 100, seed) for seed in (1, 2, 573290)])
+
+
+class TestSparseGenerators:
+    """lasso and mpc build P and A as CSR matrices; the problem equals, bit
+    for bit, the one built from the dense arrays of the same blocks."""
+
+    @pytest.mark.parametrize("family,size,seed", SPARSE_GENERATOR_CASES)
+    def test_matches_the_dense_oracle(self, tmp_path, family, size, seed):
+        got = generate(FamilySpec(family, size, seed))
+        want = {"lasso": lasso_dense, "mpc": mpc_dense}[family](size, seed)
+        for k in "PqAlu":
+            assert getattr(got, k).tobytes() == getattr(want, k).tobytes(), k
+        assert (got.name, got.seed, got.kkt_backend) == (want.name, want.seed, want.kkt_backend)
+        for a, b in zip(got.operators, want.operators):
+            assert type(a) is type(b)
+            for x, y in zip(operator_parts(a), operator_parts(b), strict=True):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert saved_files(got, tmp_path / "got") == saved_files(want, tmp_path / "want")
+
+    def test_mpc_shared_data_is_read_only(self):
+        arrays = [a for a in bench._mpc_shared_data() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 5
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        assert bench._mpc_shared_data() is bench._mpc_shared_data()
 
 
 class TestReferenceSolution:

@@ -352,9 +352,15 @@ class TestInputErrors:
                      "val_instances": []}), "unknown fields ['seed']"),
         (json.dumps({"family": "random_qp", "variant": ["vector"], "train_instances": [],
                      "val_instances": []}), "unknown policy variant ['vector']"),
+        (json.dumps({"family": "random_qp", "train_instances": [],
+                     "val_instances": [{"size": 10, "seed": 11}], "config": {"batch_size": 1}}),
+         "field 'train_instances' lists no instance"),
+        (json.dumps({"family": "random_qp", "train_instances": [{"size": 10, "seed": 1}],
+                     "val_instances": [{"size": 10, "seed": 11}]}),
+         "'batch_size' (16) exceeds the number of training instances (1)"),
     ], ids=["missing_train_instances", "not_json", "unknown_config_key", "mistyped_config_value",
             "instances_not_a_list", "instance_not_an_object", "misspelt_key", "top_level_seed",
-            "variant_not_a_string"])
+            "variant_not_a_string", "no_training_instances", "batch_size_above_training_set"])
     def test_malformed_train_manifest(self, tmp_path, capsys, text, named):
         # Refused before any reference solve: no instance store, no checkpoint.
         man_path = tmp_path / "train.json"
