@@ -16,10 +16,11 @@
 # whose relaxation box [1.0, 1.9] is not centred at 1.6 writes the initial
 # checkpoint, which holds neither a box nor dims; solve --checkpoint runs it
 # in that config (exit 0, policy_queries > 0), and two bench --checkpoint runs
-# in the default config give the same columns.  Last, five refused inputs
+# in the default config give the same columns.  Last, six refused inputs
 # exit 1 with one error line: bench --adaptive-rho off, a flag bench does not
-# take, verify --drift-iters -1, solve --max-iter 0, bench --jobs 0 and a
-# training manifest with a misspelt key.
+# take, verify --drift-iters -1, solve --max-iter 0, bench --jobs 0, a
+# training manifest with a misspelt key and a verify manifest with a misspelt
+# specs key.
 #
 # Run from the repository root: bash .github/scripts/cli_round_trip.sh
 set -euo pipefail
@@ -103,4 +104,8 @@ sed 's/"variant"/"varient"/' "$d/train.json" > "$d/misspelt.json"
 expect_error "^relaxqp: error: training manifest .*: unknown fields \['varient'\]$" \
   python -m relaxqp.cli train --manifest "$d/misspelt.json" --store "$d/t" --out "$d/run2"
 test ! -e "$d/run2"
+sed 's/"specs"/"spex"/' "$d/m.json" > "$d/spex.json"
+expect_error "^relaxqp: error: manifest .*: unknown fields \['spex'\]$" \
+  python -m relaxqp.cli verify --manifest "$d/spex.json" --store "$d/s" --out "$d/spex_out.json"
+test ! -e "$d/spex_out.json"
 echo "CLI round trip passed"

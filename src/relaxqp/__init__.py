@@ -4,7 +4,6 @@ per-constraint, time-varying relaxation parameters."""
 
 from .bench import FamilySpec, ReferenceSolution, generate, reference_solution
 from .engine import (
-    FixedPolicy,
     SolveReport,
     SolverConfig,
     SolverState,
@@ -51,7 +50,6 @@ __all__ = [
     "DivergenceError",
     "DriftSchedule",
     "FamilySpec",
-    "FixedPolicy",
     "InfeasibleBoundsError",
     "InputError",
     "KktTerms",

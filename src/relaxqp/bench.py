@@ -36,6 +36,7 @@ from .problem import (
     QpProblem,
     _is_integer,
     array_field,
+    check_keys,
     load_problem,
     osqp_residuals,
     read_json_object,
@@ -417,22 +418,24 @@ def spec_to_dict(spec: FamilySpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> FamilySpec:
-    """The spec of a manifest entry; size and seed must be JSON integers."""
-    try:
-        fields = dict(family=doc["family"], size=doc["size"], seed=doc["seed"],
-                      split=doc.get("split", "test"))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed family spec: {exc}") from exc
+    """The spec of a manifest entry, an object with the keys family, size,
+    seed and, optionally, split; size and seed must be JSON integers."""
+    if not isinstance(doc, dict):
+        raise InputError(f"malformed family spec: {doc!r} is not an object")
+    check_keys(doc, "family spec", ("family", "size", "seed", "split"), ("family", "size", "seed"))
     for key in ("size", "seed"):
-        if not _is_integer(fields[key]):
+        if not _is_integer(doc[key]):
             raise InputError(f"malformed family spec: field {key!r} must be an integer, "
-                             f"got {fields[key]!r}")
-    return FamilySpec(**fields)
+                             f"got {doc[key]!r}")
+    return FamilySpec(**doc)
 
 
 def load_manifest(path) -> list:
-    """Read a manifest file and enforce split seed disjointness per family."""
-    entries = read_json_object(path, "manifest").get("specs", [])
+    """Read a manifest file, an object whose one key ``specs`` lists the
+    entries, and enforce split seed disjointness per family."""
+    doc = read_json_object(path, "manifest")
+    check_keys(doc, f"manifest {path}", ("specs",), ("specs",))
+    entries = doc["specs"]
     if not isinstance(entries, list):
         raise InputError(f"manifest {path}: field 'specs' must be a list")
     specs = [spec_from_dict(d) for d in entries]

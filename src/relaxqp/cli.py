@@ -24,7 +24,7 @@ from . import bench as bench_mod
 from .engine import SolverConfig, config_from_dict, load_config, report_to_dict, solve
 from .errors import InputError, SolverError, TheoryViolationError
 from .policy import init_checkpoint, load_checkpoint, policy_from_checkpoint, save_checkpoint
-from .problem import load_problem, read_json_object
+from .problem import check_keys, load_problem, read_json_object
 from .training import TrainConfig, collect_norm_stats, train
 from .verify import DriftSchedule, check_descent, reconstruct_drs, record_trajectory, run_drift_experiment
 
@@ -168,12 +168,8 @@ def cmd_bench(args) -> int:
 def cmd_train(args) -> int:
     doc = read_json_object(args.manifest, "training manifest")
     where = f"training manifest {args.manifest}"
-    unknown = sorted(set(doc) - {"family", "variant", "config", "train_instances", "val_instances"})
-    if unknown:
-        raise InputError(f"{where}: unknown fields {unknown}")
-    missing = [k for k in ("family", "train_instances", "val_instances") if k not in doc]
-    if missing:
-        raise InputError(f"{where} lacks fields {missing}")
+    check_keys(doc, where, ("family", "variant", "config", "train_instances", "val_instances"),
+               ("family", "train_instances", "val_instances"))
     for key in ("train_instances", "val_instances"):
         if not (isinstance(doc[key], list) and all(isinstance(d, dict) for d in doc[key])):
             raise InputError(f"{where}: field {key!r} must be a list of objects")

@@ -174,21 +174,11 @@ class SolveReport:
 
 
 def report_to_dict(rep: SolveReport) -> dict:
-    return {
-        "status": rep.status,
-        "kkt_backend": rep.kkt_backend,
-        "iterations": rep.iterations,
-        "rho_updates": rep.rho_updates,
-        "factorizations": rep.factorizations,
-        "runtime_seconds": rep.runtime_seconds,
-        "policy_seconds": rep.policy_seconds,
-        "policy_queries": rep.policy_queries,
-        "objective": rep.objective,
-        "x": rep.x.tolist(),
-        "z": rep.z.tolist(),
-        "y": rep.y.tolist(),
-        "residual_history": [[int(i), float(rp), float(rd)] for i, rp, rd in rep.residual_history],
-    }
+    doc = {f.name: getattr(rep, f.name) for f in fields(rep)}
+    for key in ("x", "z", "y"):
+        doc[key] = doc[key].tolist()
+    doc["residual_history"] = [[int(i), float(rp), float(rd)] for i, rp, rd in rep.residual_history]
+    return doc
 
 
 def init_state(prob: QpProblem, cfg: SolverConfig) -> SolverState:
@@ -340,16 +330,6 @@ def policy_context(
         iteration=state.iter,
         cfg=cfg,
     )
-
-
-class FixedPolicy:
-    """Constant relaxation; the OSQP default corresponds to alpha = 1.6."""
-
-    def __init__(self, alpha: float = 1.6):
-        self.alpha = float(alpha)
-
-    def propose(self, ctx: PolicyContext):
-        return np.full(ctx.prob.m, self.alpha), self.alpha
 
 
 def solve(

@@ -152,7 +152,7 @@ class NormStats:
         return cls(np.zeros(dim), np.ones(dim), source="identity")
 
 
-def fit_norm_stats(batches: list, source: str = "baseline-rollout") -> NormStats:
+def fit_norm_stats(batches: list) -> NormStats:
     """Population mean/std over stacked feature batches, std floored at 1e-6."""
     if not batches:
         raise InputError("no rollout features to fit normalization statistics")
@@ -161,7 +161,7 @@ def fit_norm_stats(batches: list, source: str = "baseline-rollout") -> NormStats
         raise InputError("no rollout features to fit normalization statistics")
     mean = stacked.mean(axis=0)
     std = np.maximum(stacked.std(axis=0), STD_FLOOR)
-    return NormStats(mean=mean, std=std, source=source)
+    return NormStats(mean=mean, std=std, source="baseline-rollout")
 
 
 @dataclass

@@ -551,6 +551,18 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
+def check_keys(doc: dict, where: str, allowed, required=()) -> None:
+    """InputError, its message led by ``where``, naming the keys of ``doc``
+    outside ``allowed`` or, when there are none, the ``required`` keys that
+    ``doc`` lacks."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise InputError(f"{where}: unknown fields {unknown}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise InputError(f"{where} lacks fields {missing}")
+
+
 def write_atomic(path, data) -> None:
     """Write ``data``, a str, a bytes-like object such as a C-contiguous
     array, or a tuple of bytes-like objects written one after another, to

@@ -38,6 +38,7 @@ from .problem import QpProblem
 
 LOSS_EPS = 1e-10
 DIVERGENCE_STAGE_CAP = 6.0
+NORM_STATS_HORIZON = 200
 
 
 def shaping(r: float) -> float:
@@ -136,10 +137,10 @@ def rollout(
     )
 
 
-def collect_norm_stats(instances: list, variant: str, cfg: SolverConfig, horizon: int = 200):
-    """Policy inputs at ``cfg``'s stage boundaries of short baseline rollouts
-    (no policy, so the relaxation stays ``cfg.alpha0``), used once to freeze
-    the normalization statistics."""
+def collect_norm_stats(instances: list, variant: str, cfg: SolverConfig):
+    """Policy inputs at ``cfg``'s stage boundaries of baseline rollouts of
+    NORM_STATS_HORIZON iterations (no policy, so the relaxation stays
+    ``cfg.alpha0``), used once to freeze the normalization statistics."""
     batches = []
     for prob in instances:
         feats = []
@@ -152,8 +153,7 @@ def collect_norm_stats(instances: list, variant: str, cfg: SolverConfig, horizon
                 feats.append(policy_inputs(policy_context(prob, state, res, stage["res"], cfg), variant))
             stage["res"] = res
 
-        run_cfg = replace(cfg, max_iter=horizon)
-        solve(prob, run_cfg, observer=observer)
+        solve(prob, replace(cfg, max_iter=NORM_STATS_HORIZON), observer=observer)
         if feats:
             batches.append(np.vstack([np.atleast_2d(f) for f in feats]))
     return fit_norm_stats(batches)

@@ -315,19 +315,10 @@ class DriftSchedule:
     theta: np.ndarray
 
     @classmethod
-    def zero(cls, horizon: int) -> "DriftSchedule":
-        return cls(np.zeros(horizon))
-
-    @classmethod
     def inverse_square(cls, horizon: int, scale: float = 0.5) -> "DriftSchedule":
         """Summable drift scale/(k+1)^2."""
         k = np.arange(horizon, dtype=np.float64)
         return cls(scale / (k + 1.0) ** 2)
-
-    @classmethod
-    def constant(cls, horizon: int, level: float = 0.5) -> "DriftSchedule":
-        """Non-summable drift: theta_k = level at every step."""
-        return cls(np.full(horizon, level))
 
 
 @dataclass(frozen=True)

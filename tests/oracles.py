@@ -155,6 +155,18 @@ def mlp_forward_loops(ckpt, cfg, x: np.ndarray) -> float:
     return cfg.alpha_min + (cfg.alpha_max - cfg.alpha_min) * sig
 
 
+class FixedPolicy:
+    """Constant relaxation alpha on every row and the decision space, through
+    the policy path; at alpha = SolverConfig.alpha0 the iterates are those of
+    a solve without a policy."""
+
+    def __init__(self, alpha: float = 1.6):
+        self.alpha = float(alpha)
+
+    def propose(self, ctx):
+        return np.full(ctx.prob.m, self.alpha), self.alpha
+
+
 class RandomGammaPolicy:
     """Per-stage random relaxation within the configured box (seeded)."""
 

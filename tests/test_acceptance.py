@@ -14,7 +14,7 @@ from relaxqp.bench import (
     generate,
     reference_solution,
 )
-from relaxqp.engine import FixedPolicy, SolverConfig, solve
+from relaxqp.engine import SolverConfig, solve
 from relaxqp.policy import (
     flatten_params,
     init_checkpoint,
@@ -31,7 +31,7 @@ from relaxqp.verify import (
     run_drift_experiment,
 )
 
-from oracles import RandomGammaPolicy, random_box_qp, relaxed_admm_transcription
+from oracles import FixedPolicy, RandomGammaPolicy, random_box_qp, relaxed_admm_transcription
 
 
 def report(criterion: int, text: str):

@@ -421,6 +421,22 @@ class TestInputErrors:
             capsys,
         )
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"spex": [{"family": "random_qp", "size": 10, "seed": 1}]}, "unknown fields ['spex']"),
+        ({}, "lacks fields ['specs']"),
+        ({"specs": [{"family": "random_qp", "size": 10, "seed": 1, "slpit": "train"}]},
+         "unknown fields ['slpit']"),
+        ({"specs": [3]}, "3 is not an object"),
+    ], ids=["misspelt_specs", "missing_specs", "unknown_entry_key", "entry_not_an_object"])
+    @pytest.mark.parametrize("command", ["bench", "verify"])
+    def test_manifest_keys_are_checked(self, tmp_path, capsys, command, doc, named):
+        manifest, out = tmp_path / "m.json", tmp_path / "out"
+        manifest.write_text(json.dumps(doc))
+        argv = [command, "--manifest", str(manifest), "--store", str(tmp_path / "store"),
+                "--out", str(out)]
+        self._expect_error(argv, named, capsys)
+        assert not out.exists()
+
     def test_bench_names_the_broken_problem_file_of_a_store(self, tmp_path, capsys):
         specs = [FamilySpec("random_qp", 10, 1), FamilySpec("control", 10, 1)]
         manifest, store = tmp_path / "m.json", tmp_path / "store"

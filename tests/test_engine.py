@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from relaxqp.bench import FamilySpec, generate
 from relaxqp.engine import (
     ITERATE_ERRSTATE,
-    FixedPolicy,
     SolverConfig,
     apply_policy,
     config_from_dict,
@@ -30,7 +29,7 @@ from relaxqp.linalg import ldlt_solve
 from relaxqp.policy import init_checkpoint, policy_from_checkpoint
 from relaxqp.problem import QpProblem, osqp_residuals
 
-from oracles import random_box_qp, relaxed_admm_transcription, splitting_residuals
+from oracles import FixedPolicy, random_box_qp, relaxed_admm_transcription, splitting_residuals
 
 INF = np.inf
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relaxqp.bench import FamilySpec, generate, reference_from_dict
-from relaxqp.engine import FixedPolicy, SolverConfig, policy_context, solve
+from relaxqp.engine import SolverConfig, policy_context, solve
 from relaxqp.errors import InputError
 from relaxqp.policy import (
     BLOCK_ENTRIES,
@@ -35,7 +35,7 @@ from relaxqp.policy import (
 )
 from relaxqp.problem import QpProblem, Residuals
 
-from oracles import mlp_forward_loops
+from oracles import FixedPolicy, mlp_forward_loops
 
 INF = np.inf
 CFG = SolverConfig()  # the default relaxation box, [1.25, 1.95]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relaxqp.bench import FamilySpec, generate, reference_solution
-from relaxqp.engine import FixedPolicy, SolverConfig
+from relaxqp.engine import SolverConfig
 from relaxqp.errors import InputError
 from relaxqp.policy import flatten_params, init_checkpoint
 from relaxqp.training import (
@@ -15,6 +15,8 @@ from relaxqp.training import (
     stage_loss,
     train,
 )
+
+from oracles import FixedPolicy
 
 
 class TestShaping:
@@ -164,9 +166,9 @@ class TestCollectNormStats:
     def test_shapes_per_variant(self):
         probs = [generate(FamilySpec("random_qp", 10, s)) for s in (41, 42)]
         cfg = SolverConfig(adaptive_rho=False)
-        ns_s = collect_norm_stats(probs, "scalar", cfg, horizon=80)
+        ns_s = collect_norm_stats(probs, "scalar", cfg)
         assert ns_s.mean.shape == (6,)
-        ns_v = collect_norm_stats(probs, "vector", cfg, horizon=80)
+        ns_v = collect_norm_stats(probs, "vector", cfg)
         assert ns_v.mean.shape == (13,)
         assert np.all(ns_v.std >= 1e-6)
 
