@@ -20,7 +20,10 @@
 # exit 1 with one error line: bench --adaptive-rho off, a flag bench does not
 # take, verify --drift-iters -1, solve --max-iter 0, bench --jobs 0, a
 # training manifest with a misspelt key and a verify manifest with a misspelt
-# specs key.
+# specs key; then two training manifests whose instance entries are refused
+# before any instance is generated: one with a misspelt key in its second
+# training entry, which must leave no instance directory, and one with a
+# split key in an entry.
 #
 # Run from the repository root: bash .github/scripts/cli_round_trip.sh
 set -euo pipefail
@@ -108,4 +111,12 @@ sed 's/"specs"/"spex"/' "$d/m.json" > "$d/spex.json"
 expect_error "^relaxqp: error: manifest .*: unknown fields \['spex'\]$" \
   python -m relaxqp.cli verify --manifest "$d/spex.json" --store "$d/s" --out "$d/spex_out.json"
 test ! -e "$d/spex_out.json"
+sed 's/"seed": 2}/"sede": 2}/' "$d/train.json" > "$d/second_entry.json"
+expect_error "^relaxqp: error: training manifest .*: field 'train_instances' entry 1: family spec: unknown fields \['sede'\]$" \
+  python -m relaxqp.cli train --manifest "$d/second_entry.json" --store "$d/t2" --out "$d/run3"
+test ! -e "$d/t2" && test ! -e "$d/run3"
+sed 's/"seed": 11}/"seed": 11, "split": "train"}/' "$d/train.json" > "$d/split_entry.json"
+expect_error "^relaxqp: error: training manifest .*: field 'val_instances' entry 0: family spec: unknown fields \['split'\]$" \
+  python -m relaxqp.cli train --manifest "$d/split_entry.json" --store "$d/t3" --out "$d/run4"
+test ! -e "$d/t3" && test ! -e "$d/run4"
 echo "CLI round trip passed"

@@ -417,28 +417,38 @@ def spec_to_dict(spec: FamilySpec) -> dict:
     return {"family": spec.family, "size": spec.size, "seed": spec.seed, "split": spec.split}
 
 
-def spec_from_dict(doc: dict) -> FamilySpec:
+def spec_from_dict(doc: dict, **fixed) -> FamilySpec:
     """The spec of a manifest entry, an object with the keys family, size,
-    seed and, optionally, split; size and seed must be JSON integers."""
-    if not isinstance(doc, dict):
-        raise InputError(f"malformed family spec: {doc!r} is not an object")
-    check_keys(doc, "family spec", ("family", "size", "seed", "split"), ("family", "size", "seed"))
+    seed and, optionally, split; size and seed must be JSON integers.  The
+    keys given as ``fixed`` are the spec's and refused in the entry."""
+    keys = [k for k in ("family", "size", "seed", "split") if k not in fixed]
+    check_keys(doc, "family spec", keys, [k for k in keys if k != "split"])
     for key in ("size", "seed"):
         if not _is_integer(doc[key]):
             raise InputError(f"malformed family spec: field {key!r} must be an integer, "
                              f"got {doc[key]!r}")
-    return FamilySpec(**doc)
+    return FamilySpec(**doc, **fixed)
 
 
-def load_manifest(path) -> list:
-    """Read a manifest file, an object whose one key ``specs`` lists the
-    entries, and enforce split seed disjointness per family."""
-    doc = read_json_object(path, "manifest")
-    check_keys(doc, f"manifest {path}", ("specs",), ("specs",))
-    entries = doc["specs"]
-    if not isinstance(entries, list):
-        raise InputError(f"manifest {path}: field 'specs' must be a list")
-    specs = [spec_from_dict(d) for d in entries]
+def manifest_specs(where: str, lists: dict) -> list:
+    """The specs of a manifest's entry lists, each checked before any
+    instance is generated: ``lists`` maps the field of each list to its
+    entries and the keys every spec of that list is given (see
+    :func:`spec_from_dict`).  Every error is led by ``where``, the manifest
+    file, and names the field and the index of the entry.  Seeds must be
+    disjoint across the splits of each family."""
+    specs = []
+    for key, (entries, fixed) in lists.items():
+        if not isinstance(entries, list):
+            raise InputError(f"{where}: field {key!r} must be a list of objects")
+        for i, d in enumerate(entries):
+            if not isinstance(d, dict):
+                raise InputError(f"{where}: field {key!r} must be a list of objects; "
+                                 f"its entry {i}: {d!r} is not an object")
+            try:
+                specs.append(spec_from_dict(d, **fixed))
+            except InputError as exc:
+                raise type(exc)(f"{where}: field {key!r} entry {i}: {exc}") from exc
     seeds: dict = {}
     for s in specs:
         seeds.setdefault((s.family, s.split), set()).add(s.seed)
@@ -449,9 +459,18 @@ def load_manifest(path) -> list:
                 overlap = splits[i] & splits[j]
                 if overlap:
                     raise InputError(
-                        f"family {family!r}: splits share seeds {sorted(overlap)}"
+                        f"{where}: family {family!r}: splits share seeds {sorted(overlap)}"
                     )
     return specs
+
+
+def load_manifest(path) -> list:
+    """The specs of a manifest file, an object whose one key ``specs`` lists
+    the entries (see :func:`manifest_specs`)."""
+    doc = read_json_object(path, "manifest")
+    where = f"manifest {path}"
+    check_keys(doc, where, ("specs",), ("specs",))
+    return manifest_specs(where, {"specs": (doc["specs"], {})})
 
 
 def save_manifest(specs: list, path) -> None:

@@ -170,18 +170,19 @@ def cmd_train(args) -> int:
     where = f"training manifest {args.manifest}"
     check_keys(doc, where, ("family", "variant", "config", "train_instances", "val_instances"),
                ("family", "train_instances", "val_instances"))
-    for key in ("train_instances", "val_instances"):
-        if not (isinstance(doc[key], list) and all(isinstance(d, dict) for d in doc[key])):
-            raise InputError(f"{where}: field {key!r} must be a list of objects")
+    family = doc["family"]
+    specs = bench_mod.manifest_specs(where, {
+        key: (doc[key], {"family": family, "split": split})
+        for key, split in (("train_instances", "train"), ("val_instances", "val"))
+    })
     if not isinstance(doc.get("config", {}), dict):
         raise InputError(f"{where}: field 'config' must be an object")
     cfg = _load_cfg(args)
-    family = doc["family"]
     variant = doc.get("variant", "scalar")
     tcfg = config_from_dict(doc.get("config", {}), TrainConfig)
     # before any solve or write, so that an unknown variant is refused first
     ckpt0 = init_checkpoint(variant, seed=tcfg.seed, metadata={"family": family, "optimizer": "spsa"})
-    n_train = len(doc["train_instances"])
+    n_train = sum(s.split == "train" for s in specs)
     if not n_train:
         raise InputError(f"{where}: field 'train_instances' lists no instance")
     if tcfg.batch_size > n_train:
@@ -189,16 +190,12 @@ def cmd_train(args) -> int:
                          f"the number of training instances ({n_train})")
     store = args.store or "instances"
 
-    def build(split_specs, split):
-        out = []
-        for d in split_specs:
-            spec = bench_mod.spec_from_dict({**d, "family": family, "split": split})
-            prob, ref = bench_mod.ensure_instance(store, spec, with_reference=True)
-            out.append((prob, ref))
-        return out
+    def build(split):
+        return [bench_mod.ensure_instance(store, s, with_reference=True)
+                for s in specs if s.split == split]
 
-    train_set = build(doc["train_instances"], "train")
-    val_set = build(doc["val_instances"], "val")
+    train_set = build("train")
+    val_set = build("val")
     print(f"train: {len(train_set)} training / {len(val_set)} validation instances", file=sys.stderr)
 
     norm_stats = collect_norm_stats([p for p, _ in train_set], variant, cfg)

@@ -3,22 +3,25 @@
 A problem is  minimize 0.5 x'Px + q'x  subject to  l <= Ax <= u,  with
 entries of l, u allowed to be -inf/+inf.
 
-:class:`QpProblem` takes P and A as ndarrays or scipy.sparse matrices and
-keeps them as dense ndarrays, its public model.  It picks the problem's
-linear-algebra backend once, with :func:`relaxqp.linalg.pick_backend`, from
-the nonzero count of its input.  On the sparse backend it builds one CSR
-matrix per matrix, :attr:`QpProblem.stored`, holding the stored entries:
-those whose bit pattern is not zero, -0.0 included.  From CSR input that is
-the canonical copy (indices sorted, duplicates summed) without its +0.0
-entries; from dense input it is a scan of the bit patterns.  No dense array
-is scanned again: the dense field is the dense input or, from CSR input, the
-stored entries assigned into zeros; the operators are the stored CSR without
-its zero values (the same object when it holds none), equal to
-``scipy.sparse.csr_array`` of the dense field; and :func:`save_problem`
-writes the stored CSR as it is.  On the dense backend the dense arrays are
-all three.  P and A are validated in the storage of the problem's
-:attr:`QpProblem.operators`, the storage every product with A, A' and P
-goes through.
+:class:`QpProblem` takes P and A as ndarrays or scipy.sparse matrices.  It
+picks the problem's linear-algebra backend once, with
+:func:`relaxqp.linalg.pick_backend`, from the nonzero count of its input.  On
+the dense backend it keeps them as dense ndarrays, which are also its
+operators and what :func:`save_problem` writes.  On the sparse backend it
+keeps them as CSR only: :attr:`QpProblem.stored` holds one CSR matrix per
+matrix of the stored entries, those whose bit pattern is not zero, -0.0
+included.  From CSR input that is the canonical copy (indices sorted,
+duplicates summed) without its +0.0 entries; from dense input it is a scan of
+the bit patterns, and the dense input is not kept.  The operators are the
+stored CSR without its zero values (the same object when it holds none), and
+:func:`save_problem` writes the stored CSR as it is.  ``prob.P`` and
+``prob.A`` of a sparse-backend problem are dense float64 arrays built from
+the stored entries, assigned into zeros, on every access and never kept:
+bit for bit the dense input of the same problem, -0.0 included.  A matrix
+too large to allocate densely is an InputError at that access, not at
+construction.  No code of the package reads them; P and A are validated in
+the storage of the problem's :attr:`QpProblem.operators`, the storage every
+product with A, A' and P goes through.
 
 A problem file is one JSON document ``{name, n, m, P, q, A, l, u, seed}``,
 written only by :func:`save_problem`.  Each of the five arrays is a sidecar
@@ -34,10 +37,12 @@ the k column indices as little-endian int32, then the k values as
 little-endian float64: the stored entries, every entry whose bit pattern is
 not zero, -0.0 included.  So every value, +-inf, -0.0 and subnormals included,
 round-trips bit-exactly.  The name is the content's address, so rewriting a
-path with the same problem rewrites the same bytes under the same names, and
-a rewrite with other content writes new sidecars and leaves the old ones in
-place for a reader of the old document.  The sidecars are written, each
-through a temporary file and one ``os.replace``, before the document.
+path with the same problem names the same sidecars, and a rewrite with other
+content writes new sidecars and leaves the old ones in place for a reader of
+the old document.  The sidecars are written, each through a temporary file
+and one ``os.replace``, before the document; a sidecar whose name already
+holds its bytes (the size compared first, then the content in bounded
+chunks) is not written again, and one that holds other bytes is replaced.
 :func:`load_problem` reads a sidecar only under a bare file name of that
 pattern whose letter is the field's and whose suffix is the field's form,
 only when its size is exactly the one n, m and nnz give, and accepts its
@@ -84,6 +89,7 @@ SIDECAR_NAME = re.compile(r"[^./\\\0][^/\\\0]*\.([PAqlu])\.([0-9a-f]{8})\.(f8|cs
 SYMMETRY_TOL = 1e-10  # rtol and atol of the symmetry test
 PSD_SHIFT = 1e-9
 PROBE_BLOCK = 1 << 18  # entries of P per block of the symmetry test
+SIDECAR_CHUNK = 1 << 20  # bytes per read when a sidecar is compared
 
 
 def classify(l: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -104,8 +110,10 @@ def classify(l: np.ndarray, u: np.ndarray) -> np.ndarray:
 class QpProblem:
     """Immutable QP instance.
 
-    P and A may be given as ndarrays or scipy.sparse matrices; the fields
-    hold them as dense float64 ndarrays.
+    P and A may be given as ndarrays or scipy.sparse matrices.  Read as
+    fields, they are dense float64 ndarrays: the kept arrays on the dense
+    backend; on the sparse backend, which keeps only ``stored`` and
+    ``operators``, a new array built from ``stored`` on every access.
 
     Attributes
     ----------
@@ -154,7 +162,6 @@ class QpProblem:
         if backend == "sparse":
             stored = _stored(P), _stored(A)
             P_op, A_op = (_select(M, M.data != 0.0) for M in stored)  # NaN is kept
-            P, A = _dense(P), _dense(A)
             operators = A_op, A_op.T.tocsr(), P_op
             values = P_op.data, q, A_op.data
             zero_row = np.diff(A_op.indptr) == 0
@@ -182,9 +189,13 @@ class QpProblem:
                 raise InputError(f"all-zero constraint row {i} excludes 0 and is infeasible")
         if n and not psd_probe(operators[2]):
             raise InputError("P is not positive semidefinite (factorization probe failed)")
-        object.__setattr__(self, "P", P)
+        if backend == "sparse":  # P and A are built on access (_DenseOnAccess)
+            object.__delattr__(self, "P")
+            object.__delattr__(self, "A")
+        else:
+            object.__setattr__(self, "P", P)
+            object.__setattr__(self, "A", A)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "A", A)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "equality", equality)
@@ -194,11 +205,11 @@ class QpProblem:
 
     @property
     def n(self) -> int:
-        return self.P.shape[0]
+        return self.q.shape[0]
 
     @property
     def m(self) -> int:
-        return self.A.shape[0]
+        return self.l.shape[0]
 
     @cached_property
     def row_norms(self) -> np.ndarray:
@@ -222,6 +233,28 @@ class QpProblem:
     def q_norm(self) -> float:
         """Infinity norm of q (a term of every dual stopping scale)."""
         return _inf_norm(self.q)
+
+
+class _DenseOnAccess:
+    """The field of matrix ``index`` of ``stored`` (0 for P, 1 for A) where
+    the instance holds none, as on the sparse backend: a new dense array of
+    the stored entries on every read.  It defines no ``__set__``, so the
+    dense backend's arrays, held by the instance, are read first, and a
+    class without ``__getattr__`` keeps attribute reads on the solver's hot
+    path at their plain cost."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __get__(self, prob, owner=None):
+        if prob is None:
+            return self
+        return _dense(prob.stored[self.index])
+
+
+# Set after the dataclass is made, so that they are not taken as defaults.
+QpProblem.P = _DenseOnAccess(0)
+QpProblem.A = _DenseOnAccess(1)
 
 
 def _matrix_input(a):
@@ -585,12 +618,34 @@ def write_atomic(path, data) -> None:
 def _write_sidecar(path: str, key: str, suffix: str, parts) -> str:
     # The file holds the C-contiguous arrays ``parts`` one after another.
     # Its name drops the file name's leading dots, which the reader refuses.
+    # A file of that name that already holds those bytes is left as it is.
     crc = 0
     for a in parts:
         crc = zlib.crc32(a, crc)
     name = f"{os.path.basename(path).lstrip('.')}.{key}.{crc:08x}.{suffix}"
-    write_atomic(os.path.join(os.path.dirname(path), name), parts)
+    target = os.path.join(os.path.dirname(path), name)
+    if not _file_holds(target, parts):
+        write_atomic(target, parts)
     return name
+
+
+def _file_holds(path: str, parts) -> bool:
+    # Whether the file ``path`` holds the bytes of the C-contiguous arrays
+    # ``parts`` one after another: its size first, then its content, read in
+    # chunks of at most SIDECAR_CHUNK bytes.
+    try:
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != sum(a.nbytes for a in parts):
+                return False
+            for a in parts:
+                view = memoryview(a).cast("B")
+                for i in range(0, len(view), SIDECAR_CHUNK):
+                    chunk = view[i : i + SIDECAR_CHUNK].tobytes()  # bytes compare by memcmp
+                    if fh.read(len(chunk)) != chunk:
+                        return False
+    except OSError:
+        return False
+    return True
 
 
 def _dense_sidecar(path: str, key: str, a: np.ndarray) -> dict:

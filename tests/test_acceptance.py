@@ -171,6 +171,25 @@ def test_criterion_4_baseline_solvability(desk_reports):
     report(4, f"{len(desk_reports)} solves across 6 families all reached 1e-3")
 
 
+# Per-solve (status, iterations, rho_updates, factorizations) of the desk
+# instances on the sparse backend, fixed then adaptive penalty.
+DESK_SPARSE_COUNTS = {
+    "lasso_n20_s3": (("solved", 224, 0, 1), ("solved", 58, 1, 2)),
+    "mpc_n100_s1": (("solved", 617, 0, 1), ("solved", 73, 1, 2)),
+    "mpc_n100_s2": (("solved", 857, 0, 1), ("solved", 69, 1, 2)),
+}
+
+
+def test_desk_sparse_counts(desk_reports):
+    """The desk instances that run on the sparse backend keep their counts."""
+    got = {}
+    for spec, adaptive, rep in desk_reports:
+        if rep.kkt_backend == "sparse":
+            got.setdefault(spec.name, [None, None])[adaptive] = (
+                rep.status, rep.iterations, rep.rho_updates, rep.factorizations)
+    assert {k: tuple(v) for k, v in got.items()} == DESK_SPARSE_COUNTS
+
+
 def test_criterion_5_reduction_equivalence():
     """Uniform relaxation trajectories match the straight-line transcription
     oracle to 1e-12 over 100 iterations on 10 instances."""

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from relaxqp.bench import (
     ensure_instance,
     generate,
     load_manifest,
+    manifest_specs,
     reference_solution,
     save_manifest,
     spec_from_dict,
@@ -28,7 +30,8 @@ from relaxqp.bench import (
 )
 from relaxqp.engine import SolverConfig, solve
 from relaxqp.errors import InputError
-from relaxqp.problem import QpProblem, save_problem
+from relaxqp import problem as problem_mod
+from relaxqp.problem import QpProblem, load_problem, save_problem
 
 from oracles import active_set_solution, control_kron, lasso_dense, mpc_dense
 
@@ -169,6 +172,26 @@ def operator_parts(M) -> tuple:
     return (M.indptr, M.indices, M.data) if sparse.issparse(M) else (np.ascontiguousarray(M),)
 
 
+def held_arrays(obj, seen=None) -> list:
+    """Every ndarray reachable from ``obj`` through containers, the parts of
+    sparse matrices and the attributes of objects."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if sparse.issparse(obj):
+        children = (obj.data, obj.indices, obj.indptr)
+    elif isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (tuple, list)):
+        children = obj
+    else:
+        children = getattr(obj, "__dict__", {}).values()
+    return [a for child in children for a in held_arrays(child, seen)]
+
+
 SPARSE_GENERATOR_CASES = ([("lasso", size, 1) for size in documented_grid("lasso")]
                           + [("mpc", 100, seed) for seed in (1, 2, 573290)])
 
@@ -182,13 +205,39 @@ class TestSparseGenerators:
         got = generate(FamilySpec(family, size, seed))
         want = {"lasso": lasso_dense, "mpc": mpc_dense}[family](size, seed)
         for k in "PqAlu":
-            assert getattr(got, k).tobytes() == getattr(want, k).tobytes(), k
+            a, b = getattr(got, k), getattr(want, k)
+            assert a.dtype == np.float64 and a.flags.c_contiguous, k
+            assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64)), k
         assert (got.name, got.seed, got.kkt_backend) == (want.name, want.seed, want.kkt_backend)
         for a, b in zip(got.operators, want.operators):
             assert type(a) is type(b)
             for x, y in zip(operator_parts(a), operator_parts(b), strict=True):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         assert saved_files(got, tmp_path / "got") == saved_files(want, tmp_path / "want")
+
+    @pytest.mark.parametrize("family,size", [("mpc", 100), ("lasso", 50)])
+    def test_no_dense_matrix_is_held_or_built(self, tmp_path, monkeypatch, family, size):
+        # Generated or loaded, solved and saved, a sparse-backend problem
+        # holds no array with n*n or m*n entries and never densifies P or A.
+        def refuse(a):
+            raise AssertionError("a dense P or A was built")
+
+        monkeypatch.setattr(problem_mod, "_dense", refuse)
+        spec = FamilySpec(family, size, 1)
+        generated = generate(spec)
+        save_problem(generated, tmp_path / "p.json")
+        loaded = load_problem(tmp_path / "p.json")
+        for prob in (generated, loaded):
+            assert prob.kkt_backend == "sparse"
+            rep = solve(prob, SolverConfig())
+            assert rep.status == "solved"
+            n, m = prob.n, prob.m
+            sizes = [a.size for a in held_arrays(prob.__dict__)]
+            assert sizes and max(sizes) < min(n * n, m * n)
+            assert not {"P", "A"} & set(prob.__dict__)
+        monkeypatch.undo()
+        assert generated.P.tobytes() == loaded.P.tobytes()
+        assert generated.P is not generated.P
 
     def test_mpc_shared_data_is_read_only(self):
         arrays = [a for a in bench._mpc_shared_data() if isinstance(a, np.ndarray)]
@@ -262,8 +311,29 @@ class TestManifestAndStore:
         ]
         path = tmp_path / "m.json"
         save_manifest(specs, path)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=f"^manifest {re.escape(str(path))}: family "
+                                             r"'random_qp': splits share seeds \[1\]$"):
             load_manifest(path)
+
+    def test_fixed_keys_are_given_and_refused(self):
+        fixed = {"family": "svm", "split": "val"}
+        assert spec_from_dict({"size": 10, "seed": 3}, **fixed) == FamilySpec("svm", 10, 3, "val")
+        for key in fixed:
+            with pytest.raises(InputError, match=rf"unknown fields \['{key}'\]"):
+                spec_from_dict({"size": 10, "seed": 3, key: fixed[key]}, **fixed)
+        with pytest.raises(InputError, match=r"lacks fields \['seed'\]"):
+            spec_from_dict({"size": 10}, **fixed)
+
+    def test_manifest_specs_names_the_list_and_entry(self):
+        lists = {"a": ([{"family": "svm", "size": 10, "seed": 1}], {}),
+                 "b": ([{"size": 10, "seed": 2}, {"size": 10, "seed": "2"}],
+                       {"family": "svm", "split": "val"})}
+        with pytest.raises(InputError, match=r"^where: field 'b' entry 1: malformed family "
+                                             r"spec: field 'seed' must be an integer"):
+            manifest_specs("where", lists)
+        lists["b"][0].pop()
+        assert manifest_specs("where", lists) == [FamilySpec("svm", 10, 1),
+                                                  FamilySpec("svm", 10, 2, "val")]
 
     def test_manifest_roundtrip(self, tmp_path):
         specs = [

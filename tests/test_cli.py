@@ -373,6 +373,34 @@ class TestInputErrors:
         )
         assert sorted(f.name for f in tmp_path.iterdir()) == ["train.json"]
 
+    @pytest.mark.parametrize("train,val,named", [
+        ([{"size": 10, "seed": 1}, {"size": 10, "sede": 2}], [{"size": 10, "seed": 11}],
+         "field 'train_instances' entry 1: family spec: unknown fields ['sede']"),
+        ([{"size": 10, "seed": 1}], [{"size": 10, "seed": 11}, {"size": 11, "seed": 12}],
+         "field 'val_instances' entry 1: size 11 not in the documented grid"),
+        ([{"size": 10, "seed": 1, "split": "val"}], [{"size": 10, "seed": 11}],
+         "field 'train_instances' entry 0: family spec: unknown fields ['split']"),
+        ([{"size": 10, "seed": 1}], [{"family": "svm", "size": 10, "seed": 11}],
+         "field 'val_instances' entry 0: family spec: unknown fields ['family']"),
+        ([{"size": 10, "seed": 1}, {"size": 10, "seed": 2}], [{"size": 20, "seed": 2}],
+         "family 'random_qp': splits share seeds [2]"),
+    ], ids=["later_entry_misspelt", "later_entry_off_grid", "entry_carries_split",
+            "entry_carries_family", "train_and_val_share_a_seed"])
+    def test_bad_instance_entry_writes_nothing(self, tmp_path, capsys, train, val, named):
+        # Every entry becomes a spec before the first instance is generated,
+        # and the error names the manifest file and the entry.
+        man_path = tmp_path / "train.json"
+        man_path.write_text(json.dumps({"family": "random_qp", "train_instances": train,
+                                        "val_instances": val,
+                                        "config": {"epochs": 0, "batch_size": 1}}))
+        self._expect_error(
+            ["train", "--manifest", str(man_path), "--store", str(tmp_path / "store"),
+             "--out", str(tmp_path / "run")],
+            f"training manifest {man_path}: {named}",
+            capsys,
+        )
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["train.json"]
+
     @pytest.mark.parametrize("config,named", [
         ({"step_size": float("nan")}, "'step_size'"),
         ({"perturbation": 0.0}, "'perturbation'"),
@@ -427,7 +455,11 @@ class TestInputErrors:
         ({"specs": [{"family": "random_qp", "size": 10, "seed": 1, "slpit": "train"}]},
          "unknown fields ['slpit']"),
         ({"specs": [3]}, "3 is not an object"),
-    ], ids=["misspelt_specs", "missing_specs", "unknown_entry_key", "entry_not_an_object"])
+        ({"specs": [{"family": "random_qp", "size": 10, "seed": 1},
+                    {"family": "random_qp", "size": 10, "sede": 2}]},
+         "field 'specs' entry 1: family spec: unknown fields ['sede']"),
+    ], ids=["misspelt_specs", "missing_specs", "unknown_entry_key", "entry_not_an_object",
+            "later_entry_misspelt"])
     @pytest.mark.parametrize("command", ["bench", "verify"])
     def test_manifest_keys_are_checked(self, tmp_path, capsys, command, doc, named):
         manifest, out = tmp_path / "m.json", tmp_path / "out"

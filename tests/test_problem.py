@@ -437,6 +437,29 @@ class TestFileFormat:
         assert same_bits(load_problem(tmp_path / "old.json"), first)
         assert same_bits(load_problem(path), second)
 
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_resave_keeps_equal_sidecars_and_replaces_others(self, tmp_path, backend):
+        with forced_backend(backend):
+            prob = tiny_problem()
+        doc = saved_doc(prob, tmp_path)
+        names = [doc[key].get(SIDECAR_KEY) or doc[key][CSR_SIDECAR_KEY] for key in "PqAlu"]
+        want = saved_files(tmp_path)
+        for name in names:  # an mtime no rewrite can leave
+            os.utime(tmp_path / name, ns=(10**9, 10**9))
+        before = {name: os.stat(tmp_path / name) for name in names}
+        assert saved_doc(prob, tmp_path) == doc
+        for name in names:
+            after = os.stat(tmp_path / name)
+            assert (after.st_ino, after.st_mtime_ns) == (before[name].st_ino, 10**9), name
+        # Under the same names: other bytes of the same size, and a truncation.
+        (tmp_path / names[0]).write_bytes(bytes(len(want[names[0]])))
+        (tmp_path / names[2]).write_bytes(want[names[2]][:-1])
+        assert saved_doc(prob, tmp_path) == doc
+        assert saved_files(tmp_path) == want
+        for name in names[:3:2]:
+            assert os.stat(tmp_path / name).st_ino != before[name].st_ino
+        assert same_bits(load_problem(tmp_path / "p.json"), prob)
+
 
 def old_writer_dict(prob: QpProblem) -> dict:
     """A problem document in the dense list form, as hand-written files spell
@@ -703,6 +726,24 @@ class TestSparseValidation:
             assert same_bits(prob, from_dense)
             assert np.array_equal(prob.equality, from_dense.equality)
             assert_operators_match(prob)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_dense_fields_on_access(self, backend):
+        # On the sparse backend P and A are not held: each access builds a
+        # new C-contiguous float64 array, bit for bit the dense input.
+        P = np.array([[2.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        A = np.array([[1.0, -0.0, 0.0], [-0.0, 0.0, 2.0]])
+        with forced_backend(backend):
+            prob = QpProblem(P=P, q=np.zeros(3), A=A, l=-np.ones(2), u=np.ones(2))
+        for key, want in (("P", P), ("A", A)):
+            got = getattr(prob, key)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert (got is getattr(prob, key)) == (backend == "dense")
+            assert (key in prob.__dict__) == (backend == "dense")
+        assert (prob.n, prob.m) == (3, 2)
+        with pytest.raises(AttributeError, match="no attribute 'Q'"):
+            prob.Q
 
     def test_csr_input_on_the_dense_backend(self):
         P = np.array([[2.0, -0.0], [-0.0, 1.0]])
@@ -1037,6 +1078,8 @@ class TestMalformedCsrSidecar:
     def test_dimensions_too_large_to_hold(self, tmp_path, monkeypatch):
         # A few hundred kilobytes of CSR sidecar can describe a matrix whose
         # dense field cannot be allocated; the allocation is faked to fail.
+        # The sparse backend keeps P as CSR, so the problem loads, and the
+        # dense field is refused when it is read.
         n = 100_000
         real_zeros = np.zeros
 
@@ -1048,8 +1091,10 @@ class TestMalformedCsrSidecar:
         monkeypatch.setattr(np, "zeros", zeros)
         doc = {"n": n, "m": 0, "q": [0.0] * n, "l": [], "u": [], "A": [],
                "P": csr_sidecar(tmp_path, "P", np.zeros(n + 1), [], [])}
+        prob = problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
+        assert prob.kkt_backend == "sparse" and prob.n == n
         with pytest.raises(InputError, match="does not fit in memory"):
-            problem_from_dict(json.loads(json.dumps(doc)), tmp_path)
+            prob.P
 
     def test_negative_dimension(self, tmp_path):
         with pytest.raises(InputError, match="must not be negative"):
