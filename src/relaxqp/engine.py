@@ -22,7 +22,11 @@ is cached.  Every factorization assembles the matrix through the problem's
 one a penalty update refills it from data the problem already holds.  The
 products with A, A' and P go through the problem's
 :attr:`~relaxqp.problem.QpProblem.operators`, dense arrays or CSR copies
-depending on the problem's :attr:`~relaxqp.problem.QpProblem.kkt_backend`.
+depending on the problem's :attr:`~relaxqp.problem.QpProblem.kkt_backend`,
+and are formed as ``A.dot(x)``: for an ndarray the same BLAS call as
+``A @ x`` with less call overhead, for a CSR matrix ``A @ x`` itself.  Each
+product is formed on its own: stacking [A; P] x, or applying A' to two
+vectors at once, rounds differently.
 
 Apart from the x-step, an iteration forms A x, P x and A'y once, in
 :func:`relaxqp.problem.osqp_residuals`, which also returns the stopping
@@ -133,7 +137,10 @@ def rho_pattern(equality: np.ndarray, rho: float) -> np.ndarray:
 class SolverState:
     """Iterate and parameters of a running solve.  No step, penalty update or
     policy query writes into an array the state holds; each binds a new one,
-    so an observer may keep references to them rather than copies."""
+    so an observer may keep references to them rather than copies.  A step's
+    x, z and y are views of one new array of n + 2m entries (x first, then z,
+    then y).  A step reads x, z and y as bound, so other code may bind them
+    to arrays of their own."""
 
     x: np.ndarray
     z: np.ndarray
@@ -226,24 +233,30 @@ def iterate_once(state: SolverState, prob: QpProblem, cfg: SolverConfig) -> Solv
     g = state.Gamma
     x_k, z_k, y_k = state.x, state.z, state.y
     A, AT, _ = prob.operators
+    n, m = x_k.size, z_k.size
 
-    rhs = cfg.sigma * x_k - prob.q + AT @ (r * z_k - y_k)
+    rhs = cfg.sigma * x_k - prob.q + AT.dot(r * z_k - y_k)
     x_tilde = ldlt_solve(state.kkt, rhs)
-    z_tilde = A @ x_tilde
+    z_tilde = A.dot(x_tilde)
 
-    x_next = state.alpha_x * x_tilde + (1.0 - state.alpha_x) * x_k
+    # x_{k+1}, z_{k+1} and y_{k+1} are views of one new array, written in
+    # place in the docstring's order of operations; only the operands of a
+    # sum or a product are swapped, which leaves every bit the same.
+    new = np.empty(n + 2 * m)
+    x_next, z_next, y_next = new[:n], new[n : n + m], new[n + m :]
+    np.multiply(state.alpha_x, x_tilde, out=x_next)
+    x_next += (1.0 - state.alpha_x) * x_k
     w = g * z_tilde + (1.0 - g) * z_k
-    z_next = w + y_k / r
+    np.divide(y_k, r, out=z_next)
+    z_next += w
     np.maximum(z_next, prob.l, out=z_next)  # clip(., l, u), bit for bit
     np.minimum(z_next, prob.u, out=z_next)
-    y_next = y_k + r * (w - z_next)
+    np.subtract(w, z_next, out=y_next)
+    y_next *= r
+    y_next += y_k
     # A finite sum means every entry is finite; a sum that overflows is
     # settled by the exact test.
-    add = np.add.reduce
-    if not (
-        math.isfinite(add(x_next) + add(z_next) + add(y_next))
-        or all(np.isfinite(v).all() for v in (x_next, z_next, y_next))
-    ):
+    if not (math.isfinite(np.add.reduce(new)) or np.isfinite(new).all()):
         raise DivergenceError(state.iter + 1)
 
     state.x_tilde, state.z_tilde = x_tilde, z_tilde

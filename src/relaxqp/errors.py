@@ -15,14 +15,21 @@ class InfeasibleBoundsError(InputError):
 
 class SingularKktError(SolverError):
     """KKT factorization hit a non-positive pivot: the matrix is singular or
-    indefinite."""
+    indefinite, or too ill-conditioned to factor in floating point.  The
+    latter is named when the diagonal entries are positive and the largest
+    exceeds the smallest by more than 1/eps; ``diag_ratio`` is then that
+    ratio, and None otherwise."""
 
-    def __init__(self, step: int, index: int, pivot: float):
+    def __init__(self, step: int, index: int, pivot: float, diag_ratio: float | None = None):
         self.step = step
         self.index = index
         self.pivot = pivot
+        self.diag_ratio = diag_ratio
+        kind = "singular KKT system" if diag_ratio is None else (
+            f"ill-conditioned KKT system (diagonal entries span a ratio of {diag_ratio:.3e})"
+        )
         super().__init__(
-            f"singular KKT system: pivot {pivot:.3e} below threshold at "
+            f"{kind}: pivot {pivot:.3e} below threshold at "
             f"elimination step {step} (matrix index {index})"
         )
 

@@ -309,8 +309,9 @@ def ldlt_factor(M) -> LdltFactor:
     read) for an ndarray, SuperLU for a sparse matrix.
 
     Raises :class:`SingularKktError` at the first elimination step whose
-    pivot is not positive, i.e. when M is singular or indefinite; ``index``
-    is the row and column of M that step eliminates.
+    pivot is not positive, i.e. when M is singular, indefinite or too
+    ill-conditioned to factor (see :func:`_kkt_error`); ``index`` is the row
+    and column of M that step eliminates.
     """
     if sparse.issparse(M):
         return _sparse_factor(M)
@@ -332,7 +333,7 @@ def ldlt_factor(M) -> LdltFactor:
         L, info = dpotrf(M, lower=1, clean=1)
     if info > 0:
         index = info - 1
-        raise SingularKktError(step=index, index=index, pivot=float(L[index, index]))
+        raise _kkt_error(M, step=index, index=index, pivot=float(L[index, index]))
     return LdltFactor(dim=d, lower=np.ascontiguousarray(L))
 
 
@@ -368,8 +369,21 @@ def positive_splu(M) -> SuperLU:
     if bad.size:
         step = int(bad[0])
         pivot = float(pivots[step]) if lu.perm_r[order[step]] == step else 0.0
-        raise SingularKktError(step=step, index=int(order[step]), pivot=pivot)
+        raise _kkt_error(M, step=step, index=int(order[step]), pivot=pivot)
     return lu
+
+
+def _kkt_error(M, step: int, index: int, pivot: float) -> SingularKktError:
+    """The error of a factor of M that failed at ``step``.  It names M
+    ill-conditioned, with the ratio, when M's diagonal entries are positive
+    and the largest exceeds the smallest by more than 1/eps: cond(M) of a
+    positive definite M is at least that ratio, so M cannot be told from a
+    singular matrix in floating point.  Built on the failure path only."""
+    d = M.diagonal()
+    lo = float(d.min())
+    ratio = float(d.max()) / lo if lo > 0.0 else 0.0
+    ill = ratio > 1.0 / np.finfo(np.float64).eps
+    return SingularKktError(step=step, index=index, pivot=pivot, diag_ratio=ratio if ill else None)
 
 
 def ldlt_solve(F: LdltFactor, b: np.ndarray) -> np.ndarray:

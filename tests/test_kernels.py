@@ -1,12 +1,13 @@
 """The per-iteration kernels equal their plain numpy formulas.
 
-``osqp_residuals`` takes its six norms in one reduction and ``extract_rows``
-writes its logs into the feature rows and clamps them at once; each is
-checked here against the straightforward formula, on bits, not within a
-tolerance.  The MLP query runs on weights compiled from the checkpoint
-(normalization folded into W1, centred layers), so it differs from the
-layer norm's mean-and-variance formula by roundoff; it is checked against
-that formula to 1e-14 relative.
+``iterate_once`` writes the new iterate into views of one array with
+in-place ufuncs, ``osqp_residuals`` takes its six norms in one reduction
+and ``extract_rows`` writes its logs into the feature rows and clamps them
+at once; each is checked here against the straightforward formula, on
+bits, not within a tolerance.  The MLP query runs on weights compiled from
+the checkpoint (normalization folded into W1, centred layers), so it
+differs from the layer norm's mean-and-variance formula by roundoff; it is
+checked against that formula to 1e-14 relative.
 """
 
 import dataclasses
@@ -15,8 +16,19 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from relaxqp import engine
 from relaxqp.bench import FamilySpec, generate
-from relaxqp.engine import SolverConfig
+from relaxqp.engine import (
+    ITERATE_ERRSTATE,
+    SolverConfig,
+    apply_policy,
+    init_state,
+    iterate_once,
+    policy_context,
+    refactor,
+    rho_pattern,
+)
+from relaxqp.linalg import ldlt_solve
 from relaxqp.policy import (
     FEATURE_CLAMP,
     FEATURE_EPS,
@@ -29,11 +41,17 @@ from relaxqp.policy import (
 )
 from relaxqp.problem import QpProblem, osqp_residuals
 
+from oracles import RandomGammaPolicy
+
 INF = np.inf
 
 
 def bits(a) -> bytes:
     return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype == np.float64 and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # -- residuals ---------------------------------------------------------------
@@ -124,6 +142,117 @@ class TestResidualNorms:
         assert vars(prob)["q_norm"] == float(np.max(np.abs(prob.q)))
         assert prob.q_norm is prob.q_norm  # cached, like row_norms
         assert no_variables_problem().q_norm == 0.0
+
+
+# -- ADMM step ---------------------------------------------------------------
+
+
+def step_reference(state, prob, cfg) -> tuple:
+    """(x_{k+1}, z_{k+1}, y_{k+1}, xt, zt) from the state, by the plain
+    expressions of the engine module docstring, each its own new array."""
+    r, g, x_k, z_k, y_k = state.R, state.Gamma, state.x, state.z, state.y
+    A, AT, _ = prob.operators
+    rhs = cfg.sigma * x_k - prob.q + AT @ (r * z_k - y_k)
+    x_tilde = ldlt_solve(state.kkt, rhs)
+    z_tilde = A @ x_tilde
+    x_next = state.alpha_x * x_tilde + (1.0 - state.alpha_x) * x_k
+    w = g * z_tilde + (1.0 - g) * z_k
+    z_next = np.clip(w + y_k / r, prob.l, prob.u)
+    y_next = y_k + r * (w - z_next)
+    return x_next, z_next, y_next, x_tilde, z_tilde
+
+
+STEP_FIELDS = ("x", "z", "y", "x_tilde", "z_tilde")
+
+
+def dense_step_problem() -> QpProblem:
+    prob = generate(FamilySpec("portfolio", 20, seed=3))
+    assert prob.kkt_backend == "dense"
+    return prob
+
+
+class TestIterateStep:
+    @pytest.fixture(autouse=True)
+    def _errstate(self):
+        with np.errstate(**ITERATE_ERRSTATE):
+            yield
+
+    @pytest.mark.parametrize("make", [dense_step_problem, sparse_problem], ids=["dense", "sparse"])
+    def test_equal_to_plain_expressions(self, make):
+        # 50 steps under a per-row relaxation redrawn every 5 steps, with a
+        # penalty change and its refactor at step 25, from a random start: a
+        # consistent iterate has y ~ 0 wherever z is not clipped, which would
+        # hide how y/r is formed.
+        prob = make()
+        cfg = SolverConfig(adaptive_rho=False)
+        st = init_state(prob, cfg)
+        rng = np.random.default_rng(4)
+        st.x = rng.standard_normal(prob.n)
+        st.z = np.clip(rng.standard_normal(prob.m), prob.l, prob.u)
+        st.y = rng.standard_normal(prob.m)
+        policy = RandomGammaPolicy(cfg.alpha_min, cfg.alpha_max, seed=11)
+        res = osqp_residuals(prob, st.x, st.z, st.y)
+        for k in range(50):
+            if k % 5 == 0:
+                apply_policy(st, policy, policy_context(prob, st, res, res, cfg), cfg)
+            if k == 25:
+                st.rho_scalar *= 7.0
+                st.R = rho_pattern(prob.equality, st.rho_scalar)
+                refactor(st, prob, cfg)
+            expected = step_reference(st, prob, cfg)
+            iterate_once(st, prob, cfg)
+            for name, want in zip(STEP_FIELDS, expected):
+                assert same_bits(getattr(st, name), want), (k, name)
+            res = osqp_residuals(prob, st.x, st.z, st.y)
+        assert len(np.unique(st.Gamma)) == prob.m and st.n_factorizations == 2
+
+    def test_new_iterate_is_one_new_array(self):
+        prob = dense_step_problem()
+        cfg = SolverConfig(adaptive_rho=False)
+        st = init_state(prob, cfg)
+        bases = []
+        for _ in range(3):
+            iterate_once(st, prob, cfg)
+            base = st.x.base
+            assert base is not None and st.z.base is base and st.y.base is base
+            assert base.size == prob.n + 2 * prob.m
+            bases.append(base)
+        assert bases[0] is not bases[1] and bases[1] is not bases[2]
+
+    def test_kept_references_hold_their_values(self):
+        # An observer's references to step k's arrays are unchanged five
+        # steps later.
+        prob = dense_step_problem()
+        cfg = SolverConfig(adaptive_rho=False)
+        st = init_state(prob, cfg)
+        policy = RandomGammaPolicy(cfg.alpha_min, cfg.alpha_max, seed=5)
+        kept = []
+        for k in range(20):
+            if k % 3 == 0:
+                res = osqp_residuals(prob, st.x, st.z, st.y)
+                apply_policy(st, policy, policy_context(prob, st, res, res, cfg), cfg)
+            iterate_once(st, prob, cfg)
+            kept.append([(getattr(st, name), getattr(st, name).copy()) for name in STEP_FIELDS])
+            if k >= 5:
+                for name, (ref, copy) in zip(STEP_FIELDS, kept[k - 5]):
+                    assert same_bits(ref, copy), (k - 5, name)
+
+    def test_step_after_separate_z_and_y(self, inject_relaxation_fault):
+        # The faulty step binds z and y to arrays of their own; the next
+        # step reads them as given.
+        step = engine.iterate_once
+        prob = dense_step_problem()
+        cfg = SolverConfig(adaptive_rho=False)
+        st = init_state(prob, cfg)
+        inject_relaxation_fault()
+        for _ in range(3):
+            engine.iterate_once(st, prob, cfg)
+        assert st.z.base is None and st.y.base is None
+        for k in range(3):
+            expected = step_reference(st, prob, cfg)
+            step(st, prob, cfg)
+            for name, want in zip(STEP_FIELDS, expected):
+                assert same_bits(getattr(st, name), want), (k, name)
 
 
 # -- per-row policy features -------------------------------------------------

@@ -5,10 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
+from relaxqp import problem as problem_mod
 from relaxqp.bench import FamilySpec, generate
-from relaxqp.engine import RHO_MAX, RHO_MIN, rho_pattern
+from relaxqp.engine import RHO_MAX, RHO_MIN, SolverConfig, rho_pattern, solve
 from relaxqp.errors import InputError, SingularKktError
 from relaxqp.linalg import KktTerms, assemble_kkt, ldlt_factor, ldlt_solve, pick_backend
+from relaxqp.problem import QpProblem
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -450,3 +452,61 @@ class TestKktTerms:
         data = [_dense(H) if backend == "dense" else H.data for H in mats]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(data) for b in data[i + 1:])
         assert np.array_equal(_dense(mats[0]), _dense(mats[2]))
+
+
+def row_scaled_qp(seed: int):
+    """A strictly convex QP (P = MM'/n + 0.1 I) whose constraint rows have
+    two nonzeros each, every row and its two bounds multiplied by a seeded
+    factor in [1e4, 1e9]: the same QP as with unscaled rows, and its reduced
+    matrix is positive definite in exact arithmetic."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 15)), int(rng.integers(1, 20))
+    M = rng.standard_normal((n, n))
+    P = M @ M.T / n + 0.1 * np.eye(n)
+    q = rng.standard_normal(n)
+    A = np.zeros((m, n))
+    for i in range(m):
+        cols = rng.choice(n, size=2, replace=False)
+        A[i, cols] = rng.standard_normal(2)
+    l, u = -rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m)
+    f = 10.0 ** rng.uniform(4, 9, m)
+    return P, q, f[:, None] * A, f * l, f * u
+
+
+class TestIllConditionedKkt:
+    """A factor that fails on a matrix whose diagonal spans more than 1/eps
+    is named ill-conditioned, with the ratio, on both backends."""
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_row_scaled_qp_is_named_ill_conditioned(self, monkeypatch, backend):
+        monkeypatch.setattr(problem_mod, "pick_backend", lambda n, m, nnz: backend)
+        cfg = SolverConfig()
+        P, q, A, l, u = row_scaled_qp(75)
+        H = assemble_kkt(P, A, cfg.sigma, rho_pattern(np.zeros(A.shape[0], dtype=bool), cfg.rho0))
+        ratio = H.diagonal().max() / H.diagonal().min()
+        assert ratio > 1.0 / np.finfo(np.float64).eps
+        with pytest.raises(SingularKktError) as exc:
+            solve(QpProblem(P, q, A, l, u), cfg)
+        # The solve's H is refilled from the KKT terms: equal to the product
+        # up to roundoff.
+        assert exc.value.diag_ratio == pytest.approx(ratio, rel=1e-12)
+        assert str(exc.value).startswith(
+            f"ill-conditioned KKT system (diagonal entries span a ratio of {ratio:.3e}): pivot"
+        )
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_narrower_diagonal_stays_singular(self, monkeypatch, backend):
+        # Its factor fails too, but its diagonal spans only ~6.5e8.
+        monkeypatch.setattr(problem_mod, "pick_backend", lambda n, m, nnz: backend)
+        with pytest.raises(SingularKktError) as exc:
+            solve(QpProblem(*row_scaled_qp(250)), SolverConfig())
+        assert exc.value.diag_ratio is None
+        assert str(exc.value).startswith("singular KKT system: pivot")
+
+    @pytest.mark.parametrize("to_backend", [np.asarray, sparse.csc_array], ids=["dense", "sparse"])
+    def test_indefinite_matrix_with_a_wide_diagonal_is_not_ill_conditioned(self, to_backend):
+        # A negative diagonal entry means indefinite, however wide the span.
+        M = np.diag([1e20, 1.0, -1.0])
+        with pytest.raises(SingularKktError) as exc:
+            ldlt_factor(to_backend(M))
+        assert exc.value.diag_ratio is None and exc.value.index == 2
