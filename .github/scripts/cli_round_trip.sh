@@ -16,7 +16,9 @@
 # whose relaxation box [1.0, 1.9] is not centred at 1.6 writes the initial
 # checkpoint, which holds neither a box nor dims; solve --checkpoint runs it
 # in that config (exit 0, policy_queries > 0), and two bench --checkpoint runs
-# in the default config give the same columns.  Last, six refused inputs
+# in the default config give the same columns.  A 0-epoch train on a lasso_n20
+# manifest (train seeds 2 and 6, validation seed 10) must exit 0: each of its
+# reference solutions passes the 1e-8 KKT check.  Last, six refused inputs
 # exit 1 with one error line: bench --adaptive-rho off, a flag bench does not
 # take, verify --drift-iters -1, solve --max-iter 0, bench --jobs 0, a
 # training manifest with a misspelt key and a verify manifest with a misspelt
@@ -81,6 +83,13 @@ python -m relaxqp.cli solve --problem "$d/s/random_qp/size10/seed21/problem.json
   --config "$d/box.json" > "$d/report.json"
 python -c 'import json, sys; q = json.load(open(sys.argv[1]))["policy_queries"]; assert q > 0, q' \
   "$d/report.json"
+
+cat > "$d/lasso.json" <<'JSON'
+{"family": "lasso", "variant": "scalar", "config": {"epochs": 0, "batch_size": 2},
+ "train_instances": [{"size": 20, "seed": 2}, {"size": 20, "seed": 6}],
+ "val_instances": [{"size": 20, "seed": 10}]}
+JSON
+python -m relaxqp.cli train --manifest "$d/lasso.json" --store "$d/t" --out "$d/lasso_run"
 
 # Runs the command after $1, which must exit 1 with one error line, the last
 # one, matching $1.

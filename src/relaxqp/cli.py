@@ -74,26 +74,34 @@ def cmd_solve(args) -> int:
     return 0 if report.status == "solved" else 2
 
 
-def _bench_one(task):
-    store, spec, cfg, policy_label, policy = task
+def _bench_instance(task):
+    """The rows of one instance, read or generated once: one per (policy,
+    rho mode) of ``runs``, policy-major, fixed rho first."""
+    store, spec, cfg, runs = task
     prob, _ = bench_mod.ensure_instance(store, spec)
-    rho_mode = "adaptive" if cfg.adaptive_rho else "fixed"
-    row = {
-        "family": spec.family,
-        "size": spec.size,
-        "seed": spec.seed,
-        "policy": policy_label,
-        "rho_mode": rho_mode,
-    }
-    try:
-        report = solve(prob, cfg, policy=policy)
-        row.update(iterations=report.iterations, runtime_s=report.runtime_seconds,
-                   rho_updates=report.rho_updates, status=report.status,
-                   kkt_backend=report.kkt_backend)
-    except SolverError as exc:
-        print(f"bench: {spec.name} [{policy_label}/{rho_mode}] failed: {exc}", file=sys.stderr)
-        row.update(iterations="", runtime_s="", rho_updates="", status="failed", kkt_backend="")
-    return row
+    rows = []
+    for policy_label, policy in runs:
+        for rho_mode in ("fixed", "adaptive"):
+            row = {
+                "family": spec.family,
+                "size": spec.size,
+                "seed": spec.seed,
+                "policy": policy_label,
+                "rho_mode": rho_mode,
+            }
+            try:
+                report = solve(prob, replace(cfg, adaptive_rho=rho_mode == "adaptive"),
+                               policy=policy)
+                row.update(iterations=report.iterations, runtime_s=report.runtime_seconds,
+                           rho_updates=report.rho_updates, status=report.status,
+                           kkt_backend=report.kkt_backend)
+            except SolverError as exc:
+                print(f"bench: {spec.name} [{policy_label}/{rho_mode}] failed: {exc}",
+                      file=sys.stderr)
+                row.update(iterations="", runtime_s="", rho_updates="", status="failed",
+                           kkt_backend="")
+            rows.append(row)
+    return rows
 
 
 def cmd_bench(args) -> int:
@@ -111,14 +119,8 @@ def cmd_bench(args) -> int:
                   f"rho; its {other}-rho rows run it in the other mode", file=sys.stderr)
         runs.append((Path(ck).stem, policy_from_checkpoint(ckpt)))
 
-    tasks = []
-    for spec in specs:
-        for policy_label, policy in runs:
-            for adaptive in (False, True):
-                tasks.append((str(store), spec, replace(cfg, adaptive_rho=adaptive), policy_label,
-                              policy))
-
-    rows = _map(_bench_one, tasks, args.jobs)
+    tasks = [(str(store), spec, cfg, runs) for spec in specs]
+    rows = [row for rows in _map(_bench_instance, tasks, args.jobs) for row in rows]
 
     fieldnames = [
         "family", "size", "seed", "policy", "rho_mode",

@@ -57,4 +57,6 @@ class TheoryViolationError(SolverError):
 
 
 class ReferenceFailureError(SolverError):
-    """High-accuracy reference solve failed to reach the required KKT error."""
+    """No reference solution reached the required KKT error: the eps = 1e-9
+    solve stopped at max_iter, or its point missed the tolerance, and the
+    message then gives the primal, dual and normal-cone residuals."""

@@ -89,29 +89,30 @@ def relaxed_admm_transcription(
 def active_set_solution(prob: QpProblem, tol: float = 1e-9):
     """Brute-force KKT solution by enumerating active-set patterns.
 
-    Each row is inactive, at its lower bound or at its upper bound; the sign
-    convention ties nonpositive multipliers to active lower bounds and
-    nonnegative ones to active upper bounds.  Only viable for small m.
+    Each row with l < u is inactive, at its lower bound or at its upper
+    bound; the sign convention ties nonpositive multipliers to active lower
+    bounds and nonnegative ones to active upper bounds.  A row with l == u
+    is active in every pattern, with a multiplier of either sign, so a
+    problem with e equality rows takes 3^(m - e) patterns.  Only viable for
+    small m - e.
     """
     n, m = prob.n, prob.m
+    fixed = (prob.l == prob.u) & np.isfinite(prob.l)
     best = None
-    for pattern in itertools.product((0, -1, 1), repeat=m):
-        active = [i for i, p in enumerate(pattern) if p != 0]
-        b = np.array(
-            [prob.l[i] if pattern[i] < 0 else prob.u[i] for i in active], dtype=np.float64
-        )
+    for pattern in itertools.product(*[(2,) if f else (0, -1, 1) for f in fixed]):
+        pattern = np.array(pattern)
+        active = np.flatnonzero(pattern)
+        b = np.where(pattern == 1, prob.u, prob.l)[active]
         if not np.all(np.isfinite(b)):
             continue
-        k = len(active)
+        k = active.size
         KKT = np.zeros((n + k, n + k))
         KKT[:n, :n] = prob.P
-        if k:
-            As = prob.A[active]
-            KKT[:n, n:] = As.T
-            KKT[n:, :n] = As
-        rhs = np.concatenate((-prob.q, b))
+        As = prob.A[active]
+        KKT[:n, n:] = As.T
+        KKT[n:, :n] = As
         try:
-            sol = np.linalg.solve(KKT, rhs)
+            sol = np.linalg.solve(KKT, np.concatenate((-prob.q, b)))
         except np.linalg.LinAlgError:
             continue
         x = sol[:n]
@@ -120,13 +121,7 @@ def active_set_solution(prob: QpProblem, tol: float = 1e-9):
         ax = prob.A @ x
         if np.any(ax < prob.l - tol) or np.any(ax > prob.u + tol):
             continue
-        ok = True
-        for i, p in enumerate(pattern):
-            if p < 0 and y[i] > tol:
-                ok = False
-            if p > 0 and y[i] < -tol:
-                ok = False
-        if not ok:
+        if np.any((pattern == -1) & (y > tol)) or np.any((pattern == 1) & (y < -tol)):
             continue
         obj = 0.5 * x @ prob.P @ x + prob.q @ x
         if best is None or obj < best[2] - 1e-12:

@@ -29,7 +29,7 @@ from relaxqp.bench import (
     spec_to_dict,
 )
 from relaxqp.engine import SolverConfig, solve
-from relaxqp.errors import InputError
+from relaxqp.errors import InputError, ReferenceFailureError, SingularKktError
 from relaxqp import problem as problem_mod
 from relaxqp.problem import QpProblem, load_problem, save_problem
 
@@ -249,14 +249,34 @@ class TestSparseGenerators:
         assert bench._mpc_shared_data() is bench._mpc_shared_data()
 
 
+@pytest.fixture
+def solve_eps(monkeypatch):
+    """The eps_abs of every solve reference_solution runs, in order: one
+    entry when the polish is kept, two when the tight solve runs after it."""
+    calls = []
+
+    def recording(prob, cfg, **kwargs):
+        calls.append(cfg.eps_abs)
+        return solve(prob, cfg, **kwargs)
+
+    monkeypatch.setattr(bench, "solve", recording)
+    return calls
+
+
+def tight_solve(prob):
+    return solve(prob, SolverConfig(eps_abs=1e-9, eps_rel=1e-9, max_iter=200000))
+
+
 class TestReferenceSolution:
-    def test_analytic_interior(self):
-        # min 0.5 x^2, 0 <= x <= 1  ->  x* = 0, lambda* = 0
+    def test_analytic_interior(self, solve_eps):
+        # min 0.5 x^2, 0 <= x <= 1  ->  x* = 0, lambda* = 0; no row is active
+        # and the polish keeps its point.
         prob = QpProblem(P=np.eye(1), q=np.zeros(1), A=np.eye(1),
                          l=np.zeros(1), u=np.ones(1))
         ref = reference_solution(prob)
-        assert ref.x_star[0] == pytest.approx(0.0, abs=1e-9)
-        assert ref.lambda_star[0] == pytest.approx(0.0, abs=1e-9)
+        assert solve_eps == [bench.POLISH_EPS]
+        assert ref.x_star[0] == pytest.approx(0.0, abs=1e-12)
+        assert ref.lambda_star[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_analytic_active_upper_bound(self):
         # min 0.5 (x-2)^2, 0 <= x <= 1  ->  x* = 1, lambda* = 1
@@ -266,20 +286,70 @@ class TestReferenceSolution:
         assert ref.x_star[0] == pytest.approx(1.0, abs=1e-8)
         assert ref.lambda_star[0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_matches_active_set_enumeration(self):
-        prob = generate(FamilySpec("random_qp", 8, 0))  # m = 4 rows
+    def assert_polished_matches_active_set_enumeration(self, prob, solve_eps):
         ref = reference_solution(prob)
+        assert solve_eps == [bench.POLISH_EPS]
         best = active_set_solution(prob)
         assert best is not None
         x_oracle, y_oracle, obj_oracle = best
-        assert_allclose(ref.x_star, x_oracle, atol=1e-6)
-        assert_allclose(ref.lambda_star, y_oracle, atol=1e-6)
-        assert ref.objective == pytest.approx(obj_oracle, abs=1e-6)
+        assert_allclose(ref.x_star, x_oracle, rtol=0, atol=1e-9)
+        assert_allclose(ref.lambda_star, y_oracle, rtol=0, atol=1e-9)
+        assert ref.objective == pytest.approx(obj_oracle, abs=1e-9)
+
+    def test_matches_active_set_enumeration(self, solve_eps):
+        prob = generate(FamilySpec("random_qp", 8, 0))  # m = 4 rows
+        self.assert_polished_matches_active_set_enumeration(prob, solve_eps)
+
+    def test_portfolio_matches_active_set_enumeration(self, solve_eps):
+        # Two equality rows and ten rows bounded on both sides.
+        prob = generate(FamilySpec("portfolio", 10, 1))
+        self.assert_polished_matches_active_set_enumeration(prob, solve_eps)
 
     def test_kkt_error_within_tolerance(self):
         prob = generate(FamilySpec("portfolio", 10, 2))
         ref = reference_solution(prob)
         assert ref.kkt_error <= 1e-8
+
+    @pytest.mark.parametrize("size, seed", [(10, 5), (15, 8), (50, 1)])
+    def test_lasso_references_pass_their_kkt_check(self, size, seed):
+        # The eps = 1e-9 solve alone misses 1e-8 on these, by 3.6e-8 to 1.3e-7.
+        prob = generate(FamilySpec("lasso", size, seed))
+        if size == 50:
+            assert prob.kkt_backend == "sparse"
+        ref = reference_solution(prob)
+        assert ref.kkt_error <= bench.REFERENCE_KKT_TOL
+        res = problem_mod.osqp_residuals(
+            prob, ref.x_star, np.clip(prob.A @ ref.x_star, prob.l, prob.u), ref.lambda_star)
+        assert max(res.r_prim_inf, res.r_dual_inf) <= bench.REFERENCE_KKT_TOL
+
+    def test_rejected_polish_returns_the_tight_solve(self, solve_eps):
+        # Every asset row and the budget are active at x* = e_1: twelve rows
+        # on eleven variables, whose polished multipliers miss the check.
+        prob = generate(FamilySpec("portfolio", 10, 3))
+        ref = reference_solution(prob)
+        assert solve_eps == [bench.POLISH_EPS, bench.REFERENCE_EPS]
+        rep = tight_solve(prob)
+        assert np.array_equal(ref.x_star, rep.x)
+        assert np.array_equal(ref.lambda_star, rep.y)
+        assert ref.objective == rep.objective
+        assert ref.kkt_error <= bench.REFERENCE_KKT_TOL
+
+    def test_failed_polish_returns_the_tight_solve(self, solve_eps, monkeypatch):
+        def singular(M):
+            raise SingularKktError(step=0, index=0, pivot=0.0)
+
+        monkeypatch.setattr(bench, "ldlt_factor", singular)
+        prob = generate(FamilySpec("random_qp", 8, 0))
+        ref = reference_solution(prob)
+        assert solve_eps == [bench.POLISH_EPS, bench.REFERENCE_EPS]
+        assert np.array_equal(ref.x_star, tight_solve(prob).x)
+
+    def test_failure_names_each_kkt_part(self, monkeypatch):
+        monkeypatch.setattr(bench, "REFERENCE_KKT_TOL", 1e-300)
+        prob = generate(FamilySpec("random_qp", 8, 0))
+        with pytest.raises(ReferenceFailureError,
+                           match=r"on 'random_qp_n8_s0' \(primal \S+, dual \S+, normal cone \S+\)$"):
+            reference_solution(prob)
 
     def test_complementarity_measure(self):
         prob = QpProblem(P=np.eye(1), q=np.zeros(1), A=np.eye(1),
@@ -288,6 +358,13 @@ class TestReferenceSolution:
         assert complementarity_inf(prob, np.array([0.0]), np.array([-2.0])) == 0.0
         # interior z with a nonzero multiplier: violation = min(|y|, slack)
         assert complementarity_inf(prob, np.array([0.5]), np.array([-2.0])) == 0.5
+        # z at the lower bound with a positive multiplier, which belongs to
+        # the upper bound: min(|y|, u - z)
+        assert complementarity_inf(prob, np.array([0.0]), np.array([2.0])) == 1.0
+        wide = QpProblem(P=np.eye(1), q=np.zeros(1), A=np.eye(1),
+                         l=np.zeros(1), u=np.full(1, np.inf))
+        assert complementarity_inf(wide, np.array([0.0]), np.array([2.0])) == 2.0
+        assert complementarity_inf(wide, np.array([3.0]), np.array([0.0])) == 0.0
 
 
 class TestManifestAndStore:

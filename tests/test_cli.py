@@ -245,6 +245,31 @@ class TestBenchCommand:
         assert rows["1"] == rows["2"]
         assert {r["policy"] for r in rows["1"]} == {"baseline", "scalar", "vector"}
 
+    def test_each_instance_read_once(self, tmp_path, monkeypatch):
+        # One read (or generation) of each instance serves all of its rows,
+        # which come instance-major, then policy, then fixed before adaptive.
+        manifest = tmp_path / "m.json"
+        save_manifest([FamilySpec("random_qp", 10, s) for s in (2, 1)], manifest)
+        save_checkpoint(init_checkpoint("scalar", seed=0), tmp_path / "ck.json")
+        argv = ["bench", "--manifest", str(manifest), "--store", str(tmp_path / "store"),
+                "--checkpoint", str(tmp_path / "ck.json")]
+        ensured = []
+
+        def ensure(store, spec):
+            ensured.append(spec.seed)
+            return ensure_instance(store, spec)
+
+        monkeypatch.setattr(cli.bench_mod, "ensure_instance", ensure)
+        for run in ("generated", "loaded"):
+            ensured.clear()
+            out = tmp_path / f"{run}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            assert ensured == [2, 1]
+            rows = [r for r in csv.DictReader(out.open()) if r["status"] != "summary"]
+            assert [(r["seed"], r["policy"], r["rho_mode"]) for r in rows] == [
+                (seed, policy, mode) for seed in ("2", "1") for policy in ("baseline", "ck")
+                for mode in ("fixed", "adaptive")]
+
 
 class TestUsageErrors:
     """A removed, unknown or malformed flag ends as the usage text and one
