@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .engine import SolverConfig, solve
+from .engine import SolverConfig, init_state, solve
 from .errors import InputError, ReferenceFailureError, SolverError
-from .linalg import assemble_kkt, ldlt_factor, ldlt_solve
+from .linalg import ldlt_solve
 from .problem import (
     QpProblem,
     _is_integer,
@@ -353,9 +353,14 @@ class ReferenceSolution:
 REFERENCE_KKT_TOL = 1e-8
 REFERENCE_EPS = 1e-9  # tolerance of the fallback solve
 REFERENCE_MAX_ITER = 200000
-POLISH_EPS = 1e-4  # tolerance of the solve whose active set is polished
+POLISH_EPS = 1e-3  # tolerance of the solve whose active set is polished
 POLISH_DELTA = 1e-6  # regularisation of the polish's KKT factor
 POLISH_REFINE_STEPS = 3
+POLISH_ROUNDS = 3  # polishes at most, each on the active set of the last point
+# The reduced QP has only equality rows, whose penalty is EQUALITY_RHO_FACTOR
+# * rho0 = 1e6 = 1 / POLISH_DELTA, so its ADMM KKT matrix is the polish's
+# regularised matrix.
+_POLISH_CFG = SolverConfig(rho0=1e3, sigma=POLISH_DELTA)
 
 
 def complementarity_inf(prob: QpProblem, z: np.ndarray, y: np.ndarray) -> float:
@@ -373,54 +378,68 @@ def _kkt_parts(prob: QpProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray) -> 
     return res.r_prim_inf, res.r_dual_inf, complementarity_inf(prob, z, y)
 
 
-def _polish(prob: QpProblem, z: np.ndarray, y: np.ndarray) -> tuple:
-    """(x, z, y) solving the equality-constrained QP of the active set of
-    (z, y), as OSQP's solution polishing (Stellato et al., Math. Prog. Comp.
-    2020, sec. 5.2): a row is active at its lower bound where z - l < -y, at
-    its upper bound where u - z < y, and always when it is an equality row;
-    an infinite bound is never active.  The system
+def _active_set(prob: QpProblem, v: np.ndarray, y: np.ndarray) -> tuple:
+    """(upper, act) of OSQP's active set at constraint values v and
+    multipliers y: a row is active at its lower bound where v - l < -y, at
+    its upper bound (``upper``) where u - v < y, and always when it is an
+    equality row; an infinite bound is never active.  ``act`` holds the
+    active rows in order."""
+    upper = prob.u - v < y
+    return upper, np.flatnonzero(upper | (v - prob.l < -y) | prob.equality)
+
+
+def _polish(prob: QpProblem, x: np.ndarray, y: np.ndarray, upper: np.ndarray,
+            act: np.ndarray) -> tuple:
+    """(x, y) solving the equality-constrained QP of the active rows ``act``,
+    as OSQP's solution polishing (Stellato et al., Math. Prog. Comp. 2020,
+    sec. 5.2).  The system
 
         [[P, A_act'], [A_act, 0]] [x; y_act] = [-q; b_act]
 
-    is solved with one factor of its regularised reduced matrix
-    P + delta*I + A_act' A_act / delta, refined against the exact system;
-    y is 0 off the active set and z = clip(Ax, l, u)."""
-    l, u = prob.l, prob.u
-    upper = u - z < y
-    act = np.flatnonzero(upper | (z - l < -y) | prob.equality)
-    A, _, P = prob.operators
-    A_act = A[act]
-    AT_act = A_act.T
-    b = np.where(upper, u, l)[act]
-    kkt = ldlt_factor(assemble_kkt(P, A_act, POLISH_DELTA, np.full(act.size, 1.0 / POLISH_DELTA)))
-    x, y_act = np.zeros(prob.n), np.zeros(act.size)
+    is solved from the given (x, y) by steps on its residual, each a solve
+    with one factor of its regularised reduced matrix P + delta*I +
+    A_act' A_act / delta: the engine's set-up factor of the reduced QP.
+    Where the active rows fix x with multipliers to spare, the steps leave
+    the spare part of y as given, so a start near a multiplier of the right
+    signs stays near it.  y is 0 off the active set."""
+    b = np.where(upper, prob.u, prob.l)[act]
+    reduced = QpProblem(P=prob.operators[2], q=prob.q, A=prob.operators[0][act], l=b, u=b,
+                        name=prob.name)
+    state = init_state(reduced, _POLISH_CFG)
+    A_act, AT_act, P = reduced.operators
+    x, y_act = x.copy(), y[act]
     for _ in range(1 + POLISH_REFINE_STEPS):
-        # One solve of the regularised system for the step (dx, dy) on the
-        # exact system's residual; the first one, from zero, is the solve.
+        # The step (dx, dy) solves the regularised system for the exact
+        # system's residual: dy = R (A dx - r_y) eliminated.
         r_x = -prob.q - P.dot(x) - AT_act.dot(y_act)
         r_y = b - A_act.dot(x)
-        dx = ldlt_solve(kkt, r_x + AT_act.dot(r_y) / POLISH_DELTA)
+        dx = ldlt_solve(state.kkt, r_x + AT_act.dot(state.R * r_y))
         x += dx
-        y_act += (A_act.dot(dx) - r_y) / POLISH_DELTA
+        y_act += state.R * (A_act.dot(dx) - r_y)
     y = np.zeros(prob.m)
     y[act] = y_act
-    return x, np.clip(A.dot(x), l, u), y
+    return x, y
 
 
 def reference_solution(prob: QpProblem, cfg: SolverConfig | None = None) -> ReferenceSolution:
     """The primal-dual optimum used for training and verification.
 
     A solve to eps = POLISH_EPS (adaptive penalty, fixed relaxation
-    ``alpha0``) gives the active set, and :func:`_polish` solves the QP of
-    that set.  The polished point is kept when its KKT error, the largest of
-    the primal residual |Ax - z|, the dual residual |Px + q + A'y| and the
-    normal-cone residual :func:`complementarity_inf`, is at most
-    REFERENCE_KKT_TOL.  Otherwise, or when the polish raises a SolverError,
-    a solve to eps = 1e-9 from the same cold start gives the reference, and
-    ReferenceFailureError is raised when it stops at max_iter or misses
-    that tolerance.  The first solve takes the same iterates as the second
-    up to its stop, so when it stops at max_iter the second would too, and
-    the error is raised at once.
+    ``alpha0``) gives the active set of its (z, y), and :func:`_polish`
+    solves the QP of that set, starting from the solve's (x, y).  The
+    polished point, with z = clip(Ax, l, u), is kept when its KKT error,
+    the largest of the primal residual |Ax - z|, the dual residual
+    |Px + q + A'y| and the normal-cone residual :func:`complementarity_inf`,
+    is at most REFERENCE_KKT_TOL.  Otherwise the active set of (Ax, y) at
+    the polished point, which takes in the rows x violates and drops the
+    multipliers of the wrong sign, is polished from that point, up to
+    POLISH_ROUNDS polishes in all.  When none is kept, the set repeats or a
+    polish raises a SolverError, a solve to eps = REFERENCE_EPS from the
+    same cold start gives the reference, and ReferenceFailureError is
+    raised when it stops at max_iter or misses the tolerance, naming each
+    KKT part.  The first solve takes the same iterates as the second up to
+    its stop, so when it stops at max_iter the second would too, and the
+    error is raised at once.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -428,15 +447,22 @@ def reference_solution(prob: QpProblem, cfg: SolverConfig | None = None) -> Refe
                   max_iter=REFERENCE_MAX_ITER)
     report = solve(prob, cfg, policy=None)
     if report.status == "solved":
-        try:
-            x, z, y = _polish(prob, report.z, report.y)
-        except SolverError:
-            pass
-        else:
-            kkt_error = max(_kkt_parts(prob, x, z, y))
+        x, y = report.x, report.y
+        upper, act = _active_set(prob, report.z, y)
+        for _ in range(POLISH_ROUNDS):
+            try:
+                x, y = _polish(prob, x, y, upper, act)
+            except SolverError:
+                break
+            Ax = prob.operators[0].dot(x)
+            kkt_error = max(_kkt_parts(prob, x, np.clip(Ax, prob.l, prob.u), y))
             if kkt_error <= REFERENCE_KKT_TOL:
                 return ReferenceSolution(x_star=x, lambda_star=y,
                                          objective=objective(prob, x), kkt_error=kkt_error)
+            next_upper, next_act = _active_set(prob, Ax, y)
+            if np.array_equal(next_act, act) and np.array_equal(next_upper[act], upper[act]):
+                break
+            upper, act = next_upper, next_act
         cfg = replace(cfg, eps_abs=REFERENCE_EPS, eps_rel=REFERENCE_EPS)
         report = solve(prob, cfg, policy=None)
     if report.status != "solved":

@@ -74,33 +74,30 @@ def cmd_solve(args) -> int:
     return 0 if report.status == "solved" else 2
 
 
-def _bench_instance(task):
-    """The rows of one instance, read or generated once: one per (policy,
-    rho mode) of ``runs``, policy-major, fixed rho first."""
+def _bench_rows(task):
+    """The rows ``runs`` of one instance, read or generated once: one per
+    (policy label, policy, rho mode)."""
     store, spec, cfg, runs = task
     prob, _ = bench_mod.ensure_instance(store, spec)
     rows = []
-    for policy_label, policy in runs:
-        for rho_mode in ("fixed", "adaptive"):
-            row = {
-                "family": spec.family,
-                "size": spec.size,
-                "seed": spec.seed,
-                "policy": policy_label,
-                "rho_mode": rho_mode,
-            }
-            try:
-                report = solve(prob, replace(cfg, adaptive_rho=rho_mode == "adaptive"),
-                               policy=policy)
-                row.update(iterations=report.iterations, runtime_s=report.runtime_seconds,
-                           rho_updates=report.rho_updates, status=report.status,
-                           kkt_backend=report.kkt_backend)
-            except SolverError as exc:
-                print(f"bench: {spec.name} [{policy_label}/{rho_mode}] failed: {exc}",
-                      file=sys.stderr)
-                row.update(iterations="", runtime_s="", rho_updates="", status="failed",
-                           kkt_backend="")
-            rows.append(row)
+    for policy_label, policy, rho_mode in runs:
+        row = {
+            "family": spec.family,
+            "size": spec.size,
+            "seed": spec.seed,
+            "policy": policy_label,
+            "rho_mode": rho_mode,
+        }
+        try:
+            report = solve(prob, replace(cfg, adaptive_rho=rho_mode == "adaptive"), policy=policy)
+            row.update(iterations=report.iterations, runtime_s=report.runtime_seconds,
+                       rho_updates=report.rho_updates, status=report.status,
+                       kkt_backend=report.kkt_backend)
+        except SolverError as exc:
+            print(f"bench: {spec.name} [{policy_label}/{rho_mode}] failed: {exc}", file=sys.stderr)
+            row.update(iterations="", runtime_s="", rho_updates="", status="failed",
+                       kkt_backend="")
+        rows.append(row)
     return rows
 
 
@@ -119,8 +116,14 @@ def cmd_bench(args) -> int:
                   f"rho; its {other}-rho rows run it in the other mode", file=sys.stderr)
         runs.append((Path(ck).stem, policy_from_checkpoint(ckpt)))
 
-    tasks = [(str(store), spec, cfg, runs) for spec in specs]
-    rows = [row for rows in _map(_bench_instance, tasks, args.jobs) for row in rows]
+    # An instance's rows, policy-major and fixed rho first, go in at most
+    # --jobs tasks of consecutive rows, so that one large instance still
+    # spreads over the workers; each task reads the instance once.
+    runs = [(label, policy, mode) for label, policy in runs for mode in ("fixed", "adaptive")]
+    k = min(args.jobs, len(runs))
+    tasks = [(str(store), spec, cfg, runs[i * len(runs) // k:(i + 1) * len(runs) // k])
+             for spec in specs for i in range(k)]
+    rows = [row for rows in _map(_bench_rows, tasks, args.jobs) for row in rows]
 
     fieldnames = [
         "family", "size", "seed", "policy", "rho_mode",

@@ -97,9 +97,8 @@ def active_set_solution(prob: QpProblem, tol: float = 1e-9):
     small m - e.
     """
     n, m = prob.n, prob.m
-    fixed = (prob.l == prob.u) & np.isfinite(prob.l)
     best = None
-    for pattern in itertools.product(*[(2,) if f else (0, -1, 1) for f in fixed]):
+    for pattern in itertools.product(*[(2,) if f else (0, -1, 1) for f in prob.equality]):
         pattern = np.array(pattern)
         active = np.flatnonzero(pattern)
         b = np.where(pattern == 1, prob.u, prob.l)[active]
