@@ -8,7 +8,9 @@
 # in the sidecar form of the instance's backend, CSR ({"csr_file", "nnz"})
 # for mpc_n100 and lasso_n20, whose generators build P and A as CSR
 # matrices, and dense ({"f8le_file"}) for control_n10, and q, l and u as
-# dense sidecars ({"f8le_file"}).  A copy of the document whose q is the
+# dense sidecars ({"f8le_file"}).  Every value of a CSR sidecar must be
+# nonzero and its nnz the nonzero count of the loaded problem's dense field,
+# so a generator that brings back stored zeros fails here.  A copy of the document whose q is the
 # in-document binary object of files written before q had a sidecar
 # ({"f8le_zlib_b64"}) must make solve exit 1 with one error line.
 #
@@ -50,6 +52,18 @@ doc = json.load(open(path))
 forms = {k: set(doc[k]) for k in "PAqlu"}
 want = {**dict.fromkeys("PA", set(matrix_form.split(","))), **dict.fromkeys("qlu", {"f8le_file"})}
 assert forms == want, forms
+if "csr_file" in want["P"]:
+    import numpy as np
+    from relaxqp.problem import load_problem
+
+    prob = load_problem(path)
+    for key in "PA":
+        nnz = doc[key]["nnz"]
+        with open(os.path.join(os.path.dirname(path), doc[key]["csr_file"]), "rb") as fh:
+            raw = fh.read()
+        values = np.frombuffer(raw, "<f8", count=nnz, offset=len(raw) - 8 * nnz)
+        assert np.all(values != 0.0), f"{key}: the CSR sidecar stores a zero value"
+        assert nnz == np.count_nonzero(getattr(prob, key)), (key, nnz)
 with open(os.path.join(os.path.dirname(path), doc["q"]["f8le_file"]), "rb") as fh:
     raw = fh.read()
 doc["q"] = {"f8le_zlib_b64": base64.b64encode(zlib.compress(raw)).decode("ascii")}

@@ -39,6 +39,7 @@ from .problem import (
     array_field,
     check_keys,
     load_problem,
+    normal_cone_gap,
     objective,
     osqp_residuals,
     read_json_object,
@@ -363,19 +364,10 @@ POLISH_ROUNDS = 3  # polishes at most, each on the active set of the last point
 _POLISH_CFG = SolverConfig(rho0=1e3, sigma=POLISH_DELTA)
 
 
-def complementarity_inf(prob: QpProblem, z: np.ndarray, y: np.ndarray) -> float:
-    """max_i |z_i - clip(z_i + y_i, l_i, u_i)|: 0 exactly when y_i lies in the
-    normal cone of [l_i, u_i] at z_i.  For z in the box a row reads
-    min(|y_i|, distance of z_i to the bound the sign of y_i names), the upper
-    one for y_i > 0 and the lower one for y_i < 0, so a multiplier of the
-    wrong sign at a bound is seen."""
-    return float(np.max(np.abs(z - np.clip(z + y, prob.l, prob.u)), initial=0.0))
-
-
 def _kkt_parts(prob: QpProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray) -> tuple:
     # (primal, dual, normal-cone) residuals, infinity norms.
     res = osqp_residuals(prob, x, z, y)
-    return res.r_prim_inf, res.r_dual_inf, complementarity_inf(prob, z, y)
+    return res.r_prim_inf, res.r_dual_inf, normal_cone_gap(prob, z, y)
 
 
 def _active_set(prob: QpProblem, v: np.ndarray, y: np.ndarray) -> tuple:
@@ -429,8 +421,8 @@ def reference_solution(prob: QpProblem, cfg: SolverConfig | None = None) -> Refe
     solves the QP of that set, starting from the solve's (x, y).  The
     polished point, with z = clip(Ax, l, u), is kept when its KKT error,
     the largest of the primal residual |Ax - z|, the dual residual
-    |Px + q + A'y| and the normal-cone residual :func:`complementarity_inf`,
-    is at most REFERENCE_KKT_TOL.  Otherwise the active set of (Ax, y) at
+    |Px + q + A'y| and the normal-cone residual
+    :func:`~relaxqp.problem.normal_cone_gap`, is at most REFERENCE_KKT_TOL.  Otherwise the active set of (Ax, y) at
     the polished point, which takes in the rows x violates and drops the
     multipliers of the wrong sign, is polished from that point, up to
     POLISH_ROUNDS polishes in all.  When none is kept, the set repeats or a

@@ -5,23 +5,19 @@ entries of l, u allowed to be -inf/+inf.
 
 :class:`QpProblem` takes P and A as ndarrays or scipy.sparse matrices.  It
 picks the problem's linear-algebra backend once, with
-:func:`relaxqp.linalg.pick_backend`, from the nonzero count of its input.  On
-the dense backend it keeps them as dense ndarrays, which are also its
-operators and what :func:`save_problem` writes.  On the sparse backend it
-keeps them as CSR only: :attr:`QpProblem.stored` holds one CSR matrix per
-matrix of the stored entries, those whose bit pattern is not zero, -0.0
-included.  From CSR input that is the canonical copy (indices sorted,
-duplicates summed) without its +0.0 entries; from dense input it is a scan of
-the bit patterns, and the dense input is not kept.  The operators are the
-stored CSR without its zero values (the same object when it holds none), and
-:func:`save_problem` writes the stored CSR as it is.  ``prob.P`` and
-``prob.A`` of a sparse-backend problem are dense float64 arrays built from
-the stored entries, assigned into zeros, on every access and never kept:
-bit for bit the dense input of the same problem, -0.0 included.  A matrix
-too large to allocate densely is an InputError at that access, not at
-construction.  No code of the package reads them; P and A are validated in
-the storage of the problem's :attr:`QpProblem.operators`, the storage every
-product with A, A' and P goes through.
+:func:`relaxqp.linalg.pick_backend`, from the nonzero count of its input, and
+keeps P and A in one form, its :attr:`QpProblem.operators`, which
+:func:`save_problem` writes.  A zero value, +0.0 or -0.0, is not an entry of
+a sparse matrix: sparse input becomes a CSR copy of its nonzero entries
+(indices sorted, duplicates summed first).  On the dense backend the
+operators are dense arrays; on the sparse backend, CSR matrices of the
+nonzero entries.  ``prob.P`` and ``prob.A`` are read from the operators: on
+the dense backend the arrays themselves, so dense input keeps its bits, -0.0
+included; on the sparse backend a new dense float64 array on every access,
+never kept, +0.0 wherever no entry is stored.  A matrix too large to
+allocate densely is an InputError at that access, not at construction.  No
+code of the package reads them; P and A are validated in the storage of the
+operators, the storage every product with A, A' and P goes through.
 
 A problem file is one JSON document ``{name, n, m, P, q, A, l, u, seed}``,
 written only by :func:`save_problem`.  Each of the five arrays is a sidecar
@@ -34,15 +30,17 @@ little-endian float64 array in row-major order.  On the sparse backend P and
 A are ``{"csr_file": "<file>.<P|A>.<crc32>.csr", "nnz": k}`` and the file
 holds the CSR form, one part after another: the rows + 1 row pointers and
 the k column indices as little-endian int32, then the k values as
-little-endian float64: the stored entries, every entry whose bit pattern is
-not zero, -0.0 included.  So every value, +-inf, -0.0 and subnormals included,
-round-trips bit-exactly.  The name is the content's address, so rewriting a
-path with the same problem names the same sidecars, and a rewrite with other
-content writes new sidecars and leaves the old ones in place for a reader of
-the old document.  The sidecars are written, each through a temporary file
-and one ``os.replace``, before the document; a sidecar whose name already
-holds its bytes (the size compared first, then the content in bounded
-chunks) is not written again, and one that holds other bytes is replaced.
+little-endian float64, each nonzero.  So every value, +-inf and subnormals
+included, and in a dense sidecar -0.0 too, round-trips bit-exactly; a zero
+value that a CSR sidecar holds, as files written before zero values were
+dropped may, is dropped on load.  The name is the content's address, so
+rewriting a path with the same problem names the same sidecars, and a
+rewrite with other content writes new sidecars and leaves the old ones in
+place for a reader of the old document.  The sidecars are written, each
+through a temporary file and one ``os.replace``, before the document; a
+sidecar whose name already holds its bytes (the size compared first, then
+the content in bounded chunks) is not written again, and one that holds
+other bytes is replaced.
 :func:`load_problem` reads a sidecar only under a bare file name of that
 pattern whose letter is the field's and whose suffix is the field's form,
 only when its size is exactly the one n, m and nnz give, and accepts its
@@ -106,14 +104,15 @@ def classify(l: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (l == u) & np.isfinite(l)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpProblem:
-    """Immutable QP instance.
+    """Immutable QP instance; two problems are equal only when they are the
+    same object.
 
     P and A may be given as ndarrays or scipy.sparse matrices.  Read as
-    fields, they are dense float64 ndarrays: the kept arrays on the dense
-    backend; on the sparse backend, which keeps only ``stored`` and
-    ``operators``, a new array built from ``stored`` on every access.
+    fields, they are dense float64 ndarrays from ``operators``: the operators
+    themselves on the dense backend, a new array on every access on the
+    sparse backend.
 
     Attributes
     ----------
@@ -126,12 +125,9 @@ class QpProblem:
     equality : (m,) bool mask of the rows with l == u finite (:func:`classify`).
     kkt_backend : ``"dense"`` or ``"sparse"``, the linear-algebra backend of
         every solve of this problem (see :func:`relaxqp.linalg.pick_backend`).
-    operators : (A, A', P) in the storage of ``kkt_backend``: CSR matrices
-        without stored zeros on the sparse backend, the dense arrays on the
-        dense one.
-    stored : (P, A) as a problem file stores them: on the sparse backend CSR
-        matrices of the entries whose bit pattern is not zero, -0.0 included;
-        the dense arrays on the dense one.
+    operators : (A, A', P) in the storage of ``kkt_backend``, the one form
+        the problem keeps of P and A: CSR matrices of the nonzero entries on
+        the sparse backend, dense arrays on the dense one.
     """
 
     P: np.ndarray
@@ -160,15 +156,13 @@ class QpProblem:
             raise InputError("bound vectors must have one entry per constraint row")
         backend = pick_backend(n, m, _count_nonzero(P) + _count_nonzero(A))
         if backend == "sparse":
-            stored = _stored(P), _stored(A)
-            P_op, A_op = (_select(M, M.data != 0.0) for M in stored)  # NaN is kept
-            operators = A_op, A_op.T.tocsr(), P_op
-            values = P_op.data, q, A_op.data
-            zero_row = np.diff(A_op.indptr) == 0
+            P, A = _csr(P), _csr(A)
+            operators = A, A.T.tocsr(), P
+            values = P.data, q, A.data
+            zero_row = np.diff(A.indptr) == 0
             psd_probe = _psd_probe_csr
         else:
             P, A = _dense(P), _dense(A)
-            stored = P, A
             operators = A, A.T, P
             values = P, q, A
             zero_row = ~A.any(axis=1)  # -0.0 counts as zero, NaN does not
@@ -189,19 +183,14 @@ class QpProblem:
                 raise InputError(f"all-zero constraint row {i} excludes 0 and is infeasible")
         if n and not psd_probe(operators[2]):
             raise InputError("P is not positive semidefinite (factorization probe failed)")
-        if backend == "sparse":  # P and A are built on access (_DenseOnAccess)
-            object.__delattr__(self, "P")
-            object.__delattr__(self, "A")
-        else:
-            object.__setattr__(self, "P", P)
-            object.__setattr__(self, "A", A)
+        object.__delattr__(self, "P")  # read from the operators (_DenseOnAccess)
+        object.__delattr__(self, "A")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "equality", equality)
         object.__setattr__(self, "kkt_backend", backend)
         object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "stored", stored)
 
     @property
     def n(self) -> int:
@@ -236,12 +225,10 @@ class QpProblem:
 
 
 class _DenseOnAccess:
-    """The field of matrix ``index`` of ``stored`` (0 for P, 1 for A) where
-    the instance holds none, as on the sparse backend: a new dense array of
-    the stored entries on every read.  It defines no ``__set__``, so the
-    dense backend's arrays, held by the instance, are read first, and a
-    class without ``__getattr__`` keeps attribute reads on the solver's hot
-    path at their plain cost."""
+    """The field of operator ``index`` (2 for P, 0 for A): the operator
+    itself on the dense backend, a new dense array of its entries on every
+    read on the sparse backend.  A descriptor, not ``__getattr__``, which
+    would send every attribute read on the solver's hot path through it."""
 
     def __init__(self, index: int):
         self.index = index
@@ -249,21 +236,23 @@ class _DenseOnAccess:
     def __get__(self, prob, owner=None):
         if prob is None:
             return self
-        return _dense(prob.stored[self.index])
+        return _dense(prob.operators[self.index])
 
 
 # Set after the dataclass is made, so that they are not taken as defaults.
-QpProblem.P = _DenseOnAccess(0)
-QpProblem.A = _DenseOnAccess(1)
+QpProblem.P = _DenseOnAccess(2)
+QpProblem.A = _DenseOnAccess(0)
 
 
 def _matrix_input(a):
-    # A sparse matrix becomes a CSR copy with sorted, unique indices
-    # (duplicates summed) of the index type csr_array(dense) picks; anything
-    # else a contiguous float64 ndarray.
+    # A sparse matrix becomes a CSR copy of its nonzero entries, NaN
+    # included, with sorted, unique indices (duplicates summed first) of the
+    # index type csr_array(dense) picks; anything else a contiguous float64
+    # ndarray.
     if sparse.issparse(a):
         a = sparse.csr_array(a, dtype=np.float64, copy=True)
         a.sum_duplicates()
+        a.eliminate_zeros()
         if max(*a.shape, a.nnz) <= np.iinfo(np.int32).max:
             a.indptr, a.indices = a.indptr.astype(np.int32), a.indices.astype(np.int32)
         return a
@@ -274,40 +263,27 @@ def _count_nonzero(a) -> int:
     return int(np.count_nonzero(a.data if sparse.issparse(a) else a))
 
 
-def _stored(a):
-    # The CSR matrix of the entries of a whose bit pattern is not zero, -0.0
-    # included: a canonical CSR a without its +0.0 entries, or a scan of a
-    # dense a.
+def _csr(a):
+    # The CSR matrix of the nonzero entries of a, NaN included: a itself when
+    # it is sparse (see _matrix_input), otherwise csr_array(a) by a scan of
+    # its rows, 3-5 times faster than csr_array's route through COO.
     if sparse.issparse(a):
-        return _select(a, a.data.view(np.uint64) != 0)
-    stored = a.view(np.uint64) != 0
+        return a
+    nonzero = a != 0.0
     indptr = np.zeros(a.shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-    flat = np.flatnonzero(stored)
+    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
+    flat = np.flatnonzero(nonzero)
     indices = (flat % a.shape[1]).astype(np.int32)
     return sparse.csr_array((a.ravel()[flat], indices, indptr), shape=a.shape)
 
 
-def _select(a, keep):
-    # The CSR matrix a without the entries where keep is False; a itself
-    # when it keeps them all.
-    if keep.all():
-        return a
-    kept = np.concatenate(([0], np.cumsum(keep)))[a.indptr].astype(a.indptr.dtype)
-    return sparse.csr_array((a.data[keep], a.indices[keep], kept), shape=a.shape)
-
-
 def _dense(a) -> np.ndarray:
-    # Built by assignment, not by toarray(), which adds into a zero buffer and
-    # so turns a stored -0.0 into +0.0.
     if not sparse.issparse(a):
         return a
     try:
-        out = np.zeros(a.shape)
+        return a.toarray()
     except MemoryError as exc:
         raise InputError(f"a {a.shape[0]}x{a.shape[1]} matrix does not fit in memory") from exc
-    out[np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices] = a.data
-    return out
 
 
 def _psd_probe(P: np.ndarray) -> bool:
@@ -421,6 +397,17 @@ def osqp_residuals(prob: QpProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray)
         prim_scale=max(Ax_inf, z_inf),
         dual_scale=max(Px_inf, ATy_inf, prob.q_norm),
     )
+
+
+def normal_cone_gap(prob: QpProblem, z: np.ndarray, w: np.ndarray) -> float:
+    """max_i |z_i - clip(z_i + w_i, l_i, u_i)|: 0 exactly when w_i lies in the
+    normal cone of [l_i, u_i] at z_i.  For z in the box a row reads
+    min(|w_i|, distance of z_i to the bound the sign of w_i names), the upper
+    one for w_i > 0 and the lower one for w_i < 0, so a multiplier of the
+    wrong sign at a bound is seen."""
+    # ndarray methods, not the np.clip/np.max wrappers: verify.Trajectory
+    # takes it once per iteration.
+    return float(np.abs(z - (z + w).clip(prob.l, prob.u)).max(initial=0.0))
 
 
 def terminated(res: Residuals, eps_abs: float, eps_rel: float) -> bool:
@@ -662,10 +649,10 @@ def _csr_sidecar(path: str, key: str, a) -> dict:
 
 def save_problem(prob: QpProblem, path) -> None:
     """Write ``prob`` to the problem file ``path``: the five arrays first, as
-    sidecar files, P and A as :attr:`QpProblem.stored` holds them, then the
+    sidecar files, P and A as its :attr:`QpProblem.operators`, then the
     document (see the module docstring)."""
     path = os.fspath(path)
-    P, A = prob.stored
+    A, _, P = prob.operators
     matrix_sidecar = _csr_sidecar if sparse.issparse(A) else _dense_sidecar
     doc = {
         "name": prob.name,

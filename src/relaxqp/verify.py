@@ -34,7 +34,7 @@ from .engine import (
     solve,
 )
 from .errors import InputError, TheoryViolationError
-from .problem import QpProblem, Residuals, objective
+from .problem import QpProblem, Residuals, normal_cone_gap, objective
 
 IDENTITY_RTOL = 1e-9
 DESCENT_RTOL = 1e-8
@@ -95,7 +95,7 @@ class Trajectory:
         self.alpha_x = np.empty(rows)
         self.input_gap = np.empty(rows)
         self.sigma = cfg.sigma
-        self._bounds = prob.l, prob.u
+        self._prob = prob
         self._state = None
 
     def __call__(self, state: SolverState, res: Residuals) -> None:
@@ -108,7 +108,7 @@ class Trajectory:
             self.x_tilde[i], self.z_tilde[i] = state.x_tilde, state.z_tilde
             self.gamma[i], self.alpha_x[i] = state.Gamma, state.alpha_x
             z, y = self.z[i], self.y[i]
-            self.input_gap[i] = np.abs(z - (z + y / self.r[i]).clip(*self._bounds)).max(initial=0.0)
+            self.input_gap[i] = normal_cone_gap(self._prob, z, y / self.r[i])
         self._state = state
 
     def finish(self) -> "Trajectory":

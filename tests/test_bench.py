@@ -16,7 +16,6 @@ from relaxqp.bench import (
     MPC_STATE_DIM,
     TEST_GRIDS,
     TRAIN_SIZES,
-    complementarity_inf,
     default_desk_manifest,
     documented_grid,
     ensure_instance,
@@ -31,7 +30,7 @@ from relaxqp.bench import (
 from relaxqp.engine import SolverConfig, solve
 from relaxqp.errors import InputError, ReferenceFailureError, SingularKktError
 from relaxqp import problem as problem_mod
-from relaxqp.problem import QpProblem, load_problem, save_problem
+from relaxqp.problem import QpProblem, load_problem, normal_cone_gap, save_problem
 
 from oracles import active_set_solution, control_kron, lasso_dense, mpc_dense
 
@@ -100,8 +99,10 @@ class TestGenerators:
 
     @pytest.mark.parametrize("size", [10, 50])
     def test_lasso_stores_no_negative_zeros(self, size):
-        # The -1 blocks are diagonals, not negated identities: a -0.0 is a
-        # nonzero bit pattern that a bit-exact CSR problem file must store.
+        # The -1 blocks are diagonals, not negated identities, which would
+        # leave -0.0 off the diagonal.  Only the dense-backend size (10) can
+        # still hold one: its A and problem file keep every bit, while the
+        # sparse backend (size 50) stores no zero value.
         p = generate(FamilySpec("lasso", size, 1))
         assert not np.any(np.signbit(p.A) & (p.A == 0.0))
         assert np.count_nonzero(p.A == -1.0) == 10 * size + size
@@ -375,16 +376,16 @@ class TestReferenceSolution:
         prob = QpProblem(P=np.eye(1), q=np.zeros(1), A=np.eye(1),
                          l=np.zeros(1), u=np.ones(1))
         # z at the lower bound with a multiplier: complementary
-        assert complementarity_inf(prob, np.array([0.0]), np.array([-2.0])) == 0.0
+        assert normal_cone_gap(prob, np.array([0.0]), np.array([-2.0])) == 0.0
         # interior z with a nonzero multiplier: violation = min(|y|, slack)
-        assert complementarity_inf(prob, np.array([0.5]), np.array([-2.0])) == 0.5
+        assert normal_cone_gap(prob, np.array([0.5]), np.array([-2.0])) == 0.5
         # z at the lower bound with a positive multiplier, which belongs to
         # the upper bound: min(|y|, u - z)
-        assert complementarity_inf(prob, np.array([0.0]), np.array([2.0])) == 1.0
+        assert normal_cone_gap(prob, np.array([0.0]), np.array([2.0])) == 1.0
         wide = QpProblem(P=np.eye(1), q=np.zeros(1), A=np.eye(1),
                          l=np.zeros(1), u=np.full(1, np.inf))
-        assert complementarity_inf(wide, np.array([0.0]), np.array([2.0])) == 2.0
-        assert complementarity_inf(wide, np.array([3.0]), np.array([0.0])) == 0.0
+        assert normal_cone_gap(wide, np.array([0.0]), np.array([2.0])) == 2.0
+        assert normal_cone_gap(wide, np.array([3.0]), np.array([0.0])) == 0.0
 
 
 class TestManifestAndStore:

@@ -108,6 +108,16 @@ class TestClassify:
             assert np.array_equal(k1, k2)
 
 
+class TestIdentity:
+    @pytest.mark.parametrize("family,size", [("random_qp", 10), ("mpc", 100)])
+    def test_problems_compare_by_identity(self, family, size):
+        # Two problems of the same data are two objects: they compare
+        # unequal without raising, and each can go in a set.
+        first, second = (generate(FamilySpec(family, size, seed=1)) for _ in range(2))
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+
 class TestProblemValidation:
     def test_non_psd_rejected(self):
         with pytest.raises(InputError):
@@ -507,6 +517,24 @@ def same_bits(a: QpProblem, b: QpProblem) -> bool:
                and getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in "PqAlu")
 
 
+def same_nonzero_bits(a: QpProblem, b: QpProblem) -> bool:
+    """P and A of a and b hold equal values, with the same bits at every
+    nonzero entry (a zero may be -0.0 on one side, +0.0 on the other), and
+    q, l and u the same bits."""
+    def agree(x, y):
+        nonzero = x != 0.0
+        return (x.shape == y.shape and np.array_equal(x, y)
+                and x[nonzero].tobytes() == y[nonzero].tobytes())
+
+    return (all(agree(getattr(a, k), getattr(b, k)) for k in "PA")
+            and all(getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in "qlu"))
+
+
+def without_signed_zeros(a: np.ndarray) -> np.ndarray:
+    """a with +0.0 wherever it holds -0.0."""
+    return np.where(a == 0.0, 0.0, a)
+
+
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
 
@@ -721,26 +749,37 @@ class TestSparseValidation:
         if err_d is not None:
             return
         assert from_dense.kkt_backend == from_csr.kkt_backend == "sparse"
+        # The sparse backend keeps the nonzeros only, so both inputs give the
+        # same bits; the dense backend keeps the dense input's -0.0.
+        assert same_bits(from_csr, from_dense)
+        assert not np.any(np.signbit(from_dense.P) & (from_dense.P == 0.0))
+        assert not np.any(np.signbit(from_dense.A) & (from_dense.A == 0.0))
         built = [prob for prob in (from_dense, from_csr, on_dense) if prob is not None]
         for prob in built:
-            assert same_bits(prob, from_dense)
+            assert same_nonzero_bits(prob, from_dense)
             assert np.array_equal(prob.equality, from_dense.equality)
             assert_operators_match(prob)
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_dense_fields_on_access(self, backend):
-        # On the sparse backend P and A are not held: each access builds a
-        # new C-contiguous float64 array, bit for bit the dense input.
+        # P and A are not held: they are read from the operators.  On the
+        # dense backend that is the operator itself, bit for bit the dense
+        # input; on the sparse backend each access builds a new C-contiguous
+        # float64 array of the nonzeros, with +0.0 where the input held -0.0.
         P = np.array([[2.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
         A = np.array([[1.0, -0.0, 0.0], [-0.0, 0.0, 2.0]])
         with forced_backend(backend):
             prob = QpProblem(P=P, q=np.zeros(3), A=A, l=-np.ones(2), u=np.ones(2))
-        for key, want in (("P", P), ("A", A)):
+        for key, want, operator in (("P", P, prob.operators[2]), ("A", A, prob.operators[0])):
             got = getattr(prob, key)
             assert got.dtype == np.float64 and got.flags.c_contiguous
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            assert (got is getattr(prob, key)) == (backend == "dense")
-            assert (key in prob.__dict__) == (backend == "dense")
+            assert key not in prob.__dict__
+            if backend == "dense":
+                assert got is operator and got is getattr(prob, key)
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got is not getattr(prob, key)
+                assert got.tobytes() == without_signed_zeros(want).tobytes()
         assert (prob.n, prob.m) == (3, 2)
         with pytest.raises(AttributeError, match="no attribute 'Q'"):
             prob.Q
@@ -752,7 +791,9 @@ class TestSparseValidation:
         prob = QpProblem(P=csr_input(P, np.ones((2, 2), bool)),
                          A=csr_input(A, np.eye(2, dtype=bool)), **args)
         assert prob.kkt_backend == "dense"
-        assert prob.P.tobytes() == P.tobytes() and prob.A.tobytes() == A.tobytes()
+        # A zero value of CSR input is not an entry: it reads +0.0.
+        assert prob.P.tobytes() == without_signed_zeros(P).tobytes()
+        assert prob.A.tobytes() == without_signed_zeros(A).tobytes()
         assert_operators_match(prob)
 
     def test_duplicate_entries_are_summed(self):
@@ -887,15 +928,44 @@ class TestCsrFileForm:
         save_problem(loaded, second / "p.json")
         assert saved_files(first) == saved_files(second)
 
-    def test_signed_zeros_are_stored(self, tmp_path):
+    def test_zero_values_are_not_stored(self, tmp_path):
         prob = sparse_problem_with_signed_zeros()
         doc = saved_doc(prob, tmp_path)
         indptr, indices, data = csr_sidecar_parts(tmp_path, doc, "A")
-        assert indptr.tolist() == [0, 2, 5, 5, 7] and indices.tolist() == [0, 1, 0, 1, 2, 0, 2]
-        assert data.tobytes() == np.array([1.0, -0.0, -0.0, -0.0, 3.0, -1.0, 2.0]).tobytes()
-        assert doc["A"]["nnz"] == 7
+        assert indptr.tolist() == [0, 1, 2, 2, 4] and indices.tolist() == [0, 2, 0, 2]
+        assert data.tobytes() == np.array([1.0, 3.0, -1.0, 2.0]).tobytes()
+        assert doc["A"]["nnz"] == 4
         loaded = problem_from_dict(doc, tmp_path)  # small, so it loads on the dense backend
         assert loaded.kkt_backend == "dense" and same_bits(loaded, prob)
+
+    def test_sidecar_with_zero_values_loads_without_them(self, tmp_path):
+        # Files written while a CSR sidecar kept every entry whose bit
+        # pattern is not zero hold -0.0 entries; a hand-made one may hold
+        # +0.0.  Either loads as the problem of the dense input and is saved
+        # without them.
+        prob = sparse_problem_with_signed_zeros()
+        old, new, fresh = (tmp_path / name for name in ("old", "new", "fresh"))
+        for directory in (old, new, fresh):
+            directory.mkdir()
+        doc = saved_doc(prob, old)
+        doc["P"] = csr_sidecar(old, "P", [0, 2, 5, 8], [0, 1, 0, 1, 2, 0, 1, 2],
+                               [2.0, -0.0, -0.0, 1.0, 0.5, 0.0, 0.5, 1.0])
+        doc["A"] = csr_sidecar(old, "A", [0, 2, 5, 5, 8], [0, 1, 0, 1, 2, 0, 1, 2],
+                               [1.0, -0.0, -0.0, -0.0, 3.0, -1.0, 0.0, 2.0])
+        (old / "p.json").write_text(json.dumps(doc))
+        with forced_backend("sparse"):
+            loaded = load_problem(old / "p.json")
+        assert same_bits(loaded, prob) and np.array_equal(loaded.equality, prob.equality)
+        for got, want in zip(loaded.operators, prob.operators):
+            assert_csr_equal(got, want)
+        save_problem(loaded, new / "p.json")
+        saved = json.loads((new / "p.json").read_text())
+        assert (saved["P"]["nnz"], saved["A"]["nnz"]) == (5, 4)
+        indptr, indices, data = csr_sidecar_parts(new, saved, "A")
+        assert indptr.tolist() == [0, 1, 2, 2, 4] and indices.tolist() == [0, 2, 0, 2]
+        assert data.tobytes() == np.array([1.0, 3.0, -1.0, 2.0]).tobytes()
+        save_problem(prob, fresh / "p.json")
+        assert saved_files(new) == saved_files(fresh)
 
     def test_list_form_loads_alike(self, tmp_path):
         # A hand-written sparse-backend problem: P and A as dense lists.
@@ -943,6 +1013,7 @@ class TestCsrFileProperties:
             assert (loaded.name, loaded.seed) == (prob.name, prob.seed)
             assert np.array_equal(loaded.equality, prob.equality)
             assert_operators_match(loaded)
+            assert all(np.all(M.data != 0.0) for M in loaded.operators)
             assert len(saved_files(first)) == 6
             assert saved_files(first) == saved_files(second)
 
