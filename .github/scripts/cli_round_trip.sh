@@ -3,8 +3,9 @@
 # and control_n10.
 #
 # For each instance the first bench run generates it and saves its arrays as
-# sidecar files; the second loads them and must give the same iteration
-# columns; solve then reads the stored file.  The document must hold P and A
+# sidecar files; the second loads them and must give the same columns but
+# the two times, runtime_s (7) and policy_seconds (13); solve then reads the
+# stored file.  The document must hold P and A
 # in the sidecar form of the instance's backend, CSR ({"csr_file", "nnz"})
 # for mpc_n100 and lasso_n20, whose generators build P and A as CSR
 # matrices, and dense ({"f8le_file"}) for control_n10, and q, l and u as
@@ -40,7 +41,7 @@ for instance in "mpc 100 csr_file,nnz" "lasso 20 csr_file,nnz" "control 10 f8le_
   for run in 1 2; do
     python -m relaxqp.cli bench --manifest "$d/m.json" --store "$d/s" --out "$d/r$run.csv"
   done
-  cmp <(cut -d, -f1-6,8- "$d/r1.csv") <(cut -d, -f1-6,8- "$d/r2.csv")
+  cmp <(cut -d, -f1-6,8-12 "$d/r1.csv") <(cut -d, -f1-6,8-12 "$d/r2.csv")
   f="$d/s/$1/size$2/seed1/problem.json"
   old="$(dirname "$f")/old.json"
   python -m relaxqp.cli solve --problem "$f" > "$d/report.json"
@@ -92,7 +93,7 @@ echo '{"specs": [{"family": "random_qp", "size": 10, "seed": 21}]}' > "$d/m.json
 for run in 1 2; do
   python -m relaxqp.cli bench --manifest "$d/m.json" --store "$d/s" --checkpoint "$ck" --out "$d/c$run.csv"
 done
-cmp <(cut -d, -f1-6,8- "$d/c1.csv") <(cut -d, -f1-6,8- "$d/c2.csv")
+cmp <(cut -d, -f1-6,8-12 "$d/c1.csv") <(cut -d, -f1-6,8-12 "$d/c2.csv")
 python -m relaxqp.cli solve --problem "$d/s/random_qp/size10/seed21/problem.json" --checkpoint "$ck" \
   --config "$d/box.json" > "$d/report.json"
 python -c 'import json, sys; q = json.load(open(sys.argv[1]))["policy_queries"]; assert q > 0, q' \

@@ -413,7 +413,7 @@ def _polish(prob: QpProblem, x: np.ndarray, y: np.ndarray, upper: np.ndarray,
     return x, y
 
 
-def reference_solution(prob: QpProblem, cfg: SolverConfig | None = None) -> ReferenceSolution:
+def reference_solution(prob: QpProblem) -> ReferenceSolution:
     """The primal-dual optimum used for training and verification.
 
     A solve to eps = POLISH_EPS (adaptive penalty, fixed relaxation
@@ -433,10 +433,8 @@ def reference_solution(prob: QpProblem, cfg: SolverConfig | None = None) -> Refe
     its stop, so when it stops at max_iter the second would too, and the
     error is raised at once.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    cfg = replace(cfg, eps_abs=POLISH_EPS, eps_rel=POLISH_EPS, adaptive_rho=True,
-                  max_iter=REFERENCE_MAX_ITER)
+    cfg = SolverConfig(eps_abs=POLISH_EPS, eps_rel=POLISH_EPS, adaptive_rho=True,
+                       max_iter=REFERENCE_MAX_ITER)
     report = solve(prob, cfg, policy=None)
     if report.status == "solved":
         x, y = report.x, report.y

@@ -29,6 +29,15 @@ from .training import TrainConfig, collect_norm_stats, train
 from .verify import DriftSchedule, check_descent, reconstruct_drs, record_trajectory, run_drift_experiment
 
 
+# The result columns of a bench row, after family, size, seed, policy and
+# rho_mode, with the decimals of their summary means (None: not averaged).
+# All but the two times repeat byte for byte between runs.
+BENCH_RESULTS = {
+    "iterations": 2, "runtime_s": 3, "rho_updates": 2, "status": None, "kkt_backend": None,
+    "factorizations": 2, "policy_queries": 2, "policy_seconds": 6,
+}
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -92,11 +101,12 @@ def _bench_rows(task):
             report = solve(prob, replace(cfg, adaptive_rho=rho_mode == "adaptive"), policy=policy)
             row.update(iterations=report.iterations, runtime_s=report.runtime_seconds,
                        rho_updates=report.rho_updates, status=report.status,
-                       kkt_backend=report.kkt_backend)
+                       kkt_backend=report.kkt_backend, factorizations=report.factorizations,
+                       policy_queries=report.policy_queries,
+                       policy_seconds=report.policy_seconds)
         except SolverError as exc:
             print(f"bench: {spec.name} [{policy_label}/{rho_mode}] failed: {exc}", file=sys.stderr)
-            row.update(iterations="", runtime_s="", rho_updates="", status="failed",
-                       kkt_backend="")
+            row.update(dict.fromkeys(BENCH_RESULTS, ""), status="failed")
         rows.append(row)
     return rows
 
@@ -125,10 +135,7 @@ def cmd_bench(args) -> int:
              for spec in specs for i in range(k)]
     rows = [row for rows in _map(_bench_rows, tasks, args.jobs) for row in rows]
 
-    fieldnames = [
-        "family", "size", "seed", "policy", "rho_mode",
-        "iterations", "runtime_s", "rho_updates", "status", "kkt_backend",
-    ]
+    fieldnames = ["family", "size", "seed", "policy", "rho_mode", *BENCH_RESULTS]
     groups: dict = {}
     for row in rows:
         if row["status"] != "failed":
@@ -136,20 +143,12 @@ def cmd_bench(args) -> int:
             groups.setdefault(key, []).append(row)
     summary_rows = []
     for (family, policy_label, rho_mode), grp in sorted(groups.items()):
-        summary_rows.append(
-            {
-                "family": family,
-                "size": "",
-                "seed": "",
-                "policy": policy_label,
-                "rho_mode": rho_mode,
-                "iterations": f"{np.mean([r['iterations'] for r in grp]):.2f}",
-                "runtime_s": f"{np.mean([r['runtime_s'] for r in grp]):.3f}",
-                "rho_updates": f"{np.mean([r['rho_updates'] for r in grp]):.2f}",
-                "status": "summary",
-                "kkt_backend": "",
-            }
-        )
+        summary = {"family": family, "size": "", "seed": "", "policy": policy_label,
+                   "rho_mode": rho_mode, "status": "summary", "kkt_backend": ""}
+        for key, digits in BENCH_RESULTS.items():
+            if digits is not None:
+                summary[key] = f"{np.mean([r[key] for r in grp]):.{digits}f}"
+        summary_rows.append(summary)
 
     def write_rows(fh):
         w = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -158,6 +157,7 @@ def cmd_bench(args) -> int:
             out = dict(row)
             if out["status"] != "failed":
                 out["runtime_s"] = _fmt(out["runtime_s"])
+                out["policy_seconds"] = _fmt(out["policy_seconds"])
             w.writerow(out)
         for row in summary_rows:
             w.writerow(row)

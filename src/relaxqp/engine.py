@@ -34,7 +34,11 @@ scales; the stopping rule and the penalty update read those scales.
 
 This module holds the solver only.  The theory verifier (:mod:`relaxqp.verify`)
 records its trajectories through the observer of :func:`solve`; an observer
-may keep references to the state's arrays (see :class:`SolverState`).
+may keep references to the state's arrays (see :class:`SolverState`).  A
+relaxation policy is any object with ``propose(prob, state, res, res_prev,
+cfg) -> (gamma, alpha_x or None)``: it reads the :class:`SolverState` at a
+stage boundary, after that boundary's penalty update, and never writes it;
+:func:`apply_policy` stores what it proposes.
 """
 
 import math
@@ -172,10 +176,9 @@ class SolveReport:
     x: np.ndarray
     z: np.ndarray
     y: np.ndarray
-    # Wall time of the stage-boundary policy calls, features and context
-    # included, and the number of them that queried the policy (none after
-    # the freeze): set against runtime_seconds and iterations, the
-    # break-even of a learned policy.
+    # Wall time of the policy queries, features included, and their number
+    # (none at or after freeze_iter): set against runtime_seconds and
+    # iterations, the break-even of a learned policy.
     policy_seconds: float = 0.0
     policy_queries: int = 0
 
@@ -289,17 +292,18 @@ def maybe_update_rho(
     return state, False
 
 
-def apply_policy(state: SolverState, policy, ctx, cfg: SolverConfig) -> SolverState:
-    """Query the relaxation policy at a stage boundary.
+def apply_policy(
+    state: SolverState, policy, prob: QpProblem, res: Residuals, res_prev: Residuals,
+    cfg: SolverConfig,
+) -> SolverState:
+    """Query the relaxation policy at a stage boundary and store its proposal.
 
-    After the freeze iteration the relaxation is left untouched so the total
-    parameter drift stays finite.  A decision-space relaxation of None keeps
-    the current one.  Non-finite policy output raises and leaves the state
-    unchanged.
+    ``policy.propose(prob, state, res, res_prev, cfg)`` reads the state and
+    never writes it; ``res_prev`` holds the previous boundary's residuals.
+    A decision-space relaxation of None keeps the current one.  Non-finite
+    policy output raises and leaves the state unchanged.
     """
-    if state.iter >= cfg.freeze_iter:
-        return state
-    gamma, alpha_x = policy.propose(ctx)
+    gamma, alpha_x = policy.propose(prob, state, res, res_prev, cfg)
     if alpha_x is None:
         alpha_x = state.alpha_x
     gamma = np.asarray(gamma, dtype=np.float64)
@@ -312,39 +316,6 @@ def apply_policy(state: SolverState, policy, ctx, cfg: SolverConfig) -> SolverSt
     return state
 
 
-@dataclass
-class PolicyContext:
-    """Solver-state snapshot handed to relaxation policies at stage boundaries;
-    ``res_prev`` holds the previous boundary's residuals, ``cfg`` the solve's config."""
-
-    prob: QpProblem
-    res: Residuals
-    res_prev: Residuals
-    rho_scalar: float
-    rho_values: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
-    iteration: int
-    cfg: SolverConfig
-
-
-def policy_context(
-    prob: QpProblem, state: SolverState, res: Residuals, res_prev: Residuals, cfg: SolverConfig
-) -> PolicyContext:
-    """The policy's view of ``state`` at a stage boundary."""
-    return PolicyContext(
-        prob=prob,
-        res=res,
-        res_prev=res_prev,
-        rho_scalar=state.rho_scalar,
-        rho_values=state.R,
-        z=state.z,
-        y=state.y,
-        iteration=state.iter,
-        cfg=cfg,
-    )
-
-
 def solve(
     prob: QpProblem, cfg: SolverConfig, policy=None, observer=None, recorder=None
 ) -> SolveReport:
@@ -353,7 +324,10 @@ def solve(
     ``observer(state, residuals)`` is called after every iteration (and once
     at iteration 0), before that iteration's penalty update and policy query;
     a :class:`relaxqp.verify.Trajectory` observer records every step for the
-    theory verifier.  ``recorder`` is accepted only as None.
+    theory verifier.  ``policy`` is queried through :func:`apply_policy` at
+    every stage boundary before ``cfg.freeze_iter`` that the solve does not
+    end on, after the boundary's penalty update, so the total relaxation
+    drift stays finite.  ``recorder`` is accepted only as None.
     """
     if recorder is not None:
         raise InputError("solve takes no recorder; pass a verify.Trajectory as the observer")
@@ -380,11 +354,12 @@ def solve(
                 break
             if cfg.adaptive_rho and state.iter % cfg.rho_check_interval == 0:
                 maybe_update_rho(state, res, prob, cfg)
-            if policy is not None and state.iter % cfg.stage_length == 0:
+            if (policy is not None and state.iter % cfg.stage_length == 0
+                    and state.iter < cfg.freeze_iter):
                 t_query = time.perf_counter()
-                apply_policy(state, policy, policy_context(prob, state, res, stage_res, cfg), cfg)
+                apply_policy(state, policy, prob, res, stage_res, cfg)
                 policy_seconds += time.perf_counter() - t_query
-                policy_queries += state.iter < cfg.freeze_iter
+                policy_queries += 1
                 stage_res = res
 
     runtime = time.perf_counter() - t0

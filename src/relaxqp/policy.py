@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .engine import PolicyContext, SolverConfig
+from .engine import SolverConfig, SolverState
 from .errors import InputError, PolicyError
 from .problem import QpProblem, Residuals, array_field, read_json_object, write_atomic
 
@@ -302,26 +302,15 @@ def mlp_forward(policy: "MlpPolicy", cfg: SolverConfig, phi: np.ndarray, rows: n
     return float(out[0]) if rows is None else out
 
 
-def policy_features(ctx: PolicyContext, variant: str):
-    """Raw features at a stage boundary: the solver-level features, and the
-    vector variant's (m, 8) per-row features (None for the scalar one)."""
-    phi = extract_global(ctx.res, ctx.res_prev, ctx.rho_scalar, variant)
+def policy_features(prob: QpProblem, state: SolverState, res: Residuals, res_prev: Residuals,
+                    variant: str):
+    """Raw features of ``state`` at a stage boundary, ``res_prev`` the previous
+    boundary's residuals: the solver-level features, and the vector variant's
+    (m, 8) per-row features (None for the scalar one)."""
+    phi = extract_global(res, res_prev, state.rho_scalar, variant)
     if variant == "scalar":
         return phi, None
-    return phi, extract_rows(
-        ctx.prob, ctx.z, ctx.res.r_prim, ctx.y, ctx.res_prev.r_prim, ctx.rho_values
-    )
-
-
-def policy_inputs(ctx: PolicyContext, variant: str) -> np.ndarray:
-    """Unnormalized MLP input at a stage boundary, as the normalization
-    statistics are fitted to it: the (6,) solver-level features of the
-    scalar variant, or the (m, 13) rows of the vector one (the solver-level
-    features repeated on every row, then the row's own)."""
-    phi, rows = policy_features(ctx, variant)
-    if rows is None:
-        return phi
-    return np.hstack((np.broadcast_to(phi, (rows.shape[0], phi.size)), rows))
+    return phi, extract_rows(prob, state.z, res.r_prim, state.y, res_prev.r_prim, state.R)
 
 
 class MlpPolicy:
@@ -349,9 +338,10 @@ class MlpPolicy:
         )
         self.w_out, self.b_out = ckpt.w_out.copy(), ckpt.b_out
 
-    def propose(self, ctx: PolicyContext):
-        phi, rows = policy_features(ctx, self.variant)
-        return self.predict(ctx.cfg, phi, rows, ctx.prob.m)
+    def propose(self, prob: QpProblem, state: SolverState, res: Residuals, res_prev: Residuals,
+                cfg: SolverConfig):
+        phi, rows = policy_features(prob, state, res, res_prev, self.variant)
+        return self.predict(cfg, phi, rows, prob.m)
 
     def predict(self, cfg: SolverConfig, phi: np.ndarray, rows: np.ndarray | None, m: int):
         """(per-row relaxation, decision-space relaxation) in ``cfg``'s box

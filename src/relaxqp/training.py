@@ -22,7 +22,6 @@ from .engine import (
     SolverConfig,
     check_field_types,
     check_positive_finite,
-    policy_context,
     solve,
 )
 from .errors import DivergenceError, InputError
@@ -30,8 +29,8 @@ from .policy import (
     PolicyCheckpoint,
     fit_norm_stats,
     flatten_params,
+    policy_features,
     policy_from_checkpoint,
-    policy_inputs,
     with_params,
 )
 from .problem import QpProblem
@@ -137,26 +136,32 @@ def rollout(
     )
 
 
+class _InputRecorder:
+    """A policy that keeps the relaxation and records the unnormalized MLP
+    input of each query: the (6,) solver-level features of the scalar
+    variant, or the (m, 13) rows of the vector one (the solver-level
+    features repeated on every row, then the row's own)."""
+
+    def __init__(self, variant: str):
+        self.variant = variant
+        self.inputs: list[np.ndarray] = []
+
+    def propose(self, prob, state, res, res_prev, cfg):
+        phi, rows = policy_features(prob, state, res, res_prev, self.variant)
+        if rows is not None:
+            phi = np.hstack((np.broadcast_to(phi, (rows.shape[0], phi.size)), rows))
+        self.inputs.append(phi)
+        return state.Gamma, None
+
+
 def collect_norm_stats(instances: list, variant: str, cfg: SolverConfig):
-    """Policy inputs at ``cfg``'s stage boundaries of baseline rollouts of
-    NORM_STATS_HORIZON iterations (no policy, so the relaxation stays
-    ``cfg.alpha0``), used once to freeze the normalization statistics."""
-    batches = []
+    """Normalization statistics, fitted once to the MLP inputs at the policy
+    queries of baseline solves of NORM_STATS_HORIZON iterations under
+    ``cfg`` (the relaxation stays ``cfg.alpha0``)."""
+    recorder = _InputRecorder(variant)
     for prob in instances:
-        feats = []
-        stage: dict = {}
-
-        def observer(state, res, prob=prob, feats=feats, stage=stage):
-            if state.iter % cfg.stage_length != 0:
-                return
-            if stage:
-                feats.append(policy_inputs(policy_context(prob, state, res, stage["res"], cfg), variant))
-            stage["res"] = res
-
-        solve(prob, replace(cfg, max_iter=NORM_STATS_HORIZON), observer=observer)
-        if feats:
-            batches.append(np.vstack([np.atleast_2d(f) for f in feats]))
-    return fit_norm_stats(batches)
+        solve(prob, replace(cfg, max_iter=NORM_STATS_HORIZON), policy=recorder)
+    return fit_norm_stats(recorder.inputs)
 
 
 def _evaluate_validation(ckpt: PolicyCheckpoint, val_set: list, cfg: SolverConfig):

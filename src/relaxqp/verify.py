@@ -37,6 +37,13 @@ from .errors import InputError, TheoryViolationError
 from .problem import QpProblem, Residuals, normal_cone_gap, objective
 
 IDENTITY_RTOL = 1e-9
+# A drift run has converged at the first step whose splitting residuals and
+# objective gap are all at most these.
+DRIFT_R_TOL = 1e-6
+DRIFT_S_TOL = 1e-6
+DRIFT_GAP_TOL = 1e-5
+# theta_k = DRIFT_SCALE/(k+1)^2 under DriftSchedule.inverse_square
+DRIFT_SCALE = 0.5
 DESCENT_RTOL = 1e-8
 CONSISTENCY_RTOL = 1e-9
 # Drift signs, drawn by index: SIGNS[rng.integers(0, 2, size)] is the stream
@@ -315,10 +322,10 @@ class DriftSchedule:
     theta: np.ndarray
 
     @classmethod
-    def inverse_square(cls, horizon: int, scale: float = 0.5) -> "DriftSchedule":
-        """Summable drift scale/(k+1)^2."""
+    def inverse_square(cls, horizon: int) -> "DriftSchedule":
+        """Summable drift DRIFT_SCALE/(k+1)^2."""
         k = np.arange(horizon, dtype=np.float64)
-        return cls(scale / (k + 1.0) ** 2)
+        return cls(DRIFT_SCALE / (k + 1.0) ** 2)
 
 
 @dataclass(frozen=True)
@@ -337,14 +344,13 @@ def run_drift_experiment(
     cfg: SolverConfig,
     p_star: float,
     seed: int = 0,
-    r_tol: float = 1e-6,
-    s_tol: float = 1e-6,
-    gap_tol: float = 1e-5,
 ) -> DriftResult:
     """Drive the solver while multiplicatively perturbing the penalty and
     relaxation entries each iteration, and record the theory residuals.
 
-    Non-convergence within the horizon is a reported outcome, not an error.
+    The run has converged at the first step within DRIFT_R_TOL, DRIFT_S_TOL
+    and DRIFT_GAP_TOL; non-convergence within the horizon is a reported
+    outcome, not an error.
     """
     if not 0 <= horizon <= schedule.theta.size:
         raise InputError(f"drift horizon {horizon} is negative or longer than the schedule")
@@ -385,7 +391,7 @@ def run_drift_experiment(
                     np.abs(state.R * (state.z - z_k)).max(initial=0.0),
                 )
                 gap_hist[k] = abs(objective(prob, state.x) - p_star)
-                if r_hist[k] <= r_tol and s_hist[k] <= s_tol and gap_hist[k] <= gap_tol:
+                if r_hist[k] <= DRIFT_R_TOL and s_hist[k] <= DRIFT_S_TOL and gap_hist[k] <= DRIFT_GAP_TOL:
                     converged = True
                     iterations = k + 1
                     break

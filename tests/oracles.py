@@ -24,6 +24,7 @@ from relaxqp.engine import (
     solve,
 )
 from relaxqp.errors import TheoryViolationError
+from relaxqp.policy import policy_features
 from relaxqp.problem import QpProblem, objective
 from relaxqp.verify import (
     CONSISTENCY_RTOL,
@@ -157,8 +158,8 @@ class FixedPolicy:
     def __init__(self, alpha: float = 1.6):
         self.alpha = float(alpha)
 
-    def propose(self, ctx):
-        return np.full(ctx.prob.m, self.alpha), self.alpha
+    def propose(self, prob, state, res, res_prev, cfg):
+        return np.full(prob.m, self.alpha), self.alpha
 
 
 class RandomGammaPolicy:
@@ -168,9 +169,33 @@ class RandomGammaPolicy:
         self.lo, self.hi = lo, hi
         self.rng = np.random.default_rng(seed)
 
-    def propose(self, ctx):
-        g = self.rng.uniform(self.lo, self.hi, size=ctx.prob.m)
+    def propose(self, prob, state, res, res_prev, cfg):
+        g = self.rng.uniform(self.lo, self.hi, size=prob.m)
         return g, float(self.rng.uniform(self.lo, self.hi))
+
+
+def observed_boundary_inputs(prob: QpProblem, variant: str, cfg: SolverConfig, horizon: int) -> list:
+    """Unnormalized MLP inputs that an observer reads at every stage boundary
+    of a baseline solve of ``horizon`` iterations: before that boundary's
+    penalty update, at a boundary the solve stops on, and past the freeze
+    alike.  Under fixed rho, with no solve stopping on a boundary before
+    ``horizon`` or reaching the freeze, these are the inputs the policy
+    queries read.  The rows keep the memory order of the policy's, on which
+    the roundoff of ``fit_norm_stats``'s sums depends."""
+    inputs, prev = [], {}
+
+    def observer(state, res):
+        if state.iter % cfg.stage_length:
+            return
+        if prev:
+            phi, rows = policy_features(prob, state, res, prev["res"], variant)
+            if rows is not None:  # column-major, as the policy's rows are
+                phi = np.hstack((np.broadcast_to(phi, (rows.shape[0], phi.size)), rows))
+            inputs.append(phi)
+        prev["res"] = res
+
+    solve(prob, replace(cfg, max_iter=horizon), observer=observer)
+    return inputs
 
 
 def random_box_qp(rng: np.random.Generator, n: int, m: int, name: str = "") -> QpProblem:

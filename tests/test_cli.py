@@ -153,9 +153,18 @@ class TestBenchCommand:
         assert rc == 0
         rows = list(csv.DictReader(out.open()))
         assert {r["policy"] for r in rows} == {"baseline", "scalar_policy"}
-        # The policy's time stays out: the timing-free columns are compared
-        # byte for byte between runs.
-        assert not any(name.startswith("policy_") for name in rows[0])
+        # Each row carries its solve's query count, factorizations and policy
+        # time: the policy rows query, the baseline rows do not.
+        data = [r for r in rows if r["status"] != "summary"]
+        for r in data:
+            assert int(r["factorizations"]) == 1 + int(r["rho_updates"])
+            queried = int(r["policy_queries"]) > 0
+            assert queried == (float(r["policy_seconds"]) > 0.0) == (r["policy"] != "baseline")
+        for r in rows:
+            if r["status"] == "summary":
+                grp = [d for d in data if (d["policy"], d["rho_mode"]) == (r["policy"], r["rho_mode"])]
+                assert float(r["policy_queries"]) == pytest.approx(
+                    np.mean([int(d["policy_queries"]) for d in grp]), abs=0.005)
 
     def test_checkpoint_in_the_other_rho_mode_is_named(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
@@ -178,11 +187,12 @@ class TestBenchCommand:
                 other = "adaptive" if name == "fixed" else "fixed"
                 assert named == [f"bench: checkpoint {paths[name]} was trained with {name} rho; "
                                  f"its {other}-rho rows run it in the other mode"]
-        # the CSV is as it was: the policy label and the timing column aside,
-        # the three runs write the same rows
+        # the CSV is as it was: the checkpoint's label and the timing columns
+        # aside, the three runs write the same rows (summaries sort by label)
         def columns(out):
-            return [{k: v for k, v in r.items() if k not in ("policy", "runtime_s")}
+            rows = [{**r, "policy": r["policy"] == "baseline", "runtime_s": "", "policy_seconds": ""}
                     for r in csv.DictReader(out.open())]
+            return sorted(rows, key=lambda r: list(r.values()))
         assert columns(outs[0]) == columns(outs[1]) == columns(outs[2])
 
     def test_empty_manifest_header_only(self, tmp_path):
@@ -239,7 +249,7 @@ class TestBenchCommand:
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}.csv"
             assert main(argv + ["--out", str(out), "--jobs", jobs]) == 0
-            rows[jobs] = [{k: v for k, v in r.items() if k != "runtime_s"}
+            rows[jobs] = [{k: v for k, v in r.items() if k not in ("runtime_s", "policy_seconds")}
                           for r in csv.DictReader(out.open())]
         assert loaded == [str(tmp_path / "scalar.json"), str(tmp_path / "vector.json")] * 2
         assert rows["1"] == rows["2"]

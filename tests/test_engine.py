@@ -316,10 +316,10 @@ class TestApplyPolicy:
         queried = []
 
         class Wobble:
-            def propose(self, ctx):
-                queried.append(ctx.iteration)
-                a = 1.5 + 0.1 * np.sin(ctx.iteration)
-                return np.full(ctx.prob.m, a), a
+            def propose(self, prob, state, res, res_prev, cfg):
+                queried.append(state.iter)
+                a = 1.5 + 0.1 * np.sin(state.iter)
+                return np.full(prob.m, a), a
 
         snap = {}
 
@@ -343,11 +343,11 @@ class TestApplyPolicy:
         before = st.Gamma.copy()
 
         class Bad:
-            def propose(self, ctx):
+            def propose(self, prob, state, res, res_prev, cfg):
                 return np.full(prob.m, np.nan), np.nan
 
         with pytest.raises(PolicyError):
-            apply_policy(st, Bad(), None, cfg)
+            apply_policy(st, Bad(), prob, None, None, cfg)
         assert np.array_equal(st.Gamma, before)
 
     def test_policy_outputs_clamped(self):
@@ -357,10 +357,10 @@ class TestApplyPolicy:
         st.iter = 10
 
         class Wild:
-            def propose(self, ctx):
+            def propose(self, prob, state, res, res_prev, cfg):
                 return np.full(prob.m, 5.0), 0.1
 
-        apply_policy(st, Wild(), None, cfg)
+        apply_policy(st, Wild(), prob, None, None, cfg)
         assert np.all(st.Gamma == cfg.alpha_max)
         assert st.alpha_x == cfg.alpha_min
 
@@ -371,10 +371,10 @@ class TestApplyPolicy:
         st.iter, st.alpha_x = 10, 1.3
 
         class RowsOnly:
-            def propose(self, ctx):
+            def propose(self, prob, state, res, res_prev, cfg):
                 return np.full(prob.m, 1.7), None
 
-        apply_policy(st, RowsOnly(), None, cfg)
+        apply_policy(st, RowsOnly(), prob, None, None, cfg)
         assert np.all(st.Gamma == 1.7) and st.alpha_x == 1.3
 
     @pytest.mark.parametrize("adaptive", [False, True])
@@ -442,9 +442,9 @@ class TestSolve:
         cfg = SolverConfig(max_iter=300, eps_abs=1e-300, eps_rel=1e-300)
 
         class Runaway:
-            def propose(self, ctx):
-                a = 1.6 + 10.0 * np.sin(3.0 * ctx.iteration)
-                return np.full(ctx.prob.m, a), a
+            def propose(self, prob, state, res, res_prev, cfg):
+                a = 1.6 + 10.0 * np.sin(3.0 * state.iter)
+                return np.full(prob.m, a), a
 
         seen = []
 
@@ -488,12 +488,12 @@ class TestSolve:
             def __init__(self):
                 self.curr = 1.6
 
-            def propose(self, ctx):
-                k = ctx.iteration
+            def propose(self, prob, state, res, res_prev, cfg):
+                k = state.iter
                 target = 1.6 + 0.3 * np.sin(0.1 * k)
                 step = np.clip(target - self.curr, -0.5 / (k + 1) ** 2, 0.5 / (k + 1) ** 2)
                 self.curr = float(np.clip(self.curr + step, 1.25, 1.95))
-                return np.full(ctx.prob.m, self.curr), self.curr
+                return np.full(prob.m, self.curr), self.curr
 
         rep = solve(prob, cfg, policy=SinDrift())
         assert rep.status == "solved"

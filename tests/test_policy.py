@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relaxqp.bench import FamilySpec, generate, reference_from_dict
-from relaxqp.engine import SolverConfig, policy_context, solve
+from relaxqp.engine import SolverConfig, solve
 from relaxqp.errors import InputError
 from relaxqp.policy import (
     BLOCK_ENTRIES,
@@ -299,11 +299,10 @@ class TestFoldedForward:
         seen = []
         solve(prob, cfg, observer=lambda state, res: seen.append((state, res)))
         (_, res_prev), (state, res) = seen[-11], seen[-1]
-        ctx = policy_context(prob, state, res, res_prev, cfg)
-        policy.propose(ctx)
+        policy.propose(prob, state, res, res_prev, cfg)
         tracemalloc.start()
         try:
-            gamma, _ = policy.propose(ctx)
+            gamma, _ = policy.propose(prob, state, res, res_prev, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -534,9 +533,9 @@ class TestEnginePolicyIntegration:
         proposals, stored = {}, {}
 
         class Recording:
-            def propose(self, ctx):
-                proposals[ctx.iteration] = policy.propose(ctx)
-                return proposals[ctx.iteration]
+            def propose(self, prob, state, res, res_prev, cfg):
+                proposals[state.iter] = policy.propose(prob, state, res, res_prev, cfg)
+                return proposals[state.iter]
 
         def observer(state, res):
             stored[state.iter] = (state.Gamma, state.alpha_x)

@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from relaxqp.bench import FamilySpec, generate, reference_solution
-from relaxqp.engine import SolverConfig
+from relaxqp.engine import SolverConfig, solve
 from relaxqp.errors import InputError
-from relaxqp.policy import flatten_params, init_checkpoint
+from relaxqp.policy import MlpPolicy, fit_norm_stats, flatten_params, init_checkpoint
 from relaxqp.training import (
+    NORM_STATS_HORIZON,
     TrainConfig,
     collect_norm_stats,
     rollout,
@@ -16,7 +18,7 @@ from relaxqp.training import (
     train,
 )
 
-from oracles import FixedPolicy
+from oracles import FixedPolicy, observed_boundary_inputs
 
 
 class TestShaping:
@@ -113,7 +115,6 @@ class TestRollout:
         rec = rollout(prob, FixedPolicy(1.6), cfg, 500, ref.x_star, ref.lambda_star)
 
         # replay: capture states at stage boundaries with an observer
-        from relaxqp.engine import solve
         from relaxqp.training import stage_loss as sl
 
         snaps = []
@@ -121,8 +122,6 @@ class TestRollout:
         def observer(state, res):
             if state.iter % cfg.stage_length == 0 or state.iter == rec.iterations:
                 snaps.append((state.iter, state.x.copy(), state.y.copy()))
-
-        from dataclasses import replace
 
         solve(prob, replace(cfg, max_iter=500), policy=FixedPolicy(1.6), observer=observer)
         uniq = {}
@@ -162,6 +161,29 @@ class TestRollout:
         assert rec.total_loss == pytest.approx(50 * cap)
 
 
+class KeepingMlpPolicy(MlpPolicy):
+    """A vector MLP policy that keeps the relaxation at ``alpha0`` and records,
+    at each query, the iteration, the penalty and the unnormalized MLP input
+    it reads."""
+
+    def __init__(self):
+        super().__init__(init_checkpoint("vector"))
+        self.iters, self.rhos, self.inputs = [], [], []
+
+    def propose(self, prob, state, res, res_prev, cfg):
+        self.iters.append(state.iter)
+        self.rhos.append(state.rho_scalar)
+        return super().propose(prob, state, res, res_prev, cfg)
+
+    def predict(self, cfg, phi, rows, m):
+        self.inputs.append(np.hstack((np.broadcast_to(phi, (m, phi.size)), rows)))
+        return np.full(m, cfg.alpha0), None
+
+
+def same_stats(a, b) -> bool:
+    return a.mean.tobytes() == b.mean.tobytes() and a.std.tobytes() == b.std.tobytes()
+
+
 class TestCollectNormStats:
     def test_shapes_per_variant(self):
         probs = [generate(FamilySpec("random_qp", 10, s)) for s in (41, 42)]
@@ -171,6 +193,52 @@ class TestCollectNormStats:
         ns_v = collect_norm_stats(probs, "vector", cfg)
         assert ns_v.mean.shape == (13,)
         assert np.all(ns_v.std >= 1e-6)
+
+    @staticmethod
+    def queried(prob, cfg):
+        """The report and the queries of a KeepingMlpPolicy solve of the
+        statistics' horizon."""
+        spy = KeepingMlpPolicy()
+        return solve(prob, replace(cfg, max_iter=NORM_STATS_HORIZON), policy=spy), spy
+
+    def test_adaptive_rho_rows_read_after_the_penalty_update(self):
+        # portfolio_n10_s7's penalty goes from 0.1 to 1.401 at iteration 50,
+        # before that boundary's query: the statistics are fitted to what the
+        # policy reads there, log 1.401 on the inequality rows (column 11).
+        prob = generate(FamilySpec("portfolio", 10, 7))
+        cfg = SolverConfig()
+        rep, spy = self.queried(prob, cfg)
+        assert (rep.rho_updates, spy.iters) == (1, [10, 20, 30, 40, 50])
+        assert spy.rhos[-1] == pytest.approx(1.401, abs=5e-4)
+        assert np.all(spy.inputs[-1][~prob.equality, 11] == np.log(spy.rhos[-1]))
+        assert same_stats(collect_norm_stats([prob], "vector", cfg), fit_norm_stats(spy.inputs))
+
+    def test_no_row_at_the_boundary_a_solve_stops_on(self):
+        # portfolio_n10_s4 (adaptive rho) is solved at iteration 40, a
+        # boundary that no query reads.
+        prob = generate(FamilySpec("portfolio", 10, 4))
+        cfg = SolverConfig()
+        rep, spy = self.queried(prob, cfg)
+        assert (rep.status, rep.iterations, spy.iters) == ("solved", 40, [10, 20, 30])
+        assert same_stats(collect_norm_stats([prob], "vector", cfg), fit_norm_stats(spy.inputs))
+
+    def test_no_row_at_or_after_the_freeze(self):
+        prob = generate(FamilySpec("portfolio", 10, 7))
+        cfg = SolverConfig(adaptive_rho=False, freeze_iter=30)
+        _, spy = self.queried(prob, cfg)
+        assert spy.iters == [10, 20]
+        assert same_stats(collect_norm_stats([prob], "vector", cfg), fit_norm_stats(spy.inputs))
+
+    @pytest.mark.parametrize("variant", ["scalar", "vector"])
+    def test_fixed_rho_rows_are_the_boundary_rows(self, variant):
+        # Under fixed rho a query reads what an observer reads at the same
+        # boundary; s7 stops at iteration 83 and s4 runs the whole horizon,
+        # so neither stops on a boundary no query reads.
+        probs = [generate(FamilySpec("portfolio", 10, s)) for s in (7, 4)]
+        cfg = SolverConfig(adaptive_rho=False)
+        want = fit_norm_stats([row for p in probs for row in
+                               observed_boundary_inputs(p, variant, cfg, NORM_STATS_HORIZON)])
+        assert same_stats(collect_norm_stats(probs, variant, cfg), want)
 
 
 class TestTrain:
