@@ -21,7 +21,9 @@
 # in that config (exit 0, policy_queries > 0), and two bench --checkpoint runs
 # in the default config give the same columns.  A 0-epoch train on a lasso_n20
 # manifest (train seeds 2 and 6, validation seed 10) must exit 0: each of its
-# reference solutions passes the 1e-8 KKT check.  Last, six refused inputs
+# reference solutions passes the 1e-8 KKT check.  A verify --steps 50 of
+# random_qp_n20 must exit 0, with its drift run converged in a positive
+# number of iterations (drift_converged, drift_iterations).  Last, six refused inputs
 # exit 1 with one error line: bench --adaptive-rho off, a flag bench does not
 # take, verify --drift-iters -1, solve --max-iter 0, bench --jobs 0, a
 # training manifest with a misspelt key and a verify manifest with a misspelt
@@ -105,6 +107,11 @@ cat > "$d/lasso.json" <<'JSON'
  "val_instances": [{"size": 20, "seed": 10}]}
 JSON
 python -m relaxqp.cli train --manifest "$d/lasso.json" --store "$d/t" --out "$d/lasso_run"
+
+echo '{"specs": [{"family": "random_qp", "size": 20, "seed": 1}]}' > "$d/verify.json"
+python -m relaxqp.cli verify --manifest "$d/verify.json" --store "$d/s" --steps 50 --out "$d/verify_out.json"
+python -c 'import json, sys; [e] = json.load(open(sys.argv[1]))
+assert e["drift_converged"] is True and e["drift_iterations"] > 0, e' "$d/verify_out.json"
 
 # Runs the command after $1, which must exit 1 with one error line, the last
 # one, matching $1.

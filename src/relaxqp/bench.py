@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .engine import SolverConfig, init_state, solve
 from .errors import InputError, ReferenceFailureError, SolverError
@@ -46,6 +46,9 @@ from .problem import (
     save_problem,
     write_atomic,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 FAMILIES = ("random_qp", "portfolio", "lasso", "svm", "control", "mpc")
 
@@ -174,12 +177,14 @@ def _diagonal_block(row: int, col: int, k: int, values) -> tuple:
     return steps + row, steps + col, np.full(k, values)
 
 
-def _csr(shape: tuple, *blocks) -> sparse.csr_array:
+def _csr(shape: tuple, *blocks) -> "csr_array":
     # The CSR matrix of the (rows, cols, values) blocks, which do not overlap.
     # Their index arrays are int32, the index type of the problem's CSR copy:
     # int64 ones would double the temporaries of a set-up.
+    from scipy.sparse import csr_array
+
     rows, cols, values = (np.concatenate(part) for part in zip(*blocks))
-    return sparse.csr_array((values, (rows, cols)), shape=shape)
+    return csr_array((values, (rows, cols)), shape=shape)
 
 
 def _gen_lasso(size: int, seed: int) -> QpProblem:
@@ -500,10 +505,6 @@ def reference_from_dict(doc: dict, n: int, m: int) -> ReferenceSolution:
 # Instance store and manifests
 
 
-def spec_to_dict(spec: FamilySpec) -> dict:
-    return {"family": spec.family, "size": spec.size, "seed": spec.seed, "split": spec.split}
-
-
 def spec_from_dict(doc: dict, **fixed) -> FamilySpec:
     """The spec of a manifest entry, an object with the keys family, size,
     seed and, optionally, split; size and seed must be JSON integers.  The
@@ -558,10 +559,6 @@ def load_manifest(path) -> list:
     where = f"manifest {path}"
     check_keys(doc, where, ("specs",), ("specs",))
     return manifest_specs(where, {"specs": (doc["specs"], {})})
-
-
-def save_manifest(specs: list, path) -> None:
-    write_atomic(path, json.dumps({"specs": [spec_to_dict(s) for s in specs]}, indent=1))
 
 
 def instance_dir(root, spec: FamilySpec) -> Path:

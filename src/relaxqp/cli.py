@@ -203,7 +203,10 @@ def cmd_train(args) -> int:
     val_set = build("val")
     print(f"train: {len(train_set)} training / {len(val_set)} validation instances", file=sys.stderr)
 
-    norm_stats = collect_norm_stats([p for p, _ in train_set], variant, cfg)
+    try:
+        norm_stats = collect_norm_stats([p for p, _ in train_set], variant, cfg)
+    except InputError as exc:
+        raise type(exc)(f"{where}: field 'train_instances': {exc}") from exc
     result = train(train_set, val_set, replace(ckpt0, norm_stats=norm_stats), tcfg, cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -245,6 +248,7 @@ def _verify_one(task):
             seed=cfg.seed,
         )
         entry["drift_converged"] = drift.converged
+        entry["drift_iterations"] = drift.iterations
     except TheoryViolationError as exc:
         entry["violation"] = str(exc)
     return entry

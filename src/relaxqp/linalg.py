@@ -44,6 +44,12 @@ sqrt(r)*A over all rows, as when no terms are given.  The refilled H equals
 that product up to roundoff in its last bits, not bit for bit: the
 singleton rows and the levels are summed apart.
 
+scipy.sparse and scipy.sparse.linalg (SuperLU) are imported inside the code
+that builds or factors a sparse matrix, never when the module is imported,
+so a process that solves only dense-backend problems does not load them.
+:func:`is_sparse` is the one test for a sparse input: no sparse matrix can
+exist before scipy.sparse is loaded, so it asks that module only once it is.
+
 :func:`assemble_kkt`, :func:`ldlt_factor` and :func:`ldlt_solve` dispatch on
 the type of their input.  These names and ``LdltFactor`` predate the reduced
 form; they are kept for tools that wrap these bindings by name.
@@ -68,15 +74,18 @@ dual infeasible), the reduced matrix at the largest penalties has condition
 number of order r*||A||^2 / sigma.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import InputError, SingularKktError
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import SuperLU
 
 SPARSE_MIN_SIZE = 60_000
 SPARSE_MAX_DENSITY = 0.06
@@ -108,6 +117,15 @@ def pick_backend(n: int, m: int, nnz: int) -> str:
     return "sparse" if size >= SPARSE_MIN_SIZE and nnz <= SPARSE_MAX_DENSITY * size else "dense"
 
 
+def is_sparse(a) -> bool:
+    """Whether ``a`` is a scipy.sparse matrix or array.  It never imports
+    scipy.sparse: no sparse matrix exists before that module is loaded."""
+    if isinstance(a, np.ndarray):
+        return False
+    module = sys.modules.get("scipy.sparse")
+    return module is not None and module.issparse(a)
+
+
 @dataclass(frozen=True)
 class LdltFactor:
     """Factor of a symmetric positive definite matrix of size ``dim``.
@@ -119,7 +137,7 @@ class LdltFactor:
 
     dim: int
     lower: np.ndarray | None = None
-    lu: SuperLU | None = None
+    lu: "SuperLU | None" = None
 
 
 class KktTerms:
@@ -160,8 +178,10 @@ class KktTerms:
         # data arrays of the CSC pattern (indices, indptr).
         P, A = self.P, self.A
         n = A.shape[1]
-        is_sparse = sparse.issparse(A)
-        if is_sparse:
+        sparse_A = is_sparse(A)
+        if sparse_A:
+            from scipy.sparse import csr_array, diags_array
+
             counts = np.diff(A.indptr)
             single = np.flatnonzero(counts == 1)
             cols, vals = A.indices[A.indptr[single]], A.data[A.indptr[single]]
@@ -182,16 +202,16 @@ class KktTerms:
                 A_l = A[rows[0] : rows[-1] + 1] if rows[-1] - rows[0] < rows.size else A[rows]
                 # csr_array(A_l') @ A_l has unsorted indices; tocsc() sorts
                 # them by transposing.  Dense: one syrk.
-                G = (sparse.csr_array(A_l.T) @ A_l).tocsc() if is_sparse else A_l.T @ A_l
+                G = (csr_array(A_l.T) @ A_l).tocsc() if sparse_A else A_l.T @ A_l
                 grams.append((level, G))
-        if not is_sparse:
+        if not sparse_A:
             return grams, slice(None), P.reshape(-1), np.arange(n) * (n + 1), diags, None
         # The pattern is the union of those of P, I and the grams, as sorted
         # keys column * n + row.  The largest part (a gram, as a rule) often
         # holds all the others; its index arrays are then the pattern's.
         P = P.tocsc()
         P.sum_duplicates()
-        parts = [P, sparse.diags_array(np.ones(n), format="csc"), *(G for _, G in grams)]
+        parts = [P, diags_array(np.ones(n), format="csc"), *(G for _, G in grams)]
         keys = [_csc_keys(C) for C in parts]
         largest = max(range(len(parts)), key=lambda k: keys[k].size)
         union = keys[largest]
@@ -234,7 +254,9 @@ class KktTerms:
         flat[diag_at] += sigma + levels[0] * diags[0] + levels[1] * diags[1]
         if pattern is None:
             return data
-        return sparse.csc_array((data, *pattern), shape=(n, n))
+        from scipy.sparse import csc_array
+
+        return csc_array((data, *pattern), shape=(n, n))
 
 
 def _csc_keys(C) -> np.ndarray:
@@ -268,8 +290,8 @@ def assemble_kkt(P, A, sigma: float, r_values: np.ndarray, terms: KktTerms | Non
     H through ``+ P`` and every entry of A its diagonal, which
     :func:`ldlt_factor` checks.
     """
-    is_sparse = sparse.issparse(A)
-    if not is_sparse:
+    sparse_A = is_sparse(A)
+    if not sparse_A:
         P, A = np.asarray(P, dtype=np.float64), np.asarray(A, dtype=np.float64)
         if P.ndim != 2 or A.ndim != 2:
             raise InputError(f"P and A must be 2-d matrices, got ndim={P.ndim} and {A.ndim}")
@@ -293,9 +315,11 @@ def assemble_kkt(P, A, sigma: float, r_values: np.ndarray, terms: KktTerms | Non
         levels = terms.levels(r)
         if levels is not None:
             return terms.refill(sigma, levels)
-    if is_sparse:
-        B = sparse.diags_array(np.sqrt(r)) @ A
-        H = B.T @ B + P + sparse.diags_array(np.full(n, float(sigma)))
+    if sparse_A:
+        from scipy.sparse import diags_array
+
+        B = diags_array(np.sqrt(r)) @ A
+        H = B.T @ B + P + diags_array(np.full(n, float(sigma)))
         return H.tocsc()
     B = np.sqrt(r)[:, None] * A
     H = B.T @ B  # numpy runs this transpose product as one syrk call
@@ -313,7 +337,7 @@ def ldlt_factor(M) -> LdltFactor:
     ill-conditioned to factor (see :func:`_kkt_error`); ``index`` is the row
     and column of M that step eliminates.
     """
-    if sparse.issparse(M):
+    if is_sparse(M):
         return _sparse_factor(M)
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
@@ -343,7 +367,9 @@ def _sparse_factor(M) -> LdltFactor:
         raise InputError(f"matrix must be square, got {M.shape}")
     if not np.isfinite(M.data).all():
         raise InputError("M contains non-finite entries")
-    M = sparse.csc_array(M)
+    from scipy.sparse import csc_array
+
+    M = csc_array(M)
     try:
         return LdltFactor(dim=d, lu=positive_splu(M))
     except RuntimeError:
@@ -352,7 +378,7 @@ def _sparse_factor(M) -> LdltFactor:
         return ldlt_factor(M.toarray())
 
 
-def positive_splu(M) -> SuperLU:
+def positive_splu(M) -> "SuperLU":
     """SuperLU factor of the square CSC matrix M, with the COLAMD ordering
     applied symmetrically and no pivoting, whose pivots are all positive.
 
@@ -360,6 +386,8 @@ def positive_splu(M) -> SuperLU:
     positive, and RuntimeError (from SuperLU) when a step has no nonzero
     pivot candidate at all.
     """
+    from scipy.sparse.linalg import splu
+
     d = M.shape[0]
     lu = splu(M, permc_spec="COLAMD", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     # A step that took an off-diagonal pivot met a zero diagonal pivot.

@@ -18,6 +18,10 @@ never kept, +0.0 wherever no entry is stored.  A matrix too large to
 allocate densely is an InputError at that access, not at construction.  No
 code of the package reads them; P and A are validated in the storage of the
 operators, the storage every product with A, A' and P goes through.
+scipy.sparse is imported only by the code that builds a sparse matrix (sparse
+input, the CSR operators, a CSR sidecar) or probes one, so a dense-backend
+problem never loads it; :func:`relaxqp.linalg.is_sparse` tells the two forms
+apart.
 
 A problem file is one JSON document ``{name, n, m, P, q, A, l, u, seed}``,
 written only by :func:`save_problem`.  Each of the five arrays is a sidecar
@@ -73,10 +77,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InfeasibleBoundsError, InputError, SingularKktError
-from .linalg import KktTerms, pick_backend, positive_splu
+from .linalg import KktTerms, is_sparse, pick_backend, positive_splu
 
 INFINITY_SENTINEL = 1e30
 SIDECAR_KEY = "f8le_file"
@@ -206,7 +209,7 @@ class QpProblem:
         A = self.operators[0]
         if not A.shape[1]:
             return np.zeros(self.m)
-        if sparse.issparse(A):
+        if is_sparse(A):
             return abs(A).max(axis=1).toarray().reshape(self.m)  # 1-D or a column, by scipy version
         return np.abs(A).max(axis=1)
 
@@ -249,8 +252,10 @@ def _matrix_input(a):
     # included, with sorted, unique indices (duplicates summed first) of the
     # index type csr_array(dense) picks; anything else a contiguous float64
     # ndarray.
-    if sparse.issparse(a):
-        a = sparse.csr_array(a, dtype=np.float64, copy=True)
+    if is_sparse(a):
+        from scipy.sparse import csr_array
+
+        a = csr_array(a, dtype=np.float64, copy=True)
         a.sum_duplicates()
         a.eliminate_zeros()
         if max(*a.shape, a.nnz) <= np.iinfo(np.int32).max:
@@ -260,25 +265,27 @@ def _matrix_input(a):
 
 
 def _count_nonzero(a) -> int:
-    return int(np.count_nonzero(a.data if sparse.issparse(a) else a))
+    return int(np.count_nonzero(a.data if is_sparse(a) else a))
 
 
 def _csr(a):
     # The CSR matrix of the nonzero entries of a, NaN included: a itself when
     # it is sparse (see _matrix_input), otherwise csr_array(a) by a scan of
     # its rows, 3-5 times faster than csr_array's route through COO.
-    if sparse.issparse(a):
+    if is_sparse(a):
         return a
+    from scipy.sparse import csr_array
+
     nonzero = a != 0.0
     indptr = np.zeros(a.shape[0] + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
     flat = np.flatnonzero(nonzero)
     indices = (flat % a.shape[1]).astype(np.int32)
-    return sparse.csr_array((a.ravel()[flat], indices, indptr), shape=a.shape)
+    return csr_array((a.ravel()[flat], indices, indptr), shape=a.shape)
 
 
 def _dense(a) -> np.ndarray:
-    if not sparse.issparse(a):
+    if not is_sparse(a):
         return a
     try:
         return a.toarray()
@@ -315,9 +322,11 @@ def _psd_probe_csr(P) -> bool:
     # must admit the positive-pivot SuperLU factor of the sparse backend.
     if not _symmetric_csr(P):
         return False
-    shifted = P + sparse.diags_array(np.full(P.shape[0], PSD_SHIFT))
+    from scipy.sparse import csc_array, diags_array
+
+    shifted = P + diags_array(np.full(P.shape[0], PSD_SHIFT))
     try:
-        positive_splu(sparse.csc_array(shifted))
+        positive_splu(csc_array(shifted))
     except (RuntimeError, SingularKktError):
         return False
     return True
@@ -439,7 +448,9 @@ def _csr_matrix(indptr, indices, data, shape: tuple, key: str, path: str):
     row_start[indptr[:-1][steps > 0]] = True
     if np.any((np.diff(indices) <= 0) & ~row_start[1:]):
         raise InputError(f"{indices_at} must be sorted and unique within each row")
-    return sparse.csr_array((data, indices, indptr), shape=shape)
+    from scipy.sparse import csr_array
+
+    return csr_array((data, indices, indptr), shape=shape)
 
 
 def array_field(doc: dict, key: str, shape: tuple, bounds: bool = False) -> np.ndarray:
@@ -653,7 +664,7 @@ def save_problem(prob: QpProblem, path) -> None:
     document (see the module docstring)."""
     path = os.fspath(path)
     A, _, P = prob.operators
-    matrix_sidecar = _csr_sidecar if sparse.issparse(A) else _dense_sidecar
+    matrix_sidecar = _csr_sidecar if is_sparse(A) else _dense_sidecar
     doc = {
         "name": prob.name,
         "n": prob.n,

@@ -157,10 +157,17 @@ class _InputRecorder:
 def collect_norm_stats(instances: list, variant: str, cfg: SolverConfig):
     """Normalization statistics, fitted once to the MLP inputs at the policy
     queries of baseline solves of NORM_STATS_HORIZON iterations under
-    ``cfg`` (the relaxation stays ``cfg.alpha0``)."""
+    ``cfg`` (the relaxation stays ``cfg.alpha0``).  An InputError names the
+    instances and the first query's iteration when no solve reaches it."""
     recorder = _InputRecorder(variant)
     for prob in instances:
         solve(prob, replace(cfg, max_iter=NORM_STATS_HORIZON), policy=recorder)
+    if not recorder.inputs:
+        first = cfg.stage_length
+        why = (f"freeze_iter ({cfg.freeze_iter}) is not after it" if cfg.freeze_iter <= first else
+               f"the baseline solve of each of {[prob.name for prob in instances]} stops before it")
+        raise InputError(f"no policy query to fit normalization statistics: the first is at "
+                         f"iteration {first} (stage_length), and {why}")
     return fit_norm_stats(recorder.inputs)
 
 

@@ -1,17 +1,29 @@
 import csv
 import json
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from relaxqp import cli
-from relaxqp.bench import FamilySpec, ensure_instance, generate, instance_dir, save_manifest
+from relaxqp.bench import FamilySpec, ensure_instance, generate, instance_dir
 from relaxqp.cli import main
 from relaxqp.engine import SolverConfig, solve
 from relaxqp.policy import checkpoint_to_dict, init_checkpoint, load_checkpoint, save_checkpoint
 from relaxqp.problem import CSR_SIDECAR_KEY, SIDECAR_KEY, QpProblem, save_problem
 from relaxqp.training import collect_norm_stats
-from relaxqp.verify import check_descent, reconstruct_drs, record_trajectory
+from relaxqp.verify import (
+    DriftSchedule,
+    check_descent,
+    reconstruct_drs,
+    record_trajectory,
+    run_drift_experiment,
+)
+
+
+def write_manifest(specs: list, path) -> None:
+    path.write_text(json.dumps({"specs": [asdict(s) for s in specs]}))
 
 
 @pytest.fixture()
@@ -124,7 +136,7 @@ class TestSolveCommand:
 class TestBenchCommand:
     def test_rows_and_summary(self, tmp_path):
         manifest = tmp_path / "m.json"
-        save_manifest([FamilySpec("random_qp", 10, s) for s in (1, 2)], manifest)
+        write_manifest([FamilySpec("random_qp", 10, s) for s in (1, 2)], manifest)
         out = tmp_path / "bench.csv"
         rc = main([
             "bench", "--manifest", str(manifest), "--store", str(tmp_path / "store"),
@@ -142,7 +154,7 @@ class TestBenchCommand:
 
     def test_policy_column_present_with_checkpoint(self, tmp_path):
         manifest = tmp_path / "m.json"
-        save_manifest([FamilySpec("random_qp", 10, 1)], manifest)
+        write_manifest([FamilySpec("random_qp", 10, 1)], manifest)
         ck_path = tmp_path / "scalar_policy.json"
         save_checkpoint(init_checkpoint("scalar", seed=0), ck_path)
         out = tmp_path / "bench.csv"
@@ -168,7 +180,7 @@ class TestBenchCommand:
 
     def test_checkpoint_in_the_other_rho_mode_is_named(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
-        save_manifest([FamilySpec("random_qp", 10, 1)], manifest)
+        write_manifest([FamilySpec("random_qp", 10, 1)], manifest)
         paths = {}
         for name, metadata in (("plain", {}), ("fixed", {"adaptive_rho": False}),
                                ("adaptive", {"adaptive_rho": True})):
@@ -207,7 +219,7 @@ class TestBenchCommand:
 
     def test_determinism_of_iteration_columns(self, tmp_path):
         manifest = tmp_path / "m.json"
-        save_manifest([FamilySpec("random_qp", 10, 4)], manifest)
+        write_manifest([FamilySpec("random_qp", 10, 4)], manifest)
         outs = []
         for name in ("b1.csv", "b2.csv"):
             out = tmp_path / name
@@ -219,7 +231,7 @@ class TestBenchCommand:
 
     def test_parallel_jobs_preserve_manifest_order(self, tmp_path):
         manifest = tmp_path / "m.json"
-        save_manifest([FamilySpec("random_qp", 10, s) for s in (1, 2, 3)], manifest)
+        write_manifest([FamilySpec("random_qp", 10, s) for s in (1, 2, 3)], manifest)
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
         main(["bench", "--manifest", str(manifest), "--store",
@@ -237,7 +249,7 @@ class TestBenchCommand:
         # bench compiles each checkpoint once and hands the policy to every
         # task, the worker processes of --jobs 2 included.
         manifest = tmp_path / "m.json"
-        save_manifest([FamilySpec("random_qp", 10, s) for s in (1, 2)], manifest)
+        write_manifest([FamilySpec("random_qp", 10, s) for s in (1, 2)], manifest)
         argv = ["bench", "--manifest", str(manifest), "--store", str(tmp_path / "store")]
         for variant in ("scalar", "vector"):
             save_checkpoint(init_checkpoint(variant, seed=0), tmp_path / f"{variant}.json")
@@ -259,7 +271,7 @@ class TestBenchCommand:
         # One read (or generation) of each instance serves all of its rows,
         # which come instance-major, then policy, then fixed before adaptive.
         manifest = tmp_path / "m.json"
-        save_manifest([FamilySpec("random_qp", 10, s) for s in (2, 1)], manifest)
+        write_manifest([FamilySpec("random_qp", 10, s) for s in (2, 1)], manifest)
         save_checkpoint(init_checkpoint("scalar", seed=0), tmp_path / "ck.json")
         argv = ["bench", "--manifest", str(manifest), "--store", str(tmp_path / "store"),
                 "--checkpoint", str(tmp_path / "ck.json")]
@@ -356,7 +368,7 @@ class TestInputErrors:
             argv = ["solve", "--problem", str(tiny_problem_file)]
         else:
             manifest = tmp_path / "m.json"
-            save_manifest([FamilySpec("random_qp", 10, 1)], manifest)
+            write_manifest([FamilySpec("random_qp", 10, 1)], manifest)
             argv = ["bench", "--manifest", str(manifest), "--store", str(tmp_path / "store"),
                     "--out", str(tmp_path / "results.csv")]
         self._expect_error(argv + ["--config", str(cfg)], field, capsys)
@@ -507,7 +519,7 @@ class TestInputErrors:
     def test_bench_names_the_broken_problem_file_of_a_store(self, tmp_path, capsys):
         specs = [FamilySpec("random_qp", 10, 1), FamilySpec("control", 10, 1)]
         manifest, store = tmp_path / "m.json", tmp_path / "store"
-        save_manifest(specs, manifest)
+        write_manifest(specs, manifest)
         argv = ["bench", "--manifest", str(manifest), "--store", str(store),
                 "--out", str(tmp_path / "r.csv")]
         assert main(argv) == 0
@@ -530,7 +542,7 @@ class TestInputErrors:
     def test_verify_malformed_reference(self, tmp_path, capsys, text, named):
         spec = FamilySpec("random_qp", 10, 5)
         manifest = tmp_path / "m.json"
-        save_manifest([spec], manifest)
+        write_manifest([spec], manifest)
         ensure_instance(tmp_path / "store", spec)
         (instance_dir(tmp_path / "store", spec) / "reference.json").write_text(text)
         self._expect_error(
@@ -597,7 +609,7 @@ class TestJsonFiles:
     def test_reference_file(self, bad_file, tmp_path, capsys):
         spec = FamilySpec("random_qp", 10, 5)
         manifest = tmp_path / "m.json"
-        save_manifest([spec], manifest)
+        write_manifest([spec], manifest)
         ensure_instance(tmp_path / "store", spec)
         ref_path = instance_dir(tmp_path / "store", spec) / "reference.json"
         ref_path.write_bytes(bad_file.read_bytes())
@@ -662,10 +674,10 @@ class TestTrainCommand:
         assert [r["epoch"] for r in rows] == ["0", "1", "2"]  # the initial row, then one per epoch
         assert rows[0]["mean_train_loss"] == "" and all(r["mean_train_loss"] for r in rows[1:])
 
-    def _zero_epoch_run(self, tmp_path, config: dict, variant="scalar"):
+    def _zero_epoch_run(self, tmp_path, config: dict, variant="scalar", family="random_qp"):
         man_path, cfg_path = tmp_path / "train.json", tmp_path / "cfg.json"
         man_path.write_text(json.dumps({
-            "family": "random_qp", "variant": variant,
+            "family": family, "variant": variant,
             "train_instances": [{"size": 10, "seed": s} for s in (1, 2)],
             "val_instances": [{"size": 10, "seed": 11}],
             "config": {"epochs": 0, "batch_size": 2},
@@ -696,6 +708,21 @@ class TestTrainCommand:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["policy_queries"] > 0
 
+    @pytest.mark.parametrize("family,config,why", [
+        # Both control_n10 training solves stop before iteration 10.
+        ("control", {}, r"the baseline solve of each of \['control_n10_s1', 'control_n10_s2'\] "
+                        r"stops before it"),
+        ("random_qp", {"freeze_iter": 10}, r"freeze_iter \(10\) is not after it"),
+    ], ids=["stopped", "frozen"])
+    def test_no_policy_query_for_norm_statistics(self, tmp_path, capsys, family, config, why):
+        assert self._zero_epoch_run(tmp_path, config, variant="vector", family=family) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(
+            rf"relaxqp: error: training manifest {re.escape(str(tmp_path / 'train.json'))}: "
+            rf"field 'train_instances': no policy query to fit normalization statistics: the "
+            rf"first is at iteration 10 \(stage_length\), and {why}", err), err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_variant_writes_nothing(self, tmp_path, capsys):
         assert self._zero_epoch_run(tmp_path, {}, variant="matrix") == 1
         assert capsys.readouterr().err == "relaxqp: error: unknown policy variant 'matrix'\n"
@@ -705,7 +732,7 @@ class TestTrainCommand:
 class TestVerifyCommand:
     def test_clean_run_exit_zero(self, tmp_path):
         manifest = tmp_path / "m.json"
-        save_manifest([FamilySpec("random_qp", 10, 5)], manifest)
+        write_manifest([FamilySpec("random_qp", 10, 5)], manifest)
         out = tmp_path / "verify.json"
         rc = main([
             "verify", "--manifest", str(manifest), "--store", str(tmp_path / "store"),
@@ -717,6 +744,7 @@ class TestVerifyCommand:
         assert doc[0]["max_perturbation_violation"] <= 1e-9
         assert doc[0]["min_descent_slack"] >= -1e-8
         assert doc[0]["drift_converged"] is True
+        assert 0 < doc[0]["drift_iterations"] < 4000
         assert doc[0]["steps_recorded"] == 100
         for key in ("worst_transition_step", "worst_perturbation_step", "min_descent_slack_step"):
             assert isinstance(doc[0][key], int) and 0 <= doc[0][key] < 100
@@ -729,11 +757,14 @@ class TestVerifyCommand:
         z_star = np.clip(prob.A @ ref.x_star, prob.l, prob.u)
         slacks = check_descent(steps, ref.x_star, z_star, ref.lambda_star, SolverConfig().alpha_max)
         assert slacks[doc[0]["min_descent_slack_step"]] == doc[0]["min_descent_slack"]
+        drift = run_drift_experiment(prob, DriftSchedule.inverse_square(4000), 4000, SolverConfig(),
+                                     ref.objective)
+        assert drift.iterations == doc[0]["drift_iterations"]
 
     def test_fault_injection_nonzero_exit(self, tmp_path, inject_relaxation_fault):
         spec = FamilySpec("random_qp", 10, 5)
         manifest = tmp_path / "m.json"
-        save_manifest([spec], manifest)
+        write_manifest([spec], manifest)
         ensure_instance(tmp_path / "store", spec, with_reference=True)  # unfaulted reference
         inject_relaxation_fault()
         out = tmp_path / "verify.json"

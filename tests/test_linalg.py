@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
+import relaxqp
 from relaxqp import problem as problem_mod
 from relaxqp.bench import FamilySpec, generate
 from relaxqp.engine import RHO_MAX, RHO_MIN, SolverConfig, rho_pattern, solve
@@ -510,3 +515,61 @@ class TestIllConditionedKkt:
         with pytest.raises(SingularKktError) as exc:
             ldlt_factor(to_backend(M))
         assert exc.value.diag_ratio is None and exc.value.index == 2
+
+
+# Runs in a fresh interpreter and prints a JSON object: the sparse modules
+# that scipy.linalg.lapack and scipy.special (the package's eager scipy
+# imports) load on their own, those loaded after each step, and a digest of
+# the x and y bytes of a lasso_n50 solve (sparse backend).  With the
+# argument "sparse_first" it imports scipy.sparse before anything else.
+SPARSE_STACK_SCRIPT = r"""
+import hashlib, json, sys, tempfile
+
+if sys.argv[1:] == ["sparse_first"]:
+    import scipy.sparse
+import scipy.linalg.lapack, scipy.special
+
+def loaded():
+    return sorted(m for m in ("scipy.sparse", "scipy.sparse.linalg") if m in sys.modules)
+
+out = {"scipy": loaded()}
+from relaxqp import (FamilySpec, SolverConfig, generate, init_checkpoint, load_problem,
+                     policy_from_checkpoint, reference_solution, run_drift_experiment,
+                     save_problem, solve, DriftSchedule)
+out["import"] = loaded()
+prob = generate(FamilySpec("portfolio", 20, 1))
+cfg = SolverConfig()
+report = solve(prob, cfg, policy=policy_from_checkpoint(init_checkpoint("vector")))
+assert prob.kkt_backend == "dense" and report.policy_queries > 0
+ref = reference_solution(prob)
+run_drift_experiment(prob, DriftSchedule.inverse_square(2000), 2000, cfg, ref.objective)
+with tempfile.TemporaryDirectory() as d:
+    save_problem(prob, d + "/p.json")
+    load_problem(d + "/p.json")
+out["dense"] = loaded()
+lasso = generate(FamilySpec("lasso", 50, 1))
+report = solve(lasso, cfg)
+assert lasso.kkt_backend == "sparse"
+out["sparse"] = loaded()
+out["digest"] = hashlib.sha256(report.x.tobytes() + report.y.tobytes()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def run_sparse_stack_script(*args) -> dict:
+    src = os.path.dirname(os.path.dirname(relaxqp.__file__))
+    done = subprocess.run([sys.executable, "-c", SPARSE_STACK_SCRIPT, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_dense_problems_never_load_the_sparse_stack():
+    # Past what scipy's own modules load (nothing, with scipy 1.17), no
+    # sparse module is imported until a problem takes the sparse backend,
+    # and a sparse solve is the same bit for bit whenever scipy.sparse was
+    # imported.
+    lazy = run_sparse_stack_script()
+    assert lazy["import"] == lazy["dense"] == lazy["scipy"]
+    assert lazy["sparse"] == ["scipy.sparse", "scipy.sparse.linalg"]
+    assert lazy["digest"] == run_sparse_stack_script("sparse_first")["digest"]
