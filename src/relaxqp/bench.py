@@ -372,7 +372,7 @@ _POLISH_CFG = SolverConfig(rho0=1e3, sigma=POLISH_DELTA)
 def _kkt_parts(prob: QpProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray) -> tuple:
     # (primal, dual, normal-cone) residuals, infinity norms.
     res = osqp_residuals(prob, x, z, y)
-    return res.r_prim_inf, res.r_dual_inf, normal_cone_gap(prob, z, y)
+    return res.r_prim_inf, res.r_dual_inf, float(normal_cone_gap(prob, z, y))
 
 
 def _active_set(prob: QpProblem, v: np.ndarray, y: np.ndarray) -> tuple:

@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -229,11 +229,7 @@ def _verify_one(task):
     try:
         steps = record_trajectory(prob, replace(cfg, adaptive_rho=True), steps_n)
         entry["steps_recorded"] = len(steps)
-        chk = reconstruct_drs(steps, prob)
-        entry["max_transition_violation"] = chk.max_transition_violation
-        entry["max_perturbation_violation"] = chk.max_perturbation_violation
-        entry["worst_transition_step"] = chk.worst_transition_step
-        entry["worst_perturbation_step"] = chk.worst_perturbation_step
+        entry.update(asdict(reconstruct_drs(steps, prob)))
         z_star = np.clip(prob.operators[0] @ ref.x_star, prob.l, prob.u)
         slacks = check_descent(steps, ref.x_star, z_star, ref.lambda_star, cfg.alpha_max)
         applied = slacks[~np.isnan(slacks)]  # NaN before the first consistent state

@@ -408,15 +408,16 @@ def osqp_residuals(prob: QpProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray)
     )
 
 
-def normal_cone_gap(prob: QpProblem, z: np.ndarray, w: np.ndarray) -> float:
+def normal_cone_gap(prob: QpProblem, z: np.ndarray, w: np.ndarray):
     """max_i |z_i - clip(z_i + w_i, l_i, u_i)|: 0 exactly when w_i lies in the
     normal cone of [l_i, u_i] at z_i.  For z in the box a row reads
     min(|w_i|, distance of z_i to the bound the sign of w_i names), the upper
     one for w_i > 0 and the lower one for w_i < 0, so a multiplier of the
-    wrong sign at a bound is seen."""
-    # ndarray methods, not the np.clip/np.max wrappers: verify.Trajectory
-    # takes it once per iteration.
-    return float(np.abs(z - (z + w).clip(prob.l, prob.u)).max(initial=0.0))
+    wrong sign at a bound is seen.
+
+    One number for one state (z, w of shape (m,)); for a block of states,
+    (k, m) rows, one maximum per row, each the number its row gives alone."""
+    return np.abs(z - (z + w).clip(prob.l, prob.u)).max(axis=-1, initial=0.0)
 
 
 def terminated(res: Residuals, eps_abs: float, eps_rel: float) -> bool:

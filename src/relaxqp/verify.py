@@ -72,11 +72,6 @@ class TrajectoryStep:
     gamma_values: np.ndarray
     alpha_x: float
     sigma: float
-    # |z - clip(z + y/r, l, u)|_inf of the input state: zero (to roundoff)
-    # when z and y are consistent, i.e. y lies in the normal cone of [l, u]
-    # at z.  Every state the iteration produces is; the cold start z = y = 0
-    # is not when 0 lies outside [l, u].
-    input_gap: float
 
 
 class Trajectory:
@@ -84,10 +79,11 @@ class Trajectory:
 
     Row k of ``x``, ``z``, ``y`` and ``r`` (the penalty) is step k's input and
     row k + 1 its output, so each iterate is stored once; ``x_tilde``,
-    ``z_tilde``, ``gamma``, ``alpha_x`` and ``input_gap`` have one row per
-    step.  ``steps[k]`` is step k as a :class:`TrajectoryStep`.  Call
-    :meth:`finish` after the solve: a penalty update can follow the last
-    observed iteration, so the last penalty row comes from the final state.
+    ``z_tilde``, ``gamma`` and ``alpha_x`` have one row per step.
+    ``steps[k]`` is step k as a :class:`TrajectoryStep`.  Call :meth:`finish`
+    after the solve: a penalty update can follow the last observed
+    iteration, so the last penalty row comes from the final state.  The
+    problem is kept for :func:`check_descent`, which reads its bounds.
     """
 
     def __init__(self, prob: QpProblem, cfg: SolverConfig):
@@ -100,7 +96,6 @@ class Trajectory:
         self.z_tilde = np.empty((rows, m))
         self.gamma = np.empty((rows, m))
         self.alpha_x = np.empty(rows)
-        self.input_gap = np.empty(rows)
         self.sigma = cfg.sigma
         self._prob = prob
         self._state = None
@@ -114,8 +109,6 @@ class Trajectory:
             self.r[i] = state.R
             self.x_tilde[i], self.z_tilde[i] = state.x_tilde, state.z_tilde
             self.gamma[i], self.alpha_x[i] = state.Gamma, state.alpha_x
-            z, y = self.z[i], self.y[i]
-            self.input_gap[i] = normal_cone_gap(self._prob, z, y / self.r[i])
         self._state = state
 
     def finish(self) -> "Trajectory":
@@ -125,8 +118,8 @@ class Trajectory:
         k = state.iter
         self.x, self.z, self.y, self.r = (a[: k + 1] for a in (self.x, self.z, self.y, self.r))
         self.r[k] = state.R
-        self.x_tilde, self.z_tilde, self.gamma, self.alpha_x, self.input_gap = (
-            a[:k] for a in (self.x_tilde, self.z_tilde, self.gamma, self.alpha_x, self.input_gap)
+        self.x_tilde, self.z_tilde, self.gamma, self.alpha_x = (
+            a[:k] for a in (self.x_tilde, self.z_tilde, self.gamma, self.alpha_x)
         )
         return self
 
@@ -139,7 +132,7 @@ class Trajectory:
             x=self.x[k], z=self.z[k], y=self.y[k], x_tilde=self.x_tilde[k], z_tilde=self.z_tilde[k],
             x_next=self.x[k + 1], z_next=self.z[k + 1], y_next=self.y[k + 1],
             r_values=self.r[k], r_next_values=self.r[k + 1], gamma_values=self.gamma[k],
-            alpha_x=float(self.alpha_x[k]), sigma=self.sigma, input_gap=float(self.input_gap[k]),
+            alpha_x=float(self.alpha_x[k]), sigma=self.sigma,
         )
 
 
@@ -252,8 +245,11 @@ def check_descent(
     Every state the iteration produces is one, but a cold start z = y = 0
     is not when 0 lies outside [l, u] (the svm and portfolio families).  The
     inequality is therefore applied from the first step whose input state
-    is consistent to CONSISTENCY_RTOL; the slacks of the steps before it
-    are NaN.
+    is consistent to CONSISTENCY_RTOL: its normal-cone gap
+    |z - clip(z + y/r, l, u)|_inf (:func:`relaxqp.problem.normal_cone_gap`)
+    is at most CONSISTENCY_RTOL (1 + |z|_inf + |y/r|_inf).  The gaps are
+    computed block by block until that step is found; the slacks of the
+    steps before it are NaN.
 
     The checked steps are processed in blocks, one consensus-space row per
     step; a row sum adds in the order of the step's own vector sum.
@@ -269,9 +265,10 @@ def check_descent(
     for k0, k1 in _blocks(0, len(steps), sig_star.size):
         if not started:
             # the block's steps that start from a Douglas-Rachford state
-            scale = 1.0 + np.abs(steps.z[k0:k1]).max(axis=1, initial=0.0)
-            scale += np.abs(steps.y[k0:k1] / steps.r[k0:k1]).max(axis=1, initial=0.0)
-            consistent = np.flatnonzero(steps.input_gap[k0:k1] <= CONSISTENCY_RTOL * scale)
+            z, w = steps.z[k0:k1], steps.y[k0:k1] / steps.r[k0:k1]
+            scale = 1.0 + np.abs(z).max(axis=1, initial=0.0)
+            scale += np.abs(w).max(axis=1, initial=0.0)
+            consistent = np.flatnonzero(normal_cone_gap(steps._prob, z, w) <= CONSISTENCY_RTOL * scale)
             if not consistent.size:
                 continue
             k0 += int(consistent[0])
@@ -364,15 +361,14 @@ def run_drift_experiment(
     converged = False
     iterations = horizon
     # Each iteration with theta > 0 draws m signs for R, then m for Gamma and
-    # one for alpha_x.  A block of iterations draws all of its signs in one
-    # call, which yields the same stream as one call per draw; the signs a
-    # converged run leaves unused are never seen.
+    # one for alpha_x: one row of 2m + 1.  A block of iterations draws the
+    # rows of all of them in one call, which yields the same stream as one
+    # call per draw; the signs a converged run leaves unused are never seen.
     with np.errstate(**ITERATE_ERRSTATE):
         for k0, k1 in _blocks(0, horizon, 2 * m + 1):
             thetas = schedule.theta[k0:k1].tolist()
-            n_draws = (2 * m + 1) * sum(th > 0.0 for th in thetas)
-            signs = SIGNS[rng.integers(0, 2, size=n_draws)]
-            pos = 0
+            perturbed = sum(th > 0.0 for th in thetas)
+            rows = iter(SIGNS[rng.integers(0, 2, size=(perturbed, 2 * m + 1))])
             for k, th in zip(range(k0, k1), thetas):
                 x_k, z_k = state.x, state.z  # a step binds new arrays
                 iterate_once(state, prob, cfg)
@@ -396,15 +392,14 @@ def run_drift_experiment(
                     iterations = k + 1
                     break
                 if th > 0.0:
-                    state.R = (state.R * (1.0 + signs[pos : pos + m] * th)).clip(RHO_MIN, RHO_MAX)
-                    pos += m
+                    s = next(rows)
+                    state.R = (state.R * (1.0 + s[:m] * th)).clip(RHO_MIN, RHO_MAX)
                     refactor(state, prob, cfg)
-                    state.Gamma = (state.Gamma * (1.0 + signs[pos : pos + m] * th)).clip(
+                    state.Gamma = (state.Gamma * (1.0 + s[m:-1] * th)).clip(
                         cfg.alpha_min, cfg.alpha_max
                     )
-                    alpha_x = state.alpha_x * (1.0 + float(signs[pos + m]) * th)
+                    alpha_x = state.alpha_x * (1.0 + float(s[-1]) * th)
                     state.alpha_x = float(min(max(alpha_x, cfg.alpha_min), cfg.alpha_max))
-                    pos += m + 1
             if converged:
                 break
 

@@ -357,14 +357,14 @@ def record_per_step(prob: QpProblem, cfg: SolverConfig, n_steps: int, policy=Non
     def observer(state, res):
         if state.iter:
             # The observer runs before the iteration's penalty update.
-            z, y, r = last["z"], last["y"], state.R.copy()
+            r = state.R.copy()
             if steps:
                 steps[-1].r_next_values = r.copy()
             steps.append(
                 TrajectoryStep(
                     x=last["x"],
-                    z=z,
-                    y=y,
+                    z=last["z"],
+                    y=last["y"],
                     x_tilde=state.x_tilde.copy(),
                     z_tilde=state.z_tilde.copy(),
                     x_next=state.x.copy(),
@@ -375,7 +375,6 @@ def record_per_step(prob: QpProblem, cfg: SolverConfig, n_steps: int, policy=Non
                     gamma_values=state.Gamma.copy(),
                     alpha_x=state.alpha_x,
                     sigma=cfg.sigma,
-                    input_gap=float(np.max(np.abs(z - np.clip(z + y / r, prob.l, prob.u)), initial=0.0)),
                 )
             )
         last.update(x=state.x.copy(), z=state.z.copy(), y=state.y.copy(), state=state)
@@ -433,22 +432,27 @@ def reconstruct_drs_per_step(steps: list, prob: QpProblem, raise_on_violation: b
 
 def check_descent_per_step(
     steps: list,
+    prob: QpProblem,
     x_star: np.ndarray,
     z_star: np.ndarray,
     lam_star: np.ndarray,
     alpha_max: float,
     raise_on_violation: bool = True,
 ) -> np.ndarray:
-    """relaxqp.verify.check_descent, one step at a time."""
+    """relaxqp.verify.check_descent, one step at a time; a step's input is
+    consistent when its normal-cone gap, from its own z, y and r and the
+    bounds of ``prob``, is within CONSISTENCY_RTOL of its scale."""
     kappa = 2.0 / alpha_max - 1.0
     n = x_star.size
     slacks = np.full(len(steps), np.nan)
     consistent = False
     for k, st in enumerate(steps):
         if not consistent:
+            w = st.y / st.r_values
             scale = 1.0 + float(np.max(np.abs(st.z), initial=0.0))
-            scale += float(np.max(np.abs(st.y / st.r_values), initial=0.0))
-            consistent = st.input_gap <= CONSISTENCY_RTOL * scale
+            scale += float(np.max(np.abs(w), initial=0.0))
+            gap = float(np.max(np.abs(st.z - np.clip(st.z + w, prob.l, prob.u)), initial=0.0))
+            consistent = gap <= CONSISTENCY_RTOL * scale
             if not consistent:
                 continue
         r_k, _, gamma = _stacked_step(st)

@@ -387,6 +387,20 @@ class TestReferenceSolution:
         assert normal_cone_gap(wide, np.array([0.0]), np.array([2.0])) == 2.0
         assert normal_cone_gap(wide, np.array([3.0]), np.array([0.0])) == 0.0
 
+    def test_complementarity_measure_of_a_block(self):
+        # a (k, m) block of states gives its k one-row gaps, bit for bit
+        prob = generate(FamilySpec("svm", 10, 1))
+        rng = np.random.default_rng(3)
+        z = np.clip(rng.normal(size=(7, prob.m)), prob.l, prob.u)
+        w = rng.normal(size=(7, prob.m))
+        w[2] = 0.0
+        gaps = normal_cone_gap(prob, z, w)
+        assert gaps.shape == (7,) and gaps[2] == 0.0 and np.all(gaps[[0, 1, 3, 4, 5, 6]] > 0.0)
+        rows = np.array([normal_cone_gap(prob, z[k], w[k]) for k in range(7)])
+        assert gaps.tobytes() == rows.tobytes()
+        empty = QpProblem(P=np.eye(2), q=np.zeros(2), A=np.zeros((0, 2)), l=np.zeros(0), u=np.zeros(0))
+        assert normal_cone_gap(empty, np.zeros((3, 0)), np.zeros((3, 0))).tolist() == [0.0] * 3
+
 
 class TestManifestAndStore:
     def test_spec_roundtrip(self):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from relaxqp.bench import FamilySpec, generate, reference_from_dict
 from relaxqp.engine import SolverConfig, solve
-from relaxqp.errors import InputError
+from relaxqp.errors import InputError, PolicyError
 from relaxqp.policy import (
     BLOCK_ENTRIES,
     HIDDEN_WIDTH,
@@ -548,6 +548,15 @@ class TestEnginePolicyIntegration:
             # the relaxation iteration k + 1 ran with is what apply_policy stored at k
             assert stored[k + 1][0].tobytes() == gamma.tobytes()
             assert stored[k + 1][1] == alpha_x
+
+    def test_nonfinite_output_raises_at_its_iteration(self):
+        # mlp_forward passes a NaN through; the one check in apply_policy
+        # refuses it and names the query's iteration
+        ck = dataclasses.replace(init_checkpoint("vector"), w_out=np.full(HIDDEN_WIDTH, np.nan))
+        prob = generate(FamilySpec("svm", 10, 1))
+        assert solve(prob, CFG).iterations > 10
+        with pytest.raises(PolicyError, match=r"non-finite relaxation at iteration 10$"):
+            solve(prob, CFG, policy=policy_from_checkpoint(ck))
 
     def test_shared_vector_policy_matches_fresh_policy(self):
         # Row norms belong to the problem: one policy object reused across

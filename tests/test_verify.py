@@ -7,7 +7,7 @@ from relaxqp import verify
 from relaxqp.bench import FamilySpec, generate, reference_solution
 from relaxqp.engine import SolverConfig
 from relaxqp.errors import InputError, TheoryViolationError
-from relaxqp.problem import QpProblem, objective
+from relaxqp.problem import QpProblem, normal_cone_gap, objective
 from relaxqp.verify import (
     SIGNS,
     DriftSchedule,
@@ -129,7 +129,7 @@ class TestDescentStart:
         # 0 lies inside every [l, u], so the cold start z = y = 0 is consistent
         prob = random_box_qp(np.random.default_rng(41), 12, 8)
         steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 60)
-        assert steps[0].input_gap == 0.0
+        assert normal_cone_gap(prob, steps.z[0], steps.y[0] / steps.r[0]) == 0.0
         x_s, z_s, lam_s, _ = reference_triple(prob)
         slacks = check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
         assert np.all(np.isfinite(slacks))
@@ -140,19 +140,21 @@ class TestDescentStart:
         # z_0 + y_0/r; every later input state is
         prob = generate(FamilySpec("svm", 10, 1))
         steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 200)
-        assert steps[0].input_gap == 1.0
-        assert steps.input_gap[1:].max() <= 1e-12
+        gaps = normal_cone_gap(prob, steps.z[:-1], steps.y[:-1] / steps.r[:-1])
+        assert gaps.shape == (200,)
+        assert gaps[0] == 1.0
+        assert gaps[1:].max() <= 1e-12
         x_s, z_s, lam_s, _ = reference_triple(prob)
         slacks = check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
         assert slacks.shape == (200,)
         assert np.isnan(slacks[0])
         assert np.all(np.isfinite(slacks[1:]))  # checked, and none raised
 
-    def test_skipped_step_would_violate(self):
+    def test_skipped_step_would_violate(self, monkeypatch):
         # the skip is what keeps step 0 of this trajectory from failing
         prob = generate(FamilySpec("svm", 10, 1))
         steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 5)
-        steps.input_gap[0] = 0.0
+        monkeypatch.setattr(verify, "CONSISTENCY_RTOL", np.inf)  # every step counts as consistent
         x_s, z_s, lam_s, _ = reference_triple(prob)
         with pytest.raises(TheoryViolationError) as exc:
             check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
@@ -290,7 +292,7 @@ class TestBlocksMatchPerStep:
         for prob, steps, (x_s, z_s, lam_s) in cases:
             assert_same_check(reconstruct_drs(steps, prob), reconstruct_drs_per_step(steps, prob))
             got = check_descent(steps, x_s, z_s, lam_s, alpha_max=1.95)
-            want = check_descent_per_step(steps, x_s, z_s, lam_s, alpha_max=1.95)
+            want = check_descent_per_step(steps, prob, x_s, z_s, lam_s, alpha_max=1.95)
             assert bits(got) == bits(want)
             nan_prefixes.append(int(np.isnan(got).sum()))
         assert nan_prefixes == [0, 0, 1]
@@ -302,20 +304,22 @@ class TestBlocksMatchPerStep:
         inject_relaxation_fault()
         steps = record_trajectory(prob, SolverConfig(adaptive_rho=False), 30)
         monkeypatch.setattr(verify, "BLOCK_ENTRIES", block_entries)
-        for check, reference, args in (
-            (reconstruct_drs, reconstruct_drs_per_step, (steps, prob)),
-            (check_descent, check_descent_per_step, (steps, x_s, z_s, lam_s, 1.95)),
+        descent_args = (x_s, z_s, lam_s, 1.95)
+        for check, args, reference, reference_args in (
+            (reconstruct_drs, (steps, prob), reconstruct_drs_per_step, (steps, prob)),
+            (check_descent, (steps, *descent_args),
+             check_descent_per_step, (steps, prob, *descent_args)),
         ):
             with pytest.raises(TheoryViolationError) as got:
                 check(*args)
             with pytest.raises(TheoryViolationError) as want:
-                reference(*args)
+                reference(*reference_args)
             assert str(got.value) == str(want.value)
             assert got.value.iteration == want.value.iteration
         assert_same_check(reconstruct_drs(steps, prob, raise_on_violation=False),
                           reconstruct_drs_per_step(steps, prob, raise_on_violation=False))
         got = check_descent(steps, x_s, z_s, lam_s, 1.95, raise_on_violation=False)
-        want = check_descent_per_step(steps, x_s, z_s, lam_s, 1.95, raise_on_violation=False)
+        want = check_descent_per_step(steps, prob, x_s, z_s, lam_s, 1.95, raise_on_violation=False)
         assert bits(got) == bits(want)
 
     def test_worst_steps_locate_the_maxima(self):
@@ -404,7 +408,7 @@ class TestTrajectory:
                       lambda: RandomGammaPolicy(cfg.alpha_min, cfg.alpha_max, seed=7)))
         assert [prob.m for prob, *_ in cases][1] == 0
         names = [f.name for f in fields(TrajectoryStep)]
-        assert len(names) == 14
+        assert len(names) == 13
         for prob, cfg, n_steps, policy in cases:
             got = record_trajectory(prob, cfg, n_steps, policy=policy())
             want = record_per_step(prob, cfg, n_steps, policy=policy())
@@ -434,7 +438,7 @@ class TestTrajectory:
         prob = random_box_qp(np.random.default_rng(61), 6, 4)
         steps = record_trajectory(prob, SolverConfig(adaptive_rho=True), 30)
         assert len(steps) == 30
-        assert [st.input_gap for st in steps] == [steps[k].input_gap for k in range(30)]
+        assert [st.alpha_x for st in steps] == [steps[k].alpha_x for k in range(30)]
         assert bits(steps[-1].y_next) == bits(steps[29].y_next) == bits(steps.y[30])
         assert bits(steps[np.int64(7)].x) == bits(steps[7].x)
         for k in (30, -31):
