@@ -33,7 +33,11 @@
 # specs key; then two training manifests whose instance entries are refused
 # before any instance is generated: one with a misspelt key in its second
 # training entry, which must leave no instance directory, and one with a
-# split key in an entry.
+# split key in an entry.  Last, two config fields of the wrong kind or gone:
+# solve --config with {"max_iter": true} (a JSON boolean is not a number),
+# and a train manifest whose config holds loss_eps (no longer a field),
+# which must leave no instance directory; each exits 1 with one error line
+# naming the field.
 #
 # Run from the repository root: bash .github/scripts/cli_round_trip.sh
 set -euo pipefail
@@ -157,4 +161,11 @@ sed 's/"seed": 11}/"seed": 11, "split": "train"}/' "$d/train.json" > "$d/split_e
 expect_error "^relaxqp: error: training manifest .*: field 'val_instances' entry 0: family spec: unknown fields \['split'\]$" \
   python -m relaxqp.cli train --manifest "$d/split_entry.json" --store "$d/t3" --out "$d/run4"
 test ! -e "$d/t3" && test ! -e "$d/run4"
+echo '{"max_iter": true}' > "$d/bool_cfg.json"
+expect_error "^relaxqp: error: config field 'max_iter' must be int, got True$" \
+  python -m relaxqp.cli solve --problem "$d/s/random_qp/size10/seed21/problem.json" --config "$d/bool_cfg.json"
+sed 's/"batch_size": 2}/"batch_size": 2, "loss_eps": 1e-10}/' "$d/train.json" > "$d/loss_eps.json"
+expect_error "^relaxqp: error: unknown config fields: \['loss_eps'\]$" \
+  python -m relaxqp.cli train --manifest "$d/loss_eps.json" --store "$d/t4" --out "$d/run5"
+test ! -e "$d/t4" && test ! -e "$d/run5"
 echo "CLI round trip passed"

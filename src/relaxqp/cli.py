@@ -217,8 +217,8 @@ def cmd_train(args) -> int:
         w.writeheader()
         # None, the initial row's training loss, is written as an empty field
         w.writerows(([result.initial_row] if result.initial_row else []) + result.log_rows)
-    if result.warning:
-        print(f"train: warning: {result.warning}", file=sys.stderr)
+    if "warning" in result.ckpt_iter.metadata:
+        print(f"train: warning: {result.ckpt_iter.metadata['warning']}", file=sys.stderr)
     return 0
 
 

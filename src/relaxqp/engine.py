@@ -98,12 +98,17 @@ class SolverConfig:
             raise InputError("intervals must be positive")
 
 
+_FIELD_KINDS = {bool: bool, int: numbers.Integral}
+
+
 def check_field_types(cfg) -> None:
     """InputError naming the first field of the dataclass ``cfg`` whose value
-    is not a number of its declared type (an int field takes integers)."""
+    is not of its declared kind: a bool field takes a bool, an int field an
+    integer and a float field a real number, neither of them a bool."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if not isinstance(value, numbers.Integral if f.type in (bool, int) else numbers.Real):
+        kind = _FIELD_KINDS.get(f.type, numbers.Real)
+        if not isinstance(value, kind) or (isinstance(value, bool) and f.type is not bool):
             raise InputError(f"config field {f.name!r} must be {f.type.__name__}, got {value!r}")
 
 

@@ -6,11 +6,11 @@ of the squared distance to the reference primal-dual optimum:
     loss = psi(log sqrt((d_next + eps) / (d_now + eps))),
     psi(r) = softplus(r + 0.5) - 0.5,
 
-so perfect stagnation costs ~0.47, divergence is penalized linearly and
-rapid contraction saturates at -0.5.  Policies are trained by simultaneous
-perturbation stochastic approximation (SPSA) over the flattened checkpoint
-parameters: two batch evaluations per step estimate a descent direction
-without differentiating through the solver.
+with eps = LOSS_EPS, so perfect stagnation costs ~0.47, divergence is
+penalized linearly and rapid contraction saturates at -0.5.  Policies are
+trained by simultaneous perturbation stochastic approximation (SPSA) over
+the flattened checkpoint parameters: two batch evaluations per step estimate
+a descent direction without differentiating through the solver.
 """
 
 import math
@@ -66,7 +66,6 @@ def stage_loss(
 class TrainConfig:
     epochs: int = 1000
     batch_size: int = 16
-    loss_eps: float = LOSS_EPS
     perturbation: float = 0.05  # SPSA evaluation offset c0
     step_size: float = 0.2  # SPSA gain a0
     horizon: int = 500  # rollout length; matches the relaxation freeze point
@@ -76,7 +75,7 @@ class TrainConfig:
         check_field_types(self)
         if self.batch_size < 1:
             raise InputError("batch size must be at least 1")
-        check_positive_finite(self, ("step_size", "perturbation", "loss_eps"))
+        check_positive_finite(self, ("step_size", "perturbation"))
         for name in ("epochs", "horizon"):
             if getattr(self, name) < 0:
                 raise InputError(f"config field {name!r} must be >= 0, got {getattr(self, name)!r}")
@@ -187,7 +186,7 @@ def _batch_loss(theta, template, batch, cfg, tcfg):
     policy = policy_from_checkpoint(ckpt)
     total = 0.0
     for prob, ref in batch:
-        rec = rollout(prob, policy, cfg, tcfg.horizon, ref.x_star, ref.lambda_star, tcfg.loss_eps)
+        rec = rollout(prob, policy, cfg, tcfg.horizon, ref.x_star, ref.lambda_star)
         total += rec.total_loss
     return total / len(batch)
 
@@ -197,7 +196,6 @@ class TrainResult:
     ckpt_iter: PolicyCheckpoint
     ckpt_rho: PolicyCheckpoint
     log_rows: list = field(default_factory=list)  # one per epoch
-    warning: str = ""
     # The initial checkpoint's validation means as an epoch-0 log row with no
     # training loss; None without a validation set.
     initial_row: dict | None = None
@@ -213,27 +211,28 @@ def train(
     """SPSA over the checkpoint parameters with per-epoch validation.
 
     ``train_set`` and ``val_set`` are lists of (problem, reference) pairs;
-    references must hold the tight primal-dual optimum of each instance.
-    Rollouts and validation solves take every solver setting, the stage
-    length included, from ``cfg``.  Returns the checkpoint with the lowest
-    mean validation iteration count and, under adaptive penalty updates, the
-    one with the fewest mean penalty updates.  If no epoch improves on the
-    initial checkpoint, the initial checkpoint is returned with a warning.
+    references must hold the tight primal-dual optimum of each instance, and
+    at least ``tcfg.batch_size`` are for training.  Rollouts and validation
+    solves take every solver setting, the stage length included, from
+    ``cfg``.  Returns the checkpoint with the lowest mean validation
+    iteration count and, under adaptive penalty updates, the one with the
+    fewest mean penalty updates, the earliest epoch on a tie.  If no epoch
+    lowers the initial mean iteration count, both carry a ``metadata["warning"]``.
     """
-    if tcfg.batch_size > max(len(train_set), 1):
+    if tcfg.batch_size > len(train_set):
         raise InputError("batch size exceeds the training set size")
     rng = np.random.default_rng(tcfg.seed)
     theta = flatten_params(ckpt0)
 
-    base_iters, base_rho = _evaluate_validation(ckpt0, val_set, cfg) if val_set else (np.inf, np.inf)
-    best_iter = (base_iters, 0, theta.copy())
-    # penalty-update selection breaks ties by the iteration count
-    best_rho = ((base_rho, base_iters), 0, theta.copy())
+    def keys(iters, rho):  # penalty-update selection breaks ties by the iteration count
+        return {"iter": (iters,), "rho": (rho, iters) if cfg.adaptive_rho else (iters,)}
 
-    n_batches = max(len(train_set) // tcfg.batch_size, 1)
-    total_steps = max(tcfg.epochs * n_batches, 1)
+    base_iters, base_rho = _evaluate_validation(ckpt0, val_set, cfg) if val_set else (np.inf, np.inf)
+    best = {tag: (key, 0, theta.copy()) for tag, key in keys(base_iters, base_rho).items()}
+
+    n_batches = len(train_set) // tcfg.batch_size
     a0, c0 = tcfg.step_size, tcfg.perturbation
-    stab = 0.1 * total_steps
+    stab = 0.1 * (tcfg.epochs * n_batches)
 
     log_rows = []
     step = 0
@@ -242,8 +241,6 @@ def train(
         epoch_losses = []
         for b in range(n_batches):
             batch = [train_set[i] for i in order[b * tcfg.batch_size : (b + 1) * tcfg.batch_size]]
-            if not batch:
-                continue
             a_k = a0 / (step + 1 + stab) ** 0.602
             c_k = c0 / (step + 1) ** 0.101
             delta = rng.choice((-1.0, 1.0), size=theta.size)
@@ -259,36 +256,28 @@ def train(
         log_rows.append(
             {
                 "epoch": epoch,
-                "mean_train_loss": float(np.mean(epoch_losses)) if epoch_losses else 0.0,
+                "mean_train_loss": float(np.mean(epoch_losses)),
                 "mean_val_iters": val_iters,
                 "mean_val_rho_updates": val_rho,
             }
         )
-        if val_iters < best_iter[0]:
-            best_iter = (val_iters, epoch, theta.copy())
-        if (val_rho, val_iters) < best_rho[0]:
-            best_rho = ((val_rho, val_iters), epoch, theta.copy())
+        for tag, key in keys(val_iters, val_rho).items():
+            if key < best[tag][0]:
+                best[tag] = (key, epoch, theta.copy())
 
-    warning = ""
-    if tcfg.epochs > 0 and val_set and best_iter[1] == 0:
-        warning = "validation never improved on the initial checkpoint"
-
-    def finalize(best, tag):
-        ck = with_params(ckpt0, best[2])
-        score = best[0][0] if isinstance(best[0], tuple) else best[0]
-        ck.metadata = dict(ckpt0.metadata)
-        ck.metadata.update({"selection": tag, "epoch": best[1], "val_score": score,
+    def finalize(tag):
+        key, epoch, params = best[tag]
+        ck = with_params(ckpt0, params)
+        ck.metadata.update({"selection": tag, "epoch": epoch, "val_score": key[0],
                             "adaptive_rho": cfg.adaptive_rho})
-        if warning:
-            ck.metadata["warning"] = warning
+        if tcfg.epochs and val_set and best["iter"][1] == 0:
+            ck.metadata["warning"] = "validation never improved on the initial checkpoint"
         return ck
 
-    result = TrainResult(
-        ckpt_iter=finalize(best_iter, "iter"),
-        ckpt_rho=finalize(best_rho if cfg.adaptive_rho else best_iter, "rho"),
+    return TrainResult(
+        ckpt_iter=finalize("iter"),
+        ckpt_rho=finalize("rho"),
         log_rows=log_rows,
-        warning=warning,
         initial_row={"epoch": 0, "mean_train_loss": None, "mean_val_iters": base_iters,
                      "mean_val_rho_updates": base_rho} if val_set else None,
     )
-    return result

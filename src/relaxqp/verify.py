@@ -163,6 +163,19 @@ def _consensus(n: int, decision, constraint: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block(steps: Trajectory, k0: int, k1: int):
+    """Consensus-space rows of steps k0..k1-1: r, lam and sig of rows k0..k1
+    (step k's input is row k, its output row k + 1), gamma, y_k and y~_{k+1}."""
+    n = steps.x.shape[1]
+    r = _consensus(n, steps.sigma, steps.r[k0 : k1 + 1])
+    lam = _consensus(n, 0.0, steps.y[k0 : k1 + 1])
+    sig = _consensus(n, steps.x[k0 : k1 + 1], steps.z[k0 : k1 + 1])
+    gamma = _consensus(n, steps.alpha_x[k0:k1, None], steps.gamma[k0:k1])
+    y_k = lam[:-1] + r[:-1] * sig[:-1]
+    y_tilde = lam[1:] + r[:-1] * sig[1:]
+    return r, lam, sig, gamma, y_k, y_tilde
+
+
 def _worst(violations: np.ndarray) -> tuple[float, int]:
     """Largest violation, NaN skipped and at least 0.0, and its first step."""
     ranked = np.where(np.isnan(violations), -np.inf, violations)
@@ -179,24 +192,19 @@ def reconstruct_drs(steps: Trajectory, prob: QpProblem, raise_on_violation: bool
     each step's violations are those of the step on its own."""
     if not steps:
         raise InputError("empty trajectory")
-    n = prob.n
+    n, m = steps.x.shape[1], steps.z.shape[1]
+    if (n, m) != (prob.n, prob.m):
+        raise InputError(f"trajectory of (n, m) = ({n}, {m}) checked against problem "
+                         f"{prob.name!r} of (n, m) = ({prob.n}, {prob.m})")
     v_trans = np.empty(len(steps))
     v_pert = np.empty(len(steps))
-    for k0, k1 in _blocks(0, len(steps), n + prob.m):
-        # Step k's input is row k of the iterates and penalties, its output row k + 1.
-        r = _consensus(n, steps.sigma, steps.r[k0 : k1 + 1])
-        lam = _consensus(n, 0.0, steps.y[k0 : k1 + 1])
-        sig = _consensus(n, steps.x[k0 : k1 + 1], steps.z[k0 : k1 + 1])
+    for k0, k1 in _blocks(0, len(steps), n + m):
+        r, lam, sig, gamma, y_k, y_tilde = _block(steps, k0, k1)
         r_k, r_next = r[:-1], r[1:]
-        lam_k, lam_next = lam[:-1], lam[1:]
-        sig_k, sig_next = sig[:-1], sig[1:]
-        gamma = _consensus(n, steps.alpha_x[k0:k1, None], steps.gamma[k0:k1])
+        sig_next = sig[1:]
+        y_next = lam[1:] + r_next * sig_next
 
-        y_k = lam_k + r_k * sig_k
-        y_tilde = lam_next + r_k * sig_next
-        y_next = lam_next + r_next * sig_next
-
-        e_next = _consensus(n, steps.x_tilde[k0:k1], steps.z_tilde[k0:k1]) - sig_k
+        e_next = _consensus(n, steps.x_tilde[k0:k1], steps.z_tilde[k0:k1]) - sig[:-1]
         lhs_t = y_tilde - y_k
         rhs_t = gamma * r_k * e_next
         v_trans[k0:k1] = np.abs(lhs_t - rhs_t).max(axis=1) / (1.0 + np.abs(y_k).max(axis=1))
@@ -273,16 +281,9 @@ def check_descent(
                 continue
             k0 += int(consistent[0])
             started = True
-        r_k = _consensus(n, steps.sigma, steps.r[k0:k1])
-        gamma = _consensus(n, steps.alpha_x[k0:k1, None], steps.gamma[k0:k1])
-        h = 1.0 / (gamma * r_k)
-        y_star = lam_full + r_k * sig_star
-
-        lam = _consensus(n, 0.0, steps.y[k0 : k1 + 1])
-        sig = _consensus(n, steps.x[k0 : k1 + 1], steps.z[k0 : k1 + 1])
-        y_k = lam[:-1] + r_k * sig[:-1]
-        y_tilde = lam[1:] + r_k * sig[1:]
-
+        r, _, _, gamma, y_k, y_tilde = _block(steps, k0, k1)
+        h = 1.0 / (gamma * r[:-1])
+        y_star = lam_full + r[:-1] * sig_star
         a = (h * (y_k - y_star) ** 2).sum(axis=1)
         b = (h * (y_tilde - y_star) ** 2).sum(axis=1)
         c = (h * (y_tilde - y_k) ** 2).sum(axis=1)

@@ -350,11 +350,16 @@ class TestInputErrors:
         assert err.startswith("relaxqp: error:") and err.count("\n") == 1 and field in err
 
     def test_mistyped_config_value(self, tiny_problem_file, tmp_path, capsys):
+        # A JSON boolean is not a number and a number is not a boolean.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rho0": "abc"}))
-        self._expect_error(
-            ["solve", "--problem", str(tiny_problem_file), "--config", str(cfg)], "'rho0'", capsys
-        )
+        for doc, field in [({"rho0": "abc"}, "'rho0' must be float, got 'abc'"),
+                           ({"max_iter": True}, "'max_iter' must be int, got True"),
+                           ({"adaptive_rho": 1}, "'adaptive_rho' must be bool, got 1"),
+                           ({"rho0": True}, "'rho0' must be float, got True")]:
+            cfg.write_text(json.dumps(doc))
+            self._expect_error(
+                ["solve", "--problem", str(tiny_problem_file), "--config", str(cfg)], field, capsys
+            )
 
     @pytest.mark.parametrize("doc,field", [({"eps_abs": 0}, "'eps_abs'"),
                                            ({"eps_rel": float("nan")}, "'eps_rel'")],
@@ -389,6 +394,8 @@ class TestInputErrors:
                      "config": {"epoch": 1}}), "'epoch'"),
         (json.dumps({"family": "random_qp", "train_instances": [], "val_instances": [],
                      "config": {"epochs": "many"}}), "'epochs'"),
+        (json.dumps({"family": "random_qp", "train_instances": [], "val_instances": [],
+                     "config": {"epochs": True}}), "'epochs' must be int, got True"),
         (json.dumps({"family": "random_qp", "train_instances": 5, "val_instances": []}),
          "'train_instances' must be a list"),
         (json.dumps({"family": "random_qp", "train_instances": [{"size": 10, "seed": 1}],
@@ -406,8 +413,9 @@ class TestInputErrors:
                      "val_instances": [{"size": 10, "seed": 11}]}),
          "'batch_size' (16) exceeds the number of training instances (1)"),
     ], ids=["missing_train_instances", "not_json", "unknown_config_key", "mistyped_config_value",
-            "instances_not_a_list", "instance_not_an_object", "misspelt_key", "top_level_seed",
-            "variant_not_a_string", "no_training_instances", "batch_size_above_training_set"])
+            "bool_config_value", "instances_not_a_list", "instance_not_an_object", "misspelt_key",
+            "top_level_seed", "variant_not_a_string", "no_training_instances",
+            "batch_size_above_training_set"])
     def test_malformed_train_manifest(self, tmp_path, capsys, text, named):
         # Refused before any reference solve: no instance store, no checkpoint.
         man_path = tmp_path / "train.json"
@@ -451,7 +459,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("config,named", [
         ({"step_size": float("nan")}, "'step_size'"),
         ({"perturbation": 0.0}, "'perturbation'"),
-        ({"loss_eps": -1e-10}, "'loss_eps'"),
+        ({"loss_eps": -1e-10}, "unknown config fields: ['loss_eps']"),
         ({"epochs": -1}, "'epochs'"),
         ({"horizon": -5}, "'horizon'"),
         ({"stage_length": 20}, "unknown config fields: ['stage_length']"),
@@ -673,6 +681,32 @@ class TestTrainCommand:
         rows = list(csv.DictReader((out / "train_log.csv").open()))
         assert [r["epoch"] for r in rows] == ["0", "1", "2"]  # the initial row, then one per epoch
         assert rows[0]["mean_train_loss"] == "" and all(r["mean_train_loss"] for r in rows[1:])
+
+    @pytest.mark.parametrize("adaptive_rho", ["on", "off"])
+    def test_never_improved_warning(self, tmp_path, capsys, monkeypatch, adaptive_rho):
+        # Validation gets worse after the initial checkpoint: both checkpoints
+        # carry the warning, and it is printed once.
+        from relaxqp import training
+
+        means = iter([(10.0, 1.0)])
+        monkeypatch.setattr(training, "_evaluate_validation",
+                            lambda ckpt, val_set, cfg: next(means, (20.0, 2.0)))
+        man_path = tmp_path / "train.json"
+        man_path.write_text(json.dumps({
+            "family": "random_qp", "train_instances": [{"size": 10, "seed": s} for s in (1, 2)],
+            "val_instances": [{"size": 10, "seed": 11}],
+            "config": {"epochs": 2, "batch_size": 2, "horizon": 50},
+        }))
+        out = tmp_path / "run"
+        assert main(["train", "--manifest", str(man_path), "--store", str(tmp_path / "store"),
+                     "--out", str(out), "--adaptive-rho", adaptive_rho]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("train: warning:")]
+        assert warnings == ["train: warning: validation never improved on the initial checkpoint"]
+        for name in ("ckpt_iter.json", "ckpt_rho.json"):
+            metadata = json.loads((out / name).read_text())["metadata"]
+            assert metadata["warning"] == "validation never improved on the initial checkpoint"
+            assert metadata["epoch"] == 0
 
     def _zero_epoch_run(self, tmp_path, config: dict, variant="scalar", family="random_qp"):
         man_path, cfg_path = tmp_path / "train.json", tmp_path / "cfg.json"

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -327,6 +327,36 @@ class TestTrain:
         with pytest.raises(InputError):
             train(train_set, val_set, ck0, TrainConfig(batch_size=10), SolverConfig())
 
+    def test_empty_training_set_is_an_input_error(self):
+        _, val_set = self._sets(0, 1)
+        with pytest.raises(InputError, match="batch size exceeds the training set size"):
+            train([], val_set, init_checkpoint("scalar", seed=0),
+                  TrainConfig(epochs=1, batch_size=1), SolverConfig())
+
+    @pytest.mark.parametrize("adaptive_rho", [False, True])
+    @pytest.mark.parametrize("later,warned", [((20.0, 2.0), True), ((5.0, 0.5), False)],
+                             ids=["worse", "better"])
+    def test_never_improved_warning_in_both_checkpoints(self, monkeypatch, adaptive_rho, later,
+                                                        warned):
+        from relaxqp import training
+
+        means = iter([(10.0, 1.0)])  # the initial checkpoint's, then ``later`` every epoch
+        monkeypatch.setattr(training, "_evaluate_validation",
+                            lambda ckpt, val_set, cfg: next(means, later))
+        train_set, val_set = self._sets(2, 1)
+        ck0 = init_checkpoint("scalar", seed=0)
+        res = train(train_set, val_set, ck0, TrainConfig(epochs=2, batch_size=2),
+                    SolverConfig(adaptive_rho=adaptive_rho))
+        for ck in (res.ckpt_iter, res.ckpt_rho):
+            assert ("warning" in ck.metadata) is warned
+            assert ck.metadata["epoch"] == (0 if warned else 1)  # the tie at epoch 2 keeps 1
+            assert np.array_equal(flatten_params(ck), flatten_params(ck0)) is warned
+        if warned:
+            assert res.ckpt_iter.metadata["warning"] == res.ckpt_rho.metadata["warning"] == (
+                "validation never improved on the initial checkpoint")
+        # the checkpoints are the warning's one record
+        assert [f.name for f in fields(res)] == ["ckpt_iter", "ckpt_rho", "log_rows", "initial_row"]
+
     def test_rho_selection_not_worse_on_rho_updates(self):
         train_set, val_set = self._sets(4, 2)
         ck0 = init_checkpoint("scalar", seed=0)
@@ -340,7 +370,7 @@ class TestTrain:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("name", ["step_size", "perturbation", "loss_eps"])
+    @pytest.mark.parametrize("name", ["step_size", "perturbation"])
     @pytest.mark.parametrize("value", [0.0, -1e-3, np.nan, np.inf, -np.inf, 0, 10**400],
                              ids=["zero", "negative", "nan", "inf", "-inf", "int_zero", "huge_int"])
     def test_positive_finite_fields(self, name, value):

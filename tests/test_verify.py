@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -76,6 +77,14 @@ class TestReconstructDrs:
         chk = reconstruct_drs(steps, prob)
         assert chk.max_transition_violation <= 1e-9
         assert chk.max_perturbation_violation <= 1e-9
+
+    def test_problem_of_another_size_is_an_input_error(self):
+        small, large = (generate(FamilySpec("random_qp", n, 1)) for n in (10, 20))
+        steps = record_trajectory(small, SolverConfig(), 20)
+        want = (f"trajectory of (n, m) = ({small.n}, {small.m}) checked against problem "
+                f"'{large.name}' of (n, m) = ({large.n}, {large.m})")
+        with pytest.raises(InputError, match=re.escape(want)):
+            reconstruct_drs(steps, large)
 
     def test_fault_injection_detected(self, inject_relaxation_fault):
         prob = generate(FamilySpec("random_qp", 10, 22))
